@@ -50,7 +50,7 @@ from .synth import SynthConfig, generate, write_fixture
 from .trees import LearnerConfig, gbdt_depthwise_preset, gbdt_leafwise_preset, predict_proba
 
 MANIFEST_NAME = "manifest.json"
-ARTIFACT_VERSIONS = {"manifest": 1, "model": 1, "report": 1}
+ARTIFACT_VERSIONS = {"manifest": 1, "model": 2, "report": 1}
 
 
 def _jsonable(value):
@@ -507,12 +507,11 @@ def _cmd_explain(args) -> int:
     max_rows = run.config.get("max_rows")
     if max_rows is not None:
         matrix = matrix.take(np.arange(min(int(max_rows), matrix.n_rows)))
-    scaled = model.scaler.transform(matrix)
-    coliform = predict_proba(model.stage1, scaled)
-    widened = scaled.with_column(AUX_COLUMN, KIND_AUX, coliform)
+    coliform = predict_proba(model.stage1, matrix)
+    widened = matrix.with_column(AUX_COLUMN, KIND_AUX, coliform)
     attributions = attribute_rows(model.stage2, widened)
     run.write("beeswarm.csv", export_beeswarm(attributions, widened))
-    ranking = mean_abs_shap(model.stage2, widened)
+    ranking = mean_abs_shap(attributions)
     run.write(
         "mean_abs_shap.csv",
         _csv("feature,mean_abs_shap", [(name, _fmt(v)) for name, v in ranking]),

@@ -251,15 +251,16 @@ def attribute_rows(model: TreeEnsembleModel, matrix: FeatureMatrix) -> list[Shap
     return [tree_shap(model, matrix.take([i])) for i in range(matrix.n_rows)]
 
 
-def mean_abs_shap(model: TreeEnsembleModel, matrix: FeatureMatrix) -> list[tuple[str, float]]:
-    """Features ranked by mean absolute contribution (descending, then name)."""
-    if matrix.n_rows == 0:
+def mean_abs_shap(attributions: list[ShapAttribution]) -> list[tuple[str, float]]:
+    """Features ranked by mean absolute contribution over the given
+    attributions (descending, then name)."""
+    if not attributions:
         raise ParameterError("attribution needs at least one row")
-    acc = np.zeros(matrix.n_cols)
-    for attribution in attribute_rows(model, matrix):
+    acc = np.zeros(len(attributions[0].feature_names))
+    for attribution in attributions:
         acc += np.abs(attribution.values)
-    acc /= matrix.n_rows
-    pairs = list(zip(matrix.column_names, acc))
+    acc /= len(attributions)
+    pairs = list(zip(attributions[0].feature_names, acc))
     return sorted(pairs, key=lambda item: (-item[1], item[0]))
 
 

@@ -2,8 +2,9 @@
 
 Stage 1 predicts total-coliform presence and its out-of-fold probabilities
 become the auxiliary "coliform_prob" feature for stage 2, which predicts
-E. coli presence. Every fitted object (scaler, learner, calibrator,
-threshold) is a function of its fold's training portion only.
+E. coli presence. Every fitted object (binning, learner, calibrator,
+threshold) is a function of its fold's training portion only. Trees read
+raw measurements; scaling and imputation serve the logistic baseline alone.
 """
 
 from .calibration import (

@@ -14,19 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError, ThresholdError
+from ..trees.model import sigmoid
 
 METHOD_PLATT = "platt"
 METHOD_ISOTONIC = "isotonic"
 METHOD_FALLBACK = "sigmoid_fallback"
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def platt_fit(scores, labels) -> tuple[float, float]:
@@ -56,7 +48,7 @@ def platt_fit(scores, labels) -> tuple[float, float]:
     value = objective(A, B)
     for _ in range(100):
         z = A * s + B
-        p = _stable_sigmoid(-z)
+        p = sigmoid(-z)
         d2 = p * (1.0 - p)
         g_a = float(np.sum(s * (t - p)))
         g_b = float(np.sum(t - p))
@@ -133,7 +125,7 @@ class Calibrator:
         if self.method == METHOD_ISOTONIC:
             idx = np.searchsorted(self.knots_x, s, side="right") - 1
             return np.clip(self.knots_y[np.clip(idx, 0, None)], 0.0, 1.0)
-        return _stable_sigmoid(self.a * s + self.b)
+        return sigmoid(self.a * s + self.b)
 
     def to_dict(self) -> dict:
         data: dict = {"method": self.method}

@@ -1,8 +1,9 @@
-"""Per-fold standardization of physicochemical columns.
+"""Per-fold standardization and imputation for the logistic baseline.
 
-Only physicochemical-kind columns are z-scored; auxiliary and contextual
-columns pass through untouched. Statistics come from the stated fit rows
-alone, which is what keeps fold hygiene auditable.
+Tree learners bin raw values and need neither. Only physicochemical-kind
+columns are z-scored; auxiliary and contextual columns pass through
+untouched. Statistics come from the stated fit rows alone, which is what
+keeps fold hygiene auditable.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ class Scaler:
     column_indices: list[int]
     means: np.ndarray
     sds: np.ndarray
-    n_fit: int
 
     def transform(self, matrix: FeatureMatrix) -> FeatureMatrix:
         """Standardize the fitted columns; zero-SD columns only center.
@@ -42,23 +42,6 @@ class Scaler:
             category_levels=dict(matrix.category_levels),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "column_indices": list(self.column_indices),
-            "means": [float(m) for m in self.means],
-            "sds": [float(s) for s in self.sds],
-            "n_fit": self.n_fit,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scaler":
-        return cls(
-            column_indices=list(data["column_indices"]),
-            means=np.array(data["means"], dtype=float),
-            sds=np.array(data["sds"], dtype=float),
-            n_fit=int(data["n_fit"]),
-        )
-
 
 def fit_fold_scaler(matrix: FeatureMatrix, fit_indices) -> Scaler:
     """Fit means and population SDs of physicochemical columns using the
@@ -75,7 +58,7 @@ def fit_fold_scaler(matrix: FeatureMatrix, fit_indices) -> Scaler:
         if observed.size:
             means[pos] = float(observed.mean())
             sds[pos] = float(observed.std())
-    return Scaler(column_indices=cols, means=means, sds=sds, n_fit=int(idx.size))
+    return Scaler(column_indices=cols, means=means, sds=sds)
 
 
 def impute_for_linear(matrix: FeatureMatrix, fit_indices) -> FeatureMatrix:

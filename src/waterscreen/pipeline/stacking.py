@@ -2,9 +2,11 @@
 
 Stage 1 learns total-coliform presence; its out-of-fold probabilities are
 appended as the auxiliary column "coliform_prob" and stage 2 learns E. coli
-presence on the widened matrix. Every fitted object in fold f (scaler,
-binning, learner, calibrator, threshold) sees only fold f's training
-portion, so held-out rows never influence the model that scores them.
+presence on the widened matrix. Every fitted object in fold f (binning,
+learner, calibrator, threshold) sees only fold f's training portion, so
+held-out rows never influence the model that scores them. Trees read the
+encoded measurements as they are; only the logistic baseline scales and
+imputes, from its fold's training rows.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from ..trees.model import from_dict as model_from_dict
 from ..trees.model import to_dict as model_to_dict
 from .calibration import Calibrator, fit_calibrator, select_threshold
 from .folds import FoldPlan, plan_folds
-from .scaling import Scaler, fit_fold_scaler, impute_for_linear
+from .scaling import fit_fold_scaler, impute_for_linear
 
 AUX_COLUMN = "coliform_prob"
 
@@ -101,15 +103,14 @@ class CvReport:
 
 @dataclass
 class PipelineModel:
-    """The deployable artifact: both stages, calibrator, threshold, scaler,
-    and the input schema they expect."""
+    """The deployable artifact: both stages, calibrator, threshold, and the
+    input schema they expect. Split thresholds are in measurement units."""
 
     stage1: object
     stage2: object
     calibrator: Calibrator
     threshold: float
     beta: float
-    scaler: Scaler
     feature_names: list[str]
     category_levels: dict[str, list[str]]
 
@@ -134,26 +135,27 @@ def _check_plan(plan: FoldPlan, n_rows: int, labels: np.ndarray) -> None:
         raise PairingError(f"labels cover {labels.size} rows but the matrix has {n_rows}")
 
 
-def _fit_learner(scaled: FeatureMatrix, labels: np.ndarray, config: LearnerConfig,
+def _fit_learner(matrix: FeatureMatrix, labels: np.ndarray, config: LearnerConfig,
                  train_idx: np.ndarray, valid_idx: np.ndarray | None):
     """Fit one learner on train_idx; returns (model, scorer over global rows).
 
     gbdt bins on the training rows and uses valid_idx for early stopping;
-    the logistic path imputes from training-row statistics first.
+    the logistic path scales and imputes from training-row statistics first.
     """
     if config.family == FAMILY_GBDT:
-        binned = bin_features(scaled.take(train_idx), config.max_bins)
+        binned = bin_features(matrix.take(train_idx), config.max_bins)
         valid = None
         if config.early_stopping_rounds > 0:
             if valid_idx is None:
                 raise ParameterError("early stopping requires validation rows")
-            valid = (apply_bins(scaled.take(valid_idx), binned), labels[valid_idx])
+            valid = (apply_bins(matrix.take(valid_idx), binned), labels[valid_idx])
         model = fit_gbdt(binned, labels[train_idx], config, valid=valid)
-        return model, lambda idx: predict_proba(model, scaled.take(idx))
+        return model, lambda idx: predict_proba(model, matrix.take(idx))
     if config.family == FAMILY_FOREST:
-        model = fit_forest(scaled.take(train_idx), labels[train_idx], config)
-        return model, lambda idx: predict_proba(model, scaled.take(idx))
+        model = fit_forest(matrix.take(train_idx), labels[train_idx], config)
+        return model, lambda idx: predict_proba(model, matrix.take(idx))
     if config.family == FAMILY_LOGISTIC:
+        scaled = fit_fold_scaler(matrix, train_idx).transform(matrix)
         filled = impute_for_linear(scaled, train_idx)
         model = fit_logistic(
             filled.take(train_idx), labels[train_idx], config.l2_regularization
@@ -166,8 +168,8 @@ def generate_oof_probs(matrix: FeatureMatrix, tc_labels, plan: FoldPlan,
                        config: LearnerConfig) -> OofProbs:
     """Stage-1 out-of-fold probabilities under the given fold plan.
 
-    Each fold's scaler and learner are fitted on that fold's inner split of
-    the training portion, then score the held-out rows.
+    Each fold's learner is fitted on that fold's inner split of the training
+    portion, then scores the held-out rows.
     """
     y = np.asarray(tc_labels)
     _check_plan(plan, matrix.n_rows, y)
@@ -176,10 +178,8 @@ def generate_oof_probs(matrix: FeatureMatrix, tc_labels, plan: FoldPlan,
     for fold in range(plan.k):
         held = plan.held_out(fold)
         try:
-            scaler = fit_fold_scaler(matrix, plan.inner_train[fold])
-            scaled = scaler.transform(matrix)
             model, score = _fit_learner(
-                scaled, y, config, plan.inner_train[fold], plan.inner_valid[fold]
+                matrix, y, config, plan.inner_train[fold], plan.inner_valid[fold]
             )
             values[held] = score(held)
         except FitError as exc:
@@ -216,7 +216,7 @@ def run_cv(matrix: FeatureMatrix, labels, plan: FoldPlan, config: LearnerConfig,
            name: str = "model") -> CvReport:
     """Cross-validate one learner, optionally with the auxiliary column.
 
-    Per fold: fit scaler and learner on the inner-train rows, calibrate on
+    Per fold: fit the learner on the inner-train rows, calibrate on
     the inner-valid predictions, pick the F-beta threshold on the calibrated
     inner-valid probabilities, then score the held-out rows. The pooled
     bundle evaluates all out-of-fold probabilities with the confusion matrix
@@ -237,9 +237,7 @@ def run_cv(matrix: FeatureMatrix, labels, plan: FoldPlan, config: LearnerConfig,
         inner_train = plan.inner_train[fold]
         inner_valid = plan.inner_valid[fold]
         try:
-            scaler = fit_fold_scaler(work, inner_train)
-            scaled = scaler.transform(work)
-            model, score = _fit_learner(scaled, y, config, inner_train, inner_valid)
+            model, score = _fit_learner(work, y, config, inner_train, inner_valid)
             valid_raw = score(inner_valid)
             calibrator = fit_calibrator(valid_raw, y[inner_valid], calibration)
             threshold = select_threshold(
@@ -284,26 +282,25 @@ def run_cv(matrix: FeatureMatrix, labels, plan: FoldPlan, config: LearnerConfig,
     )
 
 
-def _final_fit(scaled: FeatureMatrix, labels: np.ndarray, config: LearnerConfig,
+def _final_fit(matrix: FeatureMatrix, labels: np.ndarray, config: LearnerConfig,
                inner_fraction: float, split_seed) -> object:
-    """Refit one stage on all rows; gbdt holds out an inner slice only to
-    stop early, every row still informs the binning-free statistics it saw
-    in CV via the full-data scaler."""
+    """Refit one stage on all rows; gbdt with early stopping holds out a
+    stratified inner slice of them to pick the stopping round."""
     if config.family == FAMILY_GBDT:
         if config.early_stopping_rounds > 0:
             train_idx, valid_idx = stratified_split(
                 labels, 1.0 - inner_fraction, seed=split_seed
             )
         else:
-            train_idx = np.arange(scaled.n_rows)
+            train_idx = np.arange(matrix.n_rows)
             valid_idx = None
-        binned = bin_features(scaled.take(train_idx), config.max_bins)
+        binned = bin_features(matrix.take(train_idx), config.max_bins)
         valid = None
         if valid_idx is not None:
-            valid = (apply_bins(scaled.take(valid_idx), binned), labels[valid_idx])
+            valid = (apply_bins(matrix.take(valid_idx), binned), labels[valid_idx])
         return fit_gbdt(binned, labels[train_idx], config, valid=valid)
     if config.family == FAMILY_FOREST:
-        return fit_forest(scaled, labels, config)
+        return fit_forest(matrix, labels, config)
     raise ParameterError(
         "final pipeline stages must be tree models; the logistic baseline is "
         "available through cross-validation only"
@@ -343,11 +340,8 @@ def finalize(matrix: FeatureMatrix, tc_labels, ec_labels,
             matrix, ec, plan, stage2_config, aux=aux, beta=beta, calibration=calibration
         )
 
-    all_rows = np.arange(matrix.n_rows)
-    scaler = fit_fold_scaler(matrix, all_rows)
-    scaled = scaler.transform(matrix)
-    stage1 = _final_fit(scaled, tc, stage1_config, inner_fraction, [plan.seed, plan.k + 1])
-    widened = scaled.with_column(AUX_COLUMN, KIND_AUX, np.asarray(aux.values, dtype=float))
+    stage1 = _final_fit(matrix, tc, stage1_config, inner_fraction, [plan.seed, plan.k + 1])
+    widened = matrix.with_column(AUX_COLUMN, KIND_AUX, np.asarray(aux.values, dtype=float))
     stage2 = _final_fit(widened, ec, stage2_config, inner_fraction, [plan.seed, plan.k + 2])
 
     oof_raw = np.full(matrix.n_rows, np.nan)
@@ -362,23 +356,21 @@ def finalize(matrix: FeatureMatrix, tc_labels, ec_labels,
         calibrator=calibrator,
         threshold=float(threshold),
         beta=float(beta),
-        scaler=scaler,
         feature_names=list(matrix.column_names),
         category_levels={k_: list(v) for k_, v in matrix.category_levels.items()},
     )
 
 
 def predict(pipeline: PipelineModel, matrix: FeatureMatrix) -> list[Prediction]:
-    """Score new rows: scale, stage-1 probability, widen, stage-2 raw score,
+    """Score new rows: stage-1 probability, widen, stage-2 raw score,
     calibrate, then threshold."""
     if matrix.column_names != pipeline.feature_names:
         raise SchemaError(
             "input columns do not match the pipeline schema "
             f"(expected {len(pipeline.feature_names)}, got {len(matrix.column_names)})"
         )
-    scaled = pipeline.scaler.transform(matrix)
-    coliform = predict_proba(pipeline.stage1, scaled)
-    widened = scaled.with_column(AUX_COLUMN, KIND_AUX, coliform)
+    coliform = predict_proba(pipeline.stage1, matrix)
+    widened = matrix.with_column(AUX_COLUMN, KIND_AUX, coliform)
     raw = predict_proba(pipeline.stage2, widened)
     probs = pipeline.calibrator.apply(raw)
     return [
@@ -402,7 +394,6 @@ def pipeline_to_json(pipeline: PipelineModel) -> str:
         "calibrator": pipeline.calibrator.to_dict(),
         "threshold": float(pipeline.threshold),
         "beta": float(pipeline.beta),
-        "scaler": pipeline.scaler.to_dict(),
         "feature_names": list(pipeline.feature_names),
         "category_levels": {k: list(v) for k, v in pipeline.category_levels.items()},
     }
@@ -413,13 +404,17 @@ def pipeline_from_json(text: str) -> PipelineModel:
     data = json.loads(text)
     if data.get("kind") != "two_stage_pipeline":
         raise SchemaError(f"not a pipeline payload (kind={data.get('kind')!r})")
+    if "scaler" in data:
+        # its split thresholds are in z-units and would misroute raw rows
+        raise SchemaError(
+            "model was written by an older waterscreen with a feature scaler; retrain"
+        )
     return PipelineModel(
         stage1=model_from_dict(data["stage1"]),
         stage2=model_from_dict(data["stage2"]),
         calibrator=Calibrator.from_dict(data["calibrator"]),
         threshold=float(data["threshold"]),
         beta=float(data["beta"]),
-        scaler=Scaler.from_dict(data["scaler"]),
         feature_names=list(data["feature_names"]),
         category_levels={k: list(v) for k, v in data["category_levels"].items()},
     )

@@ -369,14 +369,6 @@ class CleanLog:
     removed: list[Removal]
     kept_count: int
 
-    def to_jsonl(self) -> str:
-        import json
-
-        return "".join(
-            json.dumps({"row": r.row, "uuid": r.uuid, "reason": r.reason}) + "\n"
-            for r in self.removed
-        )
-
 
 def clean(
     records: list[FieldRecord],

@@ -4,8 +4,8 @@ Shared by the gbdt and forest fitters: both hand per-row gradient statistics
 (g, h) plus a cover weight w to `grow_tree` and differ only in how those are
 derived and how leaf values are computed from the node sums.
 
-Split search scans per-feature histograms of (g, h, w, count) accumulated
-with three weighted bincounts over offset bin codes. A candidate splits
+Split search scans per-feature histograms of (g, h, count) accumulated
+with bincounts over offset bin codes, g and h weighted. A candidate splits
 after value bin b, routing missing values either right or left; the winner
 maximizes G_L^2/(H_L+l2) + G_R^2/(H_R+l2) - G^2/(H+l2). Ties break toward
 the lowest feature index, then the lowest bin, then missing-right, so
@@ -67,7 +67,7 @@ def _feature_subset(n_features: int, column_subsample: float, rng) -> np.ndarray
     return np.sort(rng.choice(n_features, size=k, replace=False))
 
 
-def _best_split(ws, rows, g, h, w, l2, min_samples, features, g_total, h_total):
+def _best_split(ws, rows, g, h, l2, min_samples, features, g_total, h_total):
     """Highest-gain (gain, feature, bin, missing_left) over the node, or None."""
     m = ws.n_features
     flat = ws.flat_codes[rows].ravel()
@@ -179,7 +179,7 @@ def grow_tree(
         if depth < max_depth and node_rows.size >= 2 * min_samples:
             features = _feature_subset(ws.n_features, column_subsample, rng)
             node["split"] = _best_split(
-                ws, node_rows, g, h, w, l2, min_samples, features, g_total, h_total
+                ws, node_rows, g, h, l2, min_samples, features, g_total, h_total
             )
         return node
 

@@ -57,9 +57,6 @@ class Tree:
     def n_nodes(self) -> int:
         return self.feature.size
 
-    def is_leaf(self, node: int) -> bool:
-        return self.feature[node] < 0
-
     def margins(self, values: np.ndarray, missing: np.ndarray) -> np.ndarray:
         """Leaf value reached by each row of a raw feature matrix."""
         n = values.shape[0]

@@ -262,6 +262,23 @@ def test_predict_writes_decision_table(workspace, tmp_path):
         assert row["decision"] in {"0", "1"}
 
 
+def test_predict_rejects_a_model_with_a_feature_scaler(workspace, tmp_path, capsys):
+    data = json.loads((workspace / "model" / "model.json").read_text())
+    data["scaler"] = {"column_indices": [0], "means": [0.0], "sds": [1.0]}
+    old = tmp_path / "model_v1.json"
+    old.write_text(json.dumps(data))
+    code = run(
+        [
+            "predict",
+            "--model", str(old),
+            "--records", str(workspace / "data" / "fixture.csv"),
+            "--out", str(tmp_path / "preds"),
+        ]
+    )
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_evaluate_report_and_assertions(workspace, tmp_path):
     model = str(workspace / "model" / "model.json")
     records = str(workspace / "data" / "fixture.csv")

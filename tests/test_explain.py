@@ -216,12 +216,17 @@ def test_mean_abs_shap_ranks_the_only_informative_feature_first():
     y = informative.astype(np.int8)
     matrix = make_matrix(values)
     model = fit_gbdt(bin_features(matrix, 16), y, shap_config(rng, iteration_cap=2))
-    ranking = mean_abs_shap(model, matrix)
+    ranking = mean_abs_shap(attribute_rows(model, matrix))
     assert ranking[0][0] == "f1"
     assert ranking[0][1] > 0
     # the two constant features tie at zero and fall back to name order
     assert [name for name, _ in ranking[1:]] == ["f0", "f2"]
     assert all(value == 0 for _, value in ranking[1:])
+
+
+def test_mean_abs_shap_needs_an_attribution():
+    with pytest.raises(ParameterError):
+        mean_abs_shap([])
 
 
 def test_oracle_auxiliary_feature_dominates_ranking():
@@ -232,7 +237,7 @@ def test_oracle_auxiliary_feature_dominates_ranking():
     values = np.column_stack([weak, y.astype(float)])
     matrix = make_matrix(values)
     model = fit_gbdt(bin_features(matrix, 16), y, shap_config(rng, iteration_cap=3))
-    ranking = mean_abs_shap(model, matrix)
+    ranking = mean_abs_shap(attribute_rows(model, matrix))
     assert ranking[0][0] == "f2"
 
 

@@ -1,14 +1,17 @@
 """Stacked pipeline: scaling hygiene, out-of-fold stacking, and the final
-refit. The leakage probes here flip held-out labels and assert the fold's
-own fitted objects are bitwise unchanged."""
+refit. The leakage probes here flip held-out labels or shift held-out
+measurements and assert the fold's own fitted objects are bitwise
+unchanged."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from waterscreen.errors import PairingError, ParameterError, SchemaError
 from waterscreen.pipeline import (
+    AUX_COLUMN,
     fit_fold_scaler,
     finalize,
     generate_oof_probs,
@@ -19,7 +22,7 @@ from waterscreen.pipeline import (
     predict,
     run_cv,
 )
-from waterscreen.records import KIND_CONTEXT, KIND_PHYSICO, FeatureMatrix
+from waterscreen.records import KIND_AUX, KIND_CONTEXT, KIND_PHYSICO, FeatureMatrix
 from waterscreen.stats import compare_models
 from waterscreen.trees import (
     forest_preset,
@@ -29,8 +32,11 @@ from waterscreen.trees import (
 )
 
 
-def synthetic_matrix(n=200, seed=0, missing_rate=0.04):
-    """Correlated two-outcome data: a shared latent drives both labels."""
+def synthetic_matrix(n=200, seed=0, missing_rate=0.04, offset=0.0):
+    """Correlated two-outcome data: a shared latent drives both labels.
+
+    offset shifts every feature, as measurement units far from zero do.
+    """
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, 4))
     latent = 1.4 * x[:, 0] - x[:, 1] + 0.5 * x[:, 2]
@@ -39,7 +45,7 @@ def synthetic_matrix(n=200, seed=0, missing_rate=0.04):
         (latent + rng.normal(scale=0.8, size=n) > 0.6) | (rng.random(n) < 0.05)
     ).astype(np.int8)
     mask = rng.random((n, 4)) < missing_rate
-    values = x.copy()
+    values = x + offset
     values[mask] = np.nan
     columns = [(f"meas_{i}", KIND_PHYSICO) for i in range(3)] + [("extra", KIND_CONTEXT)]
     matrix = FeatureMatrix(
@@ -92,17 +98,6 @@ def test_fold_scaler_zero_variance_column_centers_without_dividing():
     out = fit_fold_scaler(matrix, np.arange(10)).transform(matrix)
     np.testing.assert_array_equal(out.values[:, 0], np.zeros(10))
     assert np.isfinite(out.values[:, 1]).all()
-
-
-def test_scaler_dict_round_trip_reproduces_transform():
-    from waterscreen.pipeline import Scaler
-
-    matrix, _, _ = synthetic_matrix(seed=5)
-    scaler = fit_fold_scaler(matrix, np.arange(50))
-    again = Scaler.from_dict(scaler.to_dict())
-    np.testing.assert_array_equal(
-        scaler.transform(matrix).values, again.transform(matrix).values
-    )
 
 
 def test_impute_uses_fit_row_means():
@@ -172,6 +167,37 @@ def test_stage2_held_out_labels_cannot_reach_their_own_fold():
     np.testing.assert_array_equal(
         base.folds[probe_fold].calibrated, other.folds[probe_fold].calibrated
     )
+
+
+def test_logistic_held_out_features_cannot_reach_their_own_fold():
+    # the logistic baseline is the only learner that scales and imputes; its
+    # column statistics must come from the fold's training rows alone
+    matrix, _, ec = synthetic_matrix()
+    plan = plan_folds(ec, 4, seed=8)
+    config = logistic_preset()
+    base = run_cv(matrix, ec, plan, config)
+    probe_fold = 1
+    held = plan.held_out(probe_fold)
+    cells = np.ix_(held, matrix.kind_indices(KIND_PHYSICO))
+    values = matrix.values.copy()
+    values[cells] = values[cells] * 7.0 + 30.0
+    shifted = FeatureMatrix(
+        values=values,
+        missing_mask=matrix.missing_mask.copy(),
+        columns=list(matrix.columns),
+        row_ids=list(matrix.row_ids),
+        category_levels={},
+    )
+    other = run_cv(shifted, ec, plan, config)
+    a, b = base.folds[probe_fold], other.folds[probe_fold]
+    assert a.digest == b.digest
+    assert a.threshold == b.threshold
+    assert a.calibrator.to_dict() == b.calibrator.to_dict()
+    # the shifted rows did reach the folds that train on them
+    assert not np.array_equal(a.raw, b.raw)
+    for fold in range(plan.k):
+        if fold != probe_fold:
+            assert base.folds[fold].digest != other.folds[fold].digest
 
 
 def test_run_cv_report_structure():
@@ -247,11 +273,20 @@ def test_reports_feed_model_comparison():
     assert len(result.mcnemar_tests) == 1
 
 
-def test_finalize_predict_and_serialization():
-    matrix, tc, ec = synthetic_matrix(n=240, seed=11)
+@pytest.fixture(scope="module")
+def finalized():
+    """A pipeline fitted on measurements far from zero, with the widened
+    matrix its stage 2 was trained on."""
+    matrix, tc, ec = synthetic_matrix(n=240, seed=11, offset=50.0)
     s1 = tiny_gbdt()
-    s2 = tiny_gbdt(growth="depthwise")
-    pipe = finalize(matrix, tc, ec, s1, s2, k=4, seed=3)
+    plan = plan_folds(ec, 4, seed=3)
+    aux = generate_oof_probs(matrix, tc, plan, s1)
+    pipe = finalize(matrix, tc, ec, s1, tiny_gbdt(growth="depthwise"), plan=plan, aux=aux)
+    return pipe, matrix, matrix.with_column(AUX_COLUMN, KIND_AUX, aux.values)
+
+
+def test_finalize_predict_and_serialization(finalized):
+    pipe, matrix, widened = finalized
     preds = predict(pipe, matrix)
     assert len(preds) == matrix.n_rows
     for p in preds:
@@ -262,11 +297,27 @@ def test_finalize_predict_and_serialization():
     again = pipeline_from_json(text)
     assert pipeline_to_json(again) == text
     assert predict(again, matrix) == preds
+    # trees split on raw measurements: every threshold lies inside the
+    # observed range of its column (z-scored ones would sit near zero)
+    for stage, seen in ((pipe.stage1, matrix), (pipe.stage2, widened)):
+        for tree in stage.trees:
+            for f, threshold in zip(tree.feature, tree.threshold):
+                if f < 0:
+                    continue
+                column = seen.values[:, f]
+                assert np.nanmin(column) <= threshold <= np.nanmax(column)
 
 
-def test_predict_rejects_schema_drift():
-    matrix, tc, ec = synthetic_matrix(n=240, seed=11)
-    pipe = finalize(matrix, tc, ec, tiny_gbdt(), tiny_gbdt(growth="depthwise"), k=4, seed=3)
+def test_pipeline_from_json_rejects_a_scaled_model(finalized):
+    pipe = finalized[0]
+    data = json.loads(pipeline_to_json(pipe))
+    data["scaler"] = {"column_indices": [0, 1, 2], "means": [0.0] * 3, "sds": [1.0] * 3}
+    with pytest.raises(SchemaError, match="scaler; retrain"):
+        pipeline_from_json(json.dumps(data))
+
+
+def test_predict_rejects_schema_drift(finalized):
+    pipe, matrix, _ = finalized
     narrowed = matrix.take(np.arange(matrix.n_rows))
     narrowed.columns.pop()
     with pytest.raises(SchemaError):
