@@ -22,7 +22,6 @@ from .errors import ParameterError, WaterscreenError
 from .explain import attribute_rows, export_beeswarm, mean_abs_shap
 from .metrics import MetricBundle, full_bundle, threshold_curve
 from .pipeline import (
-    AUX_COLUMN,
     cv_report_from_dict,
     cv_report_to_dict,
     finalize,
@@ -32,10 +31,10 @@ from .pipeline import (
     plan_folds,
     predict,
     run_cv,
+    stage2_input,
 )
 from .qc import CATEGORY_ALERT, CATEGORY_OK, CATEGORY_REVIEW, BatchConfig, evaluate_batch
 from .records import (
-    KIND_AUX,
     KIND_CONTEXT,
     KIND_PHYSICO,
     FeatureMatrix,
@@ -47,7 +46,10 @@ from .records import (
 )
 from .stats import compare_models
 from .synth import SynthConfig, generate, write_fixture
-from .trees import LearnerConfig, gbdt_depthwise_preset, gbdt_leafwise_preset, predict_proba
+from .trees import LearnerConfig, gbdt_depthwise_preset, gbdt_leafwise_preset
+# not called here since explain builds its input with stage2_input; the span
+# table of bench/spans.py still looks the name up in this module
+from .trees import predict_proba  # noqa: F401
 
 MANIFEST_NAME = "manifest.json"
 ARTIFACT_VERSIONS = {"manifest": 1, "model": 2, "report": 1}
@@ -507,8 +509,7 @@ def _cmd_explain(args) -> int:
     max_rows = run.config.get("max_rows")
     if max_rows is not None:
         matrix = matrix.take(np.arange(min(int(max_rows), matrix.n_rows)))
-    coliform = predict_proba(model.stage1, matrix)
-    widened = matrix.with_column(AUX_COLUMN, KIND_AUX, coliform)
+    widened = stage2_input(model, matrix)
     attributions = attribute_rows(model.stage2, widened)
     run.write("beeswarm.csv", export_beeswarm(attributions, widened))
     ranking = mean_abs_shap(attributions)

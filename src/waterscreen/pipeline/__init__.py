@@ -31,6 +31,7 @@ from .stacking import (
     pipeline_to_json,
     predict,
     run_cv,
+    stage2_input,
 )
 
 __all__ = [
@@ -58,4 +59,5 @@ __all__ = [
     "predict",
     "run_cv",
     "select_threshold",
+    "stage2_input",
 ]

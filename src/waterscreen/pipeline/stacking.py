@@ -361,16 +361,24 @@ def finalize(matrix: FeatureMatrix, tc_labels, ec_labels,
     )
 
 
-def predict(pipeline: PipelineModel, matrix: FeatureMatrix) -> list[Prediction]:
-    """Score new rows: stage-1 probability, widen, stage-2 raw score,
-    calibrate, then threshold."""
+def stage2_input(pipeline: PipelineModel, matrix: FeatureMatrix) -> FeatureMatrix:
+    """New rows widened by the stage-1 probability, ready for stage 2; the
+    last column holds that probability. The rows must have the pipeline's
+    columns in its order."""
     if matrix.column_names != pipeline.feature_names:
         raise SchemaError(
             "input columns do not match the pipeline schema "
             f"(expected {len(pipeline.feature_names)}, got {len(matrix.column_names)})"
         )
     coliform = predict_proba(pipeline.stage1, matrix)
-    widened = matrix.with_column(AUX_COLUMN, KIND_AUX, coliform)
+    return matrix.with_column(AUX_COLUMN, KIND_AUX, coliform)
+
+
+def predict(pipeline: PipelineModel, matrix: FeatureMatrix) -> list[Prediction]:
+    """Score new rows: stage-1 probability, widen, stage-2 raw score,
+    calibrate, then threshold."""
+    widened = stage2_input(pipeline, matrix)
+    coliform = widened.values[:, -1]
     raw = predict_proba(pipeline.stage2, widened)
     probs = pipeline.calibrator.apply(raw)
     return [

@@ -10,6 +10,14 @@ after value bin b, routing missing values either right or left; the winner
 maximizes G_L^2/(H_L+l2) + G_R^2/(H_R+l2) - G^2/(H+l2). Ties break toward
 the lowest feature index, then the lowest bin, then missing-right, so
 growth is deterministic. Gains at or below MIN_GAIN never split.
+
+The candidates of a node are scored in one whole-array pass. Each fit
+builds a candidate table once: a padded (feature, value bin) gather index
+into the flat histograms, and the row-major flat positions of the real
+candidates, bins 0 .. n_value_bins-2 of every feature with at least two
+value bins. Per node, one cumsum along each padded row gives every
+feature's left-side sums, which add the bins in the same order as a
+per-feature cumsum, so each gain is bit-for-bit the per-feature value.
 """
 
 from __future__ import annotations
@@ -30,25 +38,49 @@ MIN_GAIN = 1e-12
 
 @dataclass
 class Workspace:
-    """Per-fit precomputation over one binned matrix."""
+    """Per-fit precomputation over one binned matrix.
+
+    gather (n_features, width) indexes the flat histograms at each feature's
+    value bins; cells past a feature's last candidate bin are padding whose
+    sums are never read. The real candidates are listed in row-major order
+    (feature, then bin) by their flat position in that padded table
+    (cand_flat), their feature and bin, and the flat histogram index of
+    their feature's missing bin (cand_missing).
+    """
 
     codes: np.ndarray
     total_bins: np.ndarray
     offsets: np.ndarray
     flat_codes: np.ndarray
     edges: list[np.ndarray]
+    gather: np.ndarray
+    cand_flat: np.ndarray
+    cand_feature: np.ndarray
+    cand_bin: np.ndarray
+    cand_missing: np.ndarray
 
     @classmethod
     def from_binned(cls, binned: BinnedMatrix) -> "Workspace":
         total = binned.total_bins
         offsets = np.concatenate([[0], np.cumsum(total)]).astype(np.int64)
         flat = binned.bin_indices.astype(np.int64) + offsets[:-1][None, :]
+        # a feature with v value bins has candidates after bins 0 .. v-2
+        n_candidates = np.maximum(total.astype(np.int64) - 2, 0)
+        bins = np.arange(n_candidates.max())
+        gather = np.minimum(offsets[:-1, None] + bins[None, :], offsets[-1] - 1)
+        real = bins[None, :] < n_candidates[:, None]
+        cand_feature, cand_bin = np.nonzero(real)
         return cls(
             codes=binned.bin_indices,
             total_bins=total,
             offsets=offsets,
             flat_codes=flat,
             edges=binned.bin_edges,
+            gather=gather,
+            cand_flat=np.flatnonzero(real),
+            cand_feature=cand_feature,
+            cand_bin=cand_bin,
+            cand_missing=offsets[1:][cand_feature] - 1,
         )
 
     @property
@@ -68,7 +100,16 @@ def _feature_subset(n_features: int, column_subsample: float, rng) -> np.ndarray
 
 
 def _best_split(ws, rows, g, h, l2, min_samples, features, g_total, h_total):
-    """Highest-gain (gain, feature, bin, missing_left) over the node, or None."""
+    """Highest-gain (gain, feature, bin, missing_left) over the node, or None.
+
+    Scores every (candidate, direction) pair at once, direction 0 being
+    missing-right and 1 missing-left, with the columns outside features
+    masked to -inf. Candidates run feature by feature and bin by bin, so the
+    first maximum a row-major argmax finds is the documented tie-break:
+    lowest feature, then lowest bin, then missing-right.
+    """
+    if ws.cand_flat.size == 0:
+        return None
     m = ws.n_features
     flat = ws.flat_codes[rows].ravel()
     hist_g = np.bincount(flat, weights=np.repeat(g[rows], m), minlength=ws.flat_dim)
@@ -76,49 +117,36 @@ def _best_split(ws, rows, g, h, l2, min_samples, features, g_total, h_total):
     hist_c = np.bincount(flat, minlength=ws.flat_dim)
     count = rows.size
     parent_term = g_total * g_total / (h_total + l2) if h_total + l2 > 0 else 0.0
-    best = None
-    for f in features:
-        f = int(f)
-        lo = int(ws.offsets[f])
-        n_value_bins = int(ws.total_bins[f]) - 1
-        if n_value_bins < 2:
-            continue
-        vg = hist_g[lo : lo + n_value_bins]
-        vh = hist_h[lo : lo + n_value_bins]
-        vc = hist_c[lo : lo + n_value_bins]
-        miss_g = hist_g[lo + n_value_bins]
-        miss_h = hist_h[lo + n_value_bins]
-        miss_c = int(hist_c[lo + n_value_bins])
-        # cumulative sums through bin b for candidates b = 0 .. n_value_bins-2
-        cg = np.cumsum(vg)[:-1]
-        ch = np.cumsum(vh)[:-1]
-        cc = np.cumsum(vc)[:-1]
-        per_direction = []
-        for extra_g, extra_h, extra_c in ((0.0, 0.0, 0), (miss_g, miss_h, miss_c)):
-            gl = cg + extra_g
-            hl = ch + extra_h
-            cl = cc + extra_c
-            gr = g_total - gl
-            hr = h_total - hl
-            cr = count - cl
-            ok = (
-                (cl >= min_samples)
-                & (cr >= min_samples)
-                & (hl + l2 > 0)
-                & (hr + l2 > 0)
-            )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gains = gl * gl / (hl + l2) + gr * gr / (hr + l2) - parent_term
-            per_direction.append(np.where(ok, gains, -np.inf))
-        # row-major over (bin, direction): lowest bin first, missing-right before missing-left
-        stacked = np.stack(per_direction, axis=1).ravel()
-        pick = int(np.argmax(stacked))
-        gain = float(stacked[pick])
-        if gain <= MIN_GAIN:
-            continue
-        if best is None or gain > best[0]:
-            best = (gain, f, pick // 2, bool(pick % 2))
-    return best
+
+    def left_sums(hist):
+        # (candidate, direction) sums left of the split: through the bin,
+        # plus nothing (missing right) or the missing bin (missing left)
+        through_bin = np.cumsum(hist[ws.gather], axis=1).ravel()[ws.cand_flat]
+        missing = hist[ws.cand_missing]
+        return through_bin[:, None] + np.column_stack([np.zeros_like(missing), missing])
+
+    gl, hl, cl = left_sums(hist_g), left_sums(hist_h), left_sums(hist_c)
+    gr = g_total - gl
+    hr = h_total - hl
+    cr = count - cl
+    sampled = np.zeros(m, dtype=bool)
+    sampled[features] = True
+    ok = (
+        (cl >= min_samples)
+        & (cr >= min_samples)
+        & (hl + l2 > 0)
+        & (hr + l2 > 0)
+        & sampled[ws.cand_feature][:, None]
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = gl * gl / (hl + l2) + gr * gr / (hr + l2) - parent_term
+    gains = np.where(ok, gains, -np.inf).ravel()
+    pick = int(np.argmax(gains))
+    gain = float(gains[pick])
+    if gain <= MIN_GAIN:
+        return None
+    cand = pick // 2
+    return (gain, int(ws.cand_feature[cand]), int(ws.cand_bin[cand]), bool(pick % 2))
 
 
 def _partition(ws, rows, feature, split_bin, missing_left):

@@ -361,6 +361,25 @@ def test_explain_exports_attributions(workspace, tmp_path):
     assert len(beeswarm) == 1 + 10 * len(names)
 
 
+def test_explain_rejects_records_that_do_not_match_the_model_schema(
+    workspace, tmp_path, capsys
+):
+    data = json.loads((workspace / "model" / "model.json").read_text())
+    data["feature_names"][0] = "not_a_column"
+    model = tmp_path / "renamed.json"
+    model.write_text(json.dumps(data))
+    code = run(
+        [
+            "explain",
+            "--model", str(model),
+            "--records", str(workspace / "data" / "fixture.csv"),
+            "--out", str(tmp_path / "shap"),
+        ]
+    )
+    assert code == 1
+    assert "do not match the pipeline schema" in capsys.readouterr().err
+
+
 def test_ablate_single_subset(workspace, tmp_path):
     out_dir = tmp_path / "abl"
     assert (

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waterscreen.records import FeatureMatrix
 from waterscreen.trees import bin_features
-from waterscreen.trees.grower import MIN_GAIN, Workspace, grow_tree
+from waterscreen.trees.grower import MIN_GAIN, Workspace, _best_split, grow_tree
 
 
 def make_matrix(values):
@@ -72,6 +74,149 @@ def brute_best_gain(values, g, h, l2, min_samples):
                 if best is None or gain > best:
                     best = gain
     return best
+
+
+def _best_split_reference(ws, rows, g, h, l2, min_samples, features, g_total, h_total):
+    """The per-feature split search that the whole-array `_best_split`
+    replaced: one cumsum and gain pass per sampled feature, keeping the
+    first strictly better feature."""
+    m = ws.n_features
+    flat = ws.flat_codes[rows].ravel()
+    hist_g = np.bincount(flat, weights=np.repeat(g[rows], m), minlength=ws.flat_dim)
+    hist_h = np.bincount(flat, weights=np.repeat(h[rows], m), minlength=ws.flat_dim)
+    hist_c = np.bincount(flat, minlength=ws.flat_dim)
+    count = rows.size
+    parent_term = g_total * g_total / (h_total + l2) if h_total + l2 > 0 else 0.0
+    best = None
+    for f in features:
+        f = int(f)
+        lo = int(ws.offsets[f])
+        n_value_bins = int(ws.total_bins[f]) - 1
+        if n_value_bins < 2:
+            continue
+        vg = hist_g[lo : lo + n_value_bins]
+        vh = hist_h[lo : lo + n_value_bins]
+        vc = hist_c[lo : lo + n_value_bins]
+        miss_g = hist_g[lo + n_value_bins]
+        miss_h = hist_h[lo + n_value_bins]
+        miss_c = int(hist_c[lo + n_value_bins])
+        # cumulative sums through bin b for candidates b = 0 .. n_value_bins-2
+        cg = np.cumsum(vg)[:-1]
+        ch = np.cumsum(vh)[:-1]
+        cc = np.cumsum(vc)[:-1]
+        per_direction = []
+        for extra_g, extra_h, extra_c in ((0.0, 0.0, 0), (miss_g, miss_h, miss_c)):
+            gl = cg + extra_g
+            hl = ch + extra_h
+            cl = cc + extra_c
+            gr = g_total - gl
+            hr = h_total - hl
+            cr = count - cl
+            ok = (
+                (cl >= min_samples)
+                & (cr >= min_samples)
+                & (hl + l2 > 0)
+                & (hr + l2 > 0)
+            )
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gains = gl * gl / (hl + l2) + gr * gr / (hr + l2) - parent_term
+            per_direction.append(np.where(ok, gains, -np.inf))
+        # row-major over (bin, direction): lowest bin first, missing-right before missing-left
+        stacked = np.stack(per_direction, axis=1).ravel()
+        pick = int(np.argmax(stacked))
+        gain = float(stacked[pick])
+        if gain <= MIN_GAIN:
+            continue
+        if best is None or gain > best[0]:
+            best = (gain, f, pick // 2, bool(pick % 2))
+    return best
+
+
+COLUMN_KINDS = ("coarse", "dense", "no_missing", "single_value", "all_missing", "duplicate")
+
+
+@st.composite
+def split_problems(draw):
+    """A binned matrix, gradient statistics and one node's search settings.
+
+    Coarse columns and dyadic gradients make exact gain ties common;
+    duplicated columns tie across features, and columns without missing
+    cells tie across the two missing directions.
+    """
+    n = draw(st.integers(2, 60))
+    kinds = [draw(st.sampled_from(COLUMN_KINDS[:3]))]
+    kinds += draw(st.lists(st.sampled_from(COLUMN_KINDS), max_size=5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    missing_rate = draw(st.sampled_from([0.0, 0.1, 0.4]))
+    columns = []
+    for kind in kinds:
+        if kind == "duplicate" and columns:
+            columns.append(columns[int(rng.integers(len(columns)))].copy())
+            continue
+        if kind == "dense":
+            col = rng.normal(size=n)
+        elif kind == "single_value":
+            col = np.full(n, 3.0)
+        elif kind == "all_missing":
+            col = np.full(n, np.nan)
+        else:
+            col = rng.choice([0.0, 1.0, 2.5, 4.0, 7.0], size=n)
+        if kind in ("coarse", "dense", "single_value"):
+            col[rng.random(n) < missing_rate] = np.nan
+        columns.append(col)
+    values = np.column_stack(columns)
+    max_bins = draw(st.sampled_from([3, 4, 8, 256]))
+    ws = Workspace.from_binned(bin_features(make_matrix(values), max_bins))
+    if draw(st.booleans()):
+        g = rng.choice([-1.0, -0.5, 0.25, 0.5, 1.0], size=n)
+        h = rng.choice([0.0, 0.25, 1.0], size=n)
+    else:
+        g = rng.normal(size=n)
+        h = rng.uniform(0.0, 2.0, size=n)
+    rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=draw(st.booleans())))
+    m = values.shape[1]
+    if draw(st.booleans()):
+        features = np.arange(m)
+    else:
+        features = np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
+    l2 = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    # mostly small, sometimes too large for any split
+    min_samples = draw(st.one_of(st.integers(1, 3), st.integers(1, n)))
+    return ws, rows, g, h, l2, min_samples, features
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_problems())
+def test_best_split_matches_the_per_feature_reference(problem):
+    ws, rows, g, h, l2, min_samples, features = problem
+    args = (ws, rows, g, h, l2, min_samples, features, float(g[rows].sum()), float(h[rows].sum()))
+    expected = _best_split_reference(*args)
+    got = _best_split(*args)
+    if expected is None:
+        assert got is None
+        return
+    assert got is not None
+    assert float.hex(got[0]) == float.hex(expected[0])
+    assert got[1:] == expected[1:]
+    assert [type(v) for v in got] == [float, int, int, bool]
+
+
+def test_candidate_table_lists_real_candidates_in_row_major_order():
+    values = np.column_stack(
+        [
+            np.tile([0.0, 1.0], 6),  # one-hot: one candidate
+            np.full(12, np.nan),  # all missing: none
+            np.repeat([1.0, 2.0, 3.0, 4.0], 3),  # four values: three candidates
+            np.full(12, 5.0),  # single value: none
+        ]
+    )
+    ws = Workspace.from_binned(bin_features(make_matrix(values), 256))
+    assert ws.gather.shape == (4, 3)
+    assert ws.cand_feature.tolist() == [0, 2, 2, 2]
+    assert ws.cand_bin.tolist() == [0, 0, 1, 2]
+    assert ws.cand_flat.tolist() == [0, 6, 7, 8]
+    assert (ws.cand_missing == ws.offsets[1:][ws.cand_feature] - 1).all()
 
 
 class TestGainOracle:
