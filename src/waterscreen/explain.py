@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EnumerationLimitError, PairingError, ParameterError, UnsupportedModelError
 from .records import FeatureMatrix
-from .trees import TreeEnsembleModel
+from .trees import FAMILY_FOREST, TreeEnsembleModel
 from .trees.model import Tree
 
 
@@ -155,7 +155,7 @@ def tree_shap(model: TreeEnsembleModel, row: FeatureMatrix) -> ShapAttribution:
     for tree in used:
         _shap_one_tree(tree, values, missing, phi)
         base += _tree_expectation(tree)
-    if model.family == "random_forest":
+    if model.family == FAMILY_FOREST:
         scale = 1.0 / len(used) if used else 1.0
         phi *= scale
         base = base * scale if used else model.base_score
@@ -189,7 +189,7 @@ def _conditional_margin(model: TreeEnsembleModel, values: np.ndarray,
 
     used = model.trees[: model.best_iteration]
     acc = sum(expect(tree, 0) for tree in used)
-    if model.family == "random_forest":
+    if model.family == FAMILY_FOREST:
         return acc / len(used) if used else float(model.base_score)
     return float(model.base_score) + acc
 

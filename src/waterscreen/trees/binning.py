@@ -37,16 +37,10 @@ class BinnedMatrix:
         """Per-column bin count including the trailing missing bin."""
         return np.array([len(e) + 2 for e in self.bin_edges], dtype=np.int32)
 
-    def missing_bin(self, col: int) -> int:
-        return len(self.bin_edges[col]) + 1
-
-    def take(self, indices) -> "BinnedMatrix":
-        idx = np.asarray(indices, dtype=np.int64)
-        return BinnedMatrix(
-            bin_indices=self.bin_indices[idx].copy(),
-            bin_edges=[e.copy() for e in self.bin_edges],
-            columns=list(self.columns),
-        )
+    @property
+    def missing_mask(self) -> np.ndarray:
+        """True where a cell holds its column's missing-bin code."""
+        return self.bin_indices == self.total_bins - 1
 
 
 def _column_edges(values: np.ndarray, max_bins: int) -> np.ndarray:

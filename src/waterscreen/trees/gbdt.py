@@ -90,8 +90,10 @@ def fit_gbdt(
             raise ParameterError("validation labels length does not match matrix rows")
         valid_w = np.where(valid_y == 1.0, pos_weight, 1.0)
         valid_scores = np.full(valid_binned.n_rows, base_score, dtype=float)
+        valid_gone = valid_binned.missing_mask
 
     scores = np.full(n, base_score, dtype=float)
+    gone = binned.missing_mask
     trees: list[Tree] = []
     train_loss: list[float] = []
     valid_loss: list[float] | None = [] if valid is not None else None
@@ -124,7 +126,7 @@ def fit_gbdt(
             leaf_value=leaf_value,
         )
         trees.append(tree)
-        scores = scores + tree.margins_binned(binned.bin_indices, ws.total_bins)
+        scores = scores + tree.margins_binned(binned.bin_indices, gone)
         loss = _weighted_logloss(scores, y, w)
         if config.row_subsample >= 1.0 and train_loss and loss > train_loss[-1] + 1e-9:
             raise FitError(
@@ -133,7 +135,7 @@ def fit_gbdt(
             )
         train_loss.append(loss)
         if valid is not None:
-            valid_scores += tree.margins_binned(valid_binned.bin_indices, ws.total_bins)
+            valid_scores += tree.margins_binned(valid_binned.bin_indices, valid_gone)
             vloss = _weighted_logloss(valid_scores, valid_y, valid_w)
             valid_loss.append(vloss)
             if vloss < best_valid:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Union
 
 import numpy as np
@@ -34,9 +34,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 class Tree:
     """One decision tree as parallel node arrays, root at index 0.
 
-    feature < 0 marks a leaf. Internal nodes route value <= threshold to
-    left, missing values to the stored default direction. value holds the
-    leaf payload (also filled for internal nodes, as the value the node would
+    feature < 0 marks a leaf. A split is stored twice, as a bin index
+    split_bin and as threshold == bin_edges[feature][split_bin]. A missing
+    cell follows missing_left; any other goes left when value <= threshold,
+    which holds exactly when its bin code <= split_bin. value holds the leaf
+    payload (also filled for internal nodes, as the value the node would
     have had as a leaf); cover is the summed sample weight and count the raw
     row count seen in training; gain is the realized split gain (NaN at
     leaves).
@@ -57,9 +59,10 @@ class Tree:
     def n_nodes(self) -> int:
         return self.feature.size
 
-    def margins(self, values: np.ndarray, missing: np.ndarray) -> np.ndarray:
-        """Leaf value reached by each row of a raw feature matrix."""
-        n = values.shape[0]
+    def _route(self, x: np.ndarray, gone: np.ndarray, cut: np.ndarray) -> np.ndarray:
+        """Leaf value reached by each row of x: a cell marked gone follows
+        missing_left, any other goes left when it is <= cut[node]."""
+        n = x.shape[0]
         node = np.zeros(n, dtype=np.int32)
         rows = np.arange(n)
         while True:
@@ -68,31 +71,18 @@ class Tree:
             if not internal.any():
                 break
             fi = np.where(internal, f, 0)
-            v = values[rows, fi]
-            miss = missing[rows, fi] | np.isnan(v)
-            go_left = np.where(miss, self.missing_left[node], v <= self.threshold[node])
+            go_left = np.where(gone[rows, fi], self.missing_left[node], x[rows, fi] <= cut[node])
             nxt = np.where(go_left, self.left[node], self.right[node])
             node = np.where(internal, nxt, node)
         return self.value[node]
 
-    def margins_binned(self, codes: np.ndarray, total_bins: np.ndarray) -> np.ndarray:
-        """Same routing on pre-binned codes; used during boosting."""
-        n = codes.shape[0]
-        node = np.zeros(n, dtype=np.int32)
-        rows = np.arange(n)
-        missing_ids = total_bins - 1
-        while True:
-            f = self.feature[node]
-            internal = f >= 0
-            if not internal.any():
-                break
-            fi = np.where(internal, f, 0)
-            code = codes[rows, fi]
-            miss = code == missing_ids[fi]
-            go_left = np.where(miss, self.missing_left[node], code <= self.split_bin[node])
-            nxt = np.where(go_left, self.left[node], self.right[node])
-            node = np.where(internal, nxt, node)
-        return self.value[node]
+    def margins(self, values: np.ndarray, gone: np.ndarray) -> np.ndarray:
+        """Leaf value reached by each raw row; gone must mark NaN cells too."""
+        return self._route(values, gone, self.threshold)
+
+    def margins_binned(self, codes: np.ndarray, gone: np.ndarray) -> np.ndarray:
+        """Leaf value reached by each row of bin codes; used during boosting."""
+        return self._route(codes, gone, self.split_bin)
 
 
 @dataclass
@@ -134,15 +124,21 @@ def _check_schema(model_names: list[str], matrix: FeatureMatrix) -> None:
         )
 
 
+def _leaf_sum(model: TreeEnsembleModel, matrix: FeatureMatrix, start: float) -> np.ndarray:
+    """start plus the leaf values of the model's first best_iteration trees."""
+    _check_schema(model.feature_names, matrix)
+    gone = matrix.missing_mask | np.isnan(matrix.values)
+    total = np.full(matrix.n_rows, start, dtype=float)
+    for tree in model.trees[: model.best_iteration]:
+        total += tree.margins(matrix.values, gone)
+    return total
+
+
 def predict_margin(model: TreeEnsembleModel, matrix: FeatureMatrix) -> np.ndarray:
     """Accumulated log-odds margin of a gbdt (base score plus tree payloads)."""
     if model.family != FAMILY_GBDT:
         raise UnsupportedModelError("margins are defined for boosted models only")
-    _check_schema(model.feature_names, matrix)
-    margin = np.full(matrix.n_rows, model.base_score, dtype=float)
-    for tree in model.trees[: model.best_iteration]:
-        margin += tree.margins(matrix.values, matrix.missing_mask)
-    return margin
+    return _leaf_sum(model, matrix, model.base_score)
 
 
 def predict_proba(model: Model, matrix: FeatureMatrix) -> np.ndarray:
@@ -161,14 +157,9 @@ def predict_proba(model: Model, matrix: FeatureMatrix) -> np.ndarray:
         if model.family == FAMILY_GBDT:
             return sigmoid(predict_margin(model, matrix))
         if model.family == FAMILY_FOREST:
-            _check_schema(model.feature_names, matrix)
-            used = model.trees[: model.best_iteration]
-            if not used:
-                return np.full(matrix.n_rows, model.base_score, dtype=float)
-            acc = np.zeros(matrix.n_rows, dtype=float)
-            for tree in used:
-                acc += tree.margins(matrix.values, matrix.missing_mask)
-            return acc / len(used)
+            used = len(model.trees[: model.best_iteration])
+            # a forest without trees scores every row at its base score
+            return _leaf_sum(model, matrix, 0.0 if used else model.base_score) / max(used, 1)
     raise UnsupportedModelError(f"cannot predict with {type(model).__name__}")
 
 
@@ -212,23 +203,33 @@ def _tree_from_dict(data: dict) -> Tree:
     )
 
 
-def _config_to_dict(config: LearnerConfig) -> dict:
-    return {
-        "family": config.family,
-        "max_depth": config.max_depth,
-        "leaf_limit": config.leaf_limit,
-        "min_samples_per_leaf": config.min_samples_per_leaf,
-        "row_subsample": config.row_subsample,
-        "column_subsample": config.column_subsample,
-        "l2_regularization": config.l2_regularization,
-        "learning_rate": config.learning_rate,
-        "iteration_cap": config.iteration_cap,
-        "early_stopping_rounds": config.early_stopping_rounds,
-        "positive_class_weight": config.positive_class_weight,
-        "max_bins": config.max_bins,
-        "seed": config.seed,
-        "growth": config.growth,
-    }
+def _check_trees(model: TreeEnsembleModel) -> None:
+    """Refuse trees the router could not walk to a leaf, or whose two copies
+    of a split (bin and threshold) would route differently."""
+    if not 0 <= model.best_iteration <= len(model.trees):
+        raise SchemaError("best_iteration lies outside the stored trees")
+    if len(model.bin_edges) != len(model.feature_names):
+        raise SchemaError("bin_edges and feature_names differ in length")
+    n_edges = np.array([e.size for e in model.bin_edges], dtype=np.int64)
+    first_edge = np.cumsum(n_edges) - n_edges
+    all_edges = np.concatenate([np.empty(0), *model.bin_edges])
+    for tree in model.trees:
+        n = tree.n_nodes
+        if n == 0 or {getattr(tree, f.name).size for f in fields(tree)} != {n}:
+            raise SchemaError("a tree's node arrays are empty or differ in length")
+        node = np.flatnonzero(tree.feature >= 0)
+        for child in (tree.left[node], tree.right[node]):
+            # children numbered after their parent also make every walk end
+            if not ((child > node) & (child < n)).all():
+                raise SchemaError("a tree child is not numbered after its parent inside the tree")
+        f = tree.feature[node]
+        if (f >= n_edges.size).any():
+            raise SchemaError("a split feature lies outside the model's columns")
+        b = tree.split_bin[node]
+        if not ((b >= 0) & (b < n_edges[f])).all():
+            raise SchemaError("a split bin lies outside its feature's bin edges")
+        if not np.array_equal(tree.threshold[node], all_edges[first_edge[f] + b]):
+            raise SchemaError("a split threshold differs from its bin edge")
 
 
 def to_dict(model: Model) -> dict:
@@ -240,7 +241,7 @@ def to_dict(model: Model) -> dict:
             "best_iteration": int(model.best_iteration),
             "bin_edges": [[float(e) for e in edges] for edges in model.bin_edges],
             "feature_names": list(model.feature_names),
-            "config": _config_to_dict(model.config),
+            "config": asdict(model.config),
             "trees": [_tree_to_dict(t) for t in model.trees],
         }
     if isinstance(model, LogisticModel):
@@ -257,7 +258,7 @@ def to_dict(model: Model) -> dict:
 def from_dict(data: dict) -> Model:
     kind = data.get("kind")
     if kind == "tree_ensemble":
-        return TreeEnsembleModel(
+        model = TreeEnsembleModel(
             family=data["family"],
             trees=[_tree_from_dict(t) for t in data["trees"]],
             base_score=float(data["base_score"]),
@@ -266,6 +267,8 @@ def from_dict(data: dict) -> Model:
             feature_names=list(data["feature_names"]),
             config=LearnerConfig(**data["config"]),
         )
+        _check_trees(model)
+        return model
     if kind == "logistic":
         return LogisticModel(
             weights=np.array(data["weights"], dtype=float),

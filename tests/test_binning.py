@@ -43,7 +43,7 @@ class TestBinFeatures:
         m = make_matrix(np.full((5, 1), np.nan))
         binned = bin_features(m, max_bins=8)
         assert len(binned.bin_edges[0]) == 0
-        assert (binned.bin_indices[:, 0] == binned.missing_bin(0)).all()
+        assert binned.missing_mask.all()
 
     def test_bin_rule_matches_strict_edge_count(self):
         rng = np.random.default_rng(3)
@@ -63,8 +63,15 @@ class TestBinFeatures:
     def test_missing_separated_from_values(self):
         m = make_matrix(np.array([[1.0], [np.nan], [2.0]]))
         binned = bin_features(m, 8)
-        assert binned.bin_indices[1, 0] == binned.missing_bin(0)
-        assert binned.bin_indices[0, 0] != binned.missing_bin(0)
+        assert binned.missing_mask[:, 0].tolist() == [False, True, False]
+        assert binned.bin_indices[1, 0] == binned.total_bins[0] - 1
+
+    def test_adjacent_floats_give_duplicate_edges(self):
+        below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+        binned = bin_features(make_matrix(np.array([[below], [1.0], [above]])), 8)
+        # both midpoints round to 1.0, which leaves value bin 1 empty
+        assert binned.bin_edges[0].tolist() == [1.0, 1.0]
+        assert binned.bin_indices[:, 0].tolist() == [0, 0, 2]
 
     def test_empty_matrix_raises(self):
         with pytest.raises(EmptyInputError):

@@ -279,6 +279,25 @@ def test_predict_rejects_a_model_with_a_feature_scaler(workspace, tmp_path, caps
     assert "error:" in capsys.readouterr().err
 
 
+def test_predict_rejects_a_split_on_a_column_the_model_lacks(workspace, tmp_path, capsys):
+    data = json.loads((workspace / "model" / "model.json").read_text())
+    stage2 = data["stage2"]
+    tree = next(t for t in stage2["trees"] if t["feature"][0] >= 0)
+    tree["feature"][0] = len(stage2["feature_names"])
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(data))
+    code = run(
+        [
+            "predict",
+            "--model", str(broken),
+            "--records", str(workspace / "data" / "fixture.csv"),
+            "--out", str(tmp_path / "preds"),
+        ]
+    )
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_evaluate_report_and_assertions(workspace, tmp_path):
     model = str(workspace / "model" / "model.json")
     records = str(workspace / "data" / "fixture.csv")

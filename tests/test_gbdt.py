@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waterscreen.errors import FitError, ParameterError
 from waterscreen.metrics import roc_auc
@@ -10,7 +12,9 @@ from waterscreen.trees import (
     LearnerConfig,
     apply_bins,
     bin_features,
+    fit_forest,
     fit_gbdt,
+    forest_preset,
     gbdt_leafwise_preset,
     predict_proba,
     to_json,
@@ -52,6 +56,96 @@ def signal_data(rng, n):
     logit = 1.5 * values[:, 0] - 2.0 * values[:, 1]
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-logit))).astype(int)
     return values, y
+
+
+def _margins_reference(tree, values, missing):
+    """Leaf value per row, walking raw values and testing NaN at every level."""
+    n = values.shape[0]
+    node = np.zeros(n, dtype=np.int32)
+    rows = np.arange(n)
+    while True:
+        f = tree.feature[node]
+        internal = f >= 0
+        if not internal.any():
+            break
+        fi = np.where(internal, f, 0)
+        v = values[rows, fi]
+        miss = missing[rows, fi] | np.isnan(v)
+        go_left = np.where(miss, tree.missing_left[node], v <= tree.threshold[node])
+        nxt = np.where(go_left, tree.left[node], tree.right[node])
+        node = np.where(internal, nxt, node)
+    return tree.value[node]
+
+
+ROUTING_COLUMNS = ("dense", "coarse", "ulp_triple", "single_value", "all_missing")
+
+
+def _routing_column(kind, rng, n):
+    if kind == "dense":
+        return rng.normal(size=n)
+    if kind == "coarse":
+        return rng.choice([0.0, 1.0, 2.5, 4.0, 7.0], size=n)
+    if kind == "ulp_triple":
+        # both midpoints of these adjacent floats round to 1.0, so with all
+        # three present the column's edges are the duplicates [1.0, 1.0]
+        return rng.choice([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)], size=n)
+    if kind == "single_value":
+        return np.full(n, 3.0)
+    return np.full(n, np.nan)
+
+
+def _with_missing(values, rng, rate):
+    """Missing cells of both kinds: NaN values, and masked cells that still
+    hold a number."""
+    values = values.copy()
+    values[rng.random(values.shape) < rate] = np.nan
+    masked = rng.random(values.shape) < rate
+    return FeatureMatrix(
+        values=values,
+        missing_mask=np.isnan(values) | masked,
+        columns=[(f"x{j}", "physicochemical") for j in range(values.shape[1])],
+        row_ids=[f"r{i}" for i in range(values.shape[0])],
+    )
+
+
+@st.composite
+def routing_cases(draw):
+    """A fitted gbdt or forest, its training binning, and rows to score that
+    sit on, beside and beyond every bin edge."""
+    n = draw(st.integers(4, 60))
+    kinds = draw(st.lists(st.sampled_from(ROUTING_COLUMNS), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    max_bins = draw(st.integers(2, 256))
+    rate = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    train = _with_missing(
+        np.column_stack([_routing_column(kind, rng, n) for kind in kinds]), rng, rate
+    )
+    y = rng.integers(0, 2, size=n)
+    y[:2] = [0, 1]
+    reference = bin_features(train, max_bins)
+    if draw(st.booleans()):
+        config = small_config(iteration_cap=4, min_samples_per_leaf=1, max_bins=max_bins)
+        model = fit_gbdt(reference, y, config)
+    else:
+        config = forest_preset(
+            iteration_cap=3, max_depth=5, min_samples_per_leaf=1, max_bins=max_bins,
+            seed=int(rng.integers(100)),
+        )
+        model = fit_forest(train, y, config)
+    # each probe cell is drawn from the column's edges, their neighbouring
+    # floats, values past both ends, the training values and NaN
+    probes = []
+    for j, edges in enumerate(reference.bin_edges):
+        column = train.values[:, j]
+        pool = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [-np.inf, np.inf, np.nan], column,
+        ])
+        if edges.size:
+            pool = np.concatenate([pool, [edges[0] - 1.0, edges[-1] + 1.0]])
+        probes.append(rng.choice(pool, size=3 * n))
+    scored = _with_missing(np.column_stack(probes), rng, rate)
+    return model, scored, reference
 
 
 class TestFitBasics:
@@ -150,20 +244,17 @@ class TestWeightsAndRouting:
         assert probs[0] < 0.1
         assert abs(probs[2] - probs[1]) < 0.05
 
-    def test_binned_and_raw_routing_agree(self):
-        rng = np.random.default_rng(8)
-        values = rng.normal(size=(150, 4))
-        values[rng.random(size=(150, 4)) < 0.25] = np.nan
-        logit = np.where(np.isnan(values[:, 0]), 1.5, -0.5) + np.nan_to_num(values[:, 1])
-        y = (rng.random(150) < 1.0 / (1.0 + np.exp(-logit))).astype(int)
-        matrix = make_matrix(values)
-        binned = bin_features(matrix, 32)
-        model = fit_gbdt(binned, y, small_config(iteration_cap=10))
-        total_bins = binned.total_bins
+    @settings(max_examples=200, deadline=None)
+    @given(routing_cases())
+    def test_raw_and_binned_routing_match_the_reference(self, case):
+        model, matrix, reference = case
+        gone = matrix.missing_mask | np.isnan(matrix.values)
+        binned = apply_bins(matrix, reference)
+        assert np.array_equal(binned.missing_mask, gone)
         for tree in model.trees:
-            raw = tree.margins(matrix.values, matrix.missing_mask)
-            via_bins = tree.margins_binned(binned.bin_indices, total_bins)
-            assert np.array_equal(raw, via_bins)
+            expected = _margins_reference(tree, matrix.values, matrix.missing_mask)
+            assert np.array_equal(tree.margins(matrix.values, gone), expected)
+            assert np.array_equal(tree.margins_binned(binned.bin_indices, gone), expected)
 
 
 class TestDeterminism:

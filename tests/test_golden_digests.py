@@ -1,11 +1,14 @@
-"""Pinned sha256 digests of trained models and CV reports.
+"""Pinned sha256 digests of trained models, CV reports, scores and attributions.
 
-A change that claims bit-identical training must leave these digests
-alone. They were computed with the per-feature split search that
-`tests/test_grower.py::_best_split_reference` keeps, before the search was
-rewritten as one whole-array pass over a node's candidates; the rewrite
-reproduces them exactly. A change that moves them on purpose says so and
-shows that model quality held.
+A change that claims bit-identical training or scoring must leave these
+digests alone. The model and CV-report digests were computed with the
+per-feature split search that `tests/test_grower.py::_best_split_reference`
+keeps, before the search was rewritten as one whole-array pass over a
+node's candidates; the rewrite reproduces them exactly. The scoring and
+attribution digests were computed with the per-level NaN-checking router
+that `tests/test_gbdt.py::_margins_reference` keeps, before raw and binned
+routing became one walk. A change that moves a digest on purpose says so
+and shows that model quality held.
 """
 
 import hashlib
@@ -13,19 +16,23 @@ import json
 
 import pytest
 
+from waterscreen.explain import attribute_rows
 from waterscreen.pipeline import (
     cv_report_to_dict,
     finalize,
     generate_oof_probs,
     pipeline_to_json,
     plan_folds,
+    predict,
     run_cv,
+    stage2_input,
 )
 from waterscreen.records import encode
 from waterscreen.synth import SynthConfig, generate
 from waterscreen.trees import forest_preset, gbdt_depthwise_preset, gbdt_leafwise_preset
 
 SEED = 7
+ATTRIBUTED_ROWS = 50
 
 # stage 1 keeps the preset's 0.8 row and column subsampling
 STAGE1 = gbdt_leafwise_preset(
@@ -44,10 +51,14 @@ GOLDEN = {
     "depthwise": {
         "cv_report": "a9026e8cac7ad939b7744a604b5116744a662813785a6652b81fe688c0c85325",
         "model": "1809c907beaf254c2746d34f4ea744e7543f21ade72937f40cee0ccb019d14c5",
+        "predictions": "8a74859ba8647cf1805b7db3d30b1ef500440b679afd0bf63b6934af799f1abc",
+        "attributions": "fd23b318a6c5ef6401ee07ec762be34ccf1b6d3e697523f1b8fd078fdb2fdba8",
     },
     "forest": {
         "cv_report": "ecc9c945a624a8370669485b0e4e773c4b4ebf2b39a7b79c7308d66b1c342ab4",
         "model": "10d016d6b265beb8eda5d6485d9a812f1c82a933ba8b5899e873393b9a0ee515",
+        "predictions": "cb53f99a02c9338d8880e06855af7b89fab979bf3ac00a488e9ef9b5a8fd4bcb",
+        "attributions": "1553a952e534740a48869a60c27ba26880aaff2854820ca572f0c573d8f19515",
     },
 }
 
@@ -65,15 +76,42 @@ def fixture():
     return matrix, labels, plan, oof
 
 
-@pytest.mark.parametrize("stage2", sorted(STAGE2))
-def test_training_outputs_match_their_pinned_digests(fixture, stage2):
+@pytest.fixture(scope="module", params=sorted(STAGE2))
+def trained(request, fixture):
     matrix, labels, plan, oof = fixture
-    config = STAGE2[stage2]
-    report = run_cv(matrix, labels.ec, plan, config, aux=oof, name=stage2)
+    config = STAGE2[request.param]
+    report = run_cv(matrix, labels.ec, plan, config, aux=oof, name=request.param)
     model = finalize(
         matrix, labels.tc, labels.ec, STAGE1, config,
         plan=plan, aux=oof, cv_report=report, seed=SEED,
     )
+    return request.param, report, model
+
+
+def test_training_outputs_match_their_pinned_digests(trained):
+    stage2, report, model = trained
     report_text = json.dumps(cv_report_to_dict(report), sort_keys=True, separators=(",", ":"))
     digests = {"cv_report": _sha256(report_text), "model": _sha256(pipeline_to_json(model))}
-    assert digests == GOLDEN[stage2]
+    golden = GOLDEN[stage2]
+    assert digests == {key: golden[key] for key in digests}
+
+
+def test_scores_and_attributions_match_their_pinned_digests(fixture, trained):
+    matrix = fixture[0]
+    stage2, _, model = trained
+    predictions = [
+        [p.row_id, p.coliform_prob, p.probability, p.decision] for p in predict(model, matrix)
+    ]
+    widened = stage2_input(model, matrix.take(range(ATTRIBUTED_ROWS)))
+    attributions = [
+        [a.row_id, a.base_value, a.values.tolist()]
+        for a in attribute_rows(model.stage2, widened)
+    ]
+    # json writes each float as its shortest round-trip repr, so equal
+    # digests mean bit-equal values
+    digests = {
+        "predictions": _sha256(json.dumps(predictions)),
+        "attributions": _sha256(json.dumps(attributions)),
+    }
+    golden = GOLDEN[stage2]
+    assert digests == {key: golden[key] for key in digests}

@@ -1,5 +1,7 @@
 """Tests for model serialization, digests, and prediction plumbing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,61 @@ class TestRoundTrip:
         assert model_digest(model) != baseline
 
 
+def _break(data, defect):
+    """Damage the first tree of a serialized model, whose root is a split."""
+    tree = data["trees"][0]
+    f = tree["feature"][0]
+    assert f >= 0
+    if defect == "empty_tree":
+        data["trees"][0] = {key: [] for key in tree}
+    elif defect == "arrays_of_unequal_length":
+        tree["value"].pop()
+    elif defect == "child_loops_to_its_parent":
+        tree["left"][0] = 0
+    elif defect == "child_past_the_last_node":
+        tree["right"][0] = len(tree["feature"])
+    elif defect == "split_feature_past_the_columns":
+        tree["feature"][0] = len(data["feature_names"])
+    elif defect == "split_bin_past_the_edges":
+        tree["split_bin"][0] = len(data["bin_edges"][f])
+    elif defect == "negative_split_bin":
+        tree["split_bin"][0] = -1
+    elif defect == "threshold_off_its_edge":
+        tree["threshold"][0] = float(np.nextafter(tree["threshold"][0], np.inf))
+    elif defect == "best_iteration_past_the_trees":
+        data["best_iteration"] = len(data["trees"]) + 1
+    elif defect == "negative_best_iteration":
+        data["best_iteration"] = -1
+    return data
+
+
+MALFORMED = (
+    "empty_tree",
+    "arrays_of_unequal_length",
+    "child_loops_to_its_parent",
+    "child_past_the_last_node",
+    "split_feature_past_the_columns",
+    "split_bin_past_the_edges",
+    "negative_split_bin",
+    "threshold_off_its_edge",
+    "best_iteration_past_the_trees",
+    "negative_best_iteration",
+)
+
+
+class TestMalformedTrees:
+    """Load refuses trees whose walk might not end at a leaf or whose bin
+    and threshold would route a row differently; a self-loop would
+    otherwise make prediction spin forever."""
+
+    @pytest.mark.parametrize("defect", MALFORMED)
+    def test_load_refuses(self, defect):
+        model, _ = fitted_gbdt()
+        text = json.dumps(_break(json.loads(to_json(model)), defect))
+        with pytest.raises(SchemaError):
+            from_json(text)
+
+
 class TestPredictEdgeCases:
     def test_empty_ensemble_predicts_sigmoid_of_base(self):
         matrix = make_matrix(np.zeros((4, 1)))
@@ -139,8 +196,9 @@ class TestPredictEdgeCases:
         truncated = predict_proba(model, matrix)
         assert not np.array_equal(full, truncated)
         manual = np.full(matrix.n_rows, model.base_score)
+        gone = matrix.missing_mask | np.isnan(matrix.values)
         for tree in model.trees[:2]:
-            manual += tree.margins(matrix.values, matrix.missing_mask)
+            manual += tree.margins(matrix.values, gone)
         assert np.array_equal(truncated, sigmoid(manual))
 
     def test_schema_mismatch_raises(self):
