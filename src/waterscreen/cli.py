@@ -199,17 +199,27 @@ def _bundle_rows(bundles: dict[str, MetricBundle], extra: dict[str, dict[str, fl
 # subcommands
 
 
+def _batch_config(config: dict) -> BatchConfig:
+    """The QC batch settings of a config: batch_min and cluster_min must be
+    integers >= 1, batch_gap_s and cluster_radius_m finite numbers >= 0."""
+    settings = {}
+    for key in ("batch_min", "cluster_min"):
+        value = config.get(key, getattr(BatchConfig, key))
+        if type(value) is not int or value < 1:
+            raise ParameterError(f"{key} must be an integer >= 1, got {value!r}")
+        settings[key] = value
+    for key in ("batch_gap_s", "cluster_radius_m"):
+        value = config.get(key, getattr(BatchConfig, key))
+        if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
+            raise ParameterError(f"{key} must be a finite number >= 0, got {value!r}")
+        settings[key] = float(value)
+    return BatchConfig(**settings)
+
+
 def _cmd_qc(args) -> int:
     run = _Run(args, "qc")
     parsed = _parse_input_records(run, args.records)
-    config = run.config
-    batch = BatchConfig(
-        batch_min=int(config.get("batch_min", 5)),
-        batch_gap_s=float(config.get("batch_gap_s", 60.0)),
-        cluster_min=int(config.get("cluster_min", 5)),
-        cluster_radius_m=float(config.get("cluster_radius_m", 10.0)),
-    )
-    verdicts, flags = evaluate_batch(parsed.records, batch)
+    verdicts, flags = evaluate_batch(parsed.records, _batch_config(run.config))
     lines = [
         json.dumps(
             {"uuid": v.uuid, "category": v.category, "triggered": list(v.triggered)},

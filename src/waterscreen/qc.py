@@ -14,6 +14,7 @@ on review.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 from .errors import ParameterError
@@ -45,6 +46,7 @@ DOMAINS = (
 )
 
 GPS_ACCURACY_LIMIT_M = 30.0
+EARTH_RADIUS_M = 6371000.0
 HOUSEHOLD_MIN_DURATION_S = 180.0
 WATER_BODY_MIN_DURATION_S = 60.0
 
@@ -179,12 +181,11 @@ def evaluate_record(record: FieldRecord, registry: UuidRegistry,
 
 def _haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance in meters on a spherical Earth."""
-    radius = 6371000.0
     phi1, phi2 = math.radians(lat1), math.radians(lat2)
     dphi = phi2 - phi1
     dlam = math.radians(lon2 - lon1)
     a = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
-    return 2 * radius * math.asin(math.sqrt(a))
+    return 2 * EARTH_RADIUS_M * math.asin(math.sqrt(a))
 
 
 def _batch_filling_rows(records: list[FieldRecord], config: BatchConfig) -> set[int]:
@@ -214,7 +215,21 @@ def _batch_filling_rows(records: list[FieldRecord], config: BatchConfig) -> set[
 
 def _cluster_rows(records: list[FieldRecord], config: BatchConfig) -> set[int]:
     """Indices of household records in single-linkage groups of >= cluster_min
-    within cluster_radius_m."""
+    within cluster_radius_m.
+
+    Candidate pairs come from a latitude sort-and-sweep. For latitudes in
+    [-90, 90] both cosines of the haversine are >= 0, so a pair is at least
+    R * |dphi| apart: each row is tested only against the rows after it in
+    latitude order that lie within reach degrees. reach is the radius in
+    degrees widened by 0.1% (rounding of the haversine) and by 1e-9 degrees
+    (rounding of radians() and underflow of sin² for latitudes an ulp
+    apart). Rows with a latitude outside [-90, 90] (NaN included) or a
+    non-finite longitude break the bound and are tested against every
+    located row. Each tested pair is decided by the same lower-index-first
+    _haversine_m call as an all-pairs scan, and union-find groups do not
+    depend on the order of unions, so the groups are the all-pairs groups.
+    The worst case, every row on one parallel, is the all-pairs scan.
+    """
     located = [
         i
         for i, record in enumerate(records)
@@ -230,14 +245,32 @@ def _cluster_rows(records: list[FieldRecord], config: BatchConfig) -> set[int]:
             i = parent[i]
         return i
 
-    for a_pos, i in enumerate(located):
-        for j in located[a_pos + 1:]:
-            d = _haversine_m(
-                records[i].latitude, records[i].longitude,
-                records[j].latitude, records[j].longitude,
-            )
-            if d <= config.cluster_radius_m:
-                parent[find(i)] = find(j)
+    def link(i, j):
+        i, j = min(i, j), max(i, j)
+        d = _haversine_m(
+            records[i].latitude, records[i].longitude,
+            records[j].latitude, records[j].longitude,
+        )
+        if d <= config.cluster_radius_m:
+            parent[find(i)] = find(j)
+
+    swept = sorted(
+        (
+            i
+            for i in located
+            if -90.0 <= records[i].latitude <= 90.0 and math.isfinite(records[i].longitude)
+        ),
+        key=lambda i: records[i].latitude,
+    )
+    unbounded = sorted(set(located) - set(swept))
+    lats = [records[i].latitude for i in swept]
+    reach = math.degrees(config.cluster_radius_m / EARTH_RADIUS_M) * 1.001 + 1e-9
+    for pos, i in enumerate(swept):
+        for j in swept[pos + 1:bisect_right(lats, lats[pos] + reach)]:
+            link(i, j)
+    for pos, i in enumerate(unbounded):
+        for j in swept + unbounded[pos + 1:]:
+            link(i, j)
     groups: dict[int, list[int]] = {}
     for i in located:
         groups.setdefault(find(i), []).append(i)

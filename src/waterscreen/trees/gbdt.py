@@ -85,6 +85,8 @@ def fit_gbdt(
         valid_binned, valid_labels = valid
         if valid_binned.n_cols != binned.n_cols:
             raise ParameterError("validation matrix has a different column count")
+        if not all(map(np.array_equal, valid_binned.bin_edges, binned.bin_edges)):
+            raise ParameterError("validation matrix was binned with other edges than training")
         valid_y = np.asarray(valid_labels, dtype=float)
         if valid_y.size != valid_binned.n_rows:
             raise ParameterError("validation labels length does not match matrix rows")

@@ -184,6 +184,10 @@ def _tree_to_dict(tree: Tree) -> dict:
 
 
 def _tree_from_dict(data: dict) -> Tree:
+    for f in fields(Tree):
+        if f.name not in data:
+            raise SchemaError(f"a tree lacks its {f.name!r} array")
+
     def floats(key):
         return np.array(
             [np.nan if v is None else v for v in data[key]], dtype=float
@@ -204,8 +208,9 @@ def _tree_from_dict(data: dict) -> Tree:
 
 
 def _check_trees(model: TreeEnsembleModel) -> None:
-    """Refuse trees the router could not walk to a leaf, or whose two copies
-    of a split (bin and threshold) would route differently."""
+    """Refuse trees the router could not walk to a leaf, whose two copies of
+    a split (bin and threshold) would route differently, or whose leaves
+    would score a non-finite value."""
     if not 0 <= model.best_iteration <= len(model.trees):
         raise SchemaError("best_iteration lies outside the stored trees")
     if len(model.bin_edges) != len(model.feature_names):
@@ -230,6 +235,8 @@ def _check_trees(model: TreeEnsembleModel) -> None:
             raise SchemaError("a split bin lies outside its feature's bin edges")
         if not np.array_equal(tree.threshold[node], all_edges[first_edge[f] + b]):
             raise SchemaError("a split threshold differs from its bin edge")
+        if not np.isfinite(tree.value[tree.feature < 0]).all():
+            raise SchemaError("a tree leaf value is missing or not finite")
 
 
 def to_dict(model: Model) -> dict:

@@ -184,6 +184,28 @@ def test_qc_batch_thresholds_come_from_config(tmp_path, capsys):
     assert "rule,BATCH_FILLING,3" in out
 
 
+BAD_BATCH_SETTINGS = {
+    "radius_not_a_number": {"cluster_radius_m": "ten"},
+    "negative_radius": {"cluster_radius_m": -1.0},
+    "infinite_gap": {"batch_gap_s": float("inf")},
+    "nan_radius": {"cluster_radius_m": float("nan")},
+    "cluster_min_of_zero": {"cluster_min": 0},
+    "fractional_batch_min": {"batch_min": 2.5},
+    "boolean_cluster_min": {"cluster_min": True},
+}
+
+
+@pytest.mark.parametrize("setting", BAD_BATCH_SETTINGS.values(), ids=BAD_BATCH_SETTINGS.keys())
+def test_qc_refuses_bad_batch_settings(tmp_path, capsys, setting):
+    write_fixture([record("a")], tmp_path / "one.csv")
+    config = tmp_path / "qc.json"
+    config.write_text(json.dumps(setting))
+    assert run(["qc", "--records", str(tmp_path / "one.csv"), "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert next(iter(setting)) in err
+
+
 def test_clean_removes_and_logs(tmp_path):
     records = [
         record("a"),

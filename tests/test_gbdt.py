@@ -169,6 +169,16 @@ class TestFitBasics:
         with pytest.raises(ParameterError):
             fit_gbdt(binned, y, small_config(early_stopping_rounds=5))
 
+    def test_validation_binned_with_other_edges_is_refused(self):
+        rng = np.random.default_rng(7)
+        values, y = signal_data(rng, 120)
+        binned = bin_features(make_matrix(values), 16)
+        own_edges = bin_features(make_matrix(values[:40]), 4)
+        config = small_config(early_stopping_rounds=5)
+        with pytest.raises(ParameterError, match="edges"):
+            fit_gbdt(binned, y, config, valid=(own_edges, y[:40]))
+        fit_gbdt(binned, y, config, valid=(apply_bins(make_matrix(values[:40]), binned), y[:40]))
+
     def test_wrong_family_config_rejected(self):
         rng = np.random.default_rng(3)
         values, y = signal_data(rng, 60)

@@ -131,6 +131,12 @@ def _break(data, defect):
         data["best_iteration"] = len(data["trees"]) + 1
     elif defect == "negative_best_iteration":
         data["best_iteration"] = -1
+    elif defect == "tree_without_left":
+        del tree["left"]
+    elif defect == "null_leaf_value":
+        tree["value"][int(np.flatnonzero(np.array(tree["feature"]) < 0)[0])] = None
+    elif defect == "infinite_leaf_value":
+        tree["value"][int(np.flatnonzero(np.array(tree["feature"]) < 0)[0])] = float("inf")
     return data
 
 
@@ -145,13 +151,17 @@ MALFORMED = (
     "threshold_off_its_edge",
     "best_iteration_past_the_trees",
     "negative_best_iteration",
+    "tree_without_left",
+    "null_leaf_value",
+    "infinite_leaf_value",
 )
 
 
 class TestMalformedTrees:
-    """Load refuses trees whose walk might not end at a leaf or whose bin
-    and threshold would route a row differently; a self-loop would
-    otherwise make prediction spin forever."""
+    """Load refuses trees that lack an array, whose walk might not end at a
+    leaf, whose bin and threshold would route a row differently, or whose
+    leaves hold no finite value; a self-loop would otherwise make
+    prediction spin forever and a null leaf score NaN."""
 
     @pytest.mark.parametrize("defect", MALFORMED)
     def test_load_refuses(self, defect):
@@ -159,6 +169,13 @@ class TestMalformedTrees:
         text = json.dumps(_break(json.loads(to_json(model)), defect))
         with pytest.raises(SchemaError):
             from_json(text)
+
+    def test_a_missing_key_is_named(self):
+        model, _ = fitted_gbdt()
+        data = json.loads(to_json(model))
+        del data["trees"][0]["left"]
+        with pytest.raises(SchemaError, match="'left'"):
+            from_json(json.dumps(data))
 
 
 class TestPredictEdgeCases:

@@ -2,10 +2,15 @@
 anomaly detection."""
 
 import itertools
+import math
+import random
 from datetime import datetime, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from waterscreen import qc
 from waterscreen.errors import ParameterError
 from waterscreen.qc import (
     BatchConfig,
@@ -13,6 +18,8 @@ from waterscreen.qc import (
     RULES,
     RULES_BY_CODE,
     UuidRegistry,
+    _cluster_rows,
+    _haversine_m,
     categorize,
     evaluate_batch,
     evaluate_record,
@@ -240,6 +247,144 @@ def test_cluster_linkage_is_single_link():
 def test_water_body_records_do_not_cluster():
     _, flags = evaluate_batch(clustered_records(5, step_m=2.0, kind="water_body"))
     assert "SPATIAL_CLUSTER" not in flags.counts
+
+
+def _cluster_rows_reference(records, config):
+    """Indices of household records in single-linkage groups of >= cluster_min
+    within cluster_radius_m."""
+    located = [
+        i
+        for i, record in enumerate(records)
+        if record.survey_kind == "household"
+        and record.latitude is not None
+        and record.longitude is not None
+    ]
+    parent = {i: i for i in located}
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a_pos, i in enumerate(located):
+        for j in located[a_pos + 1:]:
+            d = _haversine_m(
+                records[i].latitude, records[i].longitude,
+                records[j].latitude, records[j].longitude,
+            )
+            if d <= config.cluster_radius_m:
+                parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in located:
+        groups.setdefault(find(i), []).append(i)
+    flagged: set[int] = set()
+    for members in groups.values():
+        if len(members) >= config.cluster_min:
+            flagged.update(members)
+    return flagged
+
+
+def _outcome(cluster, records, config):
+    """The flagged rows, or the type of the error the haversine raised."""
+    try:
+        return cluster(records, config)
+    except ValueError as exc:
+        return type(exc)
+
+
+METERS_PER_DEGREE = 111195.0
+# poles, both sides of the antimeridian, and ordinary survey coordinates
+ANCHOR_LATS = (90.0, -90.0, 89.99995, -89.99995, 0.0, 23.7)
+ANCHOR_LONS = (180.0, -180.0, 179.99995, -179.99995, 0.0, 90.4)
+# latitudes the sweep's bound does not cover
+UNBOUNDED_LATS = (90.00001, -90.5, 135.0, -200.0, math.nan, math.inf)
+
+
+@st.composite
+def clouds(draw):
+    records = []
+    for _ in range(draw(st.integers(1, 4))):
+        lat = draw(st.sampled_from(ANCHOR_LATS) | st.floats(-90.0, 90.0))
+        lon = draw(st.sampled_from(ANCHOR_LONS) | st.floats(-180.0, 180.0))
+        for _ in range(draw(st.integers(1, 8))):
+            step = draw(st.sampled_from(("offset", "ulp", "same", "unbounded", "missing")))
+            if step == "offset":
+                north, east = draw(st.tuples(st.floats(-25.0, 25.0), st.floats(-25.0, 25.0)))
+                lat += north / METERS_PER_DEGREE
+                lon += east / METERS_PER_DEGREE
+            elif step == "ulp":
+                lat = math.nextafter(lat, draw(st.sampled_from((-math.inf, math.inf))))
+            point = (lat, lon)
+            if step == "unbounded":
+                point = (draw(st.sampled_from(UNBOUNDED_LATS)), lon)
+            elif step == "missing":
+                point = draw(st.sampled_from(((None, lon), (lat, None))))
+            kind = draw(st.sampled_from(("household", "household", "water_body")))
+            records.append(
+                FieldRecord(uuid=f"p{len(records)}", survey_kind=kind,
+                            latitude=point[0], longitude=point[1])
+            )
+    radius = draw(st.sampled_from((0.0, 5.0, 10.0, 30.0)))
+    i, j = sorted(draw(st.lists(st.integers(0, len(records) - 1), min_size=2, max_size=2)))
+    a, b = records[i], records[j]
+    if draw(st.booleans()) and None not in (a.latitude, a.longitude, b.latitude, b.longitude):
+        # a radius at a pair's distance or one ulp either side of it
+        try:
+            radius = _haversine_m(a.latitude, a.longitude, b.latitude, b.longitude)
+        except ValueError:
+            pass
+        radius = draw(st.sampled_from((
+            radius, math.nextafter(radius, -math.inf), math.nextafter(radius, math.inf)
+        )))
+    return records, BatchConfig(cluster_min=draw(st.integers(1, 5)), cluster_radius_m=radius)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cloud=clouds())
+def test_sweep_matches_the_all_pairs_reference(cloud):
+    records, config = cloud
+    assert _outcome(_cluster_rows, records, config) == _outcome(
+        _cluster_rows_reference, records, config
+    )
+
+
+def _village_cloud(n, seed, span_m=8000.0):
+    """n households, seven in ten in villages of about 30 spread 15 m around a
+    centre, the rest scattered over a span_m square; village rows come first."""
+    rng = random.Random(seed)
+    in_villages = n * 7 // 10
+    centres = [(rng.uniform(0, span_m), rng.uniform(0, span_m)) for _ in range(in_villages // 30 + 1)]
+    points = [
+        (centres[k // 30][0] + rng.gauss(0, 15.0), centres[k // 30][1] + rng.gauss(0, 15.0))
+        for k in range(in_villages)
+    ]
+    points += [(rng.uniform(0, span_m), rng.uniform(0, span_m)) for _ in range(n - in_villages)]
+    return [
+        FieldRecord(uuid=f"h{k}", latitude=23.7 + north / METERS_PER_DEGREE,
+                    longitude=90.4 + east / METERS_PER_DEGREE / math.cos(math.radians(23.7)))
+        for k, (north, east) in enumerate(points)
+    ]
+
+
+def test_sweep_tests_a_small_multiple_of_n_pairs(monkeypatch):
+    records = _village_cloud(8828, seed=4)
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _haversine_m(*args)
+
+    monkeypatch.setattr(qc, "_haversine_m", counted)
+    flagged = _cluster_rows(records, BatchConfig())
+    # the all-pairs scan makes n(n-1)/2, about 39M, calls here
+    assert calls <= 20 * len(records)
+    assert len(flagged) > len(records) // 2
+    subset = records[:500]
+    flagged_subset = _cluster_rows(subset, BatchConfig())
+    assert flagged_subset
+    assert flagged_subset == _cluster_rows_reference(subset, BatchConfig())
 
 
 def test_disabled_batch_rules_match_per_record_mapping():
