@@ -33,8 +33,10 @@ from .pipeline import (
     run_cv,
     stage2_input,
 )
+from .pipeline.calibration import METHOD_ISOTONIC, METHOD_PLATT
 from .qc import CATEGORY_ALERT, CATEGORY_OK, CATEGORY_REVIEW, BatchConfig, evaluate_batch
 from .records import (
+    DEFAULT_BOUNDS,
     KIND_CONTEXT,
     KIND_PHYSICO,
     FeatureMatrix,
@@ -53,6 +55,7 @@ from .trees import predict_proba  # noqa: F401
 
 MANIFEST_NAME = "manifest.json"
 ARTIFACT_VERSIONS = {"manifest": 1, "model": 2, "report": 1}
+_MAX = sys.float_info.max
 
 
 def _jsonable(value):
@@ -172,15 +175,41 @@ def _parse_input_records(run: _Run, path):
     return parse_records(run.read_input(path))
 
 
-def _learner_config(overrides, preset, seed: int) -> LearnerConfig:
+def _checked(name: str, value, wanted: str, accept=lambda v: True, types=(int, float)):
+    """value if its type is one of types (booleans are never ints here) and
+    accept holds for it; otherwise ParameterError saying what name must be."""
+    if type(value) not in types or not accept(value):
+        raise ParameterError(f"{name} must be {wanted}, got {value!r}")
+    return value
+
+
+def _finite(value) -> bool:
+    return -_MAX <= value <= _MAX
+
+
+# JSON value types and checks per LearnerConfig field annotation; the
+# config's own validation then checks the ranges
+_LEARNER_VALUES = {
+    "int": ("an integer", lambda v: True, (int,)),
+    "float": ("a finite number", _finite, (int, float)),
+    "float | str": ('a finite number or "auto"', lambda v: type(v) is str or _finite(v),
+                    (int, float, str)),
+    "str": ("a string", lambda v: True, (str,)),
+}
+
+
+def _learner_config(stage: str, overrides, preset, seed: int) -> LearnerConfig:
     config = replace(preset(), seed=seed)
-    if overrides:
-        known = {f.name for f in dataclass_fields(LearnerConfig)}
-        unknown = sorted(set(overrides) - known)
-        if unknown:
-            raise ParameterError(f"unknown learner settings: {', '.join(unknown)}")
-        config = replace(config, **overrides)
-    return config
+    if overrides is None:
+        return config
+    _checked(stage, overrides, "a JSON object of learner settings", types=(dict,))
+    known = {f.name: f.type for f in dataclass_fields(LearnerConfig)}
+    unknown = sorted(set(overrides) - set(known))
+    if unknown:
+        raise ParameterError(f"unknown learner settings: {', '.join(unknown)}")
+    for name, value in overrides.items():
+        _checked(f"{stage}.{name}", value, *_LEARNER_VALUES[known[name]])
+    return replace(config, **overrides)
 
 
 def _bundle_rows(bundles: dict[str, MetricBundle], extra: dict[str, dict[str, float]] | None = None):
@@ -204,15 +233,15 @@ def _batch_config(config: dict) -> BatchConfig:
     integers >= 1, batch_gap_s and cluster_radius_m finite numbers >= 0."""
     settings = {}
     for key in ("batch_min", "cluster_min"):
-        value = config.get(key, getattr(BatchConfig, key))
-        if type(value) is not int or value < 1:
-            raise ParameterError(f"{key} must be an integer >= 1, got {value!r}")
-        settings[key] = value
+        settings[key] = _checked(
+            key, config.get(key, getattr(BatchConfig, key)), "an integer >= 1",
+            lambda v: v >= 1, (int,),
+        )
     for key in ("batch_gap_s", "cluster_radius_m"):
-        value = config.get(key, getattr(BatchConfig, key))
-        if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
-            raise ParameterError(f"{key} must be a finite number >= 0, got {value!r}")
-        settings[key] = float(value)
+        settings[key] = float(_checked(
+            key, config.get(key, getattr(BatchConfig, key)), "a finite number >= 0",
+            lambda v: 0 <= v <= _MAX,
+        ))
     return BatchConfig(**settings)
 
 
@@ -247,19 +276,38 @@ def _cmd_qc(args) -> int:
     return 2 if category_counts[CATEGORY_ALERT] else 0
 
 
+def _clean_settings(config: dict):
+    """bounds, as a mapping of measurement names to [low, high] pairs of
+    finite numbers with low <= high, and z_threshold, a finite number > 0."""
+    bounds = _checked("bounds", config.get("bounds", {}), "a JSON object", types=(dict,))
+    for name, pair in bounds.items():
+        _checked(
+            "bounds", name, "keyed by " + ", ".join(sorted(DEFAULT_BOUNDS)),
+            lambda v: v in DEFAULT_BOUNDS, (str,),
+        )
+        _checked(
+            f"bounds.{name}", pair, "[low, high] with finite numbers low <= high",
+            lambda v: len(v) == 2 and all(type(x) in (int, float) for x in v)
+            and -_MAX <= v[0] <= v[1] <= _MAX,
+            (list,),
+        )
+    z_threshold = _checked(
+        "z_threshold", config.get("z_threshold", 4.0), "a finite number > 0",
+        lambda v: 0 < v <= _MAX,
+    )
+    bounds = {name: (float(lo), float(hi)) for name, (lo, hi) in bounds.items()}
+    return bounds, float(z_threshold)
+
+
 def _cmd_clean(args) -> int:
     run = _Run(args, "clean")
+    bounds, z_threshold = _clean_settings(run.config)
     parsed = _parse_input_records(run, args.records)
     records = parsed.records
     dictionary = run.config.get("dictionary")
     if dictionary:
         records = harmonize(records, dictionary)
-    bounds = {
-        name: (float(pair[0]), float(pair[1]))
-        for name, pair in run.config.get("bounds", {}).items()
-    }
     kept, clean_log = clean(records, bounds or None)
-    z_threshold = float(run.config.get("z_threshold", 4.0))
     kept, outlier_log = screen_outliers(kept, z_threshold)
     removals = [
         {"stage": "clean", "row": r.row, "uuid": r.uuid, "reason": r.reason}
@@ -363,21 +411,35 @@ def _encode_labeled(run: _Run, path, category_levels=None):
 
 
 def _train_settings(run: _Run):
+    """The settings train and ablate read, checked before any work starts."""
     config = run.config
     return {
-        "k": int(config.get("k", 5)),
-        "inner_fraction": float(config.get("inner_fraction", 0.85)),
-        "beta": float(config.get("beta", 2.0)),
-        "calibration": str(config.get("calibration", "isotonic")),
-        "stage1": _learner_config(config.get("stage1"), gbdt_leafwise_preset, run.seed),
-        "stage2": _learner_config(config.get("stage2"), gbdt_depthwise_preset, run.seed),
+        "k": _checked("k", config.get("k", 5), "an integer >= 2", lambda v: v >= 2, (int,)),
+        "inner_fraction": float(_checked(
+            "inner_fraction", config.get("inner_fraction", 0.85), "a number in (0, 1)",
+            lambda v: 0 < v < 1,
+        )),
+        "beta": float(_checked(
+            "beta", config.get("beta", 2.0), "a finite number > 0", lambda v: 0 < v <= _MAX
+        )),
+        "calibration": _checked(
+            "calibration", config.get("calibration", METHOD_ISOTONIC),
+            f"{METHOD_ISOTONIC} or {METHOD_PLATT}",
+            lambda v: v in (METHOD_ISOTONIC, METHOD_PLATT), (str,),
+        ),
+        "stage1": _learner_config(
+            "stage1", config.get("stage1"), gbdt_leafwise_preset, run.seed
+        ),
+        "stage2": _learner_config(
+            "stage2", config.get("stage2"), gbdt_depthwise_preset, run.seed
+        ),
     }
 
 
 def _cmd_train(args) -> int:
     run = _Run(args, "train")
-    matrix, labels = _encode_labeled(run, args.records)
     s = _train_settings(run)
+    matrix, labels = _encode_labeled(run, args.records)
     plan = plan_folds(labels.ec, s["k"], s["inner_fraction"], run.seed)
     oof = generate_oof_probs(matrix, labels.tc, plan, s["stage1"])
     stacked = run_cv(
@@ -390,8 +452,7 @@ def _cmd_train(args) -> int:
     )
     model = finalize(
         matrix, labels.tc, labels.ec, s["stage1"], s["stage2"],
-        plan=plan, aux=oof, cv_report=stacked,
-        beta=s["beta"], calibration=s["calibration"], seed=run.seed,
+        plan=plan, aux=oof, cv_report=stacked, calibration=s["calibration"],
     )
     run.write("model.json", pipeline_to_json(model) + "\n")
     run.write("cv_report.json", _canonical(cv_report_to_dict(stacked)))
@@ -473,18 +534,21 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_compare(args) -> int:
     run = _Run(args, "compare")
+    n_boot = _checked(
+        "n_boot", run.config.get("n_boot", 10000), "an integer >= 1", lambda v: v >= 1, (int,)
+    )
+    threshold = run.config.get("threshold")
+    if threshold is not None:
+        threshold = float(_checked(
+            "threshold", threshold, "a number in [0, 1]", lambda v: 0 <= v <= 1
+        ))
     reference = cv_report_from_dict(json.loads(run.read_input(args.reference)))
     challengers = [
         cv_report_from_dict(json.loads(run.read_input(path)))
         for path in args.challengers
     ]
-    threshold = run.config.get("threshold")
     report = compare_models(
-        reference,
-        challengers,
-        n_boot=int(run.config.get("n_boot", 10000)),
-        seed=run.seed,
-        threshold=None if threshold is None else float(threshold),
+        reference, challengers, n_boot=n_boot, seed=run.seed, threshold=threshold
     )
     payload = {
         "reference": report.reference,
@@ -511,14 +575,16 @@ def _cmd_compare(args) -> int:
 
 def _cmd_explain(args) -> int:
     run = _Run(args, "explain")
+    max_rows = run.config.get("max_rows")
+    if max_rows is not None:
+        _checked("max_rows", max_rows, "an integer >= 1", lambda v: v >= 1, (int,))
     model = pipeline_from_json(run.read_input(args.model).decode("utf-8"))
     parsed = _parse_input_records(run, args.records)
     matrix, _ = encode(
         parsed.records, category_levels=model.category_levels, require_labels=False
     )
-    max_rows = run.config.get("max_rows")
     if max_rows is not None:
-        matrix = matrix.take(np.arange(min(int(max_rows), matrix.n_rows)))
+        matrix = matrix.take(np.arange(min(max_rows, matrix.n_rows)))
     widened = stage2_input(model, matrix)
     attributions = attribute_rows(model.stage2, widened)
     run.write("beeswarm.csv", export_beeswarm(attributions, widened))
@@ -553,8 +619,8 @@ def _subset_matrix(matrix: FeatureMatrix, kind: str | None) -> FeatureMatrix:
 
 def _cmd_ablate(args) -> int:
     run = _Run(args, "ablate")
-    matrix, labels = _encode_labeled(run, args.records)
     s = _train_settings(run)
+    matrix, labels = _encode_labeled(run, args.records)
     plan = plan_folds(labels.ec, s["k"], s["inner_fraction"], run.seed)
     chosen = [args.features] if args.features else list(_SUBSETS)
     bundles: dict[str, MetricBundle] = {}
@@ -675,3 +741,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

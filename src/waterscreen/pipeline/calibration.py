@@ -198,8 +198,5 @@ def select_threshold(calibrated_probs, labels, beta: float = 2.0) -> float:
     fn = n_pos - tp
     b2 = beta * beta
     fbeta = (1.0 + b2) * tp / ((1.0 + b2) * tp + b2 * fn + fp)
-    best = 0
-    for i in range(1, candidates.size):
-        if fbeta[i] > fbeta[best]:
-            best = i
-    return float(candidates[best])
+    # argmax returns the first maximum; n_pos >= 1 and beta > 0 keep fbeta free of NaN
+    return float(candidates[int(np.argmax(fbeta))])

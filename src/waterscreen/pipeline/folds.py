@@ -12,14 +12,17 @@ from ..records import stratified_split
 
 @dataclass
 class FoldPlan:
-    """Fold assignment plus, per fold, the 85/15 inner split of its training
-    portion. All index arrays are global row indices."""
+    """Fold assignment plus, per fold, the inner split of its training
+    portion into inner_fraction for inner_train and the rest for inner_valid.
+    All index arrays are global row indices. seed and inner_fraction record
+    the plan_folds arguments, which the final refit reuses."""
 
     k: int
     fold_of: np.ndarray
     inner_train: list[np.ndarray]
     inner_valid: list[np.ndarray]
     seed: int
+    inner_fraction: float
 
     def held_out(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.fold_of == fold)
@@ -67,5 +70,6 @@ def plan_folds(labels, k: int, inner_fraction: float = 0.85, seed: int = 0) -> F
         inner_valid.append(portion[valid_local])
 
     return FoldPlan(
-        k=k, fold_of=fold_of, inner_train=inner_train, inner_valid=inner_valid, seed=seed
+        k=k, fold_of=fold_of, inner_train=inner_train, inner_valid=inner_valid, seed=seed,
+        inner_fraction=inner_fraction,
     )

@@ -36,15 +36,13 @@ from ..trees import (
     fit_forest,
     fit_gbdt,
     fit_logistic,
-    gbdt_depthwise_preset,
-    gbdt_leafwise_preset,
     model_digest,
     predict_proba,
 )
 from ..trees.model import from_dict as model_from_dict
 from ..trees.model import to_dict as model_to_dict
 from .calibration import Calibrator, fit_calibrator, select_threshold
-from .folds import FoldPlan, plan_folds
+from .folds import FoldPlan
 from .scaling import fit_fold_scaler, impute_for_linear
 
 AUX_COLUMN = "coliform_prob"
@@ -282,82 +280,77 @@ def run_cv(matrix: FeatureMatrix, labels, plan: FoldPlan, config: LearnerConfig,
     )
 
 
-def _final_fit(matrix: FeatureMatrix, labels: np.ndarray, config: LearnerConfig,
-               inner_fraction: float, split_seed) -> object:
-    """Refit one stage on all rows; gbdt with early stopping holds out a
-    stratified inner slice of them to pick the stopping round."""
-    if config.family == FAMILY_GBDT:
-        if config.early_stopping_rounds > 0:
-            train_idx, valid_idx = stratified_split(
-                labels, 1.0 - inner_fraction, seed=split_seed
-            )
-        else:
-            train_idx = np.arange(matrix.n_rows)
-            valid_idx = None
-        binned = bin_features(matrix.take(train_idx), config.max_bins)
-        valid = None
-        if valid_idx is not None:
-            valid = (apply_bins(matrix.take(valid_idx), binned), labels[valid_idx])
-        return fit_gbdt(binned, labels[train_idx], config, valid=valid)
-    if config.family == FAMILY_FOREST:
-        return fit_forest(matrix, labels, config)
-    raise ParameterError(
-        "final pipeline stages must be tree models; the logistic baseline is "
-        "available through cross-validation only"
-    )
+def _check_report(report: CvReport, plan: FoldPlan, labels: np.ndarray) -> None:
+    """Refuse a CV report that is not the stacked run of this plan and labels."""
+    if not report.aux_used:
+        raise PairingError(f"cv report {report.name!r} was run without the auxiliary column")
+    if not np.array_equal(report.labels, labels):
+        raise PairingError(f"cv report {report.name!r} was run on other labels")
+    if len(report.folds) != plan.k or not all(
+        np.array_equal(f.held_out, plan.held_out(fold)) for fold, f in enumerate(report.folds)
+    ):
+        raise PairingError(f"cv report {report.name!r} was run under a different fold plan")
+
+
+def _refit(matrix: FeatureMatrix, labels: np.ndarray, config: LearnerConfig,
+           plan: FoldPlan, stage: int) -> object:
+    """Refit one stage on all rows with the fold fitter; gbdt with early
+    stopping holds out a stratified slice of them to pick the stopping round."""
+    if config.family == FAMILY_LOGISTIC:
+        raise ParameterError(
+            "final pipeline stages must be tree models; the logistic baseline is "
+            "available through cross-validation only"
+        )
+    rows, valid = np.arange(matrix.n_rows), None
+    if config.family == FAMILY_GBDT and config.early_stopping_rounds > 0:
+        rows, valid = stratified_split(
+            labels, 1.0 - plan.inner_fraction, seed=[plan.seed, plan.k + stage]
+        )
+    return _fit_learner(matrix, labels, config, rows, valid)[0]
 
 
 def finalize(matrix: FeatureMatrix, tc_labels, ec_labels,
-             stage1_config: LearnerConfig | None = None,
-             stage2_config: LearnerConfig | None = None, *,
-             plan: FoldPlan | None = None, aux: OofProbs | None = None,
-             cv_report: CvReport | None = None, k: int = 5,
-             inner_fraction: float = 0.85, beta: float = 2.0,
-             calibration: str = "isotonic", seed: int = 0) -> PipelineModel:
-    """Refit both stages on the full training data and assemble the
-    deployable pipeline.
+             stage1_config: LearnerConfig, stage2_config: LearnerConfig, *,
+             plan: FoldPlan, aux: OofProbs, cv_report: CvReport,
+             calibration: str = "isotonic") -> PipelineModel:
+    """Refit both stages on all rows and assemble the deployable pipeline
+    that the given cross-validation validated.
 
-    The calibrator and threshold cannot be fitted on the refit models' own
-    training scores, so they are carried over from cross-validation: the
-    final calibrator is fitted on the pooled out-of-fold raw stage-2 scores
-    and the threshold is selected on their calibrated values. plan, aux, and
-    cv_report are computed here when not supplied; pass them in to reuse
-    work (they must all describe the same rows and seed).
+    plan, aux and cv_report are that cross-validation: its fold plan, the
+    stage-1 out-of-fold probabilities and the stacked stage-2 report on
+    ec_labels; inputs from another plan, other labels or a single-stage run
+    raise PairingError. Each stage is refitted by the fold fitter, holding
+    out 1 - plan.inner_fraction of the rows for early stopping. The
+    calibrator is fitted by the calibration method on the report's pooled
+    out-of-fold raw scores, and the threshold selected at the report's beta.
     """
     tc = np.asarray(tc_labels)
     ec = np.asarray(ec_labels)
-    if stage1_config is None:
-        stage1_config = gbdt_leafwise_preset()
-    if stage2_config is None:
-        stage2_config = gbdt_depthwise_preset()
-    if plan is None:
-        plan = plan_folds(ec, k, inner_fraction, seed)
+    _check_plan(plan, matrix.n_rows, tc)
     _check_plan(plan, matrix.n_rows, ec)
-    if aux is None:
-        aux = generate_oof_probs(matrix, tc, plan, stage1_config)
-    if cv_report is None:
-        cv_report = run_cv(
-            matrix, ec, plan, stage2_config, aux=aux, beta=beta, calibration=calibration
-        )
+    aux_values, _ = _resolve_aux(aux, matrix, plan)
+    if aux_values is None:
+        raise PairingError("finalize needs the stage-1 out-of-fold probabilities")
+    _check_report(cv_report, plan, ec)
 
-    stage1 = _final_fit(matrix, tc, stage1_config, inner_fraction, [plan.seed, plan.k + 1])
-    widened = matrix.with_column(AUX_COLUMN, KIND_AUX, np.asarray(aux.values, dtype=float))
-    stage2 = _final_fit(widened, ec, stage2_config, inner_fraction, [plan.seed, plan.k + 2])
+    stage1 = _refit(matrix, tc, stage1_config, plan, 1)
+    widened = matrix.with_column(AUX_COLUMN, KIND_AUX, aux_values)
+    stage2 = _refit(widened, ec, stage2_config, plan, 2)
 
     oof_raw = np.full(matrix.n_rows, np.nan)
     for fold in cv_report.folds:
         oof_raw[fold.held_out] = fold.raw
     calibrator = fit_calibrator(oof_raw, ec, calibration)
-    threshold = select_threshold(calibrator.apply(oof_raw), ec, beta)
+    threshold = select_threshold(calibrator.apply(oof_raw), ec, cv_report.beta)
 
     return PipelineModel(
         stage1=stage1,
         stage2=stage2,
         calibrator=calibrator,
         threshold=float(threshold),
-        beta=float(beta),
+        beta=cv_report.beta,
         feature_names=list(matrix.column_names),
-        category_levels={k_: list(v) for k_, v in matrix.category_levels.items()},
+        category_levels={k: list(v) for k, v in matrix.category_levels.items()},
     )
 
 

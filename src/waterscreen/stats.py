@@ -54,6 +54,33 @@ class ContingencyStats:
     rate_given_tc1: float
 
 
+def _checked_cells(counts: ContingencyCounts) -> tuple[int, int, int, int]:
+    cells = (counts.n00, counts.n01, counts.n10, counts.n11)
+    if any(c < 0 for c in cells):
+        raise ParameterError("contingency counts must be non-negative")
+    if counts.total == 0:
+        raise ParameterError("contingency table is empty")
+    return cells
+
+
+def _pearson_chi2(n00: float, n01: float, n10: float, n11: float, correction: float) -> float:
+    """Pearson chi-squared of a 2x2 table, each |observed - expected| first
+    reduced by correction (0.5 for Yates, 0.0 for none)."""
+    n = n00 + n01 + n10 + n11
+    row0, row1 = n00 + n01, n10 + n11
+    col0, col1 = n00 + n10, n01 + n11
+    chi2 = 0.0
+    for observed, row_total, col_total in (
+        (n00, row0, col0),
+        (n01, row0, col1),
+        (n10, row1, col0),
+        (n11, row1, col1),
+    ):
+        expected = row_total * col_total / n
+        chi2 += (abs(observed - expected) - correction) ** 2 / expected
+    return chi2
+
+
 def contingency_stats(counts: ContingencyCounts, haldane: bool = False) -> ContingencyStats:
     """Yates-corrected chi-squared, odds ratio, and conditional outcome rates.
 
@@ -61,57 +88,25 @@ def contingency_stats(counts: ContingencyCounts, haldane: bool = False) -> Conti
     which keeps the odds ratio finite on tables with an empty cell; without
     it an empty cell raises.
     """
-    cells = (counts.n00, counts.n01, counts.n10, counts.n11)
-    if any(c < 0 for c in cells):
-        raise ParameterError("contingency counts must be non-negative")
-    if counts.total == 0:
-        raise ParameterError("contingency table is empty")
+    cells = _checked_cells(counts)
     if min(cells) == 0 and not haldane:
         raise DegenerateTableError(
             "table has an empty cell; pass haldane=True to add 0.5 to each cell"
         )
     n00, n01, n10, n11 = (c + 0.5 for c in cells) if haldane else (float(c) for c in cells)
-    n = n00 + n01 + n10 + n11
-    row0, row1 = n00 + n01, n10 + n11
-    col0, col1 = n00 + n10, n01 + n11
-    chi2 = 0.0
-    for observed, row_total, col_total in (
-        (n00, row0, col0),
-        (n01, row0, col1),
-        (n10, row1, col0),
-        (n11, row1, col1),
-    ):
-        expected = row_total * col_total / n
-        # Yates continuity correction
-        chi2 += (abs(observed - expected) - 0.5) ** 2 / expected
+    chi2 = _pearson_chi2(n00, n01, n10, n11, 0.5)
     return ContingencyStats(
         chi2=chi2,
         p_value=chi2_survival(chi2),
         odds_ratio=(n00 * n11) / (n01 * n10),
-        rate_given_tc0=n10 / col0,
-        rate_given_tc1=n11 / col1,
+        rate_given_tc0=n10 / (n00 + n10),
+        rate_given_tc1=n11 / (n01 + n11),
     )
 
 
 def uncorrected_chi2(counts: ContingencyCounts) -> float:
     """Plain Pearson chi-squared without continuity correction (for audit)."""
-    cells = (counts.n00, counts.n01, counts.n10, counts.n11)
-    n00, n01, n10, n11 = (float(c) for c in cells)
-    n = n00 + n01 + n10 + n11
-    if n == 0:
-        raise ParameterError("contingency table is empty")
-    row0, row1 = n00 + n01, n10 + n11
-    col0, col1 = n00 + n10, n01 + n11
-    chi2 = 0.0
-    for observed, row_total, col_total in (
-        (n00, row0, col0),
-        (n01, row0, col1),
-        (n10, row1, col0),
-        (n11, row1, col1),
-    ):
-        expected = row_total * col_total / n
-        chi2 += (observed - expected) ** 2 / expected
-    return chi2
+    return _pearson_chi2(*(float(c) for c in _checked_cells(counts)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -326,12 +321,12 @@ def compare_models(
     labels = np.asarray(reference.labels)
     if threshold is None:
         threshold = float(np.mean([f.threshold for f in reference.folds]))
+    challenger_probs = [_pooled(ch)[0] for ch in challengers]
     deltas: list[DeltaResult] = []
     owners: list[str] = []
     for metric in sorted(_METRICS):
         family: list[DeltaResult] = []
-        for ch in challengers:
-            ch_probs, _ = _pooled(ch)
+        for ch, ch_probs in zip(challengers, challenger_probs):
             family.append(
                 paired_bootstrap_delta(
                     ref_probs,
@@ -349,8 +344,7 @@ def compare_models(
             owners.append(ch.name)
     ref_correct = ((ref_probs >= threshold).astype(int) == labels).astype(int)
     mc_family = []
-    for ch in challengers:
-        ch_probs, _ = _pooled(ch)
+    for ch_probs in challenger_probs:
         cand_correct = ((ch_probs >= threshold).astype(int) == labels).astype(int)
         mc_family.append(mcnemar(ref_correct, cand_correct))
     mc_qs = bh_fdr([m.p_value for m in mc_family])

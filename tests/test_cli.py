@@ -3,12 +3,17 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import pytest
 
+import waterscreen
 from waterscreen.cli import run
-from waterscreen.pipeline import cv_report_from_dict, pipeline_from_json
+from waterscreen.pipeline import cv_report_from_dict, pipeline_from_json, stacking
 from waterscreen.records import FieldRecord
 from waterscreen.synth import write_fixture
 
@@ -204,6 +209,124 @@ def test_qc_refuses_bad_batch_settings(tmp_path, capsys, setting):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert next(iter(setting)) in err
+
+
+BAD_SETTINGS = {
+    "train": {
+        "k_not_an_integer": {"k": "five"},
+        "k_below_two": {"k": 1},
+        "k_boolean": {"k": True},
+        "inner_fraction_out_of_range": {"inner_fraction": 1.0},
+        "beta_negative": {"beta": -1},
+        "beta_infinite": {"beta": float("inf")},
+        "calibration_unknown": {"calibration": "beta"},
+        "learner_integer_as_string": {"stage2": {"max_depth": "3"}},
+        "learner_integer_as_float": {"stage1": {"iteration_cap": 2.5}},
+        "learner_integer_boolean": {"stage1": {"leaf_limit": True}},
+        "learner_number_as_string": {"stage2": {"learning_rate": "0.1"}},
+        "learner_settings_not_an_object": {"stage1": [4]},
+    },
+    "ablate": {
+        "k_not_an_integer": {"k": "five"},
+        "beta_zero": {"beta": 0},
+        "learner_integer_as_float": {"stage1": {"iteration_cap": 2.5}},
+    },
+    "clean": {
+        "z_threshold_not_a_number": {"z_threshold": "four"},
+        "z_threshold_zero": {"z_threshold": 0},
+        "bounds_not_an_object": {"bounds": [0, 14]},
+        "bounds_unknown_measurement": {"bounds": {"phh": [6, 9]}},
+        "bounds_not_a_pair": {"bounds": {"ph": [6]}},
+        "bounds_reversed": {"bounds": {"ph": [9, 6]}},
+        "bounds_string_value": {"bounds": {"ph": ["6", 9]}},
+    },
+    "compare": {
+        "n_boot_not_an_integer": {"n_boot": "many"},
+        "n_boot_zero": {"n_boot": 0},
+        "threshold_not_a_number": {"threshold": "half"},
+        "threshold_above_one": {"threshold": 1.5},
+    },
+    "explain": {
+        "max_rows_not_an_integer": {"max_rows": 2.5},
+        "max_rows_zero": {"max_rows": 0},
+    },
+}
+
+
+def _write(path, data):
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _subcommand_args(subcommand, workspace):
+    fixture = str(workspace / "data" / "fixture.csv")
+    model_dir = workspace / "model"
+    return {
+        "train": ["--records", fixture],
+        "ablate": ["--records", fixture],
+        "clean": ["--records", fixture],
+        "compare": ["--reference", str(model_dir / "cv_report.json"),
+                    "--challengers", str(model_dir / "cv_report_no_aux.json")],
+        "explain": ["--model", str(model_dir / "model.json"), "--records", fixture],
+    }[subcommand]
+
+
+@pytest.mark.parametrize(
+    "subcommand,setting",
+    [(cmd, setting) for cmd, cases in BAD_SETTINGS.items() for setting in cases.values()],
+    ids=[f"{cmd}-{name}" for cmd, cases in BAD_SETTINGS.items() for name in cases],
+)
+def test_subcommands_refuse_bad_settings(workspace, tmp_path, capsys, subcommand, setting):
+    config = _write(tmp_path / "bad.json", setting)
+    out_dir = tmp_path / "out"
+    args = [subcommand, *_subcommand_args(subcommand, workspace),
+            "--config", str(config), "--out", str(out_dir)]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert next(iter(setting)) in err
+    assert ", got " in err  # refused by the up-front check, not by the fit
+    assert not (out_dir / "manifest.json").exists()
+
+
+def test_settings_a_subcommand_does_not_read_are_not_refused(workspace, tmp_path):
+    # one config for train, compare and explain, as a rehearsal script passes it
+    config = _write(tmp_path / "shared.json", {**TRAIN_CONFIG, "n_boot": 50, "max_rows": 5})
+    for subcommand in ("train", "compare", "explain"):
+        args = [subcommand, *_subcommand_args(subcommand, workspace),
+                "--config", str(config), "--out", str(tmp_path / subcommand)]
+        assert run(args) == 0
+
+
+def test_train_refits_with_the_configured_inner_fraction(workspace, tmp_path, monkeypatch):
+    splits = []
+    real = stacking.stratified_split
+
+    def spy(labels, test_fraction, seed):
+        splits.append((test_fraction, seed))
+        return real(labels, test_fraction, seed)
+
+    monkeypatch.setattr(stacking, "stratified_split", spy)
+    config = _write(tmp_path / "train.json", {**TRAIN_CONFIG, "inner_fraction": 0.7})
+    args = ["train", *_subcommand_args("train", workspace), "--seed", "3",
+            "--config", str(config), "--out", str(tmp_path / "model")]
+    assert run(args) == 0
+    # k is 3: the stage-1 refit draws seed [3, 4] and the stage-2 refit [3, 5]
+    assert splits == [(1.0 - 0.7, [3, 4]), (1.0 - 0.7, [3, 5])]
+
+
+def test_module_runs_as_a_script(tmp_path):
+    target = tmp_path / "x" / "fx.csv"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(waterscreen.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    )}
+    done = subprocess.run(
+        [sys.executable, "-m", "waterscreen.cli", "synth", "--seed", "1", "--out", str(target)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert target.exists()
+    assert "wrote" in done.stdout
 
 
 def test_clean_removes_and_logs(tmp_path):

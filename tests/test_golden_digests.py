@@ -83,7 +83,7 @@ def trained(request, fixture):
     report = run_cv(matrix, labels.ec, plan, config, aux=oof, name=request.param)
     model = finalize(
         matrix, labels.tc, labels.ec, STAGE1, config,
-        plan=plan, aux=oof, cv_report=report, seed=SEED,
+        plan=plan, aux=oof, cv_report=report,
     )
     return request.param, report, model
 

@@ -21,6 +21,7 @@ from waterscreen.pipeline import (
     plan_folds,
     predict,
     run_cv,
+    stacking,
 )
 from waterscreen.records import KIND_AUX, KIND_CONTEXT, KIND_PHYSICO, FeatureMatrix
 from waterscreen.stats import compare_models
@@ -273,15 +274,23 @@ def test_reports_feed_model_comparison():
     assert len(result.mcnemar_tests) == 1
 
 
+def stacked_cv(matrix, tc, ec, plan, s1=None, s2=None):
+    """The stage-1 out-of-fold probabilities and stacked stage-2 report that
+    finalize takes, run under plan."""
+    aux = generate_oof_probs(matrix, tc, plan, s1 or tiny_gbdt())
+    report = run_cv(matrix, ec, plan, s2 or tiny_gbdt(growth="depthwise"), aux=aux)
+    return aux, report
+
+
 @pytest.fixture(scope="module")
 def finalized():
     """A pipeline fitted on measurements far from zero, with the widened
     matrix its stage 2 was trained on."""
     matrix, tc, ec = synthetic_matrix(n=240, seed=11, offset=50.0)
-    s1 = tiny_gbdt()
+    s1, s2 = tiny_gbdt(), tiny_gbdt(growth="depthwise")
     plan = plan_folds(ec, 4, seed=3)
-    aux = generate_oof_probs(matrix, tc, plan, s1)
-    pipe = finalize(matrix, tc, ec, s1, tiny_gbdt(growth="depthwise"), plan=plan, aux=aux)
+    aux, report = stacked_cv(matrix, tc, ec, plan, s1, s2)
+    pipe = finalize(matrix, tc, ec, s1, s2, plan=plan, aux=aux, cv_report=report)
     return pipe, matrix, matrix.with_column(AUX_COLUMN, KIND_AUX, aux.values)
 
 
@@ -324,7 +333,67 @@ def test_predict_rejects_schema_drift(finalized):
         predict(pipe, narrowed)
 
 
-def test_finalize_rejects_logistic_stage():
+@pytest.fixture(scope="module")
+def cv_run():
+    """One stacked cross-validation, and a second one under another plan."""
     matrix, tc, ec = synthetic_matrix()
-    with pytest.raises(ParameterError):
-        finalize(matrix, tc, ec, logistic_preset(), tiny_gbdt(), k=4, seed=0)
+    plan = plan_folds(ec, 4, seed=0)
+    other_plan = plan_folds(ec, 4, seed=9)
+    return (matrix, tc, ec, plan, *stacked_cv(matrix, tc, ec, plan),
+            *stacked_cv(matrix, tc, ec, other_plan))
+
+
+def test_finalize_rejects_logistic_stage(cv_run):
+    matrix, tc, ec, plan, aux, report, _, _ = cv_run
+    with pytest.raises(ParameterError, match="must be tree models"):
+        finalize(matrix, tc, ec, logistic_preset(), tiny_gbdt(),
+                 plan=plan, aux=aux, cv_report=report)
+
+
+def test_finalize_rejects_aux_from_another_plan(cv_run):
+    matrix, tc, ec, plan, _, report, other_aux, _ = cv_run
+    with pytest.raises(PairingError, match="different fold plan"):
+        finalize(matrix, tc, ec, tiny_gbdt(), tiny_gbdt(),
+                 plan=plan, aux=other_aux, cv_report=report)
+
+
+def test_finalize_rejects_a_single_stage_report(cv_run):
+    matrix, tc, ec, plan, aux, _, _, _ = cv_run
+    plain = run_cv(matrix, ec, plan, tiny_gbdt(growth="depthwise"), name="plain")
+    with pytest.raises(PairingError, match="without the auxiliary column"):
+        finalize(matrix, tc, ec, tiny_gbdt(), tiny_gbdt(),
+                 plan=plan, aux=aux, cv_report=plain)
+
+
+def test_finalize_rejects_a_report_from_another_plan(cv_run):
+    matrix, tc, ec, plan, aux, _, _, other_report = cv_run
+    with pytest.raises(PairingError, match="cv report 'model' was run under a different fold plan"):
+        finalize(matrix, tc, ec, tiny_gbdt(), tiny_gbdt(),
+                 plan=plan, aux=aux, cv_report=other_report)
+
+
+def test_finalize_rejects_a_report_on_other_labels(cv_run):
+    matrix, tc, ec, plan, aux, report, _, _ = cv_run
+    relabeled = dataclasses.replace(report, labels=1 - report.labels)
+    with pytest.raises(PairingError, match="other labels"):
+        finalize(matrix, tc, ec, tiny_gbdt(), tiny_gbdt(),
+                 plan=plan, aux=aux, cv_report=relabeled)
+
+
+def test_finalize_refits_with_the_plans_inner_fraction_and_the_reports_beta(monkeypatch):
+    matrix, tc, ec = synthetic_matrix()
+    plan = plan_folds(ec, 4, inner_fraction=0.7, seed=5)
+    aux = generate_oof_probs(matrix, tc, plan, tiny_gbdt())
+    report = run_cv(matrix, ec, plan, tiny_gbdt(growth="depthwise"), aux=aux, beta=1.0)
+    splits = []
+
+    def spy(labels, test_fraction, seed):
+        splits.append((test_fraction, seed))
+        return real(labels, test_fraction, seed)
+
+    real = stacking.stratified_split
+    monkeypatch.setattr(stacking, "stratified_split", spy)
+    pipe = finalize(matrix, tc, ec, tiny_gbdt(), tiny_gbdt(growth="depthwise"),
+                    plan=plan, aux=aux, cv_report=report)
+    assert splits == [(1.0 - 0.7, [5, 5]), (1.0 - 0.7, [5, 6])]
+    assert pipe.beta == 1.0

@@ -62,6 +62,25 @@ class TestContingencyStats:
         with pytest.raises(ParameterError):
             contingency_stats(ContingencyCounts(-1, 2, 3, 4))
 
+    def test_uncorrected_rejects_a_negative_count(self):
+        with pytest.raises(ParameterError, match="non-negative"):
+            uncorrected_chi2(ContingencyCounts(5, -1, 3, 4))
+
+    @pytest.mark.parametrize("cells", [(331, 117, 75, 242), (50, 50, 50, 50), (7, 1, 2, 9)])
+    def test_uncorrected_equals_the_pearson_sum(self, cells):
+        n00, n01, n10, n11 = (float(c) for c in cells)
+        n = n00 + n01 + n10 + n11
+        chi2 = 0.0
+        for observed, row_total, col_total in (
+            (n00, n00 + n01, n00 + n10),
+            (n01, n00 + n01, n01 + n11),
+            (n10, n10 + n11, n00 + n10),
+            (n11, n10 + n11, n01 + n11),
+        ):
+            expected = row_total * col_total / n
+            chi2 += (observed - expected) ** 2 / expected
+        assert uncorrected_chi2(ContingencyCounts(*cells)) == chi2
+
 
 def _two_fold_ids(n):
     ids = np.zeros(n, dtype=int)
