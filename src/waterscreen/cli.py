@@ -118,14 +118,10 @@ class _Run:
         self.paths: list[str] = []
         self.digests: dict[str, str] = {}
         self.config, self.config_digest = self._load_config(args)
-        config_seed = self.config.get("seed")
-        flag_seed = getattr(args, "seed", None)
-        if flag_seed is not None:
-            self.seed = int(flag_seed)
-        elif config_seed is not None:
-            self.seed = int(config_seed)
-        else:
-            self.seed = 0
+        seed = getattr(args, "seed", None)
+        if seed is None:
+            seed = self.config.get("seed", 0)
+        self.seed = _checked("seed", seed, "an integer >= 0", lambda v: v >= 0, (int,))
 
     def _load_config(self, args) -> tuple[dict, str]:
         path = getattr(args, "config", None)
@@ -481,8 +477,24 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+def _metric_bounds(config: dict) -> dict[str, dict]:
+    """The min and max metric bounds of evaluate --assert, read from the
+    config's "assert" object or, without one, from the config itself."""
+    checks = _checked("assert", config.get("assert", config), "a JSON object", types=(dict,))
+    bounds = {}
+    for side in ("min", "max"):
+        bounds[side] = _checked(
+            side, checks.get(side, {}), "a JSON object of finite numbers", types=(dict,)
+        )
+        for name, bound in bounds[side].items():
+            _checked(f"{side}.{name}", bound, "a finite number", _finite)
+    return bounds
+
+
 def _cmd_evaluate(args) -> int:
     run = _Run(args, "evaluate")
+    if args.assert_metrics:
+        bounds = _metric_bounds(run.config)
     model = pipeline_from_json(run.read_input(args.model).decode("utf-8"))
     matrix, labels = _encode_labeled(run, args.records, model.category_levels)
     probs = np.array([p.probability for p in predict(model, matrix)])
@@ -507,14 +519,13 @@ def _cmd_evaluate(args) -> int:
     }
     failures: list[str] = []
     if args.assert_metrics:
-        checks = run.config.get("assert", run.config)
-        for name, floor in checks.get("min", {}).items():
+        for name, floor in bounds["min"].items():
             value = report["metrics"].get(name)
-            if value is None or value < float(floor):
+            if value is None or value < floor:
                 failures.append(f"{name}={value} < {floor}")
-        for name, ceiling in checks.get("max", {}).items():
+        for name, ceiling in bounds["max"].items():
             value = report["metrics"].get(name)
-            if value is None or value > float(ceiling):
+            if value is None or value > ceiling:
                 failures.append(f"{name}={value} > {ceiling}")
         report["assertion_failures"] = failures
     run.write("evaluation.json", _canonical(report))

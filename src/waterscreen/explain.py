@@ -7,9 +7,9 @@ margin scale (log-odds for boosted models, leaf-fraction scale for
 forests), where additivity is exact: base_value plus the contributions
 equals the model margin for the row.
 
-tree_shap runs the polynomial-time path recursion; brute_force_shap
-evaluates the Shapley sum over feature subsets with the same conditional
-expectation, and exists to check tree_shap against.
+attribute_rows runs the polynomial-time path recursion, and tree_shap is
+its one-row case; brute_force_shap evaluates the Shapley sum over feature
+subsets with the same conditional expectation, and exists to check it.
 """
 
 from __future__ import annotations
@@ -38,30 +38,17 @@ class ShapAttribution:
     feature_names: list[str]
 
 
-def _check_model(model) -> TreeEnsembleModel:
+def _check(model, matrix: FeatureMatrix) -> list[Tree]:
+    """The model's scoring trees, once it and the matrix can be explained."""
     if not isinstance(model, TreeEnsembleModel):
-        raise UnsupportedModelError(
-            "attributions are defined for tree ensembles only"
-        )
-    for tree in model.trees[: model.best_iteration]:
+        raise UnsupportedModelError("attributions are defined for tree ensembles only")
+    used = model.trees[: model.best_iteration]
+    for tree in used:
         if tree.cover[0] <= 0:
             raise UnsupportedModelError("model lacks training cover weights")
-    return model
-
-
-def _check_row(model: TreeEnsembleModel, row: FeatureMatrix) -> None:
-    if row.n_rows != 1:
-        raise ParameterError("attribution rows are explained one at a time")
-    if row.column_names != list(model.feature_names):
+    if matrix.column_names != list(model.feature_names):
         raise ParameterError("row columns do not match the fitted model")
-
-
-def _goes_left(tree: Tree, node: int, values: np.ndarray, missing: np.ndarray) -> bool:
-    f = tree.feature[node]
-    v = values[f]
-    if missing[f] or math.isnan(v):
-        return bool(tree.missing_left[node])
-    return bool(v <= tree.threshold[node])
+    return used
 
 
 def _tree_expectation(tree: Tree) -> float:
@@ -117,8 +104,8 @@ def _unwind(path: list[_PathElement], index: int) -> list[_PathElement]:
     return out
 
 
-def _shap_one_tree(tree: Tree, values: np.ndarray, missing: np.ndarray,
-                   phi: np.ndarray) -> None:
+def _shap_one_tree(tree: Tree, left_at: np.ndarray, phi: np.ndarray) -> None:
+    """Add one tree's contributions to phi, for the row with decisions left_at."""
     def recurse(node: int, path: list[_PathElement], pz: float, po: float, pi: int):
         path = _extend(path, pz, po, pi)
         if tree.feature[node] < 0:
@@ -130,7 +117,7 @@ def _shap_one_tree(tree: Tree, values: np.ndarray, missing: np.ndarray,
             return
         f = int(tree.feature[node])
         left, right = int(tree.left[node]), int(tree.right[node])
-        hot, cold = (left, right) if _goes_left(tree, node, values, missing) else (right, left)
+        hot, cold = (left, right) if left_at[node] else (right, left)
         iz, io = 1.0, 1.0
         found = next((k for k in range(len(path)) if path[k].feature == f), None)
         if found is not None:
@@ -143,17 +130,20 @@ def _shap_one_tree(tree: Tree, values: np.ndarray, missing: np.ndarray,
     recurse(0, [], 1.0, 1.0, -1)
 
 
-def tree_shap(model: TreeEnsembleModel, row: FeatureMatrix) -> ShapAttribution:
-    """Exact path-dependent Shapley values for one row."""
-    _check_model(model)
-    _check_row(model, row)
-    values = row.values[0]
-    missing = row.missing_mask[0]
-    phi = np.zeros(row.n_cols)
-    used = model.trees[: model.best_iteration]
+def attribute_rows(model: TreeEnsembleModel, matrix: FeatureMatrix) -> list[ShapAttribution]:
+    """Exact path-dependent Shapley values for every row of a matrix.
+
+    Works tree by tree: one decisions matrix and one expectation per tree,
+    then the path recursion for each row, so a row's contributions add up
+    in the same order whichever rows it is explained with.
+    """
+    used = _check(model, matrix)
+    phi = np.zeros((matrix.n_rows, matrix.n_cols))
     base = 0.0
     for tree in used:
-        _shap_one_tree(tree, values, missing, phi)
+        left_at = tree.decisions(matrix.values, matrix.missing_mask)
+        for i in range(matrix.n_rows):
+            _shap_one_tree(tree, left_at[i], phi[i])
         base += _tree_expectation(tree)
     if model.family == FAMILY_FOREST:
         scale = 1.0 / len(used) if used else 1.0
@@ -161,34 +151,36 @@ def tree_shap(model: TreeEnsembleModel, row: FeatureMatrix) -> ShapAttribution:
         base = base * scale if used else model.base_score
     else:
         base += model.base_score
-    return ShapAttribution(
-        row_id=row.row_ids[0],
-        base_value=float(base),
-        values=phi,
-        feature_names=list(model.feature_names),
-    )
+    return [
+        ShapAttribution(row_id, float(base), phi[i], list(model.feature_names))
+        for i, row_id in enumerate(matrix.row_ids)
+    ]
 
 
-def _conditional_margin(model: TreeEnsembleModel, values: np.ndarray,
-                        missing: np.ndarray, coalition: frozenset) -> float:
-    """Expected margin when only coalition features follow the row."""
+def tree_shap(model: TreeEnsembleModel, row: FeatureMatrix) -> ShapAttribution:
+    """Exact path-dependent Shapley values for one row."""
+    if row.n_rows != 1:
+        raise ParameterError("attribution rows are explained one at a time")
+    return attribute_rows(model, row)[0]
 
-    def expect(tree: Tree, node: int) -> float:
+
+def _conditional_margin(model: TreeEnsembleModel, used: list[Tree], left_at: list[np.ndarray],
+                        coalition: frozenset) -> float:
+    """Expected margin when only coalition features follow the row's decisions."""
+
+    def expect(tree: Tree, left_of: np.ndarray, node: int) -> float:
         if tree.feature[node] < 0:
             return float(tree.value[node])
-        if int(tree.feature[node]) in coalition:
-            left, right = int(tree.left[node]), int(tree.right[node])
-            child = left if _goes_left(tree, node, values, missing) else right
-            return expect(tree, child)
         left, right = int(tree.left[node]), int(tree.right[node])
+        if int(tree.feature[node]) in coalition:
+            return expect(tree, left_of, left if left_of[node] else right)
         total = tree.cover[left] + tree.cover[right]
         return (
-            tree.cover[left] * expect(tree, left)
-            + tree.cover[right] * expect(tree, right)
+            tree.cover[left] * expect(tree, left_of, left)
+            + tree.cover[right] * expect(tree, left_of, right)
         ) / total
 
-    used = model.trees[: model.best_iteration]
-    acc = sum(expect(tree, 0) for tree in used)
+    acc = sum(expect(tree, left_of, 0) for tree, left_of in zip(used, left_at))
     if model.family == FAMILY_FOREST:
         return acc / len(used) if used else float(model.base_score)
     return float(model.base_score) + acc
@@ -200,30 +192,23 @@ def brute_force_shap(model: TreeEnsembleModel, row: FeatureMatrix,
 
     Features no tree splits on are dummy players and receive exactly 0.
     """
-    _check_model(model)
-    _check_row(model, row)
+    if row.n_rows != 1:
+        raise ParameterError("attribution rows are explained one at a time")
+    used = _check(model, row)
     if max_features > 12:
         raise ParameterError("max_features is capped at 12")
-    used_features = sorted(
-        {
-            int(f)
-            for tree in model.trees[: model.best_iteration]
-            for f in tree.feature
-            if f >= 0
-        }
-    )
+    used_features = sorted({int(f) for tree in used for f in tree.feature if f >= 0})
     if len(used_features) > max_features:
         raise EnumerationLimitError(
             f"model uses {len(used_features)} features, enumeration capped at {max_features}"
         )
-    values = row.values[0]
-    missing = row.missing_mask[0]
+    left_at = [tree.decisions(row.values, row.missing_mask)[0] for tree in used]
     m = len(used_features)
     cache: dict[frozenset, float] = {}
 
     def margin_of(coalition: frozenset) -> float:
         if coalition not in cache:
-            cache[coalition] = _conditional_margin(model, values, missing, coalition)
+            cache[coalition] = _conditional_margin(model, used, left_at, coalition)
         return cache[coalition]
 
     phi = np.zeros(row.n_cols)
@@ -244,11 +229,6 @@ def brute_force_shap(model: TreeEnsembleModel, row: FeatureMatrix,
         values=phi,
         feature_names=list(model.feature_names),
     )
-
-
-def attribute_rows(model: TreeEnsembleModel, matrix: FeatureMatrix) -> list[ShapAttribution]:
-    """tree_shap over every row of a matrix."""
-    return [tree_shap(model, matrix.take([i])) for i in range(matrix.n_rows)]
 
 
 def mean_abs_shap(attributions: list[ShapAttribution]) -> list[tuple[str, float]]:
@@ -279,7 +259,7 @@ def export_beeswarm(attributions: list[ShapAttribution], matrix: FeatureMatrix) 
         if attribution.feature_names != matrix.column_names:
             raise PairingError(f"attribution {i} has a different column set")
         for j, name in enumerate(matrix.column_names):
-            gone = bool(matrix.missing_mask[i, j]) or math.isnan(matrix.values[i, j])
+            gone = bool(matrix.missing_mask[i, j])
             writer.writerow(
                 [
                     attribution.row_id,

@@ -36,7 +36,7 @@ class Scaler:
             values[:, col] = centered / sd if sd > 0 else centered
         return FeatureMatrix(
             values=values,
-            missing_mask=matrix.missing_mask.copy(),
+            missing_mask=matrix.missing_mask,
             columns=list(matrix.columns),
             row_ids=list(matrix.row_ids),
             category_levels=dict(matrix.category_levels),
@@ -53,8 +53,7 @@ def fit_fold_scaler(matrix: FeatureMatrix, fit_indices) -> Scaler:
     means = np.zeros(len(cols))
     sds = np.zeros(len(cols))
     for pos, col in enumerate(cols):
-        observed = matrix.values[idx, col]
-        observed = observed[~(matrix.missing_mask[idx, col] | np.isnan(observed))]
+        observed = matrix.values[idx, col][~matrix.missing_mask[idx, col]]
         if observed.size:
             means[pos] = float(observed.mean())
             sds[pos] = float(observed.std())
@@ -70,7 +69,7 @@ def impute_for_linear(matrix: FeatureMatrix, fit_indices) -> FeatureMatrix:
     if idx.size == 0:
         raise ParameterError("fit_indices must be non-empty")
     values = matrix.values.copy()
-    missing = matrix.missing_mask | np.isnan(values)
+    missing = matrix.missing_mask
     for col in range(matrix.n_cols):
         gaps = missing[:, col]
         if not gaps.any():

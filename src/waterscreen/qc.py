@@ -95,7 +95,6 @@ class BatchConfig:
     batch_gap_s: float = 60.0
     cluster_min: int = 5
     cluster_radius_m: float = 10.0
-    apply_batch_rules: bool = True
 
 
 class UuidRegistry:
@@ -283,23 +282,19 @@ def _cluster_rows(records: list[FieldRecord], config: BatchConfig) -> set[int]:
 
 def evaluate_batch(records: list[FieldRecord],
                    config: BatchConfig | None = None) -> tuple[list[QcVerdict], BatchFlags]:
-    """Per-record screening over a shared registry, then batch anomaly rules.
-
-    With apply_batch_rules False this is exactly the per-record mapping.
+    """Per-record screening over a shared registry, then the batch anomaly
+    rules (BATCH_FILLING and SPATIAL_CLUSTER), which append their codes to
+    the verdicts they flag and re-categorize every verdict.
     """
     if config is None:
         config = BatchConfig()
     registry = UuidRegistry()
     verdicts = [evaluate_record(record, registry) for record in records]
-
-    if config.apply_batch_rules:
-        for i in _batch_filling_rows(records, config):
-            verdicts[i].triggered.append("BATCH_FILLING")
-        for i in _cluster_rows(records, config):
-            verdicts[i].triggered.append("SPATIAL_CLUSTER")
-        verdicts = [
-            replace(v, category=categorize(v.triggered)) for v in verdicts
-        ]
+    for i in _batch_filling_rows(records, config):
+        verdicts[i].triggered.append("BATCH_FILLING")
+    for i in _cluster_rows(records, config):
+        verdicts[i].triggered.append("SPATIAL_CLUSTER")
+    verdicts = [replace(v, category=categorize(v.triggered)) for v in verdicts]
 
     counts: dict[str, int] = {}
     for verdict in verdicts:

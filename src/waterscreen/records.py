@@ -456,13 +456,24 @@ def screen_outliers(
 
 @dataclass
 class FeatureMatrix:
-    """Encoded design matrix with missingness mask and per-column kinds."""
+    """Encoded design matrix with missingness mask and per-column kinds.
+
+    missing_mask is the one record of which cells are missing: construction
+    folds every NaN value into it, so consumers read the mask alone. A
+    masked cell may still hold a number, which no consumer reads.
+    """
 
     values: np.ndarray
     missing_mask: np.ndarray
     columns: list[tuple[str, str]]
     row_ids: list[str]
     category_levels: dict[str, list[str]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        mask = np.asarray(self.missing_mask, dtype=bool)
+        if mask.shape != self.values.shape:
+            raise ParameterError("missing_mask and values differ in shape")
+        self.missing_mask = mask | np.isnan(self.values)
 
     @property
     def n_rows(self) -> int:
@@ -489,24 +500,19 @@ class FeatureMatrix:
         idx = np.asarray(indices, dtype=np.int64)
         return FeatureMatrix(
             values=self.values[idx].copy(),
-            missing_mask=self.missing_mask[idx].copy(),
+            missing_mask=self.missing_mask[idx],
             columns=list(self.columns),
             row_ids=[self.row_ids[i] for i in idx],
             category_levels=dict(self.category_levels),
         )
 
-    def with_column(self, name: str, kind: str, values, missing=None) -> FeatureMatrix:
+    def with_column(self, name: str, kind: str, values) -> FeatureMatrix:
         col = np.asarray(values, dtype=float).reshape(-1, 1)
         if col.shape[0] != self.n_rows:
             raise ParameterError("new column length does not match row count")
-        mask = (
-            np.zeros((self.n_rows, 1), dtype=bool)
-            if missing is None
-            else np.asarray(missing, dtype=bool).reshape(-1, 1)
-        )
         return FeatureMatrix(
             values=np.hstack([self.values, col]),
-            missing_mask=np.hstack([self.missing_mask, mask]),
+            missing_mask=np.hstack([self.missing_mask, np.zeros_like(col, dtype=bool)]),
             columns=list(self.columns) + [(name, kind)],
             row_ids=list(self.row_ids),
             category_levels=dict(self.category_levels),

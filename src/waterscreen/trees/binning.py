@@ -72,13 +72,10 @@ def bin_features(matrix: FeatureMatrix, max_bins: int) -> BinnedMatrix:
         raise ParameterError("max_bins must lie in [2, 256]")
     if matrix.n_rows == 0 or matrix.n_cols == 0:
         raise EmptyInputError("nothing to bin")
-    missing = matrix.missing_mask | np.isnan(matrix.values)
-    edges = [
-        _column_edges(matrix.values[~missing[:, j], j], max_bins)
-        for j in range(matrix.n_cols)
-    ]
+    values, missing = matrix.values, matrix.missing_mask
+    edges = [_column_edges(values[~missing[:, j], j], max_bins) for j in range(matrix.n_cols)]
     codes = np.column_stack(
-        [_digitize(matrix.values[:, j], missing[:, j], edges[j]) for j in range(matrix.n_cols)]
+        [_digitize(values[:, j], missing[:, j], edges[j]) for j in range(matrix.n_cols)]
     )
     return BinnedMatrix(bin_indices=codes, bin_edges=edges, columns=list(matrix.columns))
 
@@ -87,10 +84,9 @@ def apply_bins(matrix: FeatureMatrix, reference: BinnedMatrix) -> BinnedMatrix:
     """Encode new rows with a previously fitted binning."""
     if [n for n, _ in matrix.columns] != [n for n, _ in reference.columns]:
         raise SchemaError("columns do not match the fitted binning")
-    missing = matrix.missing_mask | np.isnan(matrix.values)
     codes = np.column_stack(
         [
-            _digitize(matrix.values[:, j], missing[:, j], reference.bin_edges[j])
+            _digitize(matrix.values[:, j], matrix.missing_mask[:, j], reference.bin_edges[j])
             for j in range(matrix.n_cols)
         ]
     )

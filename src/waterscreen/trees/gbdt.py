@@ -95,7 +95,6 @@ def fit_gbdt(
         valid_gone = valid_binned.missing_mask
 
     scores = np.full(n, base_score, dtype=float)
-    gone = binned.missing_mask
     trees: list[Tree] = []
     train_loss: list[float] = []
     valid_loss: list[float] | None = [] if valid is not None else None
@@ -128,7 +127,7 @@ def fit_gbdt(
             leaf_value=leaf_value,
         )
         trees.append(tree)
-        scores = scores + tree.margins_binned(binned.bin_indices, gone)
+        scores = scores + tree.margins_binned(binned.bin_indices, ws.gone)
         loss = _weighted_logloss(scores, y, w)
         if config.row_subsample >= 1.0 and train_loss and loss > train_loss[-1] + 1e-9:
             raise FitError(

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .binning import BinnedMatrix
-from .model import Tree
+from .model import Tree, goes_left
 
 MIN_GAIN = 1e-12
 
@@ -45,11 +45,12 @@ class Workspace:
     sums are never read. The real candidates are listed in row-major order
     (feature, then bin) by their flat position in that padded table
     (cand_flat), their feature and bin, and the flat histogram index of
-    their feature's missing bin (cand_missing).
+    their feature's missing bin (cand_missing). gone marks the cells in
+    their column's missing bin.
     """
 
     codes: np.ndarray
-    total_bins: np.ndarray
+    gone: np.ndarray
     offsets: np.ndarray
     flat_codes: np.ndarray
     edges: list[np.ndarray]
@@ -72,7 +73,7 @@ class Workspace:
         cand_feature, cand_bin = np.nonzero(real)
         return cls(
             codes=binned.bin_indices,
-            total_bins=total,
+            gone=binned.missing_mask,
             offsets=offsets,
             flat_codes=flat,
             edges=binned.bin_edges,
@@ -150,10 +151,8 @@ def _best_split(ws, rows, g, h, l2, min_samples, features, g_total, h_total):
 
 
 def _partition(ws, rows, feature, split_bin, missing_left):
-    col = ws.codes[rows, feature]
-    miss = col == ws.total_bins[feature] - 1
-    go_left = np.where(miss, missing_left, col <= split_bin)
-    return rows[go_left], rows[~go_left]
+    left = goes_left(ws.codes[rows, feature], ws.gone[rows, feature], split_bin, missing_left)
+    return rows[left], rows[~left]
 
 
 def grow_tree(

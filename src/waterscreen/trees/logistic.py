@@ -29,9 +29,9 @@ def fit_logistic(matrix: FeatureMatrix, labels, l2: float) -> LogisticModel:
     y = _check_labels(labels)
     if y.size != matrix.n_rows:
         raise ParameterError("labels length does not match matrix rows")
-    values = matrix.values
-    if matrix.missing_mask.any() or np.isnan(values).any():
+    if matrix.missing_mask.any():
         raise ParameterError("logistic fitting requires complete rows; impute first")
+    values = matrix.values
 
     n, p = values.shape
     design = np.hstack([values, np.ones((n, 1))])

@@ -30,18 +30,25 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def goes_left(x, gone, cut, missing_left):
+    """The split rule: a cell marked gone follows missing_left; any other
+    goes left when x <= cut."""
+    return np.where(gone, missing_left, x <= cut)
+
+
 @dataclass
 class Tree:
     """One decision tree as parallel node arrays, root at index 0.
 
     feature < 0 marks a leaf. A split is stored twice, as a bin index
-    split_bin and as threshold == bin_edges[feature][split_bin]. A missing
-    cell follows missing_left; any other goes left when value <= threshold,
-    which holds exactly when its bin code <= split_bin. value holds the leaf
-    payload (also filled for internal nodes, as the value the node would
-    have had as a leaf); cover is the summed sample weight and count the raw
-    row count seen in training; gain is the realized split gain (NaN at
-    leaves).
+    split_bin and as threshold == bin_edges[feature][split_bin]. goes_left
+    is the one split rule, used by prediction, growth and attribution: a
+    missing cell follows missing_left; any other goes left when value <=
+    threshold, which holds exactly when its bin code <= split_bin. value
+    holds the leaf payload (also filled for internal nodes, as the value the
+    node would have had as a leaf); cover is the summed sample weight and
+    count the raw row count seen in training; gain is the realized split
+    gain (NaN at leaves).
     """
 
     feature: np.ndarray
@@ -60,8 +67,8 @@ class Tree:
         return self.feature.size
 
     def _route(self, x: np.ndarray, gone: np.ndarray, cut: np.ndarray) -> np.ndarray:
-        """Leaf value reached by each row of x: a cell marked gone follows
-        missing_left, any other goes left when it is <= cut[node]."""
+        """Leaf value reached by each row of x, walked one level at a time
+        with goes_left against cut[node]."""
         n = x.shape[0]
         node = np.zeros(n, dtype=np.int32)
         rows = np.arange(n)
@@ -71,10 +78,17 @@ class Tree:
             if not internal.any():
                 break
             fi = np.where(internal, f, 0)
-            go_left = np.where(gone[rows, fi], self.missing_left[node], x[rows, fi] <= cut[node])
-            nxt = np.where(go_left, self.left[node], self.right[node])
+            left = goes_left(x[rows, fi], gone[rows, fi], cut[node], self.missing_left[node])
+            nxt = np.where(left, self.left[node], self.right[node])
             node = np.where(internal, nxt, node)
         return self.value[node]
+
+    def decisions(self, values: np.ndarray, gone: np.ndarray) -> np.ndarray:
+        """(rows, nodes) goes_left verdict of every internal node for every
+        raw row, whether or not the row reaches the node; False at leaves."""
+        internal = self.feature >= 0
+        f = np.where(internal, self.feature, 0)
+        return internal & goes_left(values[:, f], gone[:, f], self.threshold, self.missing_left)
 
     def margins(self, values: np.ndarray, gone: np.ndarray) -> np.ndarray:
         """Leaf value reached by each raw row; gone must mark NaN cells too."""
@@ -127,10 +141,9 @@ def _check_schema(model_names: list[str], matrix: FeatureMatrix) -> None:
 def _leaf_sum(model: TreeEnsembleModel, matrix: FeatureMatrix, start: float) -> np.ndarray:
     """start plus the leaf values of the model's first best_iteration trees."""
     _check_schema(model.feature_names, matrix)
-    gone = matrix.missing_mask | np.isnan(matrix.values)
     total = np.full(matrix.n_rows, start, dtype=float)
     for tree in model.trees[: model.best_iteration]:
-        total += tree.margins(matrix.values, gone)
+        total += tree.margins(matrix.values, matrix.missing_mask)
     return total
 
 
@@ -149,10 +162,9 @@ def predict_proba(model: Model, matrix: FeatureMatrix) -> np.ndarray:
     """
     if isinstance(model, LogisticModel):
         _check_schema(model.feature_names, matrix)
-        values = matrix.values
-        if matrix.missing_mask.any() or np.isnan(values).any():
+        if matrix.missing_mask.any():
             raise ParameterError("logistic prediction requires complete rows; impute first")
-        return sigmoid(values @ model.weights + model.intercept)
+        return sigmoid(matrix.values @ model.weights + model.intercept)
     if isinstance(model, TreeEnsembleModel):
         if model.family == FAMILY_GBDT:
             return sigmoid(predict_margin(model, matrix))

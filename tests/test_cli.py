@@ -250,6 +250,17 @@ BAD_SETTINGS = {
         "max_rows_not_an_integer": {"max_rows": 2.5},
         "max_rows_zero": {"max_rows": 0},
     },
+    "synth": {
+        "seed_not_an_integer": {"seed": "abc"},
+        "seed_fractional": {"seed": 2.7},
+        "seed_negative": {"seed": -1},
+    },
+    "evaluate": {
+        "min_bound_not_a_number": {"min": {"roc_auc": "high"}},
+        "min_not_an_object": {"min": [0.5]},
+        "max_bound_infinite": {"max": {"brier": float("inf")}},
+        "max_bound_boolean": {"max": {"brier": True}},
+    },
 }
 
 
@@ -268,6 +279,8 @@ def _subcommand_args(subcommand, workspace):
         "compare": ["--reference", str(model_dir / "cv_report.json"),
                     "--challengers", str(model_dir / "cv_report_no_aux.json")],
         "explain": ["--model", str(model_dir / "model.json"), "--records", fixture],
+        "synth": [],
+        "evaluate": ["--model", str(model_dir / "model.json"), "--records", fixture, "--assert"],
     }[subcommand]
 
 
@@ -286,6 +299,13 @@ def test_subcommands_refuse_bad_settings(workspace, tmp_path, capsys, subcommand
     assert err.startswith("error: ")
     assert next(iter(setting)) in err
     assert ", got " in err  # refused by the up-front check, not by the fit
+    assert not (out_dir / "manifest.json").exists()
+
+
+def test_seed_flag_must_be_a_non_negative_integer(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert run(["synth", "--seed", "-1", "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
     assert not (out_dir / "manifest.json").exists()
 
 

@@ -90,10 +90,13 @@ def test_local_accuracy_against_model_margin():
     rng = np.random.default_rng(607)
     model, matrix = random_model(rng, n_features=5)
     margins = predict_margin(model, matrix)
-    for i in range(matrix.n_rows):
-        attribution = tree_shap(model, matrix.take([i]))
+    for i, attribution in enumerate(attribute_rows(model, matrix)):
         total = attribution.base_value + attribution.values.sum()
         assert total == pytest.approx(margins[i], abs=1e-9)
+        # explained alone, a row gets the same bits as beside the others
+        alone = tree_shap(model, matrix.take([i]))
+        assert np.array_equal(alone.values, attribution.values)
+        assert alone.base_value == attribution.base_value
 
 
 def test_forest_attributions_are_additive_on_probability_scale():

@@ -261,10 +261,19 @@ class TestWeightsAndRouting:
         gone = matrix.missing_mask | np.isnan(matrix.values)
         binned = apply_bins(matrix, reference)
         assert np.array_equal(binned.missing_mask, gone)
+        rows = np.arange(matrix.n_rows)
         for tree in model.trees:
             expected = _margins_reference(tree, matrix.values, matrix.missing_mask)
             assert np.array_equal(tree.margins(matrix.values, gone), expected)
             assert np.array_equal(tree.margins_binned(binned.bin_indices, gone), expected)
+            # every row's per-node decisions, followed from the root, reach that leaf
+            left_at = tree.decisions(matrix.values, gone)
+            node = np.zeros(matrix.n_rows, dtype=np.int32)
+            for _ in range(tree.n_nodes):
+                internal = tree.feature[node] >= 0
+                nxt = np.where(left_at[rows, node], tree.left[node], tree.right[node])
+                node = np.where(internal, nxt, node)
+            assert np.array_equal(tree.value[node], expected)
 
 
 class TestDeterminism:

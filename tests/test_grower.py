@@ -91,7 +91,7 @@ def _best_split_reference(ws, rows, g, h, l2, min_samples, features, g_total, h_
     for f in features:
         f = int(f)
         lo = int(ws.offsets[f])
-        n_value_bins = int(ws.total_bins[f]) - 1
+        n_value_bins = int(ws.offsets[f + 1]) - lo - 1
         if n_value_bins < 2:
             continue
         vg = hist_g[lo : lo + n_value_bins]

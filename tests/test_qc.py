@@ -387,16 +387,6 @@ def test_sweep_tests_a_small_multiple_of_n_pairs(monkeypatch):
     assert flagged_subset == _cluster_rows_reference(subset, BatchConfig())
 
 
-def test_disabled_batch_rules_match_per_record_mapping():
-    records = spaced_records(6, 20)
-    batch_verdicts, _ = evaluate_batch(records, BatchConfig(apply_batch_rules=False))
-    registry = UuidRegistry()
-    solo = [evaluate_record(r, registry) for r in records]
-    assert [(v.uuid, v.category, v.triggered) for v in batch_verdicts] == [
-        (v.uuid, v.category, v.triggered) for v in solo
-    ]
-
-
 def test_empty_batch_is_vacuous():
     verdicts, flags = evaluate_batch([])
     assert verdicts == []

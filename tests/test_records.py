@@ -17,6 +17,7 @@ from waterscreen.errors import (
 from waterscreen.records import (
     CATEGORICAL_FIELDS,
     MEASUREMENT_FIELDS,
+    FeatureMatrix,
     FieldRecord,
     clean,
     encode,
@@ -372,6 +373,21 @@ class TestEncode:
         assert grown.n_cols == matrix.n_cols + 1
         assert grown.columns[-1] == ("bonus", "auxiliary")
         assert matrix.n_cols == grown.n_cols - 1
+
+    def test_missing_mask_holds_every_missing_cell(self):
+        values = np.array([[1.0, np.nan], [2.0, 3.0]])
+        masked = np.array([[False, False], [True, False]])
+        columns = [("a", "physicochemical"), ("b", "physicochemical")]
+        matrix = FeatureMatrix(values=values, missing_mask=masked, columns=columns,
+                               row_ids=["r0", "r1"])
+        # the NaN cell joins the mask; the masked cell that holds 2.0 stays in it
+        assert matrix.missing_mask.tolist() == [[False, True], [True, False]]
+        assert matrix.take([1, 0]).missing_mask.tolist() == [[True, False], [False, True]]
+        grown = matrix.with_column("c", "auxiliary", [np.nan, 0.5])
+        assert grown.missing_mask.tolist() == [[False, True, True], [True, False, False]]
+        with pytest.raises(ParameterError, match="shape"):
+            FeatureMatrix(values=values, missing_mask=masked[:, :1], columns=columns,
+                          row_ids=["r0", "r1"])
 
 
 class TestStratifiedSplit:
