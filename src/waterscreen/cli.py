@@ -112,8 +112,6 @@ class _Run:
     def __init__(self, args, subcommand: str):
         self.subcommand = subcommand
         self.out_dir = Path(getattr(args, "out", ".") or ".")
-        if self.out_dir.suffix != ".csv":
-            self.out_dir.mkdir(parents=True, exist_ok=True)
         self.inputs: dict[str, str] = {}
         self.paths: list[str] = []
         self.digests: dict[str, str] = {}
@@ -298,9 +296,11 @@ def _clean_settings(config: dict):
 def _cmd_clean(args) -> int:
     run = _Run(args, "clean")
     bounds, z_threshold = _clean_settings(run.config)
+    dictionary = _checked(
+        "dictionary", run.config.get("dictionary", {}), "a JSON object", types=(dict,)
+    )
     parsed = _parse_input_records(run, args.records)
     records = parsed.records
-    dictionary = run.config.get("dictionary")
     if dictionary:
         records = harmonize(records, dictionary)
     kept, clean_log = clean(records, bounds or None)
@@ -312,6 +312,7 @@ def _cmd_clean(args) -> int:
         {"stage": "outlier_screen", "row": r.row, "uuid": r.uuid, "reason": r.reason}
         for r in outlier_log.removed
     ]
+    run.out_dir.mkdir(parents=True, exist_ok=True)
     write_fixture(kept, run.out_dir / "cleaned.csv")
     run.register("cleaned.csv")
     run.write(
@@ -331,12 +332,22 @@ def _cmd_clean(args) -> int:
 
 def _cmd_encode(args) -> int:
     run = _Run(args, "encode")
+    require_labels = _checked(
+        "require_labels", run.config.get("require_labels", True), "true or false", types=(bool,)
+    )
+    category_levels = run.config.get("category_levels")
+    if "category_levels" in run.config:
+        _checked(
+            "category_levels", category_levels, "a JSON object of string lists",
+            lambda v: all(
+                type(levels) is list and all(type(level) is str for level in levels)
+                for levels in v.values()
+            ),
+            (dict,),
+        )
     parsed = _parse_input_records(run, args.records)
-    require_labels = bool(run.config.get("require_labels", True))
     matrix, labels = encode(
-        parsed.records,
-        category_levels=run.config.get("category_levels"),
-        require_labels=require_labels,
+        parsed.records, category_levels=category_levels, require_labels=require_labels
     )
     feature_rows = []
     for i in range(matrix.n_rows):

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 from .errors import ParameterError
-from .records import DEFAULT_BOUNDS, MEASUREMENT_FIELDS, FieldRecord
+from .records import DEFAULT_BOUNDS, FieldRecord, implausible
 
 CATEGORY_OK = "OK"
 CATEGORY_REVIEW = "REVIEW"
@@ -166,14 +166,8 @@ def evaluate_record(record: FieldRecord, registry: UuidRegistry,
     if record.photo_count < record.expected_photo_count:
         triggered.append("PHOTOS_INCOMPLETE")
 
-    for name in MEASUREMENT_FIELDS:
-        value = getattr(record, name)
-        if value is None or name not in bounds:
-            continue
-        low, high = bounds[name]
-        if not low <= value <= high:
-            triggered.append("VALUE_OUT_OF_RANGE")
-            break
+    if implausible(record, bounds):
+        triggered.append("VALUE_OUT_OF_RANGE")
 
     return QcVerdict(uuid=record.uuid, category=categorize(triggered), triggered=triggered)
 

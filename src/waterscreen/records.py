@@ -121,62 +121,78 @@ class FieldRecord:
         return (self.ended_at - self.started_at).total_seconds()
 
 
-_STRING_FIELDS = ("uuid", "sample_id", "collector_id") + CATEGORICAL_FIELDS
-_FLOAT_FIELDS = ("latitude", "longitude", "gps_accuracy_m") + MEASUREMENT_FIELDS
-_TIME_FIELDS = ("started_at", "ended_at")
-_COUNT_FIELDS = ("photo_count", "expected_photo_count")
-_OPTIONAL_INT_FIELDS = ("children_under_5",)
-_LABEL_FIELDS = ("tc_present", "ec_present")
-
-PARSEABLE_FIELDS = (
-    _STRING_FIELDS
-    + _FLOAT_FIELDS
-    + _TIME_FIELDS
-    + _COUNT_FIELDS
-    + _OPTIONAL_INT_FIELDS
-    + _LABEL_FIELDS
-    + ("survey_kind", "dataset_origin")
-)
-
-MANDATORY_FIELDS = ("uuid", "survey_kind")
-
-
-def default_schema() -> dict[str, str]:
-    """Identity column mapping: every known field under its own name."""
-    return {name: name for name in PARSEABLE_FIELDS}
-
-
 @dataclass
 class ParseResult:
     records: list[FieldRecord]
     warnings: list[str]
 
 
-def _parse_float(raw: str) -> float | None:
-    v = float(raw)
-    if not math.isfinite(v):
+def _number(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise ValueError(raw)
-    return v
+    return value
 
 
-def _parse_int(raw: str) -> int:
-    v = float(raw)
-    if not math.isfinite(v) or v != int(v):
-        raise ValueError(raw)
-    return int(v)
+def _whole(accept=lambda v: True):
+    """Parser for a whole number for which accept holds."""
+    def parse(raw: str) -> int:
+        value = _number(raw)
+        if value != int(value) or not accept(value):
+            raise ValueError(raw)
+        return int(value)
+
+    return parse
 
 
-def parse_records(csv_bytes: bytes, schema: Mapping[str, str] | None = None) -> ParseResult:
+def _timestamp(raw: str) -> datetime:
+    try:
+        return datetime.fromisoformat(raw)
+    except ValueError:
+        raise ValueError(raw) from None
+
+
+def _choice(options: tuple[str, ...]):
+    """Parser for one of options, compared and kept in lower case."""
+    def parse(raw: str) -> str:
+        value = raw.lower()
+        if value not in options:
+            raise ValueError(value)
+        return value
+
+    return parse
+
+
+# field -> parser of its stripped, non-empty cell; a parser returns the value
+# or raises ValueError holding the text the parse warning shows
+_PARSERS = {
+    **dict.fromkeys(("uuid", "sample_id", "collector_id") + CATEGORICAL_FIELDS, str),
+    **dict.fromkeys(("latitude", "longitude", "gps_accuracy_m") + MEASUREMENT_FIELDS, _number),
+    **dict.fromkeys(("started_at", "ended_at"), _timestamp),
+    **dict.fromkeys(("photo_count", "expected_photo_count"), _whole(lambda v: v >= 0)),
+    "children_under_5": _whole(),
+    **dict.fromkeys(("tc_present", "ec_present"), _whole(lambda v: v in (0, 1))),
+    "survey_kind": _choice(SURVEY_KINDS),
+    "dataset_origin": _choice(DATASET_ORIGINS),
+}
+
+PARSEABLE_FIELDS = tuple(_PARSERS)
+
+MANDATORY_FIELDS = ("uuid", "survey_kind")
+
+
+def parse_records(csv_bytes: bytes) -> ParseResult:
     """Read a UTF-8 CSV with a header row into FieldRecords.
 
-    `schema` maps FieldRecord field names to CSV header names; omitted fields
-    stay at their defaults. Keys of the form "<measurement>__unit" name
-    columns carrying raw unit labels, recorded as unit tags for harmonize.
-    Unparseable numeric cells become missing, each with a warning; rows are
-    never dropped here.
+    Header names are FieldRecord field names; other columns are ignored, and
+    omitted fields stay at their defaults. A "<measurement>__unit" column
+    carries raw unit labels for that measurement, kept as unit tags for
+    harmonize. An unparseable cell leaves its field at the default (missing,
+    for numbers and times) and adds a warning; rows are never dropped here.
     """
-    if schema is None:
-        schema = default_schema()
     try:
         text = csv_bytes.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -188,103 +204,34 @@ def parse_records(csv_bytes: bytes, schema: Mapping[str, str] | None = None) -> 
         header = next(reader)
     except StopIteration:
         raise EmptyInputError("no CSV content") from None
-    missing_mandatory = [
-        name
-        for name in MANDATORY_FIELDS
-        if name not in schema or schema[name] not in header
-    ]
+    # a repeated header name means its first column
+    position = {name: pos for pos, name in reversed(list(enumerate(header)))}
+    missing_mandatory = [name for name in MANDATORY_FIELDS if name not in position]
     if missing_mandatory:
         raise SchemaError(f"missing mandatory columns: {', '.join(missing_mandatory)}")
-    position: dict[str, int] = {}
-    unit_position: dict[str, int] = {}
-    for key, column in schema.items():
-        if column not in header:
-            continue
-        if key.endswith("__unit"):
-            target = key[: -len("__unit")]
-            if target not in MEASUREMENT_FIELDS:
-                raise SchemaError(f"unit column for unknown measurement: {key}")
-            unit_position[target] = header.index(column)
-        elif key in PARSEABLE_FIELDS:
-            position[key] = header.index(column)
-        else:
-            raise SchemaError(f"unknown field in schema: {key}")
+    columns = [
+        (name, position[name], parse) for name, parse in _PARSERS.items() if name in position
+    ]
+    units = [
+        (name, position[f"{name}__unit"])
+        for name in sorted(MEASUREMENT_FIELDS)
+        if f"{name}__unit" in position
+    ]
     records: list[FieldRecord] = []
     warnings: list[str] = []
-
-    def warn(row: int, field_name: str, raw: str) -> None:
-        warnings.append(f"row {row}: unparseable {field_name} value {raw!r}")
-
     for row_idx, row in enumerate(reader):
-        kwargs: dict[str, object] = {}
-
-        def cell(name: str) -> str:
-            pos = position.get(name)
-            if pos is None or pos >= len(row):
-                return ""
-            return row[pos].strip()
-
-        for name in _STRING_FIELDS:
-            if name in position:
-                kwargs[name] = cell(name)
-        for name in _FLOAT_FIELDS:
-            raw = cell(name)
+        width = len(row)
+        kwargs: dict[str, object] = {"uuid": ""}
+        for name, pos, parse in columns:
+            raw = row[pos].strip() if pos < width else ""
             if raw:
                 try:
-                    kwargs[name] = _parse_float(raw)
-                except ValueError:
-                    warn(row_idx, name, raw)
-        for name in _TIME_FIELDS:
-            raw = cell(name)
-            if raw:
-                try:
-                    kwargs[name] = datetime.fromisoformat(raw)
-                except ValueError:
-                    warn(row_idx, name, raw)
-        for name in _COUNT_FIELDS:
-            raw = cell(name)
-            if raw:
-                try:
-                    value = _parse_int(raw)
-                    if value < 0:
-                        raise ValueError(raw)
-                    kwargs[name] = value
-                except ValueError:
-                    warn(row_idx, name, raw)
-        for name in _OPTIONAL_INT_FIELDS:
-            raw = cell(name)
-            if raw:
-                try:
-                    kwargs[name] = _parse_int(raw)
-                except ValueError:
-                    warn(row_idx, name, raw)
-        for name in _LABEL_FIELDS:
-            raw = cell(name)
-            if raw:
-                try:
-                    value = _parse_int(raw)
-                    if value not in (0, 1):
-                        raise ValueError(raw)
-                    kwargs[name] = value
-                except ValueError:
-                    warn(row_idx, name, raw)
-        raw_kind = cell("survey_kind").lower()
-        if raw_kind in SURVEY_KINDS:
-            kwargs["survey_kind"] = raw_kind
-        elif raw_kind:
-            warn(row_idx, "survey_kind", raw_kind)
-        raw_origin = cell("dataset_origin").lower()
-        if raw_origin in DATASET_ORIGINS:
-            kwargs["dataset_origin"] = raw_origin
-        elif raw_origin:
-            warn(row_idx, "dataset_origin", raw_origin)
-        tags = []
-        for name, pos in sorted(unit_position.items()):
-            if pos < len(row) and row[pos].strip():
-                tags.append((name, row[pos].strip()))
-        if tags:
-            kwargs["unit_tags"] = tuple(tags)
-        kwargs.setdefault("uuid", "")
+                    kwargs[name] = parse(raw)
+                except ValueError as bad:
+                    warnings.append(f"row {row_idx}: unparseable {name} value {bad.args[0]!r}")
+        kwargs["unit_tags"] = tuple(
+            (name, row[pos].strip()) for name, pos in units if pos < width and row[pos].strip()
+        )
         records.append(FieldRecord(**kwargs))
     return ParseResult(records=records, warnings=warnings)
 
@@ -370,6 +317,16 @@ class CleanLog:
     kept_count: int
 
 
+def implausible(record: FieldRecord, bounds: Mapping[str, tuple[float, float]]) -> bool:
+    """Whether any value named in bounds lies outside its [low, high]
+    interval; a missing value is never implausible."""
+    for field_name, (low, high) in bounds.items():
+        value = getattr(record, field_name, None)
+        if value is not None and not low <= value <= high:
+            return True
+    return False
+
+
 def clean(
     records: list[FieldRecord],
     bounds: Mapping[str, tuple[float, float]] | None = None,
@@ -396,16 +353,12 @@ def clean(
         reason = None
         if (record.uuid and record.uuid in seen_uuids) or body in seen_tuples:
             reason = REASON_DUPLICATE
-        else:
-            for field_name, (lo, hi) in effective.items():
-                value = getattr(record, field_name, None)
-                if value is not None and not lo <= value <= hi:
-                    reason = REASON_IMPLAUSIBLE
-                    break
-            if reason is None and record.treatment == RO_TREATMENT_LABEL:
-                reason = REASON_RO_TREATED
-            if reason is None and (record.tc_present is None or record.ec_present is None):
-                reason = REASON_MISSING_OUTCOME
+        elif implausible(record, effective):
+            reason = REASON_IMPLAUSIBLE
+        elif record.treatment == RO_TREATMENT_LABEL:
+            reason = REASON_RO_TREATED
+        elif record.tc_present is None or record.ec_present is None:
+            reason = REASON_MISSING_OUTCOME
         if record.uuid:
             seen_uuids.add(record.uuid)
         seen_tuples.add(body)
@@ -536,14 +489,6 @@ class Labels:
                 raise ParameterError("labels must be exactly 0 or 1")
 
 
-def observed_category_levels(records: list[FieldRecord]) -> dict[str, list[str]]:
-    """Sorted non-empty levels per categorical field, as seen in the records."""
-    return {
-        field_name: sorted({getattr(r, field_name) for r in records} - {""})
-        for field_name in CATEGORICAL_FIELDS
-    }
-
-
 def encode(
     records: list[FieldRecord],
     category_levels: Mapping[str, list[str]] | None = None,
@@ -553,7 +498,8 @@ def encode(
 
     Physicochemical columns come first, contextual columns after, each block
     lexicographic by column name. Unknown or unanswered categories encode as
-    all-zero within their one-hot group. Pass `category_levels` (e.g. from a
+    all-zero within their one-hot group. By default a field's levels are its
+    sorted non-empty values in the records. Pass `category_levels` (e.g. from a
     fitted model's schema) to pin the one-hot vocabulary for new data; with
     `require_labels` off, rows may lack outcomes and Labels is returned only
     if every record carries both.
@@ -561,7 +507,7 @@ def encode(
     if not records:
         raise EmptyInputError("no records to encode")
     if category_levels is None:
-        levels = observed_category_levels(records)
+        levels = {f: sorted({getattr(r, f) for r in records} - {""}) for f in CATEGORICAL_FIELDS}
     else:
         levels = {f: list(category_levels.get(f, [])) for f in CATEGORICAL_FIELDS}
     if require_labels:
@@ -570,49 +516,27 @@ def encode(
                 raise ParameterError(
                     f"record {i} ({r.uuid or 'no uuid'}) lacks an outcome label; clean first"
                 )
-    n = len(records)
-    names: list[str] = []
-    kinds: list[str] = []
-    cols: list[np.ndarray] = []
-    masks: list[np.ndarray] = []
-
-    def add(name: str, kind: str, values: np.ndarray, mask: np.ndarray) -> None:
-        names.append(name)
-        kinds.append(kind)
-        cols.append(values)
-        masks.append(mask)
-
-    def optional_numeric(getter) -> tuple[np.ndarray, np.ndarray]:
-        raw = [getter(r) for r in records]
-        mask = np.array([v is None for v in raw], dtype=bool)
-        values = np.array([np.nan if v is None else float(v) for v in raw], dtype=float)
-        return values, mask
-
-    for field_name in sorted(MEASUREMENT_FIELDS):
-        values, mask = optional_numeric(lambda r, f=field_name: getattr(r, f))
-        add(field_name, KIND_PHYSICO, values, mask)
-
-    contextual: list[tuple[str, np.ndarray, np.ndarray]] = []
-    for field_name in ("latitude", "longitude"):
-        values, mask = optional_numeric(lambda r, f=field_name: getattr(r, f))
-        contextual.append((field_name, values, mask))
-    values, mask = optional_numeric(lambda r: r.children_under_5)
-    contextual.append(("children_under_5", values, mask))
-    origin = np.array([1.0 if r.dataset_origin == "set2" else 0.0 for r in records])
-    contextual.append(("dataset_origin=set2", origin, np.zeros(n, dtype=bool)))
-    for field_name in CATEGORICAL_FIELDS:
-        for level in levels.get(field_name, []):
-            hot = np.array(
-                [1.0 if getattr(r, field_name) == level else 0.0 for r in records]
-            )
-            contextual.append((f"{field_name}={level}", hot, np.zeros(n, dtype=bool)))
-    for name, values, mask in sorted(contextual, key=lambda item: item[0]):
-        add(name, KIND_CONTEXT, values, mask)
-
+    # (column name, record field, level): a level makes a 0/1 indicator of
+    # field == level, no level the field's value, with None as NaN
+    physico = [(name, name, None) for name in sorted(MEASUREMENT_FIELDS)]
+    contextual = sorted(
+        [(name, name, None) for name in ("latitude", "longitude", "children_under_5")]
+        + [("dataset_origin=set2", "dataset_origin", "set2")]
+        + [(f"{f}={level}", f, level) for f in CATEGORICAL_FIELDS for level in levels[f]],
+        key=lambda spec: spec[0],
+    )
+    cols = []
+    for _, field_name, level in physico + contextual:
+        cells = [getattr(r, field_name) for r in records]
+        if level is not None:
+            cells = [cell == level for cell in cells]
+        cols.append(np.array(cells, dtype=float))
+    values = np.column_stack(cols)
     matrix = FeatureMatrix(
-        values=np.column_stack(cols) if cols else np.empty((n, 0)),
-        missing_mask=np.column_stack(masks) if masks else np.empty((n, 0), dtype=bool),
-        columns=list(zip(names, kinds)),
+        values=values,
+        missing_mask=np.zeros(values.shape, dtype=bool),
+        columns=[(name, KIND_PHYSICO) for name, _, _ in physico]
+        + [(name, KIND_CONTEXT) for name, _, _ in contextual],
         row_ids=[r.uuid for r in records],
         category_levels=levels,
     )

@@ -239,6 +239,14 @@ BAD_SETTINGS = {
         "bounds_not_a_pair": {"bounds": {"ph": [6]}},
         "bounds_reversed": {"bounds": {"ph": [9, 6]}},
         "bounds_string_value": {"bounds": {"ph": ["6", 9]}},
+        "dictionary_not_an_object": {"dictionary": [["tap", "piped"]]},
+    },
+    "encode": {
+        "require_labels_string": {"require_labels": "no"},
+        "require_labels_number": {"require_labels": 0},
+        "category_levels_not_an_object": {"category_levels": ["piped"]},
+        "category_levels_not_lists": {"category_levels": {"source_type": "piped"}},
+        "category_levels_not_strings": {"category_levels": {"source_type": [1]}},
     },
     "compare": {
         "n_boot_not_an_integer": {"n_boot": "many"},
@@ -276,6 +284,7 @@ def _subcommand_args(subcommand, workspace):
         "train": ["--records", fixture],
         "ablate": ["--records", fixture],
         "clean": ["--records", fixture],
+        "encode": ["--records", fixture],
         "compare": ["--reference", str(model_dir / "cv_report.json"),
                     "--challengers", str(model_dir / "cv_report_no_aux.json")],
         "explain": ["--model", str(model_dir / "model.json"), "--records", fixture],
@@ -299,14 +308,22 @@ def test_subcommands_refuse_bad_settings(workspace, tmp_path, capsys, subcommand
     assert err.startswith("error: ")
     assert next(iter(setting)) in err
     assert ", got " in err  # refused by the up-front check, not by the fit
-    assert not (out_dir / "manifest.json").exists()
+    assert not out_dir.exists()
 
 
 def test_seed_flag_must_be_a_non_negative_integer(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert run(["synth", "--seed", "-1", "--out", str(out_dir)]) == 1
     assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
-    assert not (out_dir / "manifest.json").exists()
+    assert not out_dir.exists()
+
+
+def test_refused_runs_leave_no_output_directory(tmp_path):
+    missing = str(tmp_path / "absent.csv")
+    for subcommand in ("qc", "clean", "encode", "train"):
+        out_dir = tmp_path / subcommand
+        assert run([subcommand, "--records", missing, "--out", str(out_dir)]) == 1
+        assert not out_dir.exists()
 
 
 def test_settings_a_subcommand_does_not_read_are_not_refused(workspace, tmp_path):
@@ -367,6 +384,24 @@ def test_clean_removes_and_logs(tmp_path):
     reasons = {entry["uuid"]: entry["reason"] for entry in log["removed"]}
     assert reasons["a"] == "duplicate"
     assert reasons["c"] == "implausible_value"
+
+
+def test_clean_converts_tagged_units(tmp_path):
+    raw = tmp_path / "raw.csv"
+    write_fixture([record("a", tds_ppm=0.25), record("b", 1, tds_ppm=180.0)], raw)
+    with open(raw, newline="") as handle:
+        rows = list(csv.reader(handle))
+    rows[0].append("tds_ppm__unit")
+    rows[1].append("g/L")
+    rows[2].append("")
+    with open(raw, "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    config = _write(tmp_path / "units.json", {"dictionary": {"units": {"tds_ppm": {"g/L": 1000}}}})
+    out_dir = tmp_path / "cleaned"
+    assert run(["clean", "--records", str(raw), "--config", str(config), "--out", str(out_dir)]) == 0
+    with open(out_dir / "cleaned.csv", newline="") as handle:
+        cleaned = {row["uuid"]: row["tds_ppm"] for row in csv.DictReader(handle)}
+    assert cleaned == {"a": "250.0", "b": "180.0"}
 
 
 def test_encode_writes_matrix_labels_and_schema(workspace, tmp_path):

@@ -1,11 +1,15 @@
 """Tests for record parsing, harmonization, cleaning, and encoding."""
 
+import csv
+import io
 import math
 from dataclasses import replace
 from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waterscreen.errors import (
     DictionaryError,
@@ -14,14 +18,20 @@ from waterscreen.errors import (
     SchemaError,
     StratificationError,
 )
+from waterscreen.qc import UuidRegistry, evaluate_record
 from waterscreen.records import (
     CATEGORICAL_FIELDS,
+    DEFAULT_BOUNDS,
     MEASUREMENT_FIELDS,
+    PARSEABLE_FIELDS,
     FeatureMatrix,
     FieldRecord,
+    Labels,
+    ParseResult,
     clean,
     encode,
     harmonize,
+    implausible,
     parse_records,
     screen_outliers,
     stratified_split,
@@ -100,27 +110,27 @@ class TestParse:
         assert r.started_at == datetime(2024, 3, 1, 10, 0, 0)
         assert r.duration_s == pytest.approx(330.0)
 
-    def test_schema_renames_columns(self):
-        data = csv_bytes(
-            ["id", "kind", "acidity"], [["a1", "household", "6.8"]]
-        )
-        schema = {"uuid": "id", "survey_kind": "kind", "ph": "acidity"}
-        r = parse_records(data, schema=schema).records[0]
-        assert r.uuid == "a1" and r.ph == pytest.approx(6.8)
-
     def test_unit_tag_column(self):
         data = csv_bytes(
-            ["uuid", "survey_kind", "tds_ppm", "tds_unit"],
-            [["a1", "household", "0.2", "g/L"]],
+            ["uuid", "survey_kind", "tds_ppm", "tds_ppm__unit", "colour__unit"],
+            [["a1", "household", "0.2", " g/L ", "hex"], ["a2", "household", "150", ""]],
         )
-        schema = {
-            "uuid": "uuid",
-            "survey_kind": "survey_kind",
-            "tds_ppm": "tds_ppm",
-            "tds_ppm__unit": "tds_unit",
-        }
-        r = parse_records(data, schema=schema).records[0]
-        assert r.unit_tags == (("tds_ppm", "g/L"),)
+        first, second = parse_records(data).records
+        assert first.unit_tags == (("tds_ppm", "g/L"),)
+        assert second.unit_tags == ()
+
+    def test_unknown_and_repeated_columns(self):
+        data = csv_bytes(
+            ["uuid", "notes", "survey_kind", "ph", "ph"], [["a1", "x", "household", "6.8", "9"]]
+        )
+        r = parse_records(data).records[0]
+        assert r.uuid == "a1" and r.ph == pytest.approx(6.8)
+
+    def test_survey_kind_is_case_insensitive_and_warned_lower_case(self):
+        data = csv_bytes(["uuid", "survey_kind"], [["a1", "Water_Body"], ["a2", "Garden"]])
+        result = parse_records(data)
+        assert [r.survey_kind for r in result.records] == ["water_body", "household"]
+        assert result.warnings == ["row 1: unparseable survey_kind value 'garden'"]
 
     def test_missing_mandatory_column_raises(self):
         data = csv_bytes(["survey_kind", "ph"], [["household", "7.0"]])
@@ -440,3 +450,295 @@ class TestStratifiedSplit:
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ParameterError):
                 stratified_split(y, bad, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the per-type parser and the per-block encoder
+# that the field-table parser and the column-spec encoder replaced, kept as
+# oracles (the parser reads every field and "<measurement>__unit" column under
+# its own name)
+
+_REF_STRING = ("uuid", "sample_id", "collector_id") + CATEGORICAL_FIELDS
+_REF_FLOAT = ("latitude", "longitude", "gps_accuracy_m") + MEASUREMENT_FIELDS
+_REF_TIME = ("started_at", "ended_at")
+_REF_COUNT = ("photo_count", "expected_photo_count")
+_REF_OPTIONAL_INT = ("children_under_5",)
+_REF_LABEL = ("tc_present", "ec_present")
+_REF_FIELDS = (
+    _REF_STRING + _REF_FLOAT + _REF_TIME + _REF_COUNT + _REF_OPTIONAL_INT + _REF_LABEL
+    + ("survey_kind", "dataset_origin")
+)
+
+
+def _ref_float(raw):
+    v = float(raw)
+    if not math.isfinite(v):
+        raise ValueError(raw)
+    return v
+
+
+def _ref_int(raw):
+    v = float(raw)
+    if not math.isfinite(v) or v != int(v):
+        raise ValueError(raw)
+    return int(v)
+
+
+def _parse_records_reference(csv_bytes):
+    schema = {name: name for name in _REF_FIELDS}
+    schema.update({f"{name}__unit": f"{name}__unit" for name in MEASUREMENT_FIELDS})
+    try:
+        text = csv_bytes.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise SchemaError("input is not valid UTF-8") from e
+    if not text.strip():
+        raise EmptyInputError("no CSV content")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyInputError("no CSV content") from None
+    missing_mandatory = [
+        name for name in ("uuid", "survey_kind") if schema[name] not in header
+    ]
+    if missing_mandatory:
+        raise SchemaError(f"missing mandatory columns: {', '.join(missing_mandatory)}")
+    position = {}
+    unit_position = {}
+    for key, column in schema.items():
+        if column not in header:
+            continue
+        if key.endswith("__unit"):
+            unit_position[key[: -len("__unit")]] = header.index(column)
+        else:
+            position[key] = header.index(column)
+    records = []
+    warnings = []
+
+    def warn(row, field_name, raw):
+        warnings.append(f"row {row}: unparseable {field_name} value {raw!r}")
+
+    for row_idx, row in enumerate(reader):
+        kwargs = {}
+
+        def cell(name):
+            pos = position.get(name)
+            if pos is None or pos >= len(row):
+                return ""
+            return row[pos].strip()
+
+        for name in _REF_STRING:
+            if name in position:
+                kwargs[name] = cell(name)
+        for names, parse, ok in (
+            (_REF_FLOAT, _ref_float, lambda v: True),
+            (_REF_TIME, datetime.fromisoformat, lambda v: True),
+            (_REF_COUNT, _ref_int, lambda v: v >= 0),
+            (_REF_OPTIONAL_INT, _ref_int, lambda v: True),
+            (_REF_LABEL, _ref_int, lambda v: v in (0, 1)),
+        ):
+            for name in names:
+                raw = cell(name)
+                if raw:
+                    try:
+                        value = parse(raw)
+                        if not ok(value):
+                            raise ValueError(raw)
+                        kwargs[name] = value
+                    except ValueError:
+                        warn(row_idx, name, raw)
+        for name, options in (("survey_kind", ("household", "water_body")),
+                              ("dataset_origin", ("set1", "set2"))):
+            raw = cell(name).lower()
+            if raw in options:
+                kwargs[name] = raw
+            elif raw:
+                warn(row_idx, name, raw)
+        tags = []
+        for name, pos in sorted(unit_position.items()):
+            if pos < len(row) and row[pos].strip():
+                tags.append((name, row[pos].strip()))
+        if tags:
+            kwargs["unit_tags"] = tuple(tags)
+        kwargs.setdefault("uuid", "")
+        records.append(FieldRecord(**kwargs))
+    return records, warnings
+
+
+def _encode_reference(records, category_levels=None, require_labels=True):
+    if not records:
+        raise EmptyInputError("no records to encode")
+    if category_levels is None:
+        levels = {
+            f: sorted({getattr(r, f) for r in records} - {""}) for f in CATEGORICAL_FIELDS
+        }
+    else:
+        levels = {f: list(category_levels.get(f, [])) for f in CATEGORICAL_FIELDS}
+    if require_labels:
+        for i, r in enumerate(records):
+            if r.tc_present is None or r.ec_present is None:
+                raise ParameterError(
+                    f"record {i} ({r.uuid or 'no uuid'}) lacks an outcome label; clean first"
+                )
+    n = len(records)
+    columns, cols, masks = [], [], []
+
+    def optional_numeric(field_name):
+        raw = [getattr(r, field_name) for r in records]
+        mask = np.array([v is None for v in raw], dtype=bool)
+        values = np.array([np.nan if v is None else float(v) for v in raw], dtype=float)
+        return values, mask
+
+    for field_name in sorted(MEASUREMENT_FIELDS):
+        values, mask = optional_numeric(field_name)
+        columns.append((field_name, "physicochemical"))
+        cols.append(values)
+        masks.append(mask)
+    contextual = []
+    for field_name in ("latitude", "longitude", "children_under_5"):
+        contextual.append((field_name, *optional_numeric(field_name)))
+    origin = np.array([1.0 if r.dataset_origin == "set2" else 0.0 for r in records])
+    contextual.append(("dataset_origin=set2", origin, np.zeros(n, dtype=bool)))
+    for field_name in CATEGORICAL_FIELDS:
+        for level in levels.get(field_name, []):
+            hot = np.array([1.0 if getattr(r, field_name) == level else 0.0 for r in records])
+            contextual.append((f"{field_name}={level}", hot, np.zeros(n, dtype=bool)))
+    for name, values, mask in sorted(contextual, key=lambda item: item[0]):
+        columns.append((name, "contextual"))
+        cols.append(values)
+        masks.append(mask)
+    matrix = FeatureMatrix(
+        values=np.column_stack(cols),
+        missing_mask=np.column_stack(masks),
+        columns=columns,
+        row_ids=[r.uuid for r in records],
+        category_levels=levels,
+    )
+    labels = None
+    if all(r.tc_present is not None and r.ec_present is not None for r in records):
+        labels = Labels(
+            tc=np.array([r.tc_present for r in records], dtype=np.int8),
+            ec=np.array([r.ec_present for r in records], dtype=np.int8),
+        )
+    return matrix, labels
+
+
+_TEXT_CELLS = ["", "a1", "  padded  ", "piped", "Piped", "tap water", 'say "hi"', "a, b"]
+_CELLS = {
+    **dict.fromkeys(_REF_STRING, _TEXT_CELLS),
+    **dict.fromkeys(_REF_FLOAT, ["", "7.2", " 7.2 ", "-1e3", "0", "-0", "n/a", "nan",
+                                 "-inf", "1e400", "12,5", "1_000"]),
+    **dict.fromkeys(_REF_TIME, ["", "2024-03-01T10:00:00", " 2024-03-01 10:05 ",
+                                "2024-03-01T10:00:00+05:30", "yesterday", "2024-13-01"]),
+    **dict.fromkeys(_REF_COUNT + _REF_OPTIONAL_INT + _REF_LABEL,
+                    ["", "0", "1", " 1 ", "2", "-3", "1.0", "1.5", "-0", "x", "1e400", "nan"]),
+    "survey_kind": ["", "household", "Household", " WATER_BODY ", "garden", "Garden"],
+    "dataset_origin": ["", "set1", "SET2", "Set3"],
+    **{f"{name}__unit": ["", "g/L", " ppm ", "mS/cm"] for name in MEASUREMENT_FIELDS},
+    "notes": _TEXT_CELLS,
+    "colour__unit": _TEXT_CELLS,
+}
+
+
+@st.composite
+def survey_csvs(draw):
+    """A records CSV: shuffled, missing, repeated and unknown columns, short
+    and long rows, padded, unparseable and mixed-case cells, unit columns."""
+    names = draw(st.lists(st.sampled_from(sorted(_CELLS)), max_size=14))
+    if draw(st.booleans()):
+        names += list(_REF_FIELDS)
+    if draw(st.integers(0, 9)):
+        names += ["uuid", "survey_kind"]
+    names = draw(st.permutations(names))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        width = len(names) + draw(st.sampled_from([0, 0, 0, -1, -3, 1]))
+        rows.append([
+            draw(st.sampled_from(_CELLS[names[j]] if j < len(names) else _TEXT_CELLS))
+            for j in range(max(width, 0))
+        ])
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(names)
+    writer.writerows(rows)
+    levels = draw(st.one_of(
+        st.none(),
+        st.dictionaries(st.sampled_from(CATEGORICAL_FIELDS), st.lists(st.sampled_from(_TEXT_CELLS))),
+    ))
+    return buffer.getvalue().encode("utf-8"), levels
+
+
+def _outcome(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except (EmptyInputError, ParameterError, SchemaError) as e:
+        return type(e), str(e)
+
+
+def _matrix_parts(outcome):
+    if not isinstance(outcome[0], FeatureMatrix):
+        return outcome
+    matrix, labels = outcome
+    return (
+        matrix.values.tobytes(), matrix.missing_mask.tobytes(), matrix.values.shape,
+        matrix.columns, matrix.row_ids, matrix.category_levels,
+        None if labels is None else (labels.tc.tobytes(), labels.ec.tobytes()),
+    )
+
+
+def test_parseable_fields_keep_their_order():
+    assert PARSEABLE_FIELDS == _REF_FIELDS
+
+
+@settings(max_examples=300, deadline=None)
+@given(survey_csvs())
+def test_parse_and_encode_match_the_references(case):
+    data, levels = case
+    parsed = _outcome(parse_records, data)
+    expected = _outcome(_parse_records_reference, data)
+    if isinstance(parsed, ParseResult):
+        assert (parsed.records, parsed.warnings) == expected
+    else:
+        assert parsed == expected
+        return
+    for require_labels in (False, True):
+        got = _outcome(encode, parsed.records, levels, require_labels)
+        want = _outcome(_encode_reference, parsed.records, levels, require_labels)
+        assert _matrix_parts(got) == _matrix_parts(want)
+
+
+def _implausible_reference(record, bounds):
+    # the loop of qc.evaluate_record; clean's loop differed only in reading
+    # every bounded name rather than the measurements alone
+    for name in MEASUREMENT_FIELDS:
+        value = getattr(record, name)
+        if value is None or name not in bounds:
+            continue
+        low, high = bounds[name]
+        if not low <= value <= high:
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(MEASUREMENT_FIELDS),
+        st.one_of(st.none(), st.sampled_from([-1.0, 0.0, 5.0, 14.0, 14.5, math.nan, math.inf])),
+    ),
+    st.dictionaries(
+        st.sampled_from(MEASUREMENT_FIELDS),
+        st.tuples(st.sampled_from([-2.0, 0.0, 5.0]), st.sampled_from([5.0, 14.0, 100.0])),
+    ),
+)
+def test_one_plausibility_rule_for_qc_and_clean(values, bounds):
+    record = make_record(**values)
+    expected = _implausible_reference(record, bounds)
+    assert implausible(record, bounds) == expected
+    verdict = evaluate_record(record, UuidRegistry(), bounds)
+    assert ("VALUE_OUT_OF_RANGE" in verdict.triggered) == expected
+    # clean lays the bounds it is given over the defaults
+    widened = {**{name: (-math.inf, math.inf) for name in DEFAULT_BOUNDS}, **bounds}
+    _, log = clean([record], widened)
+    removed = [r.reason for r in log.removed] == ["implausible_value"]
+    assert removed == _implausible_reference(record, widened)
