@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, UndefinedMetricError
+from .errors import ParameterError, ThresholdError, UndefinedMetricError
 
 
 @dataclass(frozen=True)
@@ -57,68 +57,65 @@ class MetricBundle:
     specificity: float
 
 
-def _check_binary(labels: np.ndarray) -> np.ndarray:
+def _check_binary(scores, labels, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Float scores and 0/1 labels of the same length."""
+    s = np.asarray(scores, dtype=float)
     y = np.asarray(labels)
     if y.ndim != 1:
         raise ParameterError("labels must be one-dimensional")
-    if y.size and not np.isin(y, (0, 1)).all():
+    if not ((y == 0) | (y == 1)).all():
         raise ParameterError("labels must be 0/1")
-    return y.astype(np.int64)
+    if s.shape != y.shape:
+        raise ParameterError(f"{name} and labels must have the same length")
+    return s, y.astype(np.int64)
+
+
+def _sweep(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tie groups of the scores, highest first: each group's score and the
+    cumulative positives and negatives scored at or above it. `s` and `y`
+    come from _check_binary; NaN scores have no rank and are refused."""
+    if np.isnan(s).any():
+        raise ParameterError("scores must not be NaN")
+    order = np.argsort(-s, kind="mergesort")
+    s_desc = s[order]
+    # the last row of each tie group (none for an empty vector)
+    last = np.flatnonzero(np.concatenate((s_desc[1:] != s_desc[:-1], [s.size > 0])))
+    tp = np.cumsum(y[order])[last]
+    return s_desc[last], tp, last + 1 - tp
 
 
 def roc_auc(scores, labels) -> float:
     """Area under the ROC curve via the Mann-Whitney statistic.
 
-    Equals P(score_pos > score_neg) + 0.5 * P(tie), computed with midranks,
-    so tied scores contribute half credit.
+    Equals P(score_pos > score_neg) + 0.5 * P(tie), so tied scores
+    contribute half credit.
     """
-    s = np.asarray(scores, dtype=float)
-    y = _check_binary(labels)
-    if s.shape != y.shape:
-        raise ParameterError("scores and labels must have the same length")
+    s, y = _check_binary(scores, labels, "scores")
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("roc_auc needs both classes present")
-    order = np.argsort(s, kind="mergesort")
-    sorted_s = s[order]
-    # midranks: tied values share the mean of their 1-based rank range
-    starts = np.flatnonzero(np.r_[True, sorted_s[1:] != sorted_s[:-1]])
-    ends = np.r_[starts[1:], s.size]
-    midranks = (starts + ends + 1) / 2.0
-    ranks = np.empty(s.size, dtype=float)
-    ranks[order] = np.repeat(midranks, ends - starts)
-    rank_sum_pos = float(ranks[y == 1].sum())
-    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    _, tp, fp = _sweep(s, y)
+    # each group's negatives lose to the positives above it and tie with its
+    # own, so twice the wins is an exact integer (the ROC trapezoid sum)
+    twice_wins = int(fp[0] * tp[0] + (fp[1:] - fp[:-1]) @ (tp[:-1] + tp[1:]))
+    return twice_wins / (2 * n_pos * n_neg)
 
 
 def average_precision(scores, labels) -> float:
     """Average precision: sum of precision-at-cut times recall increment,
     with tied scores entering the cut together."""
-    s = np.asarray(scores, dtype=float)
-    y = _check_binary(labels)
-    if s.shape != y.shape:
-        raise ParameterError("scores and labels must have the same length")
+    s, y = _check_binary(scores, labels, "scores")
     n_pos = int(y.sum())
     if n_pos == 0:
         raise UndefinedMetricError("average_precision needs at least one positive")
-    order = np.argsort(-s, kind="mergesort")
-    y_desc = y[order]
-    s_desc = s[order]
-    cum_tp = np.cumsum(y_desc)
-    cut = np.flatnonzero(np.r_[s_desc[1:] != s_desc[:-1], True])
-    tp_at_cut = cum_tp[cut]
-    precision_at_cut = tp_at_cut / (cut + 1.0)
-    tp_gain = np.diff(np.r_[0, tp_at_cut])
-    return float((precision_at_cut * tp_gain).sum() / n_pos)
+    _, tp, fp = _sweep(s, y)
+    return float((tp / (tp + fp) * np.diff(tp, prepend=0)).sum() / n_pos)
 
 
 def brier(probs, labels) -> float:
     """Mean squared error of predicted probabilities against 0/1 outcomes."""
-    p = np.asarray(probs, dtype=float)
-    y = _check_binary(labels)
-    if p.shape != y.shape:
-        raise ParameterError("probs and labels must have the same length")
+    p, y = _check_binary(probs, labels, "probs")
     if p.size == 0:
         raise ParameterError("brier needs at least one sample")
     if (p < 0).any() or (p > 1).any():
@@ -128,10 +125,7 @@ def brier(probs, labels) -> float:
 
 def confusion_at(probs, labels, t: float) -> ConfusionCounts:
     """Confusion counts when predicting positive for prob >= t (closed threshold)."""
-    p = np.asarray(probs, dtype=float)
-    y = _check_binary(labels)
-    if p.shape != y.shape:
-        raise ParameterError("probs and labels must have the same length")
+    p, y = _check_binary(probs, labels, "probs")
     if not 0.0 <= t <= 1.0:
         raise ParameterError("threshold must lie in [0, 1]")
     pred = p >= t
@@ -202,11 +196,38 @@ def threshold_curve(probs, labels, grid, beta: float = 2.0) -> list[tuple[float,
         raise ParameterError("grid must be a non-empty 1-d sequence")
     if (np.diff(g) < 0).any():
         raise ParameterError("grid must be sorted ascending")
+    if not ((g >= 0.0) & (g <= 1.0)).all():
+        raise ParameterError("threshold must lie in [0, 1]")
+    p, y = _check_binary(probs, labels, "probs")
+    n_pos = int(y.sum())
+    n_neg = y.size - n_pos
+    scores, tp, fp = _sweep(p, y)
+    # the number of groups scored at or above each t indexes counts led by zero
+    at_or_above = np.searchsorted(-scores, -g, side="right")
     rows = []
-    for t in g:
-        m = classification_bundle(confusion_at(probs, labels, float(t)), beta)
-        rows.append((float(t), m.precision, m.recall, m.f1, m.fbeta))
+    for t, tp_t, fp_t in zip(g.tolist(), *(np.r_[0, c][at_or_above].tolist() for c in (tp, fp))):
+        m = classification_bundle(ConfusionCounts(tp_t, fp_t, n_pos - tp_t, n_neg - fp_t), beta)
+        rows.append((t, m.precision, m.recall, m.f1, m.fbeta))
     return rows
+
+
+def select_threshold(calibrated_probs, labels, beta: float = 2.0) -> float:
+    """The observed probability maximizing Fbeta when classifying prob >= t.
+
+    Ties go to the smallest maximizing threshold, which favors recall.
+    """
+    if not beta > 0:
+        raise ParameterError("beta must be positive")
+    p, y = _check_binary(calibrated_probs, labels, "probabilities")
+    n_pos = int(y.sum())
+    if n_pos == 0:
+        raise ThresholdError("threshold selection needs at least one positive label")
+    candidates, tp, fp = _sweep(p, y)
+    fn = n_pos - tp
+    b2 = beta * beta
+    fbeta = (1.0 + b2) * tp / ((1.0 + b2) * tp + b2 * fn + fp)  # n_pos >= 1: no NaN
+    # candidates descend, so the last maximum is the smallest maximizing threshold
+    return float(candidates[np.flatnonzero(fbeta == fbeta.max())[-1]])
 
 
 def full_bundle(probs, labels, threshold: float) -> MetricBundle:

@@ -7,13 +7,8 @@ threshold) is a function of its fold's training portion only. Trees read
 raw measurements; scaling and imputation serve the logistic baseline alone.
 """
 
-from .calibration import (
-    Calibrator,
-    fit_calibrator,
-    isotonic_fit,
-    platt_fit,
-    select_threshold,
-)
+from ..metrics import select_threshold
+from .calibration import Calibrator, fit_calibrator, isotonic_fit, platt_fit
 from .folds import FoldPlan, plan_folds
 from .scaling import Scaler, fit_fold_scaler, impute_for_linear
 from .stacking import (

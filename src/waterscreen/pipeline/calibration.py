@@ -1,4 +1,4 @@
-"""Probability calibration and operating-threshold selection.
+"""Probability calibration.
 
 Two calibrators are available: a sigmoid fit by penalized likelihood on
 smoothed targets (Platt-style), and a non-decreasing step function fitted by
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ParameterError, ThresholdError
+from ..errors import ParameterError
 from ..trees.model import sigmoid
 
 METHOD_PLATT = "platt"
@@ -171,32 +171,3 @@ def fit_calibrator(raw_scores, labels, method: str = METHOD_ISOTONIC) -> Calibra
             return Calibrator(method=METHOD_ISOTONIC, knots_x=knots_x, knots_y=knots_y)
     a, b = platt_fit(s, y)
     return Calibrator(method=METHOD_FALLBACK, a=a, b=b)
-
-
-def select_threshold(calibrated_probs, labels, beta: float = 2.0) -> float:
-    """The observed probability maximizing Fbeta when classifying prob >= t.
-
-    Ties go to the smallest maximizing threshold, which favors recall.
-    """
-    if not beta > 0:
-        raise ParameterError("beta must be positive")
-    p = np.asarray(calibrated_probs, dtype=float)
-    y = np.asarray(labels)
-    if p.shape != y.shape:
-        raise ParameterError("probabilities and labels must have the same length")
-    n_pos = int((y == 1).sum())
-    if n_pos == 0:
-        raise ThresholdError("threshold selection needs at least one positive label")
-    candidates = np.unique(p)
-    order = np.argsort(-p, kind="mergesort")
-    sorted_labels = np.asarray(y[order] == 1, dtype=np.int64)
-    cum_tp = np.cumsum(sorted_labels)
-    # number of rows with prob >= v, exploiting the descending sort
-    n_at_or_above = np.searchsorted(-p[order], -candidates, side="right")
-    tp = cum_tp[n_at_or_above - 1]
-    fp = n_at_or_above - tp
-    fn = n_pos - tp
-    b2 = beta * beta
-    fbeta = (1.0 + b2) * tp / ((1.0 + b2) * tp + b2 * fn + fp)
-    # argmax returns the first maximum; n_pos >= 1 and beta > 0 keep fbeta free of NaN
-    return float(candidates[int(np.argmax(fbeta))])

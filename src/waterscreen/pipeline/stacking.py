@@ -24,7 +24,7 @@ from ..errors import (
     SchemaError,
     ThresholdError,
 )
-from ..metrics import ConfusionCounts, MetricBundle, bundle_from_parts, confusion_at, roc_auc
+from ..metrics import ConfusionCounts, MetricBundle, bundle_from_parts, confusion_at, roc_auc, select_threshold
 from ..records import KIND_AUX, FeatureMatrix, stratified_split
 from ..trees import (
     FAMILY_FOREST,
@@ -41,7 +41,7 @@ from ..trees import (
 )
 from ..trees.model import from_dict as model_from_dict
 from ..trees.model import to_dict as model_to_dict
-from .calibration import Calibrator, fit_calibrator, select_threshold
+from .calibration import Calibrator, fit_calibrator
 from .folds import FoldPlan
 from .scaling import fit_fold_scaler, impute_for_linear
 

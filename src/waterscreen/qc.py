@@ -64,6 +64,7 @@ RULES = (
     QcRule("BATCH_FILLING", DOMAIN_RECORD_INTEGRITY, SEVERITY_REVIEW),
     QcRule("MISSING_SAMPLE_ID", DOMAIN_SAMPLE_ID, SEVERITY_ALERT),
     QcRule("GPS_MISSING", DOMAIN_GPS, SEVERITY_REVIEW),
+    QcRule("GPS_OUT_OF_RANGE", DOMAIN_GPS, SEVERITY_ALERT),
     QcRule("GPS_LOW_ACCURACY", DOMAIN_GPS, SEVERITY_REVIEW),
     QcRule("SPATIAL_CLUSTER", DOMAIN_GPS, SEVERITY_REVIEW),
     QcRule("DURATION_SHORT", DOMAIN_DURATION, SEVERITY_REVIEW),
@@ -148,6 +149,9 @@ def evaluate_record(record: FieldRecord, registry: UuidRegistry,
 
     if record.latitude is None or record.longitude is None:
         triggered.append("GPS_MISSING")
+    # a coordinate off the globe (NaN included) is impossible; an absent one is GPS_MISSING
+    if not (-90.0 <= (record.latitude or 0.0) <= 90.0 and -180.0 <= (record.longitude or 0.0) <= 180.0):
+        triggered.append("GPS_OUT_OF_RANGE")
     if record.gps_accuracy_m is not None and record.gps_accuracy_m > GPS_ACCURACY_LIMIT_M:
         triggered.append("GPS_LOW_ACCURACY")
 

@@ -236,12 +236,27 @@ def parse_records(csv_bytes: bytes) -> ParseResult:
     return ParseResult(records=records, warnings=warnings)
 
 
-def _category_lookup(entries) -> dict[str, str]:
+def _tables(dictionary: Mapping, name: str, fields: tuple[str, ...], lookup) -> dict:
+    """The dictionary's `name` section: one table per field it may name, read by lookup."""
+    tables = dictionary.get(name, {})
+    if not isinstance(tables, Mapping) or not set(tables) <= set(fields):
+        raise DictionaryError(
+            f"dictionary {name} must be an object keyed by {', '.join(fields)}, got {tables!r}"
+        )
+    return {field_name: lookup(field_name, table) for field_name, table in tables.items()}
+
+
+def _category_lookup(field_name: str, entries) -> dict[str, str]:
     """Alias table for one field: casefolded raw spelling -> canonical label."""
-    if isinstance(entries, Mapping):
-        pairs = list(entries.items())
-    else:
-        pairs = [(raw, canonical) for raw, canonical in entries]
+    pairs = list(entries.items()) if isinstance(entries, Mapping) else entries
+    if not isinstance(pairs, (list, tuple)) or not all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2 and all(type(v) is str for v in pair)
+        for pair in pairs
+    ):
+        raise DictionaryError(
+            f"dictionary categories {field_name} must be a map or a list of string pairs,"
+            f" got {entries!r}"
+        )
     lookup: dict[str, str] = {}
     for raw, canonical in pairs:
         key = raw.strip().casefold()
@@ -253,6 +268,18 @@ def _category_lookup(entries) -> dict[str, str]:
     return lookup
 
 
+def _unit_lookup(field_name: str, table) -> dict[str, float]:
+    """Factor table for one field: casefolded unit label -> factor to canonical."""
+    if not isinstance(table, Mapping) or not all(
+        type(factor) in (int, float) and 0 < factor < math.inf for factor in table.values()
+    ):
+        raise DictionaryError(
+            f"dictionary units {field_name} must map unit labels to finite numbers > 0,"
+            f" got {table!r}"
+        )
+    return {label.strip().casefold(): float(factor) for label, factor in table.items()}
+
+
 def harmonize(records: list[FieldRecord], dictionary: Mapping) -> list[FieldRecord]:
     """Canonicalize category spellings and convert tagged units.
 
@@ -261,19 +288,14 @@ def harmonize(records: list[FieldRecord], dictionary: Mapping) -> list[FieldReco
     table pass through. Unrecognized non-empty spellings become "other";
     unanswered values stay empty. Unit tags with a known factor are applied
     and cleared; unknown tags are left in place so the non-conversion stays
-    visible. Idempotent: canonical labels map to themselves.
+    visible. Idempotent: canonical labels map to themselves. A malformed
+    table raises DictionaryError before any record is read.
     """
-    category_tables = {
-        field_name: _category_lookup(entries)
-        for field_name, entries in dictionary.get("categories", {}).items()
-    }
+    category_tables = _tables(dictionary, "categories", CATEGORICAL_FIELDS, _category_lookup)
     canonical_sets = {
         field_name: set(table.values()) for field_name, table in category_tables.items()
     }
-    unit_tables = {
-        field_name: {label.strip().casefold(): float(factor) for label, factor in table.items()}
-        for field_name, table in dictionary.get("units", {}).items()
-    }
+    unit_tables = _tables(dictionary, "units", MEASUREMENT_FIELDS, _unit_lookup)
     out = []
     for record in records:
         changes: dict[str, object] = {}

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateTableError, PairingError, ParameterError, UndefinedMetricError
+from .errors import DegenerateTableError, PairingError, ParameterError
 from .metrics import average_precision, roc_auc
 
 
@@ -163,25 +163,10 @@ def paired_bootstrap_delta(
             strata.append(idx)
     point = metric_fn(cand, y) - metric_fn(ref, y)
     deltas = np.empty(n_boot, dtype=float)
-    attempts_left = 10 * n_boot
     for rep in range(n_boot):
         rng = np.random.default_rng([seed, rep])
-        while True:
-            sampled = np.concatenate(
-                [s[rng.integers(0, s.size, s.size)] for s in strata]
-            )
-            try:
-                deltas[rep] = metric_fn(cand[sampled], y[sampled]) - metric_fn(
-                    ref[sampled], y[sampled]
-                )
-                break
-            except UndefinedMetricError:
-                # cannot occur under per-class stratification, kept as a guard
-                attempts_left -= 1
-                if attempts_left <= 0:
-                    raise ParameterError(
-                        "bootstrap could not produce enough valid replicates"
-                    ) from None
+        sampled = np.concatenate([s[rng.integers(0, s.size, s.size)] for s in strata])
+        deltas[rep] = metric_fn(cand[sampled], y[sampled]) - metric_fn(ref[sampled], y[sampled])
     ci_low, ci_high = np.percentile(deltas, [2.5, 97.5])
     le = int(np.count_nonzero(deltas <= 0.0))
     ge = int(np.count_nonzero(deltas >= 0.0))

@@ -240,6 +240,9 @@ BAD_SETTINGS = {
         "bounds_reversed": {"bounds": {"ph": [9, 6]}},
         "bounds_string_value": {"bounds": {"ph": ["6", 9]}},
         "dictionary_not_an_object": {"dictionary": [["tap", "piped"]]},
+        "dictionary_units_not_an_object": {"dictionary": {"units": []}},
+        "dictionary_factor_not_a_number": {"dictionary": {"units": {"tds_ppm": {"g/L": "x"}}}},
+        "dictionary_categories_not_pairs": {"dictionary": {"categories": {"treatment": [1]}}},
     },
     "encode": {
         "require_labels_string": {"require_labels": "no"},

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from waterscreen.errors import ParameterError, UndefinedMetricError
+from waterscreen.errors import ParameterError, ThresholdError, UndefinedMetricError
 from waterscreen.metrics import (
     ConfusionCounts,
     average_precision,
@@ -13,6 +17,7 @@ from waterscreen.metrics import (
     fbeta_from_pr,
     full_bundle,
     roc_auc,
+    select_threshold,
     threshold_curve,
 )
 
@@ -31,6 +36,138 @@ def pairwise_auc(scores, labels):
             elif a == b:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+# The four ranking and threshold metrics as written before they shared one
+# sorted sweep: midranks after an ascending sort, cut points after a
+# descending sort, np.unique plus searchsorted, and one rescan per grid point.
+# They are the bit-level oracles for the sweep.
+
+
+def midrank_roc_auc(scores, labels):
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(labels, dtype=np.int64)
+    n_pos = int(y.sum())
+    n_neg = y.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise UndefinedMetricError("roc_auc needs both classes present")
+    order = np.argsort(s, kind="mergesort")
+    sorted_s = s[order]
+    starts = np.flatnonzero(np.r_[True, sorted_s[1:] != sorted_s[:-1]])
+    ends = np.r_[starts[1:], s.size]
+    midranks = (starts + ends + 1) / 2.0
+    ranks = np.empty(s.size, dtype=float)
+    ranks[order] = np.repeat(midranks, ends - starts)
+    rank_sum_pos = float(ranks[y == 1].sum())
+    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def cut_point_average_precision(scores, labels):
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(labels, dtype=np.int64)
+    n_pos = int(y.sum())
+    if n_pos == 0:
+        raise UndefinedMetricError("average_precision needs at least one positive")
+    order = np.argsort(-s, kind="mergesort")
+    y_desc = y[order]
+    s_desc = s[order]
+    cum_tp = np.cumsum(y_desc)
+    cut = np.flatnonzero(np.r_[s_desc[1:] != s_desc[:-1], True])
+    tp_at_cut = cum_tp[cut]
+    precision_at_cut = tp_at_cut / (cut + 1.0)
+    tp_gain = np.diff(np.r_[0, tp_at_cut])
+    return float((precision_at_cut * tp_gain).sum() / n_pos)
+
+
+def unique_select_threshold(calibrated_probs, labels, beta):
+    p = np.asarray(calibrated_probs, dtype=float)
+    y = np.asarray(labels)
+    n_pos = int((y == 1).sum())
+    if n_pos == 0:
+        raise ThresholdError("threshold selection needs at least one positive label")
+    candidates = np.unique(p)
+    order = np.argsort(-p, kind="mergesort")
+    sorted_labels = np.asarray(y[order] == 1, dtype=np.int64)
+    cum_tp = np.cumsum(sorted_labels)
+    n_at_or_above = np.searchsorted(-p[order], -candidates, side="right")
+    tp = cum_tp[n_at_or_above - 1]
+    fp = n_at_or_above - tp
+    fn = n_pos - tp
+    b2 = beta * beta
+    fbeta = (1.0 + b2) * tp / ((1.0 + b2) * tp + b2 * fn + fp)
+    return float(candidates[int(np.argmax(fbeta))])
+
+
+def rescan_threshold_curve(probs, labels, grid, beta):
+    rows = []
+    for t in np.asarray(grid, dtype=float):
+        m = classification_bundle(confusion_at(probs, labels, float(t)), beta)
+        rows.append((float(t), m.precision, m.recall, m.f1, m.fbeta))
+    return rows
+
+
+def _outcome(fn, *args):
+    """fn's result with every float as its hex spelling, or its error class."""
+    try:
+        result = fn(*args)
+    except (ParameterError, ThresholdError, UndefinedMetricError) as exc:
+        return type(exc)
+    if isinstance(result, list):
+        return [tuple(v.hex() for v in row) for row in result]
+    return result.hex()
+
+
+# few distinct values force ties; the extremes check that infinities rank
+SPECIAL_SCORES = [-math.inf, -2.5, 0.0, 0.1, 0.25, 0.5, 0.7, 1.0, 3.0, 1e300, math.inf]
+
+
+@st.composite
+def tied_scores_and_labels(draw):
+    pool = draw(st.lists(
+        st.one_of(st.sampled_from(SPECIAL_SCORES), st.floats(0.0, 1.0)),
+        min_size=1, max_size=4, unique=True,
+    ))
+    n = draw(st.integers(1, 40))
+    scores = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    else:
+        labels = [draw(st.sampled_from([0, 1]))] * n  # one class only
+    return np.array(scores), np.array(labels)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=tied_scores_and_labels(), beta=st.sampled_from([0.01, 0.5, 1.0, 2.0, 10.0]))
+def test_one_sweep_is_bit_equal_to_the_per_metric_oracles(data, beta):
+    s, y = data
+    assert _outcome(roc_auc, s, y) == _outcome(midrank_roc_auc, s, y)
+    assert _outcome(average_precision, s, y) == _outcome(cut_point_average_precision, s, y)
+    if y.any():
+        assert select_threshold(s, y, beta) == unique_select_threshold(s, y, beta)
+    else:
+        with pytest.raises(ThresholdError):
+            select_threshold(s, y, beta)
+    # the grid hits every observed score in [0, 1] exactly, and both ends
+    grid = np.unique(np.r_[0.0, s[(s >= 0.0) & (s <= 1.0)], 0.5, 1.0])
+    assert _outcome(threshold_curve, s, y, grid, beta) == _outcome(
+        rescan_threshold_curve, s, y, grid, beta
+    )
+
+
+@pytest.mark.parametrize("metric", [roc_auc, average_precision, select_threshold])
+def test_nan_scores_are_refused(metric):
+    with pytest.raises(ParameterError, match="NaN"):
+        metric([0.2, math.nan, 0.7], [0, 1, 1])
+
+
+def test_threshold_curve_refuses_nan_probabilities():
+    with pytest.raises(ParameterError, match="NaN"):
+        threshold_curve([0.2, math.nan], [0, 1], [0.5], beta=2.0)
+
+
+def test_select_threshold_refuses_labels_other_than_0_1():
+    with pytest.raises(ParameterError, match="0/1"):
+        select_threshold([0.2, 0.5, 0.8], [0, 2, 1], beta=2.0)
 
 
 class TestRocAuc:

@@ -74,6 +74,19 @@ def test_low_gps_accuracy_is_review():
     assert verdict_of(compliant(gps_accuracy_m=30.0)).category == "OK"
 
 
+def test_coordinates_off_the_globe_are_alert():
+    v = verdict_of(compliant(latitude=135.0, longitude=400.0))
+    assert v.triggered == ["GPS_OUT_OF_RANGE"]
+    assert v.category == "ALERT"
+    assert verdict_of(compliant(latitude=23.7, longitude=-180.5)).triggered == ["GPS_OUT_OF_RANGE"]
+    assert verdict_of(compliant(latitude=None, longitude=400.0)).triggered == [
+        "GPS_MISSING", "GPS_OUT_OF_RANGE",
+    ]
+    # the poles and the antimeridian are on the globe
+    for latitude, longitude in itertools.product((-90.0, 90.0), (-180.0, 180.0)):
+        assert verdict_of(compliant(latitude=latitude, longitude=longitude)).category == "OK"
+
+
 def test_missing_coordinates_are_review():
     v = verdict_of(compliant(latitude=None))
     assert v.triggered == ["GPS_MISSING"]

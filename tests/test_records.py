@@ -210,6 +210,30 @@ class TestHarmonize:
         with pytest.raises(DictionaryError, match="RO"):
             harmonize([make_record()], bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"categories": [["tap", "piped"]]},
+            {"units": []},
+            {"categories": {"colour": {"red": "red"}}},
+            {"units": {"latitude": {"deg": 1.0}}},
+            {"units": {"tds_ppm": [["g/L", 1000.0]]}},
+            {"units": {"tds_ppm": {"g/L": "x"}}},
+            {"units": {"tds_ppm": {"g/L": 0}}},
+            {"units": {"tds_ppm": {"g/L": float("inf")}}},
+            {"units": {"tds_ppm": {"g/L": float("nan")}}},
+            {"units": {"tds_ppm": {"g/L": True}}},
+            {"categories": {"treatment": "boiling"}},
+            {"categories": {"treatment": [["boiled"]]}},
+            {"categories": {"treatment": [["boiled", 1]]}},
+            {"categories": {"treatment": {"boiled": None}}},
+        ],
+    )
+    def test_malformed_tables_raise(self, bad):
+        # refused even when no record would reach the table
+        with pytest.raises(DictionaryError, match=", got "):
+            harmonize([], bad)
+
 
 class TestClean:
     def test_duplicate_uuid_keeps_first(self):
