@@ -22,6 +22,7 @@ from .errors import ParameterError, WaterscreenError
 from .explain import attribute_rows, export_beeswarm, mean_abs_shap
 from .metrics import MetricBundle, full_bundle, threshold_curve
 from .pipeline import (
+    check_final_stages,
     cv_report_from_dict,
     cv_report_to_dict,
     finalize,
@@ -446,6 +447,7 @@ def _train_settings(run: _Run):
 def _cmd_train(args) -> int:
     run = _Run(args, "train")
     s = _train_settings(run)
+    check_final_stages(s["stage1"], s["stage2"])
     matrix, labels = _encode_labeled(run, args.records)
     plan = plan_folds(labels.ec, s["k"], s["inner_fraction"], run.seed)
     oof = generate_oof_probs(matrix, labels.tc, plan, s["stage1"])

@@ -70,10 +70,12 @@ def _check_binary(scores, labels, name: str) -> tuple[np.ndarray, np.ndarray]:
     return s, y.astype(np.int64)
 
 
-def _sweep(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sweep(s, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tie groups of the scores, highest first: each group's score and the
     cumulative positives and negatives scored at or above it. `s` and `y`
-    come from _check_binary; NaN scores have no rank and are refused."""
+    are scores and 0/1 labels as _check_binary accepts them; NaN scores have
+    no rank and are refused."""
+    s, y = np.asarray(s, dtype=float), np.asarray(y)
     if np.isnan(s).any():
         raise ParameterError("scores must not be NaN")
     order = np.argsort(-s, kind="mergesort")
@@ -84,33 +86,40 @@ def _sweep(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return s_desc[last], tp, last + 1 - tp
 
 
-def roc_auc(scores, labels) -> float:
-    """Area under the ROC curve via the Mann-Whitney statistic.
-
-    Equals P(score_pos > score_neg) + 0.5 * P(tie), so tied scores
-    contribute half credit.
-    """
-    s, y = _check_binary(scores, labels, "scores")
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
+def _roc_auc(sweep) -> float:
+    """ROC-AUC from the cumulative counts of a _sweep."""
+    _, tp, fp = sweep
+    n_pos, n_neg = (int(tp[-1]), int(fp[-1])) if tp.size else (0, 0)
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("roc_auc needs both classes present")
-    _, tp, fp = _sweep(s, y)
     # each group's negatives lose to the positives above it and tie with its
     # own, so twice the wins is an exact integer (the ROC trapezoid sum)
     twice_wins = int(fp[0] * tp[0] + (fp[1:] - fp[:-1]) @ (tp[:-1] + tp[1:]))
     return twice_wins / (2 * n_pos * n_neg)
 
 
+def _average_precision(sweep) -> float:
+    """Average precision from the cumulative counts of a _sweep."""
+    _, tp, fp = sweep
+    n_pos = int(tp[-1]) if tp.size else 0
+    if n_pos == 0:
+        raise UndefinedMetricError("average_precision needs at least one positive")
+    return float((tp / (tp + fp) * np.diff(tp, prepend=0)).sum() / n_pos)
+
+
+def roc_auc(scores, labels) -> float:
+    """Area under the ROC curve via the Mann-Whitney statistic.
+
+    Equals P(score_pos > score_neg) + 0.5 * P(tie), so tied scores
+    contribute half credit.
+    """
+    return _roc_auc(_sweep(*_check_binary(scores, labels, "scores")))
+
+
 def average_precision(scores, labels) -> float:
     """Average precision: sum of precision-at-cut times recall increment,
     with tied scores entering the cut together."""
-    s, y = _check_binary(scores, labels, "scores")
-    n_pos = int(y.sum())
-    if n_pos == 0:
-        raise UndefinedMetricError("average_precision needs at least one positive")
-    _, tp, fp = _sweep(s, y)
-    return float((tp / (tp + fp) * np.diff(tp, prepend=0)).sum() / n_pos)
+    return _average_precision(_sweep(*_check_binary(scores, labels, "scores")))
 
 
 def brier(probs, labels) -> float:
@@ -243,10 +252,12 @@ def bundle_from_parts(probs, labels, counts: ConfusionCounts) -> MetricBundle:
     out-of-fold decisions taken at per-fold thresholds).
     """
     m = classification_bundle(counts, beta=2.0)
+    p, y = _check_binary(probs, labels, "probs")
+    sweep = _sweep(p, y)
     return MetricBundle(
-        roc_auc=roc_auc(probs, labels),
-        pr_auc=average_precision(probs, labels),
-        brier=brier(probs, labels),
+        roc_auc=_roc_auc(sweep),
+        pr_auc=_average_precision(sweep),
+        brier=brier(p, y),
         accuracy=m.accuracy,
         precision=m.precision,
         recall=m.recall,

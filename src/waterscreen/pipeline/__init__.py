@@ -18,6 +18,7 @@ from .stacking import (
     OofProbs,
     PipelineModel,
     Prediction,
+    check_final_stages,
     cv_report_from_dict,
     cv_report_to_dict,
     finalize,
@@ -39,6 +40,7 @@ __all__ = [
     "PipelineModel",
     "Prediction",
     "Scaler",
+    "check_final_stages",
     "cv_report_from_dict",
     "cv_report_to_dict",
     "finalize",

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ParameterError
-from ..trees.model import sigmoid
+from ..errors import ParameterError, SchemaError
+from ..trees.model import require_keys, sigmoid
 
 METHOD_PLATT = "platt"
 METHOD_ISOTONIC = "isotonic"
@@ -139,13 +139,19 @@ class Calibrator:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Calibrator":
-        if data["method"] == METHOD_ISOTONIC:
+        require_keys(data, "a calibrator", ("method",))
+        method = data["method"]
+        if method == METHOD_ISOTONIC:
+            require_keys(data, "an isotonic calibrator", ("knots_x", "knots_y"))
             return cls(
-                method=data["method"],
+                method=method,
                 knots_x=np.array(data["knots_x"], dtype=float),
                 knots_y=np.array(data["knots_y"], dtype=float),
             )
-        return cls(method=data["method"], a=float(data["a"]), b=float(data["b"]))
+        if method in (METHOD_PLATT, METHOD_FALLBACK):
+            require_keys(data, f"a {method} calibrator", ("a", "b"))
+            return cls(method=method, a=float(data["a"]), b=float(data["b"]))
+        raise SchemaError(f"unknown calibration method {method!r}")
 
 
 def fit_calibrator(raw_scores, labels, method: str = METHOD_ISOTONIC) -> Calibrator:

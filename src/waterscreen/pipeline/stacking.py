@@ -40,6 +40,7 @@ from ..trees import (
     predict_proba,
 )
 from ..trees.model import from_dict as model_from_dict
+from ..trees.model import from_fields, require_keys
 from ..trees.model import to_dict as model_to_dict
 from .calibration import Calibrator, fit_calibrator
 from .folds import FoldPlan
@@ -292,15 +293,19 @@ def _check_report(report: CvReport, plan: FoldPlan, labels: np.ndarray) -> None:
         raise PairingError(f"cv report {report.name!r} was run under a different fold plan")
 
 
-def _refit(matrix: FeatureMatrix, labels: np.ndarray, config: LearnerConfig,
-           plan: FoldPlan, stage: int) -> object:
-    """Refit one stage on all rows with the fold fitter; gbdt with early
-    stopping holds out a stratified slice of them to pick the stopping round."""
-    if config.family == FAMILY_LOGISTIC:
+def check_final_stages(*configs: LearnerConfig) -> None:
+    """Refuse a logistic learner for a stage of the deployable pipeline."""
+    if any(config.family == FAMILY_LOGISTIC for config in configs):
         raise ParameterError(
             "final pipeline stages must be tree models; the logistic baseline is "
             "available through cross-validation only"
         )
+
+
+def _refit(matrix: FeatureMatrix, labels: np.ndarray, config: LearnerConfig,
+           plan: FoldPlan, stage: int) -> object:
+    """Refit one stage on all rows with the fold fitter; gbdt with early
+    stopping holds out a stratified slice of them to pick the stopping round."""
     rows, valid = np.arange(matrix.n_rows), None
     if config.family == FAMILY_GBDT and config.early_stopping_rounds > 0:
         rows, valid = stratified_split(
@@ -320,10 +325,12 @@ def finalize(matrix: FeatureMatrix, tc_labels, ec_labels,
     stage-1 out-of-fold probabilities and the stacked stage-2 report on
     ec_labels; inputs from another plan, other labels or a single-stage run
     raise PairingError. Each stage is refitted by the fold fitter, holding
-    out 1 - plan.inner_fraction of the rows for early stopping. The
-    calibrator is fitted by the calibration method on the report's pooled
-    out-of-fold raw scores, and the threshold selected at the report's beta.
+    out 1 - plan.inner_fraction of the rows for early stopping; a logistic
+    stage raises ParameterError before any refit. The calibrator is fitted
+    by the calibration method on the report's pooled out-of-fold raw scores,
+    and the threshold selected at the report's beta.
     """
+    check_final_stages(stage1_config, stage2_config)
     tc = np.asarray(tc_labels)
     ec = np.asarray(ec_labels)
     _check_plan(plan, matrix.n_rows, tc)
@@ -403,13 +410,16 @@ def pipeline_to_json(pipeline: PipelineModel) -> str:
 
 def pipeline_from_json(text: str) -> PipelineModel:
     data = json.loads(text)
-    if data.get("kind") != "two_stage_pipeline":
-        raise SchemaError(f"not a pipeline payload (kind={data.get('kind')!r})")
+    require_keys(data, "a pipeline", ("kind",))
+    if data["kind"] != "two_stage_pipeline":
+        raise SchemaError(f"not a pipeline payload (kind={data['kind']!r})")
     if "scaler" in data:
         # its split thresholds are in z-units and would misroute raw rows
         raise SchemaError(
             "model was written by an older waterscreen with a feature scaler; retrain"
         )
+    require_keys(data, "a pipeline",
+                 "stage1 stage2 calibrator threshold beta feature_names category_levels".split())
     return PipelineModel(
         stage1=model_from_dict(data["stage1"]),
         stage2=model_from_dict(data["stage2"]),
@@ -449,6 +459,11 @@ def cv_report_to_dict(report: CvReport) -> dict:
 
 
 def cv_report_from_dict(data: dict) -> CvReport:
+    require_keys(data, "a cv report", "name labels folds pooled threshold_mean threshold_sd "
+                 "beta aux_used stage1_auc".split())
+    for f in data["folds"]:
+        require_keys(f, "a cv report fold", "fold_id held_out raw calibrated threshold "
+                     "best_iteration calibration_method digest".split())
     return CvReport(
         name=data["name"],
         labels=np.array(data["labels"], dtype=np.int64),
@@ -465,7 +480,7 @@ def cv_report_from_dict(data: dict) -> CvReport:
             )
             for f in data["folds"]
         ],
-        pooled=MetricBundle(**data["pooled"]),
+        pooled=from_fields(MetricBundle, data["pooled"], "a cv report's pooled metrics"),
         threshold_mean=float(data["threshold_mean"]),
         threshold_sd=float(data["threshold_sd"]),
         beta=float(data["beta"]),

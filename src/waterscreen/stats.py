@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateTableError, PairingError, ParameterError
-from .metrics import average_precision, roc_auc
+from .metrics import _average_precision, _check_binary, _roc_auc, _sweep
 
 
 def chi2_survival(x: float) -> float:
@@ -123,7 +123,11 @@ class DeltaResult:
     q_value: float | None = None
 
 
-_METRICS = {"roc_auc": roc_auc, "average_precision": average_precision}
+# each ranking metric's formula on scores and labels checked once up front
+_METRICS = {
+    "roc_auc": lambda s, y: _roc_auc(_sweep(s, y)),
+    "average_precision": lambda s, y: _average_precision(_sweep(s, y)),
+}
 
 
 def paired_bootstrap_delta(
@@ -153,6 +157,7 @@ def paired_bootstrap_delta(
     folds = np.asarray(fold_ids)
     if not (ref.shape == cand.shape == y.shape == folds.shape):
         raise ParameterError("ref_scores, cand_scores, labels, fold_ids must share length")
+    ref, y = _check_binary(ref, y, "ref_scores")
     metric_fn = _METRICS[metric]
     strata = []
     for f in np.unique(folds):
@@ -166,7 +171,8 @@ def paired_bootstrap_delta(
     for rep in range(n_boot):
         rng = np.random.default_rng([seed, rep])
         sampled = np.concatenate([s[rng.integers(0, s.size, s.size)] for s in strata])
-        deltas[rep] = metric_fn(cand[sampled], y[sampled]) - metric_fn(ref[sampled], y[sampled])
+        ys = y[sampled]
+        deltas[rep] = metric_fn(cand[sampled], ys) - metric_fn(ref[sampled], ys)
     ci_low, ci_high = np.percentile(deltas, [2.5, 97.5])
     le = int(np.count_nonzero(deltas <= 0.0))
     ge = int(np.count_nonzero(deltas >= 0.0))
@@ -266,8 +272,15 @@ def _sub_seed(seed: int, *parts: str) -> int:
 
 
 def _pooled(report):
-    """Pooled out-of-fold probabilities and fold ids from a CV report."""
+    """Pooled out-of-fold probabilities and fold ids from a CV report whose
+    folds hold out every row exactly once."""
     n = report.labels.size
+    held = np.concatenate([np.empty(0, np.int64)] + [fold.held_out for fold in report.folds])
+    scored = all(fold.calibrated.shape == fold.held_out.shape for fold in report.folds)
+    if not (scored and np.array_equal(np.sort(held), np.arange(n))):
+        raise PairingError(
+            f"cv report {report.name!r}: its folds do not score every row exactly once"
+        )
     probs = np.full(n, np.nan)
     fold_ids = np.full(n, -1, dtype=np.int64)
     for fold in report.folds:

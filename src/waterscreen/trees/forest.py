@@ -9,8 +9,8 @@ from ..records import FeatureMatrix
 from .binning import bin_features
 from .config import FAMILY_FOREST, LearnerConfig, resolve_positive_weight
 from .gbdt import _check_labels
-from .grower import Workspace, grow_tree
-from .model import Tree, TreeEnsembleModel
+from .grower import Workspace, _draw_rows, grow_tree
+from .model import TreeEnsembleModel
 
 
 def fit_forest(matrix: FeatureMatrix, labels, config: LearnerConfig) -> TreeEnsembleModel:
@@ -24,9 +24,7 @@ def fit_forest(matrix: FeatureMatrix, labels, config: LearnerConfig) -> TreeEnse
     """
     if config.family != FAMILY_FOREST:
         raise ParameterError(f"config family {config.family!r} is not a forest")
-    y = _check_labels(labels)
-    if y.size != matrix.n_rows:
-        raise ParameterError("labels length does not match matrix rows")
+    y = _check_labels(labels, matrix.n_rows)
 
     binned = bin_features(matrix, config.max_bins)
     ws = Workspace.from_binned(binned)
@@ -40,31 +38,10 @@ def fit_forest(matrix: FeatureMatrix, labels, config: LearnerConfig) -> TreeEnse
     def leaf_value(g_sum: float, h_sum: float) -> float:
         return g_sum / h_sum if h_sum > 0 else 0.5
 
-    trees: list[Tree] = []
-    full_rows = np.arange(n, dtype=np.int64)
-    for _ in range(config.iteration_cap):
-        if config.row_subsample >= 1.0:
-            rows = full_rows
-        else:
-            size = max(1, int(round(config.row_subsample * n)))
-            rows = np.sort(rng.choice(n, size=size, replace=True))
-        trees.append(
-            grow_tree(
-                ws,
-                rows,
-                g,
-                h,
-                w,
-                max_depth=config.max_depth,
-                leaf_limit=config.leaf_limit,
-                min_samples=config.min_samples_per_leaf,
-                l2=config.l2_regularization,
-                column_subsample=config.column_subsample,
-                growth=config.growth,
-                rng=rng,
-                leaf_value=leaf_value,
-            )
-        )
+    trees = [
+        grow_tree(ws, _draw_rows(n, config, rng, replace=True), g, h, w, config, rng, leaf_value)
+        for _ in range(config.iteration_cap)
+    ]
 
     base_score = float(np.sum(w * y) / np.sum(w))
     return TreeEnsembleModel(

@@ -9,7 +9,7 @@ import numpy as np
 from ..errors import FitError, ParameterError
 from .binning import BinnedMatrix
 from .config import FAMILY_GBDT, LearnerConfig, resolve_positive_weight
-from .grower import Workspace, grow_tree
+from .grower import Workspace, _draw_rows, grow_tree
 from .model import Tree, TreeEnsembleModel, sigmoid
 
 
@@ -22,7 +22,8 @@ class TrainingLog:
     best_iteration: int
 
 
-def _check_labels(labels) -> np.ndarray:
+def _check_labels(labels, n_rows: int) -> np.ndarray:
+    """Float 0/1 labels of both classes, one per matrix row."""
     y = np.asarray(labels, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise ParameterError("labels must be a non-empty 1-d vector")
@@ -30,6 +31,8 @@ def _check_labels(labels) -> np.ndarray:
         raise ParameterError("labels must be exactly 0 or 1")
     if y.min() == y.max():
         raise FitError("training labels contain a single class")
+    if y.size != n_rows:
+        raise ParameterError("labels length does not match matrix rows")
     return y
 
 
@@ -56,9 +59,7 @@ def fit_gbdt(
     """
     if config.family != FAMILY_GBDT:
         raise ParameterError(f"config family {config.family!r} is not a boosted model")
-    y = _check_labels(labels)
-    if y.size != binned.n_rows:
-        raise ParameterError("labels length does not match matrix rows")
+    y = _check_labels(labels, binned.n_rows)
     if config.early_stopping_rounds > 0 and valid is None:
         raise ParameterError("early stopping requires a validation set")
 
@@ -72,10 +73,9 @@ def fit_gbdt(
     n = binned.n_rows
     rng = np.random.default_rng(config.seed)
     lr = config.learning_rate
-    l2 = config.l2_regularization
 
     def leaf_value(g_sum: float, h_sum: float) -> float:
-        denom = h_sum + l2
+        denom = h_sum + config.l2_regularization
         return -lr * g_sum / denom if denom > 0 else 0.0
 
     valid_scores = None
@@ -100,32 +100,13 @@ def fit_gbdt(
     valid_loss: list[float] | None = [] if valid is not None else None
     best_valid = np.inf
     best_index = 0
-    full_rows = np.arange(n, dtype=np.int64)
 
     for iteration in range(config.iteration_cap):
         probs = sigmoid(scores)
         g = w * (probs - y)
         h = w * probs * (1.0 - probs)
-        if config.row_subsample >= 1.0:
-            rows = full_rows
-        else:
-            size = max(1, int(round(config.row_subsample * n)))
-            rows = np.sort(rng.choice(n, size=size, replace=False))
-        tree = grow_tree(
-            ws,
-            rows,
-            g,
-            h,
-            w,
-            max_depth=config.max_depth,
-            leaf_limit=config.leaf_limit,
-            min_samples=config.min_samples_per_leaf,
-            l2=l2,
-            column_subsample=config.column_subsample,
-            growth=config.growth,
-            rng=rng,
-            leaf_value=leaf_value,
-        )
+        rows = _draw_rows(n, config, rng, replace=False)
+        tree = grow_tree(ws, rows, g, h, w, config, rng, leaf_value)
         trees.append(tree)
         scores = scores + tree.margins_binned(binned.bin_indices, ws.gone)
         loss = _weighted_logloss(scores, y, w)

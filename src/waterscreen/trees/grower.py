@@ -1,8 +1,12 @@
 """Histogram-based growing of a single decision tree.
 
-Shared by the gbdt and forest fitters: both hand per-row gradient statistics
-(g, h) plus a cover weight w to `grow_tree` and differ only in how those are
-derived and how leaf values are computed from the node sums.
+Shared by the gbdt and forest fitters: both draw a tree's rows with
+`_draw_rows` and hand them, with per-row gradient statistics (g, h), a cover
+weight w and their LearnerConfig, to `grow_tree`. They differ only in how
+g and h are derived, whether rows are drawn with replacement, and how leaf
+values are computed from the node sums. `grow_tree` reads its growth
+settings from the config and keeps the leaves waiting to split in one heap,
+whose key alone tells leaf-wise (best-first) from depth-wise growth.
 
 Split search scans per-feature histograms of (g, h, count) accumulated
 with bincounts over offset bin codes, g and h weighted. A candidate splits
@@ -23,15 +27,14 @@ per-feature cumsum, so each gain is bit-for-bit the per-feature value.
 from __future__ import annotations
 
 import heapq
-import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .binning import BinnedMatrix
-from .model import Tree, goes_left
+from .config import GROWTH_LEAFWISE, LearnerConfig
+from .model import NODE_DTYPES, Tree, goes_left
 
 MIN_GAIN = 1e-12
 
@@ -155,108 +158,72 @@ def _partition(ws, rows, feature, split_bin, missing_left):
     return rows[left], rows[~left]
 
 
+def _draw_rows(n: int, config: LearnerConfig, rng, replace: bool) -> np.ndarray:
+    """Sorted rows one tree grows on: every row once at row_subsample 1.0,
+    without a draw; otherwise round(row_subsample * n) of them, at least one,
+    drawn with or without replacement."""
+    if config.row_subsample >= 1.0:
+        return np.arange(n, dtype=np.int64)
+    size = max(1, int(round(config.row_subsample * n)))
+    return np.sort(rng.choice(n, size=size, replace=replace))
+
+
 def grow_tree(
     ws: Workspace,
     rows: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
     w: np.ndarray,
-    *,
-    max_depth: int,
-    leaf_limit: int,
-    min_samples: int,
-    l2: float,
-    column_subsample: float,
-    growth: str,
+    config: LearnerConfig,
     rng,
     leaf_value: Callable[[float, float], float],
 ) -> Tree:
     """Grow one tree over the given row multiset.
 
-    growth "leafwise" repeatedly splits the pending leaf with the highest
-    gain; "depthwise" splits pending leaves in creation order (level by
-    level). Both stop at leaf_limit leaves, max_depth, or when no candidate
-    clears MIN_GAIN.
+    max_depth, leaf_limit, min_samples_per_leaf, l2_regularization,
+    column_subsample and growth come from config. Each leaf that has a split
+    waits in one heap keyed (-gain, node id) under "leafwise" growth, which
+    splits the highest-gain leaf first, and (0.0, node id) under "depthwise"
+    growth, which splits leaves in creation order, level by level. Node ids
+    rise in creation order, so equal keys go to the older leaf. Growth stops
+    at leaf_limit leaves, max_depth, or when no candidate clears MIN_GAIN.
     """
-    rows = np.asarray(rows, dtype=np.int64)
     nodes: list[dict] = []
+    heap: list = []
 
-    def make_node(node_rows: np.ndarray, depth: int) -> dict:
+    def add_node(node_rows: np.ndarray, depth: int) -> int:
+        node_id = len(nodes)
         g_total = float(g[node_rows].sum())
         h_total = float(h[node_rows].sum())
-        node = {
-            "id": len(nodes),
-            "depth": depth,
-            "rows": node_rows,
-            "g": g_total,
-            "h": h_total,
-            "cover": float(w[node_rows].sum()),
-            "count": int(node_rows.size),
-            "value": leaf_value(g_total, h_total),
-            "feature": -1,
-            "split_bin": -1,
-            "threshold": np.nan,
-            "missing_left": False,
-            "left": -1,
-            "right": -1,
-            "gain": np.nan,
-            "split": None,
-        }
-        nodes.append(node)
-        if depth < max_depth and node_rows.size >= 2 * min_samples:
-            features = _feature_subset(ws.n_features, column_subsample, rng)
-            node["split"] = _best_split(
-                ws, node_rows, g, h, l2, min_samples, features, g_total, h_total
+        nodes.append(dict(
+            feature=-1, split_bin=-1, threshold=np.nan, missing_left=False, left=-1, right=-1,
+            value=leaf_value(g_total, h_total), cover=float(w[node_rows].sum()),
+            count=int(node_rows.size), gain=np.nan,
+        ))
+        if depth < config.max_depth and node_rows.size >= 2 * config.min_samples_per_leaf:
+            features = _feature_subset(ws.n_features, config.column_subsample, rng)
+            split = _best_split(
+                ws, node_rows, g, h, config.l2_regularization, config.min_samples_per_leaf,
+                features, g_total, h_total,
             )
-        return node
+            if split is not None:
+                key = -split[0] if config.growth == GROWTH_LEAFWISE else 0.0
+                heapq.heappush(heap, (key, node_id, depth, node_rows, split))
+        return node_id
 
-    root = make_node(rows, 0)
-    n_leaves = 1
+    add_node(np.asarray(rows, dtype=np.int64), 0)
+    # a binary tree of n nodes has (n + 1) // 2 leaves
+    while heap and (len(nodes) + 1) // 2 < config.leaf_limit:
+        _, node_id, depth, node_rows, split = heapq.heappop(heap)
+        gain, feature, split_bin, missing_left = split
+        left_rows, right_rows = _partition(ws, node_rows, feature, split_bin, missing_left)
+        node = nodes[node_id]
+        node.update(feature=feature, split_bin=split_bin, missing_left=missing_left, gain=gain,
+                    threshold=float(ws.edges[feature][split_bin]))
+        node["left"] = add_node(left_rows, depth + 1)
+        node["right"] = add_node(right_rows, depth + 1)
 
-    def do_split(node: dict) -> tuple[dict, dict]:
-        nonlocal n_leaves
-        gain, feature, split_bin, missing_left = node["split"]
-        left_rows, right_rows = _partition(ws, node["rows"], feature, split_bin, missing_left)
-        node["feature"] = feature
-        node["split_bin"] = split_bin
-        node["threshold"] = float(ws.edges[feature][split_bin])
-        node["missing_left"] = missing_left
-        node["gain"] = gain
-        left = make_node(left_rows, node["depth"] + 1)
-        right = make_node(right_rows, node["depth"] + 1)
-        node["left"] = left["id"]
-        node["right"] = right["id"]
-        node["rows"] = None
-        n_leaves += 1
-        return left, right
-
-    if growth == "leafwise":
-        counter = itertools.count()
-        heap: list = []
-        if root["split"] is not None:
-            heapq.heappush(heap, (-root["split"][0], next(counter), root))
-        while heap and n_leaves < leaf_limit:
-            _, _, node = heapq.heappop(heap)
-            for child in do_split(node):
-                if child["split"] is not None:
-                    heapq.heappush(heap, (-child["split"][0], next(counter), child))
-    else:
-        queue: deque = deque([root] if root["split"] is not None else [])
-        while queue and n_leaves < leaf_limit:
-            node = queue.popleft()
-            for child in do_split(node):
-                if child["split"] is not None:
-                    queue.append(child)
-
-    return Tree(
-        feature=np.array([n["feature"] for n in nodes], dtype=np.int32),
-        split_bin=np.array([n["split_bin"] for n in nodes], dtype=np.int32),
-        threshold=np.array([n["threshold"] for n in nodes], dtype=float),
-        missing_left=np.array([n["missing_left"] for n in nodes], dtype=bool),
-        left=np.array([n["left"] for n in nodes], dtype=np.int32),
-        right=np.array([n["right"] for n in nodes], dtype=np.int32),
-        value=np.array([n["value"] for n in nodes], dtype=float),
-        cover=np.array([n["cover"] for n in nodes], dtype=float),
-        count=np.array([n["count"] for n in nodes], dtype=np.int64),
-        gain=np.array([n["gain"] for n in nodes], dtype=float),
-    )
+    return Tree(**{
+        name: np.array([node[name] for node in nodes], dtype=dtype)
+        for name, dtype in NODE_DTYPES.items()
+    })

@@ -26,9 +26,7 @@ def fit_logistic(matrix: FeatureMatrix, labels, l2: float) -> LogisticModel:
     """
     if l2 < 0:
         raise ParameterError("l2 must be non-negative")
-    y = _check_labels(labels)
-    if y.size != matrix.n_rows:
-        raise ParameterError("labels length does not match matrix rows")
+    y = _check_labels(labels, matrix.n_rows)
     if matrix.missing_mask.any():
         raise ParameterError("logistic fitting requires complete rows; impute first")
     values = matrix.values

@@ -1,15 +1,16 @@
 """Fitted-model containers, prediction, and canonical JSON serialization.
 
 Serialization is bitwise round-trip: floats are written with Python's
-shortest-repr JSON encoding, leaf markers use null instead of NaN, and keys
-are sorted, so equal models produce byte-equal JSON and a stable digest.
+shortest-repr JSON encoding, NaN (a leaf's threshold and gain) as null, and
+keys are sorted, so equal models produce byte-equal JSON and a stable
+digest. Loading refuses a damaged payload with SchemaError.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Union
 
 import numpy as np
@@ -99,6 +100,28 @@ class Tree:
         return self._route(codes, gone, self.split_bin)
 
 
+# dtype of each Tree node array: the grower builds trees from it, and
+# _tree_to_dict and _tree_from_dict write and read model.json by it
+NODE_DTYPES = {
+    "feature": np.int32,
+    "split_bin": np.int32,
+    "threshold": np.float64,
+    "missing_left": np.bool_,
+    "left": np.int32,
+    "right": np.int32,
+    "value": np.float64,
+    "cover": np.float64,
+    "count": np.int64,
+    "gain": np.float64,
+}
+# the JSON values a node array of each dtype kind accepts; null stands for NaN
+_JSON_VALUES = {
+    "i": ((int,), "integers"),
+    "f": ((int, float, type(None)), "numbers or nulls"),
+    "b": ((bool,), "booleans"),
+}
+
+
 @dataclass
 class TreeEnsembleModel:
     """A fitted gbdt or forest: trees plus the binning and schema snapshot.
@@ -175,48 +198,47 @@ def predict_proba(model: Model, matrix: FeatureMatrix) -> np.ndarray:
     raise UnsupportedModelError(f"cannot predict with {type(model).__name__}")
 
 
-def _floats_with_nulls(arr: np.ndarray, mask: np.ndarray) -> list:
-    return [None if m else float(v) for v, m in zip(arr, mask)]
+def require_keys(data, what: str, keys) -> None:
+    """Refuse, with SchemaError, data that is not a JSON object holding every
+    one of keys."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"{what} is not a JSON object")
+    for key in keys:
+        if key not in data:
+            raise SchemaError(f"{what} lacks {key!r}")
+
+
+def from_fields(cls, data, what: str):
+    """cls(**data); a non-object, or an unknown, absent or mistyped field,
+    is refused with SchemaError."""
+    require_keys(data, what, ())
+    try:
+        return cls(**data)
+    except TypeError as exc:
+        raise SchemaError(f"{what} is malformed: {exc}") from exc
 
 
 def _tree_to_dict(tree: Tree) -> dict:
-    leaf = tree.feature < 0
+    # tolist gives Python scalars; NaN, which JSON lacks, is written as null
     return {
-        "feature": tree.feature.tolist(),
-        "split_bin": tree.split_bin.tolist(),
-        "threshold": _floats_with_nulls(tree.threshold, leaf),
-        "missing_left": tree.missing_left.tolist(),
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "value": [float(v) for v in tree.value],
-        "cover": [float(c) for c in tree.cover],
-        "count": tree.count.tolist(),
-        "gain": _floats_with_nulls(tree.gain, leaf),
+        name: [None if v != v else v for v in getattr(tree, name).tolist()]
+        for name in NODE_DTYPES
     }
 
 
-def _tree_from_dict(data: dict) -> Tree:
-    for f in fields(Tree):
-        if f.name not in data:
-            raise SchemaError(f"a tree lacks its {f.name!r} array")
-
-    def floats(key):
-        return np.array(
-            [np.nan if v is None else v for v in data[key]], dtype=float
-        )
-
-    return Tree(
-        feature=np.array(data["feature"], dtype=np.int32),
-        split_bin=np.array(data["split_bin"], dtype=np.int32),
-        threshold=floats("threshold"),
-        missing_left=np.array(data["missing_left"], dtype=bool),
-        left=np.array(data["left"], dtype=np.int32),
-        right=np.array(data["right"], dtype=np.int32),
-        value=floats("value"),
-        cover=floats("cover"),
-        count=np.array(data["count"], dtype=np.int64),
-        gain=floats("gain"),
-    )
+def _tree_from_dict(data) -> Tree:
+    require_keys(data, "a tree", NODE_DTYPES)
+    arrays = {}
+    for name, dtype in NODE_DTYPES.items():
+        types, wanted = _JSON_VALUES[np.dtype(dtype).kind]
+        values = data[name]
+        if type(values) is not list or any(type(v) not in types for v in values):
+            raise SchemaError(f"a tree's {name!r} array must hold {wanted}")
+        try:
+            arrays[name] = np.array([np.nan if v is None else v for v in values], dtype=dtype)
+        except OverflowError as exc:
+            raise SchemaError(f"a tree's {name!r} array holds a value out of range") from exc
+    return Tree(**arrays)
 
 
 def _check_trees(model: TreeEnsembleModel) -> None:
@@ -232,7 +254,7 @@ def _check_trees(model: TreeEnsembleModel) -> None:
     all_edges = np.concatenate([np.empty(0), *model.bin_edges])
     for tree in model.trees:
         n = tree.n_nodes
-        if n == 0 or {getattr(tree, f.name).size for f in fields(tree)} != {n}:
+        if n == 0 or {getattr(tree, name).size for name in NODE_DTYPES} != {n}:
             raise SchemaError("a tree's node arrays are empty or differ in length")
         node = np.flatnonzero(tree.feature >= 0)
         for child in (tree.left[node], tree.right[node]):
@@ -275,8 +297,11 @@ def to_dict(model: Model) -> dict:
 
 
 def from_dict(data: dict) -> Model:
-    kind = data.get("kind")
+    require_keys(data, "a model", ("kind",))
+    kind = data["kind"]
     if kind == "tree_ensemble":
+        require_keys(data, "a tree ensemble",
+                     "family trees base_score best_iteration bin_edges feature_names config".split())
         model = TreeEnsembleModel(
             family=data["family"],
             trees=[_tree_from_dict(t) for t in data["trees"]],
@@ -284,11 +309,13 @@ def from_dict(data: dict) -> Model:
             best_iteration=int(data["best_iteration"]),
             bin_edges=[np.array(e, dtype=float) for e in data["bin_edges"]],
             feature_names=list(data["feature_names"]),
-            config=LearnerConfig(**data["config"]),
+            config=from_fields(LearnerConfig, data["config"], "a stage config"),
         )
         _check_trees(model)
         return model
     if kind == "logistic":
+        require_keys(data, "a logistic model",
+                     "weights intercept l2_regularization feature_names".split())
         return LogisticModel(
             weights=np.array(data["weights"], dtype=float),
             intercept=float(data["intercept"]),

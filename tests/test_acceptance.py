@@ -54,6 +54,7 @@ from waterscreen.stats import (
 )
 from waterscreen.synth import SynthConfig, generate
 from waterscreen.trees import (
+    LearnerConfig,
     bin_features,
     fit_gbdt,
     gbdt_depthwise_preset,
@@ -369,20 +370,23 @@ def gain_matrix(values):
 def grow_root(values, g, h, l2, min_samples):
     binned = bin_features(gain_matrix(values), 256)
     n = len(g)
+    config = LearnerConfig(
+        max_depth=1,
+        leaf_limit=2,
+        min_samples_per_leaf=min_samples,
+        l2_regularization=l2,
+        column_subsample=1.0,
+        growth="leafwise",
+    )
     return grow_tree(
         Workspace.from_binned(binned),
         np.arange(n),
         np.asarray(g, dtype=float),
         np.asarray(h, dtype=float),
         np.ones(n),
-        max_depth=1,
-        leaf_limit=2,
-        min_samples=min_samples,
-        l2=l2,
-        column_subsample=1.0,
-        growth="leafwise",
-        rng=np.random.default_rng(0),
-        leaf_value=lambda G, H: -G / (H + 1e-9),
+        config,
+        np.random.default_rng(0),
+        lambda G, H: -G / (H + 1e-9),
     )
 
 

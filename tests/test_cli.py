@@ -291,6 +291,7 @@ def _subcommand_args(subcommand, workspace):
         "compare": ["--reference", str(model_dir / "cv_report.json"),
                     "--challengers", str(model_dir / "cv_report_no_aux.json")],
         "explain": ["--model", str(model_dir / "model.json"), "--records", fixture],
+        "predict": ["--model", str(model_dir / "model.json"), "--records", fixture],
         "synth": [],
         "evaluate": ["--model", str(model_dir / "model.json"), "--records", fixture, "--assert"],
     }[subcommand]
@@ -312,6 +313,94 @@ def test_subcommands_refuse_bad_settings(workspace, tmp_path, capsys, subcommand
     assert next(iter(setting)) in err
     assert ", got " in err  # refused by the up-front check, not by the fit
     assert not out_dir.exists()
+
+
+def _damage(data, defect):
+    """Damage a loaded model.json or cv_report.json in place."""
+    if defect == "model_without_threshold":
+        del data["threshold"]
+    elif defect == "stage_without_trees":
+        del data["stage1"]["trees"]
+    elif defect == "null_split_feature":
+        data["stage1"]["trees"][0]["feature"][0] = None
+    elif defect == "count_not_a_number":
+        data["stage2"]["trees"][0]["count"][0] = "x"
+    elif defect == "unknown_stage_config_key":
+        data["stage2"]["config"]["bogus_setting"] = 1
+    elif defect == "unknown_calibrator_method":
+        data["calibrator"] = {"method": "bogus", "a": 1.0, "b": 0.0}
+    elif defect == "report_without_pooled":
+        del data["pooled"]
+    elif defect == "folds_leave_a_row_unscored":
+        fold = data["folds"][0]
+        for key in ("held_out", "raw", "calibrated"):
+            fold[key].pop()
+    return data
+
+
+# (subcommand, damaged input, defect, a fragment the error names)
+DAMAGED_ARTIFACTS = [
+    ("predict", "model.json", "model_without_threshold", "'threshold'"),
+    ("evaluate", "model.json", "model_without_threshold", "'threshold'"),
+    ("explain", "model.json", "model_without_threshold", "'threshold'"),
+    ("predict", "model.json", "stage_without_trees", "'trees'"),
+    ("predict", "model.json", "null_split_feature", "'feature'"),
+    ("predict", "model.json", "count_not_a_number", "'count'"),
+    ("predict", "model.json", "unknown_stage_config_key", "bogus_setting"),
+    ("predict", "model.json", "unknown_calibrator_method", "'bogus'"),
+    ("compare", "cv_report.json", "report_without_pooled", "'pooled'"),
+    ("compare", "cv_report.json", "folds_leave_a_row_unscored", "'two_stage'"),
+]
+
+
+@pytest.mark.parametrize(
+    "subcommand,artifact,defect,named", DAMAGED_ARTIFACTS,
+    ids=[f"{cmd}-{defect}" for cmd, _, defect, _ in DAMAGED_ARTIFACTS],
+)
+def test_subcommands_refuse_damaged_artifacts(
+    workspace, tmp_path, capsys, subcommand, artifact, defect, named
+):
+    original = workspace / "model" / artifact
+    damaged = tmp_path / artifact
+    damaged.write_text(json.dumps(_damage(json.loads(original.read_text()), defect)))
+    args = [str(damaged) if a == str(original) else a
+            for a in _subcommand_args(subcommand, workspace)]
+    assert str(damaged) in args
+    out_dir = tmp_path / "out"
+    assert run([subcommand, *args, "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert named in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("stage", ["stage1", "stage2"])
+def test_train_refuses_a_logistic_stage_before_any_cv_work(
+    workspace, tmp_path, capsys, monkeypatch, stage
+):
+    def no_cv(*args, **kwargs):
+        raise AssertionError("cross-validation ran")
+
+    monkeypatch.setattr("waterscreen.cli.generate_oof_probs", no_cv)
+    monkeypatch.setattr("waterscreen.cli.run_cv", no_cv)
+    config = _write(tmp_path / "train.json", {**TRAIN_CONFIG, stage: {"family": "logistic"}})
+    out_dir = tmp_path / "out"
+    args = ["train", *_subcommand_args("train", workspace), "--config", str(config),
+            "--out", str(out_dir)]
+    assert run(args) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: final pipeline stages must be tree models"
+    )
+    assert not out_dir.exists()
+
+
+def test_ablate_accepts_a_logistic_stage(workspace, tmp_path):
+    config = _write(tmp_path / "ablate.json", {**TRAIN_CONFIG, "stage2": {"family": "logistic"}})
+    out_dir = tmp_path / "out"
+    args = ["ablate", *_subcommand_args("ablate", workspace), "--features", "physico",
+            "--config", str(config), "--out", str(out_dir)]
+    assert run(args) == 0
+    assert (out_dir / "ablation_summary.csv").exists()
 
 
 def test_seed_flag_must_be_a_non_negative_integer(tmp_path, capsys):

@@ -1,13 +1,25 @@
 """Tests for the histogram tree grower against raw-value oracles."""
 
+import heapq
+import itertools
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waterscreen.records import FeatureMatrix
-from waterscreen.trees import bin_features
-from waterscreen.trees.grower import MIN_GAIN, Workspace, _best_split, grow_tree
+from waterscreen.trees import LearnerConfig, Tree, bin_features
+from waterscreen.trees.grower import (
+    MIN_GAIN,
+    Workspace,
+    _best_split,
+    _feature_subset,
+    _partition,
+    grow_tree,
+)
+from waterscreen.trees.model import NODE_DTYPES
 
 
 def make_matrix(values):
@@ -20,29 +32,23 @@ def make_matrix(values):
     )
 
 
-def grow(values, g, h, w=None, max_bins=256, **kw):
+def grow(values, g, h, w=None, max_bins=256, min_samples=1, l2=0.0, **kw):
     matrix = make_matrix(values)
     binned = bin_features(matrix, max_bins)
     ws = Workspace.from_binned(binned)
     n = len(g)
-    params = dict(
-        max_depth=1,
-        leaf_limit=2,
-        min_samples=1,
-        l2=0.0,
-        column_subsample=1.0,
-        growth="leafwise",
-        rng=np.random.default_rng(0),
-        leaf_value=lambda G, H: -G / (H + 1e-9),
-    )
-    params.update(kw)
+    shape = dict(max_depth=1, leaf_limit=2, column_subsample=1.0, growth="leafwise")
+    shape.update(kw)
+    config = LearnerConfig(min_samples_per_leaf=min_samples, l2_regularization=l2, **shape)
     return grow_tree(
         ws,
         np.arange(n),
         np.asarray(g, dtype=float),
         np.asarray(h, dtype=float),
         np.ones(n) if w is None else np.asarray(w, dtype=float),
-        **params,
+        config,
+        np.random.default_rng(0),
+        lambda G, H: -G / (H + 1e-9),
     )
 
 
@@ -136,8 +142,9 @@ COLUMN_KINDS = ("coarse", "dense", "no_missing", "single_value", "all_missing", 
 
 
 @st.composite
-def split_problems(draw):
-    """A binned matrix, gradient statistics and one node's search settings.
+def split_problems(draw, mirror=False):
+    """A binned matrix, gradient statistics and one node's search settings;
+    with mirror, sometimes a matrix whose leaves tie in gain.
 
     Coarse columns and dyadic gradients make exact gain ties common;
     duplicated columns tie across features, and columns without missing
@@ -167,7 +174,6 @@ def split_problems(draw):
         columns.append(col)
     values = np.column_stack(columns)
     max_bins = draw(st.sampled_from([3, 4, 8, 256]))
-    ws = Workspace.from_binned(bin_features(make_matrix(values), max_bins))
     if draw(st.booleans()):
         g = rng.choice([-1.0, -0.5, 0.25, 0.5, 1.0], size=n)
         h = rng.choice([0.0, 0.25, 1.0], size=n)
@@ -175,6 +181,14 @@ def split_problems(draw):
         g = rng.normal(size=n)
         h = rng.uniform(0.0, 2.0, size=n)
     rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=draw(st.booleans())))
+    if mirror and draw(st.booleans()):
+        # two copies told apart by a leading column, the second with negated
+        # gradients: only that column splits the root, and each split then
+        # gains as much in one copy as in the other
+        values = np.column_stack([np.repeat([0.0, 1.0], n), np.vstack([values, values])])
+        g, h = np.r_[g + 1.0, -(g + 1.0)], np.r_[h, h]
+        rows = np.r_[rows, rows + n]
+    ws = Workspace.from_binned(bin_features(make_matrix(values), max_bins))
     m = values.shape[1]
     if draw(st.booleans()):
         features = np.arange(m)
@@ -323,3 +337,120 @@ class TestGrowthStructure:
         tree = grow(values, g, h)
         assert tree.n_nodes == 1
         assert tree.feature[0] == -1
+
+
+def _grow_tree_reference(
+    ws, rows, g, h, w, *, max_depth, leaf_limit, min_samples, l2, column_subsample,
+    growth, rng, leaf_value,
+):
+    """The grower that `grow_tree` replaced: keyword settings, a counter heap
+    for leafwise growth and a deque for depthwise growth."""
+    rows = np.asarray(rows, dtype=np.int64)
+    nodes = []
+
+    def make_node(node_rows, depth):
+        g_total = float(g[node_rows].sum())
+        h_total = float(h[node_rows].sum())
+        node = {
+            "id": len(nodes), "depth": depth, "rows": node_rows,
+            "cover": float(w[node_rows].sum()), "count": int(node_rows.size),
+            "value": leaf_value(g_total, h_total), "feature": -1, "split_bin": -1,
+            "threshold": np.nan, "missing_left": False, "left": -1, "right": -1,
+            "gain": np.nan, "split": None,
+        }
+        nodes.append(node)
+        if depth < max_depth and node_rows.size >= 2 * min_samples:
+            features = _feature_subset(ws.n_features, column_subsample, rng)
+            node["split"] = _best_split(
+                ws, node_rows, g, h, l2, min_samples, features, g_total, h_total
+            )
+        return node
+
+    root = make_node(rows, 0)
+    n_leaves = 1
+
+    def do_split(node):
+        nonlocal n_leaves
+        gain, feature, split_bin, missing_left = node["split"]
+        left_rows, right_rows = _partition(ws, node["rows"], feature, split_bin, missing_left)
+        node["feature"] = feature
+        node["split_bin"] = split_bin
+        node["threshold"] = float(ws.edges[feature][split_bin])
+        node["missing_left"] = missing_left
+        node["gain"] = gain
+        left = make_node(left_rows, node["depth"] + 1)
+        right = make_node(right_rows, node["depth"] + 1)
+        node["left"] = left["id"]
+        node["right"] = right["id"]
+        node["rows"] = None
+        n_leaves += 1
+        return left, right
+
+    if growth == "leafwise":
+        counter = itertools.count()
+        heap = []
+        if root["split"] is not None:
+            heapq.heappush(heap, (-root["split"][0], next(counter), root))
+        while heap and n_leaves < leaf_limit:
+            _, _, node = heapq.heappop(heap)
+            for child in do_split(node):
+                if child["split"] is not None:
+                    heapq.heappush(heap, (-child["split"][0], next(counter), child))
+    else:
+        queue = deque([root] if root["split"] is not None else [])
+        while queue and n_leaves < leaf_limit:
+            node = queue.popleft()
+            for child in do_split(node):
+                if child["split"] is not None:
+                    queue.append(child)
+
+    return Tree(
+        feature=np.array([n["feature"] for n in nodes], dtype=np.int32),
+        split_bin=np.array([n["split_bin"] for n in nodes], dtype=np.int32),
+        threshold=np.array([n["threshold"] for n in nodes], dtype=float),
+        missing_left=np.array([n["missing_left"] for n in nodes], dtype=bool),
+        left=np.array([n["left"] for n in nodes], dtype=np.int32),
+        right=np.array([n["right"] for n in nodes], dtype=np.int32),
+        value=np.array([n["value"] for n in nodes], dtype=float),
+        cover=np.array([n["cover"] for n in nodes], dtype=float),
+        count=np.array([n["count"] for n in nodes], dtype=np.int64),
+        gain=np.array([n["gain"] for n in nodes], dtype=float),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    split_problems(mirror=True),
+    st.sampled_from(["leafwise", "depthwise"]),
+    st.integers(2, 8),
+    st.integers(1, 5),
+    st.sampled_from([1.0, 0.8, 0.5, 0.2]),
+    st.integers(0, 2**32 - 1),
+)
+def test_grow_tree_matches_the_counter_heap_and_deque_grower(
+    problem, growth, leaf_limit, max_depth, column_subsample, seed
+):
+    # duplicated columns give equal gains inside a node and mirrored
+    # matrices equal gains across leaves; rows may repeat; a column
+    # subsample below 1 draws from the rng at every node
+    ws, rows, g, h, l2, min_samples, _ = problem
+    w = np.random.default_rng(seed).uniform(0.5, 2.0, size=g.size)
+    config = LearnerConfig(
+        max_depth=max_depth, leaf_limit=leaf_limit, min_samples_per_leaf=min_samples,
+        l2_regularization=l2, column_subsample=column_subsample, growth=growth,
+    )
+    rng, rng_reference = np.random.default_rng(seed), np.random.default_rng(seed)
+
+    def leaf_value(G, H):
+        return -G / (H + l2) if H + l2 > 0 else 0.0
+
+    got = grow_tree(ws, rows, g, h, w, config, rng, leaf_value)
+    expected = _grow_tree_reference(
+        ws, rows, g, h, w, max_depth=max_depth, leaf_limit=leaf_limit,
+        min_samples=min_samples, l2=l2, column_subsample=column_subsample,
+        growth=growth, rng=rng_reference, leaf_value=leaf_value,
+    )
+    for name, dtype in NODE_DTYPES.items():
+        assert getattr(got, name).dtype == dtype
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+    assert rng.bit_generator.state == rng_reference.bit_generator.state

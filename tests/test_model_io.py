@@ -21,7 +21,7 @@ from waterscreen.trees import (
     predict_proba,
     to_json,
 )
-from waterscreen.trees.model import sigmoid
+from waterscreen.trees.model import NODE_DTYPES, sigmoid
 
 
 def make_matrix(values, names=None):
@@ -98,6 +98,20 @@ class TestRoundTrip:
         assert to_json(loaded) == to_json(model)
         assert np.array_equal(predict_proba(loaded, matrix), predict_proba(model, matrix))
 
+    def test_node_arrays_keep_their_dtypes(self):
+        model, matrix = fitted_gbdt()
+        forest = fit_forest(
+            matrix, (np.nan_to_num(matrix.values[:, 0]) > 0).astype(int),
+            forest_preset(iteration_cap=3, max_bins=32, seed=1),
+        )
+        for fitted in (model, forest):
+            loaded = from_json(to_json(fitted))
+            for tree, back in zip(fitted.trees, loaded.trees):
+                for name, dtype in NODE_DTYPES.items():
+                    assert getattr(tree, name).dtype == dtype
+                    assert getattr(back, name).dtype == dtype
+                    assert getattr(back, name).tobytes() == getattr(tree, name).tobytes()
+
     def test_digest_sensitive_to_leaf_values(self):
         model, _ = fitted_gbdt()
         baseline = model_digest(model)
@@ -137,6 +151,24 @@ def _break(data, defect):
         tree["value"][int(np.flatnonzero(np.array(tree["feature"]) < 0)[0])] = None
     elif defect == "infinite_leaf_value":
         tree["value"][int(np.flatnonzero(np.array(tree["feature"]) < 0)[0])] = float("inf")
+    elif defect == "null_split_feature":
+        tree["feature"][0] = None
+    elif defect == "count_not_a_number":
+        tree["count"][0] = "x"
+    elif defect == "fractional_count":
+        tree["count"][0] += 0.5
+    elif defect == "split_feature_past_int32":
+        tree["feature"][0] = 2**40
+    elif defect == "missing_left_not_a_boolean":
+        tree["missing_left"][0] = 1
+    elif defect == "node_array_not_a_list":
+        tree["left"] = {"0": tree["left"][0]}
+    elif defect == "tree_not_an_object":
+        data["trees"][0] = [tree["feature"]]
+    elif defect == "stage_without_trees":
+        del data["trees"]
+    elif defect == "unknown_config_key":
+        data["config"]["bogus"] = 1
     return data
 
 
@@ -154,6 +186,15 @@ MALFORMED = (
     "tree_without_left",
     "null_leaf_value",
     "infinite_leaf_value",
+    "null_split_feature",
+    "count_not_a_number",
+    "fractional_count",
+    "split_feature_past_int32",
+    "missing_left_not_a_boolean",
+    "node_array_not_a_list",
+    "tree_not_an_object",
+    "stage_without_trees",
+    "unknown_config_key",
 )
 
 

@@ -279,6 +279,21 @@ class TestCompareModels:
         with pytest.raises(PairingError, match="fold 2"):
             compare_models(ref, [bad], n_boot=10, seed=0)
 
+    @pytest.mark.parametrize("defect", ["row_unscored", "row_scored_twice", "score_missing"])
+    def test_folds_must_score_every_row_once(self, defect):
+        rng = np.random.default_rng(11)
+        y = _balanced_labels(rng, 40)
+        ref = make_report("ref", y, rng.random(40))
+        fold = ref.folds[1]
+        if defect == "row_unscored":
+            fold.held_out, fold.calibrated = fold.held_out[1:], fold.calibrated[1:]
+        elif defect == "row_scored_twice":
+            fold.held_out = np.r_[fold.held_out[1:], ref.folds[0].held_out[0]]
+        else:
+            fold.calibrated = fold.calibrated[1:]
+        with pytest.raises(PairingError, match="'ref'"):
+            compare_models(ref, [make_report("cand", y, rng.random(40))], n_boot=10, seed=0)
+
     def test_null_challenger_rejection_rate_is_controlled(self):
         # independent noise on both sides: every null true; count q < 0.05 rejections
         rejections = 0
