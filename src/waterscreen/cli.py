@@ -13,7 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import asdict, dataclass, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +55,7 @@ from .trees import LearnerConfig, gbdt_depthwise_preset, gbdt_leafwise_preset
 from .trees import predict_proba  # noqa: F401
 
 MANIFEST_NAME = "manifest.json"
-ARTIFACT_VERSIONS = {"manifest": 1, "model": 2, "report": 1}
+ARTIFACT_VERSIONS = {"manifest": 2, "model": 2, "report": 1}
 _MAX = sys.float_info.max
 
 
@@ -66,6 +66,8 @@ def _jsonable(value):
         return float(value)
     if isinstance(value, np.ndarray):
         return value.tolist()
+    if isinstance(value, LearnerConfig):
+        return asdict(value)
     raise TypeError(f"not JSON-serializable: {type(value).__name__}")
 
 
@@ -97,6 +99,8 @@ class RunManifest:
     config_digest: str
     input_digests: dict[str, str]
     seed: int
+    settings: dict
+    unread_config_keys: list[str]
     artifact_versions: dict[str, int]
     output_paths: list[str]
     output_digests: dict[str, str]
@@ -105,6 +109,7 @@ class RunManifest:
 class _Run:
     """Collects inputs and outputs of one subcommand, then seals a manifest.
 
+    The settings are read from the config, and checked, before any input.
     Output files are named relative to the output directory and inputs are
     keyed by basename, so manifests stay byte-identical across runs that
     differ only in where they read from and write to.
@@ -117,10 +122,10 @@ class _Run:
         self.paths: list[str] = []
         self.digests: dict[str, str] = {}
         self.config, self.config_digest = self._load_config(args)
-        seed = getattr(args, "seed", None)
-        if seed is None:
-            seed = self.config.get("seed", 0)
-        self.seed = _checked("seed", seed, "an integer >= 0", lambda v: v >= 0, (int,))
+        self.settings, self.unread = _read_settings(
+            subcommand, self.config, getattr(args, "seed", None)
+        )
+        self.seed = self.settings["seed"]
 
     def _load_config(self, args) -> tuple[dict, str]:
         path = getattr(args, "config", None)
@@ -157,6 +162,8 @@ class _Run:
             config_digest=self.config_digest,
             input_digests=dict(sorted(self.inputs.items())),
             seed=self.seed,
+            settings=self.settings,
+            unread_config_keys=self.unread,
             artifact_versions=dict(ARTIFACT_VERSIONS),
             output_paths=sorted(self.paths + [MANIFEST_NAME]),
             output_digests=dict(sorted(self.digests.items())),
@@ -170,41 +177,155 @@ def _parse_input_records(run: _Run, path):
     return parse_records(run.read_input(path))
 
 
-def _checked(name: str, value, wanted: str, accept=lambda v: True, types=(int, float)):
-    """value if its type is one of types (booleans are never ints here) and
-    accept holds for it; otherwise ParameterError saying what name must be."""
-    if type(value) not in types or not accept(value):
+def _encode_input(run: _Run, path, category_levels=None, require_labels=True):
+    parsed = _parse_input_records(run, path)
+    return encode(parsed.records, category_levels=category_levels, require_labels=require_labels)
+
+
+# ---------------------------------------------------------------------------
+# settings
+
+_BAD = object()  # what a check returns for a value it refuses
+
+
+def _checked(name: str, value, wanted: str, check):
+    """check(value), the setting as the run reads it; ParameterError saying
+    what name must be when check refuses value."""
+    resolved = check(value)
+    if resolved is _BAD:
         raise ParameterError(f"{name} must be {wanted}, got {value!r}")
-    return value
+    return resolved
 
 
 def _finite(value) -> bool:
     return -_MAX <= value <= _MAX
 
 
-# JSON value types and checks per LearnerConfig field annotation; the
-# config's own validation then checks the ranges
-_LEARNER_VALUES = {
-    "int": ("an integer", lambda v: True, (int,)),
-    "float": ("a finite number", _finite, (int, float)),
-    "float | str": ('a finite number or "auto"', lambda v: type(v) is str or _finite(v),
-                    (int, float, str)),
-    "str": ("a string", lambda v: True, (str,)),
+def _finite_values(table: dict) -> bool:
+    return all(type(v) in (int, float) and _finite(v) for v in table.values())
+
+
+def _is(types, accept=lambda v: True):
+    # the value itself if its type is one of types (booleans are never ints
+    # here) and accept holds for it
+    return lambda v: v if type(v) in types and accept(v) else _BAD
+
+
+def _integer(least: int):
+    return _is((int,), lambda v: v >= least)
+
+
+def _number(accept):
+    # a number accept holds for, read as a float
+    return lambda v: float(v) if type(v) in (int, float) and accept(v) else _BAD
+
+
+def _optional(check):
+    return lambda v: v if v is None else check(v)
+
+
+# what a setting typed by a LearnerConfig or SynthConfig field annotation
+# must be, and its check; the dataclass's own validation checks the ranges
+_FIELD_VALUES = {
+    "int": ("an integer", _is((int,))),
+    "float": ("a finite number", _is((int, float), _finite)),
+    "float | str": ('a finite number or "auto"',
+                    _is((int, float, str), lambda v: type(v) is str or _finite(v))),
+    "str": ("a string", _is((str,))),
+    "dict[str, float]": ("a JSON object of finite numbers", _is((dict,), _finite_values)),
+    "float | dict[str, float]": ("a finite number or a JSON object of finite numbers", _is(
+        (int, float, dict), lambda v: _finite_values(v) if type(v) is dict else _finite(v))),
+    "dict[str, dict[str, float]]": ("a JSON object of JSON objects of finite numbers", _is(
+        (dict,), lambda v: all(type(t) is dict and _finite_values(t) for t in v.values()))),
 }
+_LEARNER_FIELDS = {f.name: f.type for f in dataclass_fields(LearnerConfig)}
+# a stage learns with its preset under the run's seed, then the stage's settings
+_STAGE_PRESETS = {"stage1": gbdt_leafwise_preset, "stage2": gbdt_depthwise_preset}
 
 
-def _learner_config(stage: str, overrides, preset, seed: int) -> LearnerConfig:
-    config = replace(preset(), seed=seed)
-    if overrides is None:
-        return config
-    _checked(stage, overrides, "a JSON object of learner settings", types=(dict,))
-    known = {f.name: f.type for f in dataclass_fields(LearnerConfig)}
-    unknown = sorted(set(overrides) - set(known))
-    if unknown:
-        raise ParameterError(f"unknown learner settings: {', '.join(unknown)}")
-    for name, value in overrides.items():
-        _checked(f"{stage}.{name}", value, *_LEARNER_VALUES[known[name]])
-    return replace(config, **overrides)
+def _members(prefix: str, annotation):
+    """Check: a JSON object whose every member is of the type annotation(name)
+    names in _FIELD_VALUES. Only learner settings have names without one."""
+    def check(table):
+        if type(table) is not dict:
+            return _BAD
+        unknown = sorted(name for name in table if annotation(name) is None)
+        if unknown:
+            raise ParameterError(f"unknown learner settings: {', '.join(unknown)}")
+        for name, value in table.items():
+            _checked(f"{prefix}.{name}", value, *_FIELD_VALUES[annotation(name)])
+        return table
+    return check
+
+
+def _bounds(bounds):
+    # measurement names mapped to [low, high] pairs of finite numbers with
+    # low <= high, read as pairs of floats
+    if type(bounds) is not dict:
+        return _BAD
+    for name, pair in bounds.items():
+        _checked("bounds", name, "keyed by " + ", ".join(sorted(DEFAULT_BOUNDS)),
+                 _is((str,), lambda v: v in DEFAULT_BOUNDS))
+        _checked(f"bounds.{name}", pair, "[low, high] with finite numbers low <= high",
+                 _is((list,), lambda v: len(v) == 2 and all(type(x) in (int, float) for x in v)
+                     and -_MAX <= v[0] <= v[1] <= _MAX))
+    return {name: (float(lo), float(hi)) for name, (lo, hi) in bounds.items()}
+
+
+EVERY = "every subcommand"
+_TRAINING = ("train", "ablate")
+_SYNTH_DEFAULTS = SynthConfig()
+_NON_NEGATIVE = _number(lambda v: 0 <= v <= _MAX)
+_POSITIVE = _number(lambda v: 0 < v <= _MAX)
+
+# (subcommands or EVERY, key, default, what the value must be, check): every
+# setting a subcommand reads from its config, in the order they are checked
+SETTINGS = [
+    (EVERY, "seed", 0, "an integer >= 0", _integer(0)),
+    (("qc",), "batch_min", BatchConfig.batch_min, "an integer >= 1", _integer(1)),
+    (("qc",), "cluster_min", BatchConfig.cluster_min, "an integer >= 1", _integer(1)),
+    (("qc",), "batch_gap_s", BatchConfig.batch_gap_s, "a finite number >= 0", _NON_NEGATIVE),
+    (("qc",), "cluster_radius_m", BatchConfig.cluster_radius_m, "a finite number >= 0",
+     _NON_NEGATIVE),
+    (("clean",), "bounds", {}, "a JSON object", _bounds),
+    (("clean",), "z_threshold", 4.0, "a finite number > 0", _POSITIVE),
+    (("clean",), "dictionary", {}, "a JSON object", _is((dict,))),
+    (("encode",), "require_labels", True, "true or false", _is((bool,))),
+    (("encode",), "category_levels", None, "a JSON object of string lists",
+     _is((dict,), lambda v: all(
+         type(levels) is list and all(type(x) is str for x in levels) for levels in v.values()
+     ))),
+    *[(("synth",), f.name, getattr(_SYNTH_DEFAULTS, f.name), *_FIELD_VALUES[f.type])
+      for f in dataclass_fields(SynthConfig) if f.name != "seed"],
+    (_TRAINING, "k", 5, "an integer >= 2", _integer(2)),
+    (_TRAINING, "inner_fraction", 0.85, "a number in (0, 1)", _number(lambda v: 0 < v < 1)),
+    (_TRAINING, "beta", 2.0, "a finite number > 0", _POSITIVE),
+    (_TRAINING, "calibration", METHOD_ISOTONIC, f"{METHOD_ISOTONIC} or {METHOD_PLATT}",
+     _is((str,), lambda v: v in (METHOD_ISOTONIC, METHOD_PLATT))),
+    *[(_TRAINING, stage, {}, "a JSON object of learner settings",
+       _members(stage, _LEARNER_FIELDS.get)) for stage in _STAGE_PRESETS],
+    *[(("evaluate",), side, {}, "a JSON object of finite numbers",
+       _members(side, lambda name: "float")) for side in ("min", "max")],
+    (("compare",), "n_boot", 10000, "an integer >= 1", _integer(1)),
+    (("compare",), "threshold", None, "a number in [0, 1]",
+     _optional(_number(lambda v: 0 <= v <= 1))),
+    (("explain",), "max_rows", None, "an integer >= 1", _optional(_integer(1))),
+]
+
+
+def _read_settings(subcommand: str, config: dict, seed=None) -> tuple[dict, list[str]]:
+    """The settings subcommand reads from config, each checked and defaulted
+    as SETTINGS says, and the sorted config keys it does not read. A seed
+    flag stands in for the config's seed."""
+    values = config if seed is None else {**config, "seed": seed}
+    settings = {}
+    for scope, key, default, wanted, check in SETTINGS:
+        if scope == EVERY or subcommand in scope:
+            settings[key] = _checked(key, values[key], wanted, check) if key in values else default
+    for stage, preset in _STAGE_PRESETS.items():
+        if stage in settings:
+            settings[stage] = preset(**{"seed": settings["seed"], **settings[stage]})
+    return settings, sorted(set(config) - set(settings))
 
 
 def _bundle_rows(bundles: dict[str, MetricBundle], extra: dict[str, dict[str, float]] | None = None):
@@ -223,27 +344,11 @@ def _bundle_rows(bundles: dict[str, MetricBundle], extra: dict[str, dict[str, fl
 # subcommands
 
 
-def _batch_config(config: dict) -> BatchConfig:
-    """The QC batch settings of a config: batch_min and cluster_min must be
-    integers >= 1, batch_gap_s and cluster_radius_m finite numbers >= 0."""
-    settings = {}
-    for key in ("batch_min", "cluster_min"):
-        settings[key] = _checked(
-            key, config.get(key, getattr(BatchConfig, key)), "an integer >= 1",
-            lambda v: v >= 1, (int,),
-        )
-    for key in ("batch_gap_s", "cluster_radius_m"):
-        settings[key] = float(_checked(
-            key, config.get(key, getattr(BatchConfig, key)), "a finite number >= 0",
-            lambda v: 0 <= v <= _MAX,
-        ))
-    return BatchConfig(**settings)
-
-
 def _cmd_qc(args) -> int:
     run = _Run(args, "qc")
     parsed = _parse_input_records(run, args.records)
-    verdicts, flags = evaluate_batch(parsed.records, _batch_config(run.config))
+    config = BatchConfig(**{f.name: run.settings[f.name] for f in dataclass_fields(BatchConfig)})
+    verdicts, flags = evaluate_batch(parsed.records, config)
     lines = [
         json.dumps(
             {"uuid": v.uuid, "category": v.category, "triggered": list(v.triggered)},
@@ -271,41 +376,15 @@ def _cmd_qc(args) -> int:
     return 2 if category_counts[CATEGORY_ALERT] else 0
 
 
-def _clean_settings(config: dict):
-    """bounds, as a mapping of measurement names to [low, high] pairs of
-    finite numbers with low <= high, and z_threshold, a finite number > 0."""
-    bounds = _checked("bounds", config.get("bounds", {}), "a JSON object", types=(dict,))
-    for name, pair in bounds.items():
-        _checked(
-            "bounds", name, "keyed by " + ", ".join(sorted(DEFAULT_BOUNDS)),
-            lambda v: v in DEFAULT_BOUNDS, (str,),
-        )
-        _checked(
-            f"bounds.{name}", pair, "[low, high] with finite numbers low <= high",
-            lambda v: len(v) == 2 and all(type(x) in (int, float) for x in v)
-            and -_MAX <= v[0] <= v[1] <= _MAX,
-            (list,),
-        )
-    z_threshold = _checked(
-        "z_threshold", config.get("z_threshold", 4.0), "a finite number > 0",
-        lambda v: 0 < v <= _MAX,
-    )
-    bounds = {name: (float(lo), float(hi)) for name, (lo, hi) in bounds.items()}
-    return bounds, float(z_threshold)
-
-
 def _cmd_clean(args) -> int:
     run = _Run(args, "clean")
-    bounds, z_threshold = _clean_settings(run.config)
-    dictionary = _checked(
-        "dictionary", run.config.get("dictionary", {}), "a JSON object", types=(dict,)
-    )
+    bounds, dictionary = run.settings["bounds"], run.settings["dictionary"]
     parsed = _parse_input_records(run, args.records)
     records = parsed.records
     if dictionary:
         records = harmonize(records, dictionary)
     kept, clean_log = clean(records, bounds or None)
-    kept, outlier_log = screen_outliers(kept, z_threshold)
+    kept, outlier_log = screen_outliers(kept, run.settings["z_threshold"])
     removals = [
         {"stage": "clean", "row": r.row, "uuid": r.uuid, "reason": r.reason}
         for r in clean_log.removed
@@ -333,22 +412,8 @@ def _cmd_clean(args) -> int:
 
 def _cmd_encode(args) -> int:
     run = _Run(args, "encode")
-    require_labels = _checked(
-        "require_labels", run.config.get("require_labels", True), "true or false", types=(bool,)
-    )
-    category_levels = run.config.get("category_levels")
-    if "category_levels" in run.config:
-        _checked(
-            "category_levels", category_levels, "a JSON object of string lists",
-            lambda v: all(
-                type(levels) is list and all(type(level) is str for level in levels)
-                for levels in v.values()
-            ),
-            (dict,),
-        )
-    parsed = _parse_input_records(run, args.records)
-    matrix, labels = encode(
-        parsed.records, category_levels=category_levels, require_labels=require_labels
+    matrix, labels = _encode_input(
+        run, args.records, run.settings["category_levels"], run.settings["require_labels"]
     )
     feature_rows = []
     for i in range(matrix.n_rows):
@@ -377,24 +442,18 @@ def _cmd_encode(args) -> int:
     return 0
 
 
-_SYNTH_KEYS = {f.name for f in dataclass_fields(SynthConfig)}
-
-
 def _cmd_synth(args) -> int:
     run = _Run(args, "synth")
-    unknown = sorted(set(run.config) - _SYNTH_KEYS)
-    if unknown:
-        raise ParameterError(f"unknown synth settings: {', '.join(unknown)}")
-    settings = dict(run.config)
-    settings["seed"] = run.seed
-    config = SynthConfig(**settings)
+    if run.unread:
+        raise ParameterError(f"unknown synth settings: {', '.join(run.unread)}")
+    config = SynthConfig(**run.settings)
     # --out may name the fixture file itself rather than a directory
     fixture_name = "fixture.csv"
     if run.out_dir.suffix == ".csv":
         fixture_name = run.out_dir.name
         run.out_dir = run.out_dir.parent
-    run.out_dir.mkdir(parents=True, exist_ok=True)
     records, truth = generate(config)
+    run.out_dir.mkdir(parents=True, exist_ok=True)
     write_fixture(records, run.out_dir / fixture_name)
     run.register(fixture_name)
     run.write(
@@ -413,42 +472,11 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _encode_labeled(run: _Run, path, category_levels=None):
-    parsed = _parse_input_records(run, path)
-    return encode(parsed.records, category_levels=category_levels)
-
-
-def _train_settings(run: _Run):
-    """The settings train and ablate read, checked before any work starts."""
-    config = run.config
-    return {
-        "k": _checked("k", config.get("k", 5), "an integer >= 2", lambda v: v >= 2, (int,)),
-        "inner_fraction": float(_checked(
-            "inner_fraction", config.get("inner_fraction", 0.85), "a number in (0, 1)",
-            lambda v: 0 < v < 1,
-        )),
-        "beta": float(_checked(
-            "beta", config.get("beta", 2.0), "a finite number > 0", lambda v: 0 < v <= _MAX
-        )),
-        "calibration": _checked(
-            "calibration", config.get("calibration", METHOD_ISOTONIC),
-            f"{METHOD_ISOTONIC} or {METHOD_PLATT}",
-            lambda v: v in (METHOD_ISOTONIC, METHOD_PLATT), (str,),
-        ),
-        "stage1": _learner_config(
-            "stage1", config.get("stage1"), gbdt_leafwise_preset, run.seed
-        ),
-        "stage2": _learner_config(
-            "stage2", config.get("stage2"), gbdt_depthwise_preset, run.seed
-        ),
-    }
-
-
 def _cmd_train(args) -> int:
     run = _Run(args, "train")
-    s = _train_settings(run)
+    s = run.settings
     check_final_stages(s["stage1"], s["stage2"])
-    matrix, labels = _encode_labeled(run, args.records)
+    matrix, labels = _encode_input(run, args.records)
     plan = plan_folds(labels.ec, s["k"], s["inner_fraction"], run.seed)
     oof = generate_oof_probs(matrix, labels.tc, plan, s["stage1"])
     stacked = run_cv(
@@ -476,10 +504,7 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     run = _Run(args, "predict")
     model = pipeline_from_json(run.read_input(args.model).decode("utf-8"))
-    parsed = _parse_input_records(run, args.records)
-    matrix, _ = encode(
-        parsed.records, category_levels=model.category_levels, require_labels=False
-    )
+    matrix, _ = _encode_input(run, args.records, model.category_levels, require_labels=False)
     rows = [
         (p.row_id, _fmt(p.coliform_prob), _fmt(p.probability), str(p.decision))
         for p in predict(model, matrix)
@@ -490,26 +515,15 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _metric_bounds(config: dict) -> dict[str, dict]:
-    """The min and max metric bounds of evaluate --assert, read from the
-    config's "assert" object or, without one, from the config itself."""
-    checks = _checked("assert", config.get("assert", config), "a JSON object", types=(dict,))
-    bounds = {}
-    for side in ("min", "max"):
-        bounds[side] = _checked(
-            side, checks.get(side, {}), "a JSON object of finite numbers", types=(dict,)
-        )
-        for name, bound in bounds[side].items():
-            _checked(f"{side}.{name}", bound, "a finite number", _finite)
-    return bounds
-
-
 def _cmd_evaluate(args) -> int:
     run = _Run(args, "evaluate")
-    if args.assert_metrics:
-        bounds = _metric_bounds(run.config)
+    if args.assert_metrics and args.config and not {"min", "max"} & set(run.config):
+        raise ParameterError(
+            "evaluate --assert reads its bounds from top-level min and max, "
+            f"got config keys {sorted(run.config)}"
+        )
     model = pipeline_from_json(run.read_input(args.model).decode("utf-8"))
-    matrix, labels = _encode_labeled(run, args.records, model.category_levels)
+    matrix, labels = _encode_input(run, args.records, model.category_levels)
     probs = np.array([p.probability for p in predict(model, matrix)])
     y = labels.ec
     bundle = full_bundle(probs, y, model.threshold)
@@ -532,11 +546,11 @@ def _cmd_evaluate(args) -> int:
     }
     failures: list[str] = []
     if args.assert_metrics:
-        for name, floor in bounds["min"].items():
+        for name, floor in run.settings["min"].items():
             value = report["metrics"].get(name)
             if value is None or value < floor:
                 failures.append(f"{name}={value} < {floor}")
-        for name, ceiling in bounds["max"].items():
+        for name, ceiling in run.settings["max"].items():
             value = report["metrics"].get(name)
             if value is None or value > ceiling:
                 failures.append(f"{name}={value} > {ceiling}")
@@ -558,21 +572,14 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_compare(args) -> int:
     run = _Run(args, "compare")
-    n_boot = _checked(
-        "n_boot", run.config.get("n_boot", 10000), "an integer >= 1", lambda v: v >= 1, (int,)
-    )
-    threshold = run.config.get("threshold")
-    if threshold is not None:
-        threshold = float(_checked(
-            "threshold", threshold, "a number in [0, 1]", lambda v: 0 <= v <= 1
-        ))
     reference = cv_report_from_dict(json.loads(run.read_input(args.reference)))
     challengers = [
         cv_report_from_dict(json.loads(run.read_input(path)))
         for path in args.challengers
     ]
     report = compare_models(
-        reference, challengers, n_boot=n_boot, seed=run.seed, threshold=threshold
+        reference, challengers, n_boot=run.settings["n_boot"], seed=run.seed,
+        threshold=run.settings["threshold"],
     )
     payload = {
         "reference": report.reference,
@@ -599,14 +606,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_explain(args) -> int:
     run = _Run(args, "explain")
-    max_rows = run.config.get("max_rows")
-    if max_rows is not None:
-        _checked("max_rows", max_rows, "an integer >= 1", lambda v: v >= 1, (int,))
+    max_rows = run.settings["max_rows"]
     model = pipeline_from_json(run.read_input(args.model).decode("utf-8"))
-    parsed = _parse_input_records(run, args.records)
-    matrix, _ = encode(
-        parsed.records, category_levels=model.category_levels, require_labels=False
-    )
+    matrix, _ = _encode_input(run, args.records, model.category_levels, require_labels=False)
     if max_rows is not None:
         matrix = matrix.take(np.arange(min(max_rows, matrix.n_rows)))
     widened = stage2_input(model, matrix)
@@ -643,8 +645,8 @@ def _subset_matrix(matrix: FeatureMatrix, kind: str | None) -> FeatureMatrix:
 
 def _cmd_ablate(args) -> int:
     run = _Run(args, "ablate")
-    s = _train_settings(run)
-    matrix, labels = _encode_labeled(run, args.records)
+    s = run.settings
+    matrix, labels = _encode_input(run, args.records)
     plan = plan_folds(labels.ec, s["k"], s["inner_fraction"], run.seed)
     chosen = [args.features] if args.features else list(_SUBSETS)
     bundles: dict[str, MetricBundle] = {}
@@ -680,41 +682,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, handler, help_text):
+    def add(name, handler, help_text, out_default=".", out_help="output directory"):
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--config", help="JSON settings file")
         sub.add_argument("--seed", type=int, default=None, help="master random seed")
+        sub.add_argument("--out", default=out_default, help=out_help)
         sub.set_defaults(handler=handler)
         return sub
 
-    sub = add("qc", _cmd_qc, "triage raw records into OK/REVIEW/ALERT")
+    sub = add("qc", _cmd_qc, "triage raw records into OK/REVIEW/ALERT",
+              out_default=None, out_help="output directory (optional)")
     sub.add_argument("--records", required=True, help="records CSV")
-    sub.add_argument("--out", default=None, help="output directory (optional)")
 
     sub = add("clean", _cmd_clean, "harmonize, deduplicate, and screen records")
     sub.add_argument("--records", required=True, help="records CSV")
-    sub.add_argument("--out", default=".", help="output directory")
 
     sub = add("encode", _cmd_encode, "encode cleaned records into a feature matrix")
     sub.add_argument("--records", required=True, help="cleaned records CSV")
-    sub.add_argument("--out", default=".", help="output directory")
 
-    sub = add("synth", _cmd_synth, "generate a synthetic survey fixture")
-    sub.add_argument("--out", default=".", help="output directory or fixture CSV path")
+    add("synth", _cmd_synth, "generate a synthetic survey fixture",
+        out_help="output directory or fixture CSV path")
 
     sub = add("train", _cmd_train, "cross-validate and fit the two-stage pipeline")
     sub.add_argument("--records", required=True, help="cleaned, labeled records CSV")
-    sub.add_argument("--out", default=".", help="output directory")
 
     sub = add("predict", _cmd_predict, "score new records with a fitted pipeline")
     sub.add_argument("--model", required=True, help="pipeline model JSON")
     sub.add_argument("--records", required=True, help="records CSV")
-    sub.add_argument("--out", default=".", help="output directory")
 
     sub = add("evaluate", _cmd_evaluate, "evaluate a fitted pipeline on labeled records")
     sub.add_argument("--model", required=True, help="pipeline model JSON")
     sub.add_argument("--records", required=True, help="labeled records CSV")
-    sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument(
         "--assert",
         dest="assert_metrics",
@@ -727,16 +725,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--challengers", required=True, nargs="+", help="challenger CV report JSONs"
     )
-    sub.add_argument("--out", default=".", help="output directory")
 
     sub = add("explain", _cmd_explain, "attribute pipeline predictions to features")
     sub.add_argument("--model", required=True, help="pipeline model JSON")
     sub.add_argument("--records", required=True, help="records CSV")
-    sub.add_argument("--out", default=".", help="output directory")
 
     sub = add("ablate", _cmd_ablate, "rerun training on feature subsets")
     sub.add_argument("--records", required=True, help="cleaned, labeled records CSV")
-    sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument(
         "--features",
         choices=sorted(_SUBSETS),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError, SchemaError
-from ..trees.model import require_keys, sigmoid
+from ..trees.model import read_typed, require_keys, sigmoid
 
 METHOD_PLATT = "platt"
 METHOD_ISOTONIC = "isotonic"
@@ -142,15 +142,23 @@ class Calibrator:
         require_keys(data, "a calibrator", ("method",))
         method = data["method"]
         if method == METHOD_ISOTONIC:
-            require_keys(data, "an isotonic calibrator", ("knots_x", "knots_y"))
+            what = "an isotonic calibrator"
+            require_keys(data, what, ("knots_x", "knots_y"))
+            knots_x = read_typed(data, what, "knots_x", "a list of numbers")
+            knots_y = read_typed(data, what, "knots_y", "a list of numbers")
             return cls(
                 method=method,
-                knots_x=np.array(data["knots_x"], dtype=float),
-                knots_y=np.array(data["knots_y"], dtype=float),
+                knots_x=np.array(knots_x, dtype=float),
+                knots_y=np.array(knots_y, dtype=float),
             )
         if method in (METHOD_PLATT, METHOD_FALLBACK):
-            require_keys(data, f"a {method} calibrator", ("a", "b"))
-            return cls(method=method, a=float(data["a"]), b=float(data["b"]))
+            what = f"a {method} calibrator"
+            require_keys(data, what, ("a", "b"))
+            return cls(
+                method=method,
+                a=float(read_typed(data, what, "a", "a number")),
+                b=float(read_typed(data, what, "b", "a number")),
+            )
         raise SchemaError(f"unknown calibration method {method!r}")
 
 

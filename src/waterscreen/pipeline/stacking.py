@@ -40,7 +40,7 @@ from ..trees import (
     predict_proba,
 )
 from ..trees.model import from_dict as model_from_dict
-from ..trees.model import from_fields, require_keys
+from ..trees.model import from_fields, read_typed, require_keys
 from ..trees.model import to_dict as model_to_dict
 from .calibration import Calibrator, fit_calibrator
 from .folds import FoldPlan
@@ -420,14 +420,15 @@ def pipeline_from_json(text: str) -> PipelineModel:
         )
     require_keys(data, "a pipeline",
                  "stage1 stage2 calibrator threshold beta feature_names category_levels".split())
+    levels = read_typed(data, "a pipeline", "category_levels", "an object of string lists")
     return PipelineModel(
         stage1=model_from_dict(data["stage1"]),
         stage2=model_from_dict(data["stage2"]),
         calibrator=Calibrator.from_dict(data["calibrator"]),
-        threshold=float(data["threshold"]),
-        beta=float(data["beta"]),
-        feature_names=list(data["feature_names"]),
-        category_levels={k: list(v) for k, v in data["category_levels"].items()},
+        threshold=float(read_typed(data, "a pipeline", "threshold", "a number")),
+        beta=float(read_typed(data, "a pipeline", "beta", "a number")),
+        feature_names=list(read_typed(data, "a pipeline", "feature_names", "a list of strings")),
+        category_levels={k: list(v) for k, v in levels.items()},
     )
 
 
@@ -458,32 +459,38 @@ def cv_report_to_dict(report: CvReport) -> dict:
     }
 
 
+def _fold_from_dict(f) -> FoldResult:
+    what = "a cv report fold"
+    require_keys(f, what, "fold_id held_out raw calibrated threshold "
+                 "best_iteration calibration_method digest".split())
+    return FoldResult(
+        fold_id=read_typed(f, what, "fold_id", "an integer"),
+        held_out=np.array(read_typed(f, what, "held_out", "a list of integers"), dtype=np.int64),
+        raw=np.array(read_typed(f, what, "raw", "a list of numbers"), dtype=float),
+        calibrated=np.array(read_typed(f, what, "calibrated", "a list of numbers"), dtype=float),
+        threshold=float(read_typed(f, what, "threshold", "a number")),
+        best_iteration=read_typed(f, what, "best_iteration", "an integer"),
+        calibration_method=f["calibration_method"],
+        digest=f["digest"],
+    )
+
+
 def cv_report_from_dict(data: dict) -> CvReport:
-    require_keys(data, "a cv report", "name labels folds pooled threshold_mean threshold_sd "
+    what = "a cv report"
+    require_keys(data, what, "name labels folds pooled threshold_mean threshold_sd "
                  "beta aux_used stage1_auc".split())
-    for f in data["folds"]:
-        require_keys(f, "a cv report fold", "fold_id held_out raw calibrated threshold "
-                     "best_iteration calibration_method digest".split())
+    folds = [_fold_from_dict(f) for f in data["folds"]]
+    stage1_auc = data["stage1_auc"]
+    if stage1_auc is not None:
+        stage1_auc = float(read_typed(data, what, "stage1_auc", "a number"))
     return CvReport(
         name=data["name"],
-        labels=np.array(data["labels"], dtype=np.int64),
-        folds=[
-            FoldResult(
-                fold_id=int(f["fold_id"]),
-                held_out=np.array(f["held_out"], dtype=np.int64),
-                raw=np.array(f["raw"], dtype=float),
-                calibrated=np.array(f["calibrated"], dtype=float),
-                threshold=float(f["threshold"]),
-                best_iteration=int(f["best_iteration"]),
-                calibration_method=f["calibration_method"],
-                digest=f["digest"],
-            )
-            for f in data["folds"]
-        ],
+        labels=np.array(read_typed(data, what, "labels", "a list of integers"), dtype=np.int64),
+        folds=folds,
         pooled=from_fields(MetricBundle, data["pooled"], "a cv report's pooled metrics"),
-        threshold_mean=float(data["threshold_mean"]),
-        threshold_sd=float(data["threshold_sd"]),
-        beta=float(data["beta"]),
-        aux_used=bool(data["aux_used"]),
-        stage1_auc=None if data["stage1_auc"] is None else float(data["stage1_auc"]),
+        threshold_mean=float(read_typed(data, what, "threshold_mean", "a number")),
+        threshold_sd=float(read_typed(data, what, "threshold_sd", "a number")),
+        beta=float(read_typed(data, what, "beta", "a number")),
+        aux_used=read_typed(data, what, "aux_used", "a boolean"),
+        stage1_auc=stage1_auc,
     )

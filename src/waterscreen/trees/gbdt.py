@@ -129,10 +129,7 @@ def fit_gbdt(
             ):
                 break
 
-    if valid_loss:
-        best_iteration = int(np.argmin(valid_loss)) + 1
-    else:
-        best_iteration = len(trees)
+    best_iteration = best_index + 1 if valid_loss else len(trees)
     trees = trees[:best_iteration]
 
     return TreeEnsembleModel(

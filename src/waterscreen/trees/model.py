@@ -114,11 +114,9 @@ NODE_DTYPES = {
     "count": np.int64,
     "gain": np.float64,
 }
-# the JSON values a node array of each dtype kind accepts; null stands for NaN
-_JSON_VALUES = {
-    "i": ((int,), "integers"),
-    "f": ((int, float, type(None)), "numbers or nulls"),
-    "b": ((bool,), "booleans"),
+# what a node array of each dtype kind must be in JSON; null stands for NaN
+_NODE_KINDS = {
+    "i": "a list of integers", "f": "a list of numbers or nulls", "b": "a list of booleans",
 }
 
 
@@ -208,6 +206,34 @@ def require_keys(data, what: str, keys) -> None:
             raise SchemaError(f"{what} lacks {key!r}")
 
 
+def _list_of(*types):
+    return lambda v: type(v) is list and all(type(x) in types for x in v)
+
+
+# what a typed artifact value must be, and the test of its JSON value
+_ARTIFACT_KINDS = {
+    "a boolean": lambda v: type(v) is bool,
+    "an integer": lambda v: type(v) is int,
+    "a number": lambda v: type(v) in (int, float),
+    "a list of booleans": _list_of(bool),
+    "a list of integers": _list_of(int),
+    "a list of numbers": _list_of(int, float),
+    "a list of numbers or nulls": _list_of(int, float, type(None)),
+    "a list of number lists": lambda v: type(v) is list and all(map(_list_of(int, float), v)),
+    "a list of strings": _list_of(str),
+    "an object of string lists": lambda v: type(v) is dict and all(map(_list_of(str), v.values())),
+}
+
+
+def read_typed(data, what: str, key: str, kind: str):
+    """data[key], which require_keys has found, refused with SchemaError
+    unless its JSON value is kind, one of the kinds of _ARTIFACT_KINDS."""
+    value = data[key]
+    if not _ARTIFACT_KINDS[kind](value):
+        raise SchemaError(f"{what}'s {key!r} must be {kind}")
+    return value
+
+
 def from_fields(cls, data, what: str):
     """cls(**data); a non-object, or an unknown, absent or mistyped field,
     is refused with SchemaError."""
@@ -230,10 +256,7 @@ def _tree_from_dict(data) -> Tree:
     require_keys(data, "a tree", NODE_DTYPES)
     arrays = {}
     for name, dtype in NODE_DTYPES.items():
-        types, wanted = _JSON_VALUES[np.dtype(dtype).kind]
-        values = data[name]
-        if type(values) is not list or any(type(v) not in types for v in values):
-            raise SchemaError(f"a tree's {name!r} array must hold {wanted}")
+        values = read_typed(data, "a tree", name, _NODE_KINDS[np.dtype(dtype).kind])
         try:
             arrays[name] = np.array([np.nan if v is None else v for v in values], dtype=dtype)
         except OverflowError as exc:
@@ -300,27 +323,29 @@ def from_dict(data: dict) -> Model:
     require_keys(data, "a model", ("kind",))
     kind = data["kind"]
     if kind == "tree_ensemble":
-        require_keys(data, "a tree ensemble",
+        what = "a tree ensemble"
+        require_keys(data, what,
                      "family trees base_score best_iteration bin_edges feature_names config".split())
         model = TreeEnsembleModel(
             family=data["family"],
             trees=[_tree_from_dict(t) for t in data["trees"]],
-            base_score=float(data["base_score"]),
-            best_iteration=int(data["best_iteration"]),
-            bin_edges=[np.array(e, dtype=float) for e in data["bin_edges"]],
-            feature_names=list(data["feature_names"]),
+            base_score=float(read_typed(data, what, "base_score", "a number")),
+            best_iteration=read_typed(data, what, "best_iteration", "an integer"),
+            bin_edges=[np.array(e, dtype=float)
+                       for e in read_typed(data, what, "bin_edges", "a list of number lists")],
+            feature_names=list(read_typed(data, what, "feature_names", "a list of strings")),
             config=from_fields(LearnerConfig, data["config"], "a stage config"),
         )
         _check_trees(model)
         return model
     if kind == "logistic":
-        require_keys(data, "a logistic model",
-                     "weights intercept l2_regularization feature_names".split())
+        what = "a logistic model"
+        require_keys(data, what, "weights intercept l2_regularization feature_names".split())
         return LogisticModel(
-            weights=np.array(data["weights"], dtype=float),
-            intercept=float(data["intercept"]),
-            l2_regularization=float(data["l2_regularization"]),
-            feature_names=list(data["feature_names"]),
+            weights=np.array(read_typed(data, what, "weights", "a list of numbers"), dtype=float),
+            intercept=float(read_typed(data, what, "intercept", "a number")),
+            l2_regularization=float(read_typed(data, what, "l2_regularization", "a number")),
+            feature_names=list(read_typed(data, what, "feature_names", "a list of strings")),
         )
     raise UnsupportedModelError(f"unknown model kind {kind!r}")
 

@@ -265,12 +265,18 @@ BAD_SETTINGS = {
         "seed_not_an_integer": {"seed": "abc"},
         "seed_fractional": {"seed": 2.7},
         "seed_negative": {"seed": -1},
+        "n_rows_as_string": {"n_rows": "400"},
+        "n_rows_fractional": {"n_rows": 40.5},
+        "tc_prevalence_as_string": {"tc_prevalence": "0.5"},
+        "feature_signal_not_an_object": {"feature_signal": 3},
+        "missing_rate_not_numbers": {"missing_rate": {"ph": "x"}},
     },
     "evaluate": {
         "min_bound_not_a_number": {"min": {"roc_auc": "high"}},
         "min_not_an_object": {"min": [0.5]},
         "max_bound_infinite": {"max": {"brier": float("inf")}},
         "max_bound_boolean": {"max": {"brier": True}},
+        "bounds_only_under_assert": {"assert": {"min": {"roc_auc": 0.5}}},
     },
 }
 
@@ -335,6 +341,20 @@ def _damage(data, defect):
         fold = data["folds"][0]
         for key in ("held_out", "raw", "calibrated"):
             fold[key].pop()
+    elif defect == "fractional_best_iteration":
+        data["stage1"]["best_iteration"] += 0.7
+    elif defect == "base_score_as_string":
+        data["stage1"]["base_score"] = str(data["stage1"]["base_score"])
+    elif defect == "bin_edges_as_strings":
+        data["stage2"]["bin_edges"] = [[str(e) for e in edges] for edges in data["stage2"]["bin_edges"]]
+    elif defect == "threshold_as_string":
+        data["threshold"] = str(data["threshold"])
+    elif defect == "category_levels_as_list":
+        data["category_levels"] = list(data["category_levels"].values())
+    elif defect == "fractional_label":
+        data["labels"][0] += 0.5
+    elif defect == "fractional_held_out_row":
+        data["folds"][0]["held_out"][0] += 0.5
     return data
 
 
@@ -350,6 +370,13 @@ DAMAGED_ARTIFACTS = [
     ("predict", "model.json", "unknown_calibrator_method", "'bogus'"),
     ("compare", "cv_report.json", "report_without_pooled", "'pooled'"),
     ("compare", "cv_report.json", "folds_leave_a_row_unscored", "'two_stage'"),
+    ("predict", "model.json", "fractional_best_iteration", "'best_iteration'"),
+    ("predict", "model.json", "base_score_as_string", "'base_score'"),
+    ("predict", "model.json", "bin_edges_as_strings", "'bin_edges'"),
+    ("predict", "model.json", "threshold_as_string", "'threshold'"),
+    ("predict", "model.json", "category_levels_as_list", "'category_levels'"),
+    ("compare", "cv_report.json", "fractional_label", "'labels'"),
+    ("compare", "cv_report.json", "fractional_held_out_row", "'held_out'"),
 ]
 
 
@@ -410,6 +437,14 @@ def test_seed_flag_must_be_a_non_negative_integer(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_synth_range_errors_leave_no_output_directory(tmp_path, capsys):
+    config = _write(tmp_path / "c.json", {"n_rows": 5})
+    out_dir = tmp_path / "out"
+    assert run(["synth", "--config", str(config), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == "error: n_rows must be at least 10\n"
+    assert not out_dir.exists()
+
+
 def test_refused_runs_leave_no_output_directory(tmp_path):
     missing = str(tmp_path / "absent.csv")
     for subcommand in ("qc", "clean", "encode", "train"):
@@ -421,10 +456,34 @@ def test_refused_runs_leave_no_output_directory(tmp_path):
 def test_settings_a_subcommand_does_not_read_are_not_refused(workspace, tmp_path):
     # one config for train, compare and explain, as a rehearsal script passes it
     config = _write(tmp_path / "shared.json", {**TRAIN_CONFIG, "n_boot": 50, "max_rows": 5})
+    unread = {
+        "train": ["max_rows", "n_boot"],
+        "compare": ["k", "max_rows", "stage1", "stage2"],
+        "explain": ["k", "n_boot", "stage1", "stage2"],
+    }
     for subcommand in ("train", "compare", "explain"):
         args = [subcommand, *_subcommand_args(subcommand, workspace),
                 "--config", str(config), "--out", str(tmp_path / subcommand)]
         assert run(args) == 0
+        manifest = read_manifest(tmp_path / subcommand)
+        assert manifest["unread_config_keys"] == unread[subcommand]
+    settings = read_manifest(tmp_path / "train")["settings"]
+    assert settings["k"] == 3 and settings["beta"] == 2.0
+    assert settings["stage1"]["iteration_cap"] == 25
+    assert settings["stage1"]["growth"] == "leafwise"
+    assert settings["stage2"]["growth"] == "depthwise"
+
+
+def test_manifest_records_the_default_settings(workspace, tmp_path):
+    for subcommand, settings in (
+        ("compare", {"seed": 0, "n_boot": 10000, "threshold": None}),
+        ("explain", {"seed": 0, "max_rows": None}),
+    ):
+        out_dir = tmp_path / subcommand
+        assert run([subcommand, *_subcommand_args(subcommand, workspace), "--out", str(out_dir)]) == 0
+        manifest = read_manifest(out_dir)
+        assert manifest["settings"] == settings
+        assert manifest["unread_config_keys"] == []
 
 
 def test_train_refits_with_the_configured_inner_fraction(workspace, tmp_path, monkeypatch):

@@ -169,6 +169,12 @@ def _break(data, defect):
         del data["trees"]
     elif defect == "unknown_config_key":
         data["config"]["bogus"] = 1
+    elif defect == "fractional_best_iteration":
+        data["best_iteration"] = len(data["trees"]) - 0.3
+    elif defect == "base_score_as_string":
+        data["base_score"] = str(data["base_score"])
+    elif defect == "bin_edges_as_strings":
+        data["bin_edges"][f] = [str(e) for e in data["bin_edges"][f]]
     return data
 
 
@@ -195,6 +201,9 @@ MALFORMED = (
     "tree_not_an_object",
     "stage_without_trees",
     "unknown_config_key",
+    "fractional_best_iteration",
+    "base_score_as_string",
+    "bin_edges_as_strings",
 )
 
 
