@@ -470,8 +470,8 @@ def _fold_from_dict(f) -> FoldResult:
         calibrated=np.array(read_typed(f, what, "calibrated", "a list of numbers"), dtype=float),
         threshold=float(read_typed(f, what, "threshold", "a number")),
         best_iteration=read_typed(f, what, "best_iteration", "an integer"),
-        calibration_method=f["calibration_method"],
-        digest=f["digest"],
+        calibration_method=read_typed(f, what, "calibration_method", "a string"),
+        digest=read_typed(f, what, "digest", "a string"),
     )
 
 
@@ -480,14 +480,18 @@ def cv_report_from_dict(data: dict) -> CvReport:
     require_keys(data, what, "name labels folds pooled threshold_mean threshold_sd "
                  "beta aux_used stage1_auc".split())
     folds = [_fold_from_dict(f) for f in data["folds"]]
+    pooled_what = "a cv report's pooled set"
+    pooled = from_fields(MetricBundle, data["pooled"], pooled_what)
+    for metric in data["pooled"]:
+        read_typed(data["pooled"], pooled_what, metric, "a number")
     stage1_auc = data["stage1_auc"]
     if stage1_auc is not None:
         stage1_auc = float(read_typed(data, what, "stage1_auc", "a number"))
     return CvReport(
-        name=data["name"],
+        name=read_typed(data, what, "name", "a string"),
         labels=np.array(read_typed(data, what, "labels", "a list of integers"), dtype=np.int64),
         folds=folds,
-        pooled=from_fields(MetricBundle, data["pooled"], "a cv report's pooled metrics"),
+        pooled=pooled,
         threshold_mean=float(read_typed(data, what, "threshold_mean", "a number")),
         threshold_sd=float(read_typed(data, what, "threshold_sd", "a number")),
         beta=float(read_typed(data, what, "beta", "a number")),

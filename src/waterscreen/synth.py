@@ -97,6 +97,11 @@ _PATHWAY_SHARE: dict[str, float] = {
     "turbidity_ntu": 0.0,
 }
 
+# the columns a missing rate can name: those generate leaves blank at random
+_GAPPED_COLUMNS = sorted(
+    set(MEASUREMENT_FIELDS) | set(CATEGORICAL_FIELDS) | {"latitude", "longitude"}
+)
+
 # total-coliform boundary: weak main effects, dominant interaction
 _TC_LATENT_WEIGHT = 0.45
 _TC_PATHWAY_WEIGHT = 0.4
@@ -149,9 +154,22 @@ def _check_config(config: SynthConfig) -> None:
     for rate in rates:
         if not 0.0 <= rate < 1.0:
             raise ParameterError("missing rates must lie in [0, 1)")
+    if isinstance(config.missing_rate, dict):
+        _check_names("missing_rate", config.missing_rate, _GAPPED_COLUMNS)
+    _check_names("feature_signal", config.feature_signal, MEASUREMENT_FIELDS)
+    _check_names("category_frequencies", config.category_frequencies, CATEGORICAL_FIELDS)
+    absent = sorted(set(CATEGORICAL_FIELDS) - set(config.category_frequencies))
+    if absent:
+        raise ParameterError(f"category_frequencies lacks a table for {', '.join(absent)}")
     for name, table in config.category_frequencies.items():
         if not table or any(p <= 0 for p in table.values()):
             raise ParameterError(f"category frequencies for {name} must be positive")
+
+
+def _check_names(setting: str, table: dict, known) -> None:
+    unknown = sorted(set(table) - set(known))
+    if unknown:
+        raise ParameterError(f"{setting} names unknown columns: {', '.join(unknown)}")
 
 
 def _missing_rate_for(config: SynthConfig, column: str) -> float:
@@ -221,9 +239,7 @@ def generate(config: SynthConfig | None = None) -> tuple[list[FieldRecord], Grou
     durations = rng.integers(240, 420, n)
 
     gaps: dict[str, np.ndarray] = {}
-    for column in sorted(
-        set(MEASUREMENT_FIELDS) | set(CATEGORICAL_FIELDS) | {"latitude", "longitude"}
-    ):
+    for column in _GAPPED_COLUMNS:
         rate = _missing_rate_for(config, column)
         gaps[column] = rng.random(n) < rate if rate > 0 else np.zeros(n, dtype=bool)
 

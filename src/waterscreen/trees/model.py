@@ -1,5 +1,13 @@
 """Fitted-model containers, prediction, and canonical JSON serialization.
 
+Prediction walks all of a model's kept trees at once: _leaf_values packs
+them into one flat node table with global child indices, in which each
+leaf points to itself, and moves an (n_rows, n_trees) node matrix one level
+per step under the one split rule goes_left. Tree.margins and
+Tree.margins_binned, used by boosting, are the one-tree case of the same
+walk. The table is packed on every call and never stored, so model.json
+and loaded models stay as they are.
+
 Serialization is bitwise round-trip: floats are written with Python's
 shortest-repr JSON encoding, NaN (a leaf's threshold and gain) as null, and
 keys are sorted, so equal models produce byte-equal JSON and a stable
@@ -11,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 from typing import Union
 
 import numpy as np
@@ -49,7 +58,9 @@ class Tree:
     holds the leaf payload (also filled for internal nodes, as the value the
     node would have had as a leaf); cover is the summed sample weight and
     count the raw row count seen in training; gain is the realized split
-    gain (NaN at leaves).
+    gain (NaN at leaves). margins and margins_binned route rows as the
+    one-tree case of _leaf_values; decisions gives every node's verdict at
+    once, for attribution.
     """
 
     feature: np.ndarray
@@ -67,23 +78,6 @@ class Tree:
     def n_nodes(self) -> int:
         return self.feature.size
 
-    def _route(self, x: np.ndarray, gone: np.ndarray, cut: np.ndarray) -> np.ndarray:
-        """Leaf value reached by each row of x, walked one level at a time
-        with goes_left against cut[node]."""
-        n = x.shape[0]
-        node = np.zeros(n, dtype=np.int32)
-        rows = np.arange(n)
-        while True:
-            f = self.feature[node]
-            internal = f >= 0
-            if not internal.any():
-                break
-            fi = np.where(internal, f, 0)
-            left = goes_left(x[rows, fi], gone[rows, fi], cut[node], self.missing_left[node])
-            nxt = np.where(left, self.left[node], self.right[node])
-            node = np.where(internal, nxt, node)
-        return self.value[node]
-
     def decisions(self, values: np.ndarray, gone: np.ndarray) -> np.ndarray:
         """(rows, nodes) goes_left verdict of every internal node for every
         raw row, whether or not the row reaches the node; False at leaves."""
@@ -93,11 +87,11 @@ class Tree:
 
     def margins(self, values: np.ndarray, gone: np.ndarray) -> np.ndarray:
         """Leaf value reached by each raw row; gone must mark NaN cells too."""
-        return self._route(values, gone, self.threshold)
+        return _leaf_values([self], values, gone, "threshold")[:, 0]
 
     def margins_binned(self, codes: np.ndarray, gone: np.ndarray) -> np.ndarray:
         """Leaf value reached by each row of bin codes; used during boosting."""
-        return self._route(codes, gone, self.split_bin)
+        return _leaf_values([self], codes, gone, "split_bin")[:, 0]
 
 
 # dtype of each Tree node array: the grower builds trees from it, and
@@ -114,6 +108,45 @@ NODE_DTYPES = {
     "count": np.int64,
     "gain": np.float64,
 }
+
+
+def _leaf_values(trees: list[Tree], x: np.ndarray, gone: np.ndarray, cut: str) -> np.ndarray:
+    """(rows, trees) leaf value each row of x reaches in each of trees.
+
+    The one router. The trees are packed into one flat node table with
+    global child indices, in which every leaf points to itself with feature
+    0, so a row that reaches a leaf stays there. An (n_rows, n_trees) node
+    matrix starts at the roots and moves one level per step under goes_left
+    against the node's cut array ("threshold" for raw values, "split_bin"
+    for bin codes), reading each cell through the flat index
+    row * n_cols + feature, until no row sits on an internal node. The
+    table is packed on every call.
+    """
+    def packed(name):
+        return np.concatenate([np.empty(0, NODE_DTYPES[name]), *[getattr(t, name) for t in trees]])
+
+    sizes = [tree.n_nodes for tree in trees]
+    roots = np.array([0, *accumulate(sizes)][:-1], dtype=np.intp)
+    feature = packed("feature")
+    internal = feature >= 0
+    offset = roots.repeat(sizes)
+    self_index = np.arange(feature.size)
+    left = np.where(internal, packed("left") + offset, self_index)
+    right = np.where(internal, packed("right") + offset, self_index)
+    feature = np.where(internal, feature, 0)
+    cuts, missing_left, value = packed(cut), packed("missing_left"), packed("value")
+
+    n_rows, n_cols = x.shape
+    flat_x, flat_gone = x.ravel(), gone.ravel()
+    row_start = np.arange(n_rows)[:, None] * n_cols
+    node = np.zeros((n_rows, 1), dtype=np.intp) + roots
+    while internal[node].any():
+        cell = row_start + feature[node]
+        go = goes_left(flat_x[cell], flat_gone[cell], cuts[node], missing_left[node])
+        node = np.where(go, left[node], right[node])
+    return value[node]
+
+
 # what a node array of each dtype kind must be in JSON; null stands for NaN
 _NODE_KINDS = {
     "i": "a list of integers", "f": "a list of numbers or nulls", "b": "a list of booleans",
@@ -160,11 +193,18 @@ def _check_schema(model_names: list[str], matrix: FeatureMatrix) -> None:
 
 
 def _leaf_sum(model: TreeEnsembleModel, matrix: FeatureMatrix, start: float) -> np.ndarray:
-    """start plus the leaf values of the model's first best_iteration trees."""
+    """start plus the leaf values of the model's first best_iteration trees.
+
+    All kept trees are routed in one walk of _leaf_values; their leaf
+    values are then added to start one tree at a time, in tree order, so
+    the sum is bit-equal to scoring the trees one by one.
+    """
     _check_schema(model.feature_names, matrix)
     total = np.full(matrix.n_rows, start, dtype=float)
-    for tree in model.trees[: model.best_iteration]:
-        total += tree.margins(matrix.values, matrix.missing_mask)
+    leaves = _leaf_values(model.trees[: model.best_iteration], matrix.values,
+                          matrix.missing_mask, "threshold")
+    for column in leaves.T:
+        total += column
     return total
 
 
@@ -215,6 +255,7 @@ _ARTIFACT_KINDS = {
     "a boolean": lambda v: type(v) is bool,
     "an integer": lambda v: type(v) is int,
     "a number": lambda v: type(v) in (int, float),
+    "a string": lambda v: type(v) is str,
     "a list of booleans": _list_of(bool),
     "a list of integers": _list_of(int),
     "a list of numbers": _list_of(int, float),

@@ -355,6 +355,10 @@ def _damage(data, defect):
         data["labels"][0] += 0.5
     elif defect == "fractional_held_out_row":
         data["folds"][0]["held_out"][0] += 0.5
+    elif defect == "pooled_metric_as_string":
+        data["pooled"]["roc_auc"] = "x"
+    elif defect == "calibration_method_as_number":
+        data["folds"][0]["calibration_method"] = 7
     return data
 
 
@@ -377,6 +381,8 @@ DAMAGED_ARTIFACTS = [
     ("predict", "model.json", "category_levels_as_list", "'category_levels'"),
     ("compare", "cv_report.json", "fractional_label", "'labels'"),
     ("compare", "cv_report.json", "fractional_held_out_row", "'held_out'"),
+    ("compare", "cv_report.json", "pooled_metric_as_string", "'roc_auc'"),
+    ("compare", "cv_report.json", "calibration_method_as_number", "'calibration_method'"),
 ]
 
 
@@ -442,6 +448,22 @@ def test_synth_range_errors_leave_no_output_directory(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert run(["synth", "--config", str(config), "--out", str(out_dir)]) == 1
     assert capsys.readouterr().err == "error: n_rows must be at least 10\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("setting,message", [
+    ({"category_frequencies": {"sex": {"female": 1}}},
+     "category_frequencies lacks a table for container_material, container_placement, "
+     "container_type, education_level, perception, source_type, storage_duration, treatment"),
+    ({"feature_signal": {"bogus": 1}, "missing_rate": {"ph": 0.1}},
+     "feature_signal names unknown columns: bogus"),
+    ({"missing_rate": {"ph": 0.1, "bogus": 0.5}}, "missing_rate names unknown columns: bogus"),
+], ids=["partial_category_frequencies", "unknown_feature_signal_name", "unknown_missing_rate_name"])
+def test_synth_refuses_tables_that_name_the_wrong_columns(tmp_path, capsys, setting, message):
+    config = _write(tmp_path / "c.json", setting)
+    out_dir = tmp_path / "out"
+    assert run(["synth", "--config", str(config), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_dir.exists()
 
 

@@ -19,6 +19,7 @@ from waterscreen.trees import (
     predict_proba,
     to_json,
 )
+from waterscreen.trees.model import _leaf_sum, _leaf_values
 
 
 def make_matrix(values, names=None):
@@ -124,7 +125,9 @@ def routing_cases(draw):
     y[:2] = [0, 1]
     reference = bin_features(train, max_bins)
     if draw(st.booleans()):
-        config = small_config(iteration_cap=4, min_samples_per_leaf=1, max_bins=max_bins)
+        # shallow trees, or deep and unbalanced leafwise ones
+        shape = draw(st.sampled_from([{}, {"max_depth": 16, "leaf_limit": 32}]))
+        config = small_config(iteration_cap=4, min_samples_per_leaf=1, max_bins=max_bins, **shape)
         model = fit_gbdt(reference, y, config)
     else:
         config = forest_preset(
@@ -274,6 +277,26 @@ class TestWeightsAndRouting:
                 nxt = np.where(left_at[rows, node], tree.left[node], tree.right[node])
                 node = np.where(internal, nxt, node)
             assert np.array_equal(tree.value[node], expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(routing_cases(), st.booleans())
+    def test_ensemble_walk_matches_the_per_tree_reference(self, case, one_row):
+        model, matrix, reference = case
+        if one_row:
+            matrix = matrix.take([0])
+        codes = apply_bins(matrix, reference).bin_indices
+        per_tree = [_margins_reference(t, matrix.values, matrix.missing_mask) for t in model.trees]
+        start = model.base_score
+        for kept in range(len(model.trees) + 1):
+            expected = np.full(matrix.n_rows, start)
+            for leaf in per_tree[:kept]:
+                expected += leaf
+            model.best_iteration = kept
+            assert np.array_equal(_leaf_sum(model, matrix, start), expected)
+            binned = np.full(matrix.n_rows, start)
+            for leaf in _leaf_values(model.trees[:kept], codes, matrix.missing_mask, "split_bin").T:
+                binned += leaf
+            assert np.array_equal(binned, expected)
 
 
 class TestDeterminism:

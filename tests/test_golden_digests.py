@@ -7,8 +7,13 @@ keeps, before the search was rewritten as one whole-array pass over a
 node's candidates; the rewrite reproduces them exactly. The scoring and
 attribution digests were computed with the per-level NaN-checking router
 that `tests/test_gbdt.py::_margins_reference` keeps, before raw and binned
-routing became one walk. A change that moves a digest on purpose says so
-and shows that model quality held.
+routing became one walk, and before a model's kept trees were packed into
+one node table and scored in one walk; the ensemble walk reproduces them
+exactly. A change that moves a digest on purpose says so and shows that
+model quality held.
+
+The same trained pipelines also score rows one at a time from CSV, the way
+a field request arrives, and must give each row the batch prediction.
 """
 
 import hashlib
@@ -27,12 +32,13 @@ from waterscreen.pipeline import (
     run_cv,
     stage2_input,
 )
-from waterscreen.records import encode
-from waterscreen.synth import SynthConfig, generate
+from waterscreen.records import encode, parse_records
+from waterscreen.synth import SynthConfig, generate, write_fixture
 from waterscreen.trees import forest_preset, gbdt_depthwise_preset, gbdt_leafwise_preset
 
 SEED = 7
 ATTRIBUTED_ROWS = 50
+SCORED_ALONE = 50
 
 # stage 1 keeps the preset's 0.8 row and column subsampling
 STAGE1 = gbdt_leafwise_preset(
@@ -68,8 +74,12 @@ def _sha256(text: str) -> str:
 
 
 @pytest.fixture(scope="module")
-def fixture():
-    records, _ = generate(SynthConfig(n_rows=600, seed=SEED))
+def records():
+    return generate(SynthConfig(n_rows=600, seed=SEED))[0]
+
+
+@pytest.fixture(scope="module")
+def fixture(records):
     matrix, labels = encode(records)
     plan = plan_folds(labels.ec, 5, 0.85, SEED)
     oof = generate_oof_probs(matrix, labels.tc, plan, STAGE1)
@@ -115,3 +125,20 @@ def test_scores_and_attributions_match_their_pinned_digests(fixture, trained):
     }
     golden = GOLDEN[stage2]
     assert digests == {key: golden[key] for key in digests}
+
+
+def test_rows_scored_alone_match_the_batch(records, trained, tmp_path):
+    model = trained[2]
+    path = tmp_path / "fixture.csv"
+    write_fixture(records, path)
+    header, *lines = path.read_bytes().split(b"\n")
+
+    def score(payload):
+        matrix, _ = encode(parse_records(payload).records,
+                           category_levels=model.category_levels, require_labels=False)
+        return [(p.row_id, repr(p.coliform_prob), repr(p.probability), p.decision)
+                for p in predict(model, matrix)]
+
+    batch = score(path.read_bytes())
+    alone = [row for line in lines[:SCORED_ALONE] for row in score(header + b"\n" + line + b"\n")]
+    assert alone == batch[:SCORED_ALONE]
