@@ -13,11 +13,12 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, fields as dataclass_fields
+from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import dump
 from .errors import ParameterError, WaterscreenError
 from .explain import attribute_rows, export_beeswarm, mean_abs_shap
 from .metrics import MetricBundle, full_bundle, threshold_curve
@@ -55,7 +56,7 @@ from .trees import LearnerConfig, gbdt_depthwise_preset, gbdt_leafwise_preset
 from .trees import predict_proba  # noqa: F401
 
 MANIFEST_NAME = "manifest.json"
-ARTIFACT_VERSIONS = {"manifest": 2, "model": 2, "report": 1}
+ARTIFACT_VERSIONS = {"manifest": 3, "model": 2, "report": 1}
 _MAX = sys.float_info.max
 
 
@@ -72,9 +73,7 @@ def _jsonable(value):
 
 
 def _canonical(obj) -> str:
-    return (
-        json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_jsonable) + "\n"
-    )
+    return dump(obj, _jsonable) + "\n"
 
 
 def _fmt(value) -> str:
@@ -93,7 +92,8 @@ def _digest(data: bytes) -> str:
 
 @dataclass
 class RunManifest:
-    """What a run consumed and produced, with content digests throughout."""
+    """What a run consumed and produced, with content digests throughout,
+    and the warnings from parsing its records, in read order."""
 
     subcommand: str
     config_digest: str
@@ -101,6 +101,7 @@ class RunManifest:
     seed: int
     settings: dict
     unread_config_keys: list[str]
+    parse_warnings: list[str]
     artifact_versions: dict[str, int]
     output_paths: list[str]
     output_digests: dict[str, str]
@@ -121,6 +122,7 @@ class _Run:
         self.inputs: dict[str, str] = {}
         self.paths: list[str] = []
         self.digests: dict[str, str] = {}
+        self.parse_warnings: list[str] = []
         self.config, self.config_digest = self._load_config(args)
         self.settings, self.unread = _read_settings(
             subcommand, self.config, getattr(args, "seed", None)
@@ -164,6 +166,7 @@ class _Run:
             seed=self.seed,
             settings=self.settings,
             unread_config_keys=self.unread,
+            parse_warnings=self.parse_warnings,
             artifact_versions=dict(ARTIFACT_VERSIONS),
             output_paths=sorted(self.paths + [MANIFEST_NAME]),
             output_digests=dict(sorted(self.digests.items())),
@@ -174,7 +177,9 @@ class _Run:
 
 
 def _parse_input_records(run: _Run, path):
-    return parse_records(run.read_input(path))
+    parsed = parse_records(run.read_input(path))
+    run.parse_warnings.extend(parsed.warnings)
+    return parsed
 
 
 def _encode_input(run: _Run, path, category_levels=None, require_labels=True):
@@ -634,13 +639,9 @@ def _subset_matrix(matrix: FeatureMatrix, kind: str | None) -> FeatureMatrix:
     idx = matrix.kind_indices(kind)
     if not idx:
         raise ParameterError(f"no {kind} columns to ablate on")
-    return FeatureMatrix(
-        values=matrix.values[:, idx].copy(),
-        missing_mask=matrix.missing_mask[:, idx].copy(),
-        columns=[matrix.columns[i] for i in idx],
-        row_ids=list(matrix.row_ids),
-        category_levels=dict(matrix.category_levels),
-    )
+    return replace(matrix, values=matrix.values[:, idx].copy(),
+                   missing_mask=matrix.missing_mask[:, idx].copy(),
+                   columns=[matrix.columns[i] for i in idx])
 
 
 def _cmd_ablate(args) -> int:

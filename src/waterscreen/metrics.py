@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import fields_table
 from .errors import ParameterError, ThresholdError, UndefinedMetricError
 
 
@@ -55,6 +56,9 @@ class MetricBundle:
     f2: float
     mcc: float
     specificity: float
+
+
+METRIC_BUNDLE = fields_table(MetricBundle, "a cv report's pooled set")
 
 
 def _check_binary(scores, labels, name: str) -> tuple[np.ndarray, np.ndarray]:

@@ -10,11 +10,13 @@ actually ran travels with the calibrator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ..errors import ParameterError, SchemaError
-from ..trees.model import read_typed, require_keys, sigmoid
+from ..artifacts import FLOAT, Choice, Table, array
+from ..errors import ParameterError
+from ..trees.model import sigmoid
 
 METHOD_PLATT = "platt"
 METHOD_ISOTONIC = "isotonic"
@@ -128,38 +130,19 @@ class Calibrator:
         return sigmoid(self.a * s + self.b)
 
     def to_dict(self) -> dict:
-        data: dict = {"method": self.method}
-        if self.method == METHOD_ISOTONIC:
-            data["knots_x"] = [float(x) for x in self.knots_x]
-            data["knots_y"] = [float(y) for y in self.knots_y]
-        else:
-            data["a"] = float(self.a)
-            data["b"] = float(self.b)
-        return data
+        return CALIBRATOR.write(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Calibrator":
-        require_keys(data, "a calibrator", ("method",))
-        method = data["method"]
-        if method == METHOD_ISOTONIC:
-            what = "an isotonic calibrator"
-            require_keys(data, what, ("knots_x", "knots_y"))
-            knots_x = read_typed(data, what, "knots_x", "a list of numbers")
-            knots_y = read_typed(data, what, "knots_y", "a list of numbers")
-            return cls(
-                method=method,
-                knots_x=np.array(knots_x, dtype=float),
-                knots_y=np.array(knots_y, dtype=float),
-            )
-        if method in (METHOD_PLATT, METHOD_FALLBACK):
-            what = f"a {method} calibrator"
-            require_keys(data, what, ("a", "b"))
-            return cls(
-                method=method,
-                a=float(read_typed(data, what, "a", "a number")),
-                b=float(read_typed(data, what, "b", "a number")),
-            )
-        raise SchemaError(f"unknown calibration method {method!r}")
+    def from_dict(cls, data) -> "Calibrator":
+        return CALIBRATOR.read(data)
+
+
+CALIBRATOR = Choice("a calibrator", "method", {
+    METHOD_ISOTONIC: Table(partial(Calibrator, METHOD_ISOTONIC), "an isotonic calibrator",
+                           {"knots_x": array(float), "knots_y": array(float)}),
+    **{method: Table(partial(Calibrator, method), f"a {method} calibrator", {"a": FLOAT, "b": FLOAT})
+       for method in (METHOD_PLATT, METHOD_FALLBACK)},
+})
 
 
 def fit_calibrator(raw_scores, labels, method: str = METHOD_ISOTONIC) -> Calibrator:

@@ -8,7 +8,7 @@ keeps fold hygiene auditable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,13 +34,7 @@ class Scaler:
             centered = values[:, col] - self.means[pos]
             sd = self.sds[pos]
             values[:, col] = centered / sd if sd > 0 else centered
-        return FeatureMatrix(
-            values=values,
-            missing_mask=matrix.missing_mask,
-            columns=list(matrix.columns),
-            row_ids=list(matrix.row_ids),
-            category_levels=dict(matrix.category_levels),
-        )
+        return replace(matrix, values=values)
 
 
 def fit_fold_scaler(matrix: FeatureMatrix, fit_indices) -> Scaler:
@@ -77,10 +71,4 @@ def impute_for_linear(matrix: FeatureMatrix, fit_indices) -> FeatureMatrix:
         observed = values[idx, col][~missing[idx, col]]
         fill = float(observed.mean()) if observed.size else 0.0
         values[gaps, col] = fill
-    return FeatureMatrix(
-        values=values,
-        missing_mask=np.zeros_like(matrix.missing_mask),
-        columns=list(matrix.columns),
-        row_ids=list(matrix.row_ids),
-        category_levels=dict(matrix.category_levels),
-    )
+    return replace(matrix, values=values, missing_mask=np.zeros_like(matrix.missing_mask))

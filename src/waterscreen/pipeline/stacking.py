@@ -11,12 +11,14 @@ imputes, from its fold's training rows.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..artifacts import (
+    BOOLEAN, FLOAT, FLOAT_OR_NULL, INTEGER, STRING, STRING_LISTS, STRINGS, Choice, Table, array, dump,
+)
 from ..errors import (
     FitError,
     PairingError,
@@ -24,7 +26,10 @@ from ..errors import (
     SchemaError,
     ThresholdError,
 )
-from ..metrics import ConfusionCounts, MetricBundle, bundle_from_parts, confusion_at, roc_auc, select_threshold
+from ..metrics import (
+    METRIC_BUNDLE, ConfusionCounts, MetricBundle, bundle_from_parts, confusion_at, roc_auc,
+    select_threshold,
+)
 from ..records import KIND_AUX, FeatureMatrix, stratified_split
 from ..trees import (
     FAMILY_FOREST,
@@ -39,10 +44,8 @@ from ..trees import (
     model_digest,
     predict_proba,
 )
-from ..trees.model import from_dict as model_from_dict
-from ..trees.model import from_fields, read_typed, require_keys
-from ..trees.model import to_dict as model_to_dict
-from .calibration import Calibrator, fit_calibrator
+from ..trees.model import MODEL
+from .calibration import CALIBRATOR, Calibrator, fit_calibrator
 from .folds import FoldPlan
 from .scaling import fit_fold_scaler, impute_for_linear
 
@@ -81,6 +84,13 @@ class FoldResult:
     calibrator: Calibrator | None = None
 
 
+FOLD = Table(FoldResult, "a cv report fold", {
+    "fold_id": INTEGER, "held_out": array(np.int64), "raw": array(float),
+    "calibrated": array(float), "threshold": FLOAT, "best_iteration": INTEGER,
+    "calibration_method": STRING, "digest": STRING,
+})
+
+
 @dataclass
 class CvReport:
     """Cross-validated evaluation: per-fold results plus pooled metrics.
@@ -100,6 +110,13 @@ class CvReport:
     stage1_auc: float | None
 
 
+CV_REPORT = Table(CvReport, "a cv report", {
+    "name": STRING, "labels": array(np.int64), "folds": [FOLD], "pooled": METRIC_BUNDLE,
+    "threshold_mean": FLOAT, "threshold_sd": FLOAT, "beta": FLOAT, "aux_used": BOOLEAN,
+    "stage1_auc": FLOAT_OR_NULL,
+})
+
+
 @dataclass
 class PipelineModel:
     """The deployable artifact: both stages, calibrator, threshold, and the
@@ -112,6 +129,14 @@ class PipelineModel:
     beta: float
     feature_names: list[str]
     category_levels: dict[str, list[str]]
+    kind = "two_stage_pipeline"  # its tag in PIPELINE: a class attribute, not a field
+
+
+PIPELINE = Choice("a pipeline", "kind", {PipelineModel.kind: Table(
+    PipelineModel, "a pipeline", {
+        "stage1": MODEL, "stage2": MODEL, "calibrator": CALIBRATOR, "threshold": FLOAT,
+        "beta": FLOAT, "feature_names": STRINGS, "category_levels": STRING_LISTS,
+    })})
 
 
 @dataclass
@@ -395,106 +420,23 @@ def predict(pipeline: PipelineModel, matrix: FeatureMatrix) -> list[Prediction]:
 def pipeline_to_json(pipeline: PipelineModel) -> str:
     """Canonical JSON for the full pipeline; equal pipelines serialize to
     byte-equal strings."""
-    data = {
-        "kind": "two_stage_pipeline",
-        "stage1": model_to_dict(pipeline.stage1),
-        "stage2": model_to_dict(pipeline.stage2),
-        "calibrator": pipeline.calibrator.to_dict(),
-        "threshold": float(pipeline.threshold),
-        "beta": float(pipeline.beta),
-        "feature_names": list(pipeline.feature_names),
-        "category_levels": {k: list(v) for k, v in pipeline.category_levels.items()},
-    }
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return dump(PIPELINE.write(pipeline))
 
 
 def pipeline_from_json(text: str) -> PipelineModel:
     data = json.loads(text)
-    require_keys(data, "a pipeline", ("kind",))
-    if data["kind"] != "two_stage_pipeline":
-        raise SchemaError(f"not a pipeline payload (kind={data['kind']!r})")
-    if "scaler" in data:
+    if type(data) is dict and "scaler" in data:
         # its split thresholds are in z-units and would misroute raw rows
         raise SchemaError(
             "model was written by an older waterscreen with a feature scaler; retrain"
         )
-    require_keys(data, "a pipeline",
-                 "stage1 stage2 calibrator threshold beta feature_names category_levels".split())
-    levels = read_typed(data, "a pipeline", "category_levels", "an object of string lists")
-    return PipelineModel(
-        stage1=model_from_dict(data["stage1"]),
-        stage2=model_from_dict(data["stage2"]),
-        calibrator=Calibrator.from_dict(data["calibrator"]),
-        threshold=float(read_typed(data, "a pipeline", "threshold", "a number")),
-        beta=float(read_typed(data, "a pipeline", "beta", "a number")),
-        feature_names=list(read_typed(data, "a pipeline", "feature_names", "a list of strings")),
-        category_levels={k: list(v) for k, v in levels.items()},
-    )
+    return PIPELINE.read(data)
 
 
 def cv_report_to_dict(report: CvReport) -> dict:
     """JSON-friendly form of a CvReport, losslessly convertible back."""
-    return {
-        "name": report.name,
-        "labels": [int(v) for v in report.labels],
-        "folds": [
-            {
-                "fold_id": f.fold_id,
-                "held_out": [int(i) for i in f.held_out],
-                "raw": [float(v) for v in f.raw],
-                "calibrated": [float(v) for v in f.calibrated],
-                "threshold": f.threshold,
-                "best_iteration": f.best_iteration,
-                "calibration_method": f.calibration_method,
-                "digest": f.digest,
-            }
-            for f in report.folds
-        ],
-        "pooled": dataclasses.asdict(report.pooled),
-        "threshold_mean": report.threshold_mean,
-        "threshold_sd": report.threshold_sd,
-        "beta": report.beta,
-        "aux_used": report.aux_used,
-        "stage1_auc": report.stage1_auc,
-    }
+    return CV_REPORT.write(report)
 
 
-def _fold_from_dict(f) -> FoldResult:
-    what = "a cv report fold"
-    require_keys(f, what, "fold_id held_out raw calibrated threshold "
-                 "best_iteration calibration_method digest".split())
-    return FoldResult(
-        fold_id=read_typed(f, what, "fold_id", "an integer"),
-        held_out=np.array(read_typed(f, what, "held_out", "a list of integers"), dtype=np.int64),
-        raw=np.array(read_typed(f, what, "raw", "a list of numbers"), dtype=float),
-        calibrated=np.array(read_typed(f, what, "calibrated", "a list of numbers"), dtype=float),
-        threshold=float(read_typed(f, what, "threshold", "a number")),
-        best_iteration=read_typed(f, what, "best_iteration", "an integer"),
-        calibration_method=read_typed(f, what, "calibration_method", "a string"),
-        digest=read_typed(f, what, "digest", "a string"),
-    )
-
-
-def cv_report_from_dict(data: dict) -> CvReport:
-    what = "a cv report"
-    require_keys(data, what, "name labels folds pooled threshold_mean threshold_sd "
-                 "beta aux_used stage1_auc".split())
-    folds = [_fold_from_dict(f) for f in data["folds"]]
-    pooled_what = "a cv report's pooled set"
-    pooled = from_fields(MetricBundle, data["pooled"], pooled_what)
-    for metric in data["pooled"]:
-        read_typed(data["pooled"], pooled_what, metric, "a number")
-    stage1_auc = data["stage1_auc"]
-    if stage1_auc is not None:
-        stage1_auc = float(read_typed(data, what, "stage1_auc", "a number"))
-    return CvReport(
-        name=read_typed(data, what, "name", "a string"),
-        labels=np.array(read_typed(data, what, "labels", "a list of integers"), dtype=np.int64),
-        folds=folds,
-        pooled=pooled,
-        threshold_mean=float(read_typed(data, what, "threshold_mean", "a number")),
-        threshold_sd=float(read_typed(data, what, "threshold_sd", "a number")),
-        beta=float(read_typed(data, what, "beta", "a number")),
-        aux_used=read_typed(data, what, "aux_used", "a boolean"),
-        stage1_auc=stage1_auc,
-    )
+def cv_report_from_dict(data) -> CvReport:
+    return CV_REPORT.read(data)

@@ -473,24 +473,18 @@ class FeatureMatrix:
 
     def take(self, indices) -> FeatureMatrix:
         idx = np.asarray(indices, dtype=np.int64)
-        return FeatureMatrix(
-            values=self.values[idx].copy(),
-            missing_mask=self.missing_mask[idx],
-            columns=list(self.columns),
-            row_ids=[self.row_ids[i] for i in idx],
-            category_levels=dict(self.category_levels),
-        )
+        return replace(self, values=self.values[idx].copy(), missing_mask=self.missing_mask[idx],
+                       row_ids=[self.row_ids[i] for i in idx])
 
     def with_column(self, name: str, kind: str, values) -> FeatureMatrix:
         col = np.asarray(values, dtype=float).reshape(-1, 1)
         if col.shape[0] != self.n_rows:
             raise ParameterError("new column length does not match row count")
-        return FeatureMatrix(
+        return replace(
+            self,
             values=np.hstack([self.values, col]),
             missing_mask=np.hstack([self.missing_mask, np.zeros_like(col, dtype=bool)]),
-            columns=list(self.columns) + [(name, kind)],
-            row_ids=list(self.row_ids),
-            category_levels=dict(self.category_levels),
+            columns=[*self.columns, (name, kind)],
         )
 
 
@@ -547,13 +541,14 @@ def encode(
         + [(f"{f}={level}", f, level) for f in CATEGORICAL_FIELDS for level in levels[f]],
         key=lambda spec: spec[0],
     )
-    cols = []
-    for _, field_name, level in physico + contextual:
-        cells = [getattr(r, field_name) for r in records]
-        if level is not None:
-            cells = [cell == level for cell in cells]
-        cols.append(np.array(cells, dtype=float))
-    values = np.column_stack(cols)
+    specs = physico + contextual
+    # one pass over the cells, record by record, with no list per record: a
+    # nested list of a large batch would grow the heap for the whole run
+    values = np.fromiter(
+        (getattr(r, f) if level is None else getattr(r, f) == level
+         for r in records for _, f, level in specs),
+        dtype=float, count=len(records) * len(specs),
+    ).reshape(len(records), len(specs))
     matrix = FeatureMatrix(
         values=values,
         missing_mask=np.zeros(values.shape, dtype=bool),

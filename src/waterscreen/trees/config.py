@@ -6,6 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..artifacts import fields_table
 from ..errors import ParameterError
 
 FAMILY_GBDT = "hist_gbdt"
@@ -73,6 +74,9 @@ class LearnerConfig:
             raise ParameterError('positive_class_weight must be positive or "auto"')
         if not 2 <= self.max_bins <= 256:
             raise ParameterError("max_bins must lie in [2, 256]")
+
+
+LEARNER_CONFIG = fields_table(LearnerConfig, "a stage config")
 
 
 def resolve_positive_weight(weight: float | str, labels) -> float:

@@ -1,4 +1,4 @@
-"""Fitted-model containers, prediction, and canonical JSON serialization.
+"""Fitted-model containers and prediction.
 
 Prediction walks all of a model's kept trees at once: _leaf_values packs
 them into one flat node table with global child indices, in which each
@@ -8,25 +8,26 @@ Tree.margins_binned, used by boosting, are the one-tree case of the same
 walk. The table is packed on every call and never stored, so model.json
 and loaded models stay as they are.
 
-Serialization is bitwise round-trip: floats are written with Python's
-shortest-repr JSON encoding, NaN (a leaf's threshold and gain) as null, and
-keys are sorted, so equal models produce byte-equal JSON and a stable
-digest. Loading refuses a damaged payload with SchemaError.
+Each model class declares its artifact table beside itself; to_json,
+from_json and model_digest read and write a model through them (see
+waterscreen.artifacts for the format and the rule every read follows).
+_check_trees refuses, after reading, trees whose fields disagree.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Union
 
 import numpy as np
 
+from ..artifacts import FLOAT, INTEGER, STRING, STRINGS, Choice, Table, array, dump
 from ..errors import ParameterError, SchemaError, UnsupportedModelError
 from ..records import FeatureMatrix
-from .config import FAMILY_FOREST, FAMILY_GBDT, LearnerConfig
+from .config import FAMILY_FOREST, FAMILY_GBDT, LEARNER_CONFIG, LearnerConfig
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -95,7 +96,7 @@ class Tree:
 
 
 # dtype of each Tree node array: the grower builds trees from it, and
-# _tree_to_dict and _tree_from_dict write and read model.json by it
+# model.json holds each array as a list, NaN as null
 NODE_DTYPES = {
     "feature": np.int32,
     "split_bin": np.int32,
@@ -108,6 +109,9 @@ NODE_DTYPES = {
     "count": np.int64,
     "gain": np.float64,
 }
+TREE = Table(Tree, "a tree", {
+    name: array(dtype, nulls=np.dtype(dtype).kind == "f") for name, dtype in NODE_DTYPES.items()
+})
 
 
 def _leaf_values(trees: list[Tree], x: np.ndarray, gone: np.ndarray, cut: str) -> np.ndarray:
@@ -147,12 +151,6 @@ def _leaf_values(trees: list[Tree], x: np.ndarray, gone: np.ndarray, cut: str) -
     return value[node]
 
 
-# what a node array of each dtype kind must be in JSON; null stands for NaN
-_NODE_KINDS = {
-    "i": "a list of integers", "f": "a list of numbers or nulls", "b": "a list of booleans",
-}
-
-
 @dataclass
 class TreeEnsembleModel:
     """A fitted gbdt or forest: trees plus the binning and schema snapshot.
@@ -169,6 +167,49 @@ class TreeEnsembleModel:
     feature_names: list[str]
     config: LearnerConfig
     training_log: object | None = field(default=None, repr=False, compare=False)
+    kind = "tree_ensemble"  # its tag in MODEL: a class attribute, not a field
+
+
+def _check_trees(model: TreeEnsembleModel) -> None:
+    """Refuse trees the router could not walk to a leaf, whose two copies of
+    a split (bin and threshold) would route differently, or whose leaves
+    would score a non-finite value, and a family that is not a tree
+    ensemble's."""
+    if model.family not in (FAMILY_GBDT, FAMILY_FOREST):
+        raise SchemaError(f"a tree ensemble's 'family' must be {FAMILY_GBDT} or {FAMILY_FOREST}")
+    if not 0 <= model.best_iteration <= len(model.trees):
+        raise SchemaError("best_iteration lies outside the stored trees")
+    if len(model.bin_edges) != len(model.feature_names):
+        raise SchemaError("bin_edges and feature_names differ in length")
+    n_edges = np.array([e.size for e in model.bin_edges], dtype=np.int64)
+    first_edge = np.cumsum(n_edges) - n_edges
+    all_edges = np.concatenate([np.empty(0), *model.bin_edges])
+    for tree in model.trees:
+        n = tree.n_nodes
+        if n == 0 or {getattr(tree, name).size for name in NODE_DTYPES} != {n}:
+            raise SchemaError("a tree's node arrays are empty or differ in length")
+        node = np.flatnonzero(tree.feature >= 0)
+        for child in (tree.left[node], tree.right[node]):
+            # children numbered after their parent also make every walk end
+            if not ((child > node) & (child < n)).all():
+                raise SchemaError("a tree child is not numbered after its parent inside the tree")
+        f = tree.feature[node]
+        if (f >= n_edges.size).any():
+            raise SchemaError("a split feature lies outside the model's columns")
+        b = tree.split_bin[node]
+        if not ((b >= 0) & (b < n_edges[f])).all():
+            raise SchemaError("a split bin lies outside its feature's bin edges")
+        if not np.array_equal(tree.threshold[node], all_edges[first_edge[f] + b]):
+            raise SchemaError("a split threshold differs from its bin edge")
+        if not np.isfinite(tree.value[tree.feature < 0]).all():
+            raise SchemaError("a tree leaf value is missing or not finite")
+
+
+ENSEMBLE = Table(TreeEnsembleModel, "a tree ensemble", {
+    "family": STRING, "base_score": FLOAT, "best_iteration": INTEGER,
+    "bin_edges": [array(float)], "feature_names": STRINGS, "config": LEARNER_CONFIG,
+    "trees": [TREE],
+}, check=_check_trees)
 
 
 @dataclass
@@ -179,7 +220,14 @@ class LogisticModel:
     intercept: float
     l2_regularization: float
     feature_names: list[str] = field(default_factory=list)
+    kind = "logistic"
 
+
+LOGISTIC = Table(LogisticModel, "a logistic model", {
+    "weights": array(float), "intercept": FLOAT, "l2_regularization": FLOAT,
+    "feature_names": STRINGS,
+})
+MODEL = Choice("a model", "kind", {TreeEnsembleModel.kind: ENSEMBLE, LogisticModel.kind: LOGISTIC})
 
 Model = Union[TreeEnsembleModel, LogisticModel]
 
@@ -236,164 +284,16 @@ def predict_proba(model: Model, matrix: FeatureMatrix) -> np.ndarray:
     raise UnsupportedModelError(f"cannot predict with {type(model).__name__}")
 
 
-def require_keys(data, what: str, keys) -> None:
-    """Refuse, with SchemaError, data that is not a JSON object holding every
-    one of keys."""
-    if not isinstance(data, dict):
-        raise SchemaError(f"{what} is not a JSON object")
-    for key in keys:
-        if key not in data:
-            raise SchemaError(f"{what} lacks {key!r}")
-
-
-def _list_of(*types):
-    return lambda v: type(v) is list and all(type(x) in types for x in v)
-
-
-# what a typed artifact value must be, and the test of its JSON value
-_ARTIFACT_KINDS = {
-    "a boolean": lambda v: type(v) is bool,
-    "an integer": lambda v: type(v) is int,
-    "a number": lambda v: type(v) in (int, float),
-    "a string": lambda v: type(v) is str,
-    "a list of booleans": _list_of(bool),
-    "a list of integers": _list_of(int),
-    "a list of numbers": _list_of(int, float),
-    "a list of numbers or nulls": _list_of(int, float, type(None)),
-    "a list of number lists": lambda v: type(v) is list and all(map(_list_of(int, float), v)),
-    "a list of strings": _list_of(str),
-    "an object of string lists": lambda v: type(v) is dict and all(map(_list_of(str), v.values())),
-}
-
-
-def read_typed(data, what: str, key: str, kind: str):
-    """data[key], which require_keys has found, refused with SchemaError
-    unless its JSON value is kind, one of the kinds of _ARTIFACT_KINDS."""
-    value = data[key]
-    if not _ARTIFACT_KINDS[kind](value):
-        raise SchemaError(f"{what}'s {key!r} must be {kind}")
-    return value
-
-
-def from_fields(cls, data, what: str):
-    """cls(**data); a non-object, or an unknown, absent or mistyped field,
-    is refused with SchemaError."""
-    require_keys(data, what, ())
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise SchemaError(f"{what} is malformed: {exc}") from exc
-
-
-def _tree_to_dict(tree: Tree) -> dict:
-    # tolist gives Python scalars; NaN, which JSON lacks, is written as null
-    return {
-        name: [None if v != v else v for v in getattr(tree, name).tolist()]
-        for name in NODE_DTYPES
-    }
-
-
-def _tree_from_dict(data) -> Tree:
-    require_keys(data, "a tree", NODE_DTYPES)
-    arrays = {}
-    for name, dtype in NODE_DTYPES.items():
-        values = read_typed(data, "a tree", name, _NODE_KINDS[np.dtype(dtype).kind])
-        try:
-            arrays[name] = np.array([np.nan if v is None else v for v in values], dtype=dtype)
-        except OverflowError as exc:
-            raise SchemaError(f"a tree's {name!r} array holds a value out of range") from exc
-    return Tree(**arrays)
-
-
-def _check_trees(model: TreeEnsembleModel) -> None:
-    """Refuse trees the router could not walk to a leaf, whose two copies of
-    a split (bin and threshold) would route differently, or whose leaves
-    would score a non-finite value."""
-    if not 0 <= model.best_iteration <= len(model.trees):
-        raise SchemaError("best_iteration lies outside the stored trees")
-    if len(model.bin_edges) != len(model.feature_names):
-        raise SchemaError("bin_edges and feature_names differ in length")
-    n_edges = np.array([e.size for e in model.bin_edges], dtype=np.int64)
-    first_edge = np.cumsum(n_edges) - n_edges
-    all_edges = np.concatenate([np.empty(0), *model.bin_edges])
-    for tree in model.trees:
-        n = tree.n_nodes
-        if n == 0 or {getattr(tree, name).size for name in NODE_DTYPES} != {n}:
-            raise SchemaError("a tree's node arrays are empty or differ in length")
-        node = np.flatnonzero(tree.feature >= 0)
-        for child in (tree.left[node], tree.right[node]):
-            # children numbered after their parent also make every walk end
-            if not ((child > node) & (child < n)).all():
-                raise SchemaError("a tree child is not numbered after its parent inside the tree")
-        f = tree.feature[node]
-        if (f >= n_edges.size).any():
-            raise SchemaError("a split feature lies outside the model's columns")
-        b = tree.split_bin[node]
-        if not ((b >= 0) & (b < n_edges[f])).all():
-            raise SchemaError("a split bin lies outside its feature's bin edges")
-        if not np.array_equal(tree.threshold[node], all_edges[first_edge[f] + b]):
-            raise SchemaError("a split threshold differs from its bin edge")
-        if not np.isfinite(tree.value[tree.feature < 0]).all():
-            raise SchemaError("a tree leaf value is missing or not finite")
-
-
 def to_dict(model: Model) -> dict:
-    if isinstance(model, TreeEnsembleModel):
-        return {
-            "kind": "tree_ensemble",
-            "family": model.family,
-            "base_score": float(model.base_score),
-            "best_iteration": int(model.best_iteration),
-            "bin_edges": [[float(e) for e in edges] for edges in model.bin_edges],
-            "feature_names": list(model.feature_names),
-            "config": asdict(model.config),
-            "trees": [_tree_to_dict(t) for t in model.trees],
-        }
-    if isinstance(model, LogisticModel):
-        return {
-            "kind": "logistic",
-            "weights": [float(w) for w in model.weights],
-            "intercept": float(model.intercept),
-            "l2_regularization": float(model.l2_regularization),
-            "feature_names": list(model.feature_names),
-        }
-    raise UnsupportedModelError(f"cannot serialize {type(model).__name__}")
+    return MODEL.write(model)
 
 
-def from_dict(data: dict) -> Model:
-    require_keys(data, "a model", ("kind",))
-    kind = data["kind"]
-    if kind == "tree_ensemble":
-        what = "a tree ensemble"
-        require_keys(data, what,
-                     "family trees base_score best_iteration bin_edges feature_names config".split())
-        model = TreeEnsembleModel(
-            family=data["family"],
-            trees=[_tree_from_dict(t) for t in data["trees"]],
-            base_score=float(read_typed(data, what, "base_score", "a number")),
-            best_iteration=read_typed(data, what, "best_iteration", "an integer"),
-            bin_edges=[np.array(e, dtype=float)
-                       for e in read_typed(data, what, "bin_edges", "a list of number lists")],
-            feature_names=list(read_typed(data, what, "feature_names", "a list of strings")),
-            config=from_fields(LearnerConfig, data["config"], "a stage config"),
-        )
-        _check_trees(model)
-        return model
-    if kind == "logistic":
-        what = "a logistic model"
-        require_keys(data, what, "weights intercept l2_regularization feature_names".split())
-        return LogisticModel(
-            weights=np.array(read_typed(data, what, "weights", "a list of numbers"), dtype=float),
-            intercept=float(read_typed(data, what, "intercept", "a number")),
-            l2_regularization=float(read_typed(data, what, "l2_regularization", "a number")),
-            feature_names=list(read_typed(data, what, "feature_names", "a list of strings")),
-        )
-    raise UnsupportedModelError(f"unknown model kind {kind!r}")
+def from_dict(data) -> Model:
+    return MODEL.read(data)
 
 
 def to_json(model: Model) -> str:
-    """Canonical JSON: sorted keys, compact separators, shortest-repr floats."""
-    return json.dumps(to_dict(model), sort_keys=True, separators=(",", ":"))
+    return dump(to_dict(model))
 
 
 def from_json(text: str) -> Model:

@@ -13,7 +13,14 @@ import pytest
 
 import waterscreen
 from waterscreen.cli import run
-from waterscreen.pipeline import cv_report_from_dict, pipeline_from_json, stacking
+from waterscreen.artifacts import dump
+from waterscreen.pipeline import (
+    cv_report_from_dict,
+    cv_report_to_dict,
+    pipeline_from_json,
+    pipeline_to_json,
+    stacking,
+)
 from waterscreen.records import FieldRecord
 from waterscreen.synth import write_fixture
 
@@ -359,6 +366,18 @@ def _damage(data, defect):
         data["pooled"]["roc_auc"] = "x"
     elif defect == "calibration_method_as_number":
         data["folds"][0]["calibration_method"] = 7
+    elif defect == "trees_as_number":
+        data["stage1"]["trees"] = 5
+    elif defect == "folds_as_number":
+        data["folds"] = 3
+    elif defect == "family_as_list":
+        data["stage1"]["family"] = ["x"]
+    elif defect == "max_depth_as_string":
+        data["stage2"]["config"]["max_depth"] = "6"
+    elif defect == "unknown_top_level_key":
+        data["bogus"] = 1
+    elif defect == "unknown_fold_key":
+        data["folds"][0]["bogus"] = 1
     return data
 
 
@@ -383,6 +402,12 @@ DAMAGED_ARTIFACTS = [
     ("compare", "cv_report.json", "fractional_held_out_row", "'held_out'"),
     ("compare", "cv_report.json", "pooled_metric_as_string", "'roc_auc'"),
     ("compare", "cv_report.json", "calibration_method_as_number", "'calibration_method'"),
+    ("predict", "model.json", "trees_as_number", "'trees'"),
+    ("compare", "cv_report.json", "folds_as_number", "'folds'"),
+    ("predict", "model.json", "family_as_list", "'family'"),
+    ("predict", "model.json", "max_depth_as_string", "'max_depth'"),
+    ("predict", "model.json", "unknown_top_level_key", "'bogus'"),
+    ("compare", "cv_report.json", "unknown_fold_key", "'bogus'"),
 ]
 
 
@@ -611,6 +636,38 @@ def test_train_artifacts_load(workspace):
     assert set(manifest["output_paths"]) == {
         "cv_report.json", "cv_report_no_aux.json", "manifest.json", "model.json",
     }
+
+
+def test_artifacts_read_and_written_again_are_byte_equal(workspace):
+    model_dir = workspace / "model"
+    text = (model_dir / "model.json").read_text()
+    assert pipeline_to_json(pipeline_from_json(text)) + "\n" == text
+    for name in ("cv_report.json", "cv_report_no_aux.json"):
+        text = (model_dir / name).read_text()
+        assert dump(cv_report_to_dict(cv_report_from_dict(json.loads(text)))) + "\n" == text
+
+
+def test_parse_warnings_reach_the_manifest(workspace, tmp_path, monkeypatch):
+    with open(workspace / "data" / "fixture.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    rows[0]["ph"] = "seven"
+    records = tmp_path / "records.csv"
+    with open(records, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    warning = "row 0: unparseable ph value 'seven'"
+    model = str(workspace / "model" / "model.json")
+    assert run(["predict", "--model", model, "--records", str(records),
+                "--out", str(tmp_path / "pred")]) == 0
+    assert read_manifest(tmp_path / "pred")["parse_warnings"] == [warning]
+    assert run(["train", "--records", str(records), "--config", str(workspace / "train.json"),
+                "--out", str(tmp_path / "model")]) == 0
+    assert read_manifest(tmp_path / "model")["parse_warnings"] == [warning]
+    assert read_manifest(workspace / "model")["parse_warnings"] == []
+    monkeypatch.chdir(tmp_path)
+    assert run(["qc", "--records", str(records)]) == 0
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_predict_writes_decision_table(workspace, tmp_path):

@@ -175,6 +175,10 @@ def _break(data, defect):
         data["base_score"] = str(data["base_score"])
     elif defect == "bin_edges_as_strings":
         data["bin_edges"][f] = [str(e) for e in data["bin_edges"][f]]
+    elif defect == "family_not_a_tree_family":
+        data["family"] = "logistic"
+    elif defect == "unknown_tree_key":
+        tree["bogus"] = []
     return data
 
 
@@ -204,6 +208,8 @@ MALFORMED = (
     "fractional_best_iteration",
     "base_score_as_string",
     "bin_edges_as_strings",
+    "family_not_a_tree_family",
+    "unknown_tree_key",
 )
 
 
