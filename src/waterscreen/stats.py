@@ -16,7 +16,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateTableError, PairingError, ParameterError
-from .metrics import _average_precision, _check_binary, _roc_auc, _sweep
+from .metrics import (
+    _average_precision,
+    _check_binary,
+    _roc_auc,
+    average_precision,
+    roc_auc,
+)
 
 
 def chi2_survival(x: float) -> float:
@@ -123,11 +129,21 @@ class DeltaResult:
     q_value: float | None = None
 
 
-# each ranking metric's formula on scores and labels checked once up front
-_METRICS = {
-    "roc_auc": lambda s, y: _roc_auc(_sweep(s, y)),
-    "average_precision": lambda s, y: _average_precision(_sweep(s, y)),
-}
+# each ranking metric of scores and labels, by name; the traced benchmark
+# wraps these entries
+_METRICS = {"roc_auc": roc_auc, "average_precision": average_precision}
+# the same metrics as formulas over a _sweep, which each replicate counts
+_FORMULAS = {"roc_auc": _roc_auc, "average_precision": _average_precision}
+
+
+def _counted_sweep(codes, groups: int):
+    """The _sweep of the rows whose tie codes are `codes` (2 * tie group +
+    label, groups numbered from the highest score): the cumulative positives
+    and negatives of each tie group that holds a row. Its score column is
+    None, as no formula reads it."""
+    counts = np.bincount(codes, minlength=2 * groups).reshape(groups, 2)
+    cum = np.cumsum(counts[counts.any(axis=1)], axis=0)
+    return None, cum[:, 1], cum[:, 0]
 
 
 def paired_bootstrap_delta(
@@ -143,9 +159,18 @@ def paired_bootstrap_delta(
 
     Each replicate resamples row indices with replacement within every
     (fold, class) stratum and applies the same indices to both score vectors,
-    preserving the pairing and per-fold class balance. The two-sided p-value
-    uses add-one smoothing: 2 * min over tails of (count + 1) / (n_boot + 1),
-    capped at 1.
+    preserving the pairing and per-fold class balance. Replicate `rep` draws
+    every stratum's indices from `default_rng([seed, rep])`, stratum by
+    stratum, in one call. The two-sided p-value uses add-one smoothing:
+    2 * min over tails of (count + 1) / (n_boot + 1), capped at 1.
+
+    Nothing is sorted per replicate. Before the loop each row of each score
+    vector gets a code: 2 * its tie group's rank (highest score first) + its
+    label. A replicate counts the codes of the rows it drew; the tie groups
+    that hold a drawn row are exactly the distinct scores of the resample,
+    in order, so the cumulative counts are the resample's _sweep and each
+    metric's formula gives the value it gives on the sorted resample, to
+    the bit.
     """
     if metric not in _METRICS:
         raise ParameterError(f"unknown metric {metric!r}; expected one of {sorted(_METRICS)}")
@@ -158,7 +183,6 @@ def paired_bootstrap_delta(
     if not (ref.shape == cand.shape == y.shape == folds.shape):
         raise ParameterError("ref_scores, cand_scores, labels, fold_ids must share length")
     ref, y = _check_binary(ref, y, "ref_scores")
-    metric_fn = _METRICS[metric]
     strata = []
     for f in np.unique(folds):
         for cls in (0, 1):
@@ -166,13 +190,25 @@ def paired_bootstrap_delta(
             if idx.size == 0:
                 raise ParameterError(f"fold {f} is missing class {cls}")
             strata.append(idx)
-    point = metric_fn(cand, y) - metric_fn(ref, y)
+    # refuses NaN scores, which would otherwise form a tie group of their own
+    point = _METRICS[metric](cand, y) - _METRICS[metric](ref, y)
+    formula = _FORMULAS[metric]
+    order = np.concatenate(strata)
+    sizes = np.array([s.size for s in strata])
+    # each position of `order`: its stratum's size and first position
+    highs = np.repeat(sizes, sizes)
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    coded = []
+    for s in (cand, ref):
+        levels, group = np.unique(-s, return_inverse=True)
+        coded.append(((2 * group + y)[order], levels.size))
     deltas = np.empty(n_boot, dtype=float)
     for rep in range(n_boot):
         rng = np.random.default_rng([seed, rep])
-        sampled = np.concatenate([s[rng.integers(0, s.size, s.size)] for s in strata])
-        ys = y[sampled]
-        deltas[rep] = metric_fn(cand[sampled], ys) - metric_fn(ref[sampled], ys)
+        drawn = starts + rng.integers(0, highs)
+        cand_value, ref_value = (formula(_counted_sweep(codes[drawn], groups))
+                                 for codes, groups in coded)
+        deltas[rep] = cand_value - ref_value
     ci_low, ci_high = np.percentile(deltas, [2.5, 97.5])
     le = int(np.count_nonzero(deltas <= 0.0))
     ge = int(np.count_nonzero(deltas >= 0.0))

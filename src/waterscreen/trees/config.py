@@ -47,6 +47,10 @@ class LearnerConfig:
     growth: str = GROWTH_LEAFWISE
 
     def __post_init__(self) -> None:
+        # a value model.json could not read back is refused here, not on read
+        for key, kind in LEARNER_CONFIG.fields.items():
+            if not kind.test(getattr(self, key)):
+                raise ParameterError(f"{key} must be {kind.wording}")
         if self.family not in FAMILIES:
             raise ParameterError(f"unknown learner family {self.family!r}")
         if self.growth not in GROWTHS:

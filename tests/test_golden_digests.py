@@ -1,4 +1,5 @@
-"""Pinned sha256 digests of trained models, CV reports, scores and attributions.
+"""Pinned sha256 digests of trained models, CV reports, scores, attributions
+and a model comparison.
 
 A change that claims bit-identical training or scoring must leave these
 digests alone. The model and CV-report digests were computed with the
@@ -9,8 +10,11 @@ attribution digests were computed with the per-level NaN-checking router
 that `tests/test_gbdt.py::_margins_reference` keeps, before raw and binned
 routing became one walk, and before a model's kept trees were packed into
 one node table and scored in one walk; the ensemble walk reproduces them
-exactly. A change that moves a digest on purpose says so and shows that
-model quality held.
+exactly. The comparison digest was computed with the bootstrap that sorted
+both resampled score vectors in every replicate, which
+`tests/test_stats.py::_bootstrap_reference` keeps, before replicates
+became counts over tie groups. A change that moves a digest on purpose
+says so and shows that model quality held.
 
 The same trained pipelines also score rows one at a time from CSV, the way
 a field request arrives, and must give each row the batch prediction.
@@ -18,9 +22,11 @@ a field request arrives, and must give each row the batch prediction.
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import pytest
 
+from waterscreen.artifacts import dump
 from waterscreen.explain import attribute_rows
 from waterscreen.pipeline import (
     cv_report_to_dict,
@@ -33,6 +39,7 @@ from waterscreen.pipeline import (
     stage2_input,
 )
 from waterscreen.records import encode, parse_records
+from waterscreen.stats import compare_models
 from waterscreen.synth import SynthConfig, generate, write_fixture
 from waterscreen.trees import forest_preset, gbdt_depthwise_preset, gbdt_leafwise_preset
 
@@ -67,6 +74,7 @@ GOLDEN = {
         "attributions": "1553a952e534740a48869a60c27ba26880aaff2854820ca572f0c573d8f19515",
     },
 }
+COMPARISON = "71174666a02feb159440334262f7e22f0d02f0d7563ef544398c7a32a7964b02"
 
 
 def _sha256(text: str) -> str:
@@ -86,13 +94,21 @@ def fixture(records):
     return matrix, labels, plan, oof
 
 
-@pytest.fixture(scope="module", params=sorted(STAGE2))
-def trained(request, fixture):
+@pytest.fixture(scope="module")
+def cv_reports(fixture):
     matrix, labels, plan, oof = fixture
-    config = STAGE2[request.param]
-    report = run_cv(matrix, labels.ec, plan, config, aux=oof, name=request.param)
+    return {
+        stage2: run_cv(matrix, labels.ec, plan, config, aux=oof, name=stage2)
+        for stage2, config in STAGE2.items()
+    }
+
+
+@pytest.fixture(scope="module", params=sorted(STAGE2))
+def trained(request, fixture, cv_reports):
+    matrix, labels, plan, oof = fixture
+    report = cv_reports[request.param]
     model = finalize(
-        matrix, labels.tc, labels.ec, STAGE1, config,
+        matrix, labels.tc, labels.ec, STAGE1, STAGE2[request.param],
         plan=plan, aux=oof, cv_report=report,
     )
     return request.param, report, model
@@ -125,6 +141,12 @@ def test_scores_and_attributions_match_their_pinned_digests(fixture, trained):
     }
     golden = GOLDEN[stage2]
     assert digests == {key: golden[key] for key in digests}
+
+
+def test_comparison_matches_its_pinned_digest(cv_reports):
+    # both reports share one fold plan, so their rows pair
+    report = compare_models(cv_reports["depthwise"], [cv_reports["forest"]], n_boot=1000, seed=SEED)
+    assert _sha256(dump(asdict(report))) == COMPARISON
 
 
 def test_rows_scored_alone_match_the_batch(records, trained, tmp_path):

@@ -1,11 +1,12 @@
 """Tests for model serialization, digests, and prediction plumbing."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from waterscreen.errors import SchemaError
+from waterscreen.errors import ParameterError, SchemaError
 from waterscreen.records import FeatureMatrix
 from waterscreen.trees import (
     Tree,
@@ -16,7 +17,9 @@ from waterscreen.trees import (
     fit_logistic,
     forest_preset,
     from_json,
+    gbdt_depthwise_preset,
     gbdt_leafwise_preset,
+    logistic_preset,
     model_digest,
     predict_proba,
     to_json,
@@ -211,6 +214,34 @@ MALFORMED = (
     "family_not_a_tree_family",
     "unknown_tree_key",
 )
+
+
+class TestLearnerConfigTypes:
+    @pytest.mark.parametrize(
+        "preset", [gbdt_leafwise_preset, gbdt_depthwise_preset, forest_preset, logistic_preset]
+    )
+    def test_every_preset_constructs(self, preset):
+        preset()
+
+    @pytest.mark.parametrize(
+        "field, value, wording",
+        [
+            ("max_depth", 3.0, "an integer"),
+            ("iteration_cap", True, "an integer"),
+            ("positive_class_weight", True, "a number or a string"),
+        ],
+    )
+    def test_a_value_model_json_would_refuse_is_refused(self, field, value, wording):
+        with pytest.raises(ParameterError, match=f"^{field} must be {wording}$"):
+            gbdt_leafwise_preset(**{field: value})
+
+    def test_a_config_built_in_python_round_trips(self):
+        model, _ = fitted_gbdt()
+        config = gbdt_leafwise_preset(
+            max_depth=4, l2_regularization=2, positive_class_weight=3, learning_rate=0.25
+        )
+        loaded = from_json(to_json(replace(model, config=config)))
+        assert loaded.config == config
 
 
 class TestMalformedTrees:

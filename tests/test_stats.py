@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waterscreen.errors import DegenerateTableError, PairingError, ParameterError
+from waterscreen.metrics import average_precision, roc_auc
 from waterscreen.stats import (
     ContingencyCounts,
     bh_fdr,
@@ -88,6 +92,80 @@ def _two_fold_ids(n):
     return ids
 
 
+def _bootstrap_reference(ref, cand, y, folds, metric, n_boot, seed):
+    """The bootstrap as it was before the tie-group counts: each replicate
+    draws every stratum in its own call, gathers the resample and sorts both
+    score vectors. Returns (delta, ci_low, ci_high, p_value)."""
+    metric_fn = {"roc_auc": roc_auc, "average_precision": average_precision}[metric]
+    strata = [np.flatnonzero((folds == f) & (y == cls)) for f in np.unique(folds) for cls in (0, 1)]
+    point = metric_fn(cand, y) - metric_fn(ref, y)
+    deltas = np.empty(n_boot, dtype=float)
+    for rep in range(n_boot):
+        rng = np.random.default_rng([seed, rep])
+        sampled = np.concatenate([s[rng.integers(0, s.size, s.size)] for s in strata])
+        ys = y[sampled]
+        deltas[rep] = metric_fn(cand[sampled], ys) - metric_fn(ref[sampled], ys)
+    ci_low, ci_high = np.percentile(deltas, [2.5, 97.5])
+    le = int(np.count_nonzero(deltas <= 0.0))
+    ge = int(np.count_nonzero(deltas >= 0.0))
+    p = 2.0 * min((le + 1) / (n_boot + 1), (ge + 1) / (n_boot + 1))
+    return float(point), float(ci_low), float(ci_high), min(1.0, p)
+
+
+# signed zeros, a tiny level beside them and repeated levels, so tie groups
+# form across rows, strata and both score vectors
+_TIED_LEVELS = [0.0, -0.0, 1e-300, 0.25, 0.5, 0.75, 1.0]
+
+
+@st.composite
+def _bootstrap_cases(draw):
+    """Paired scores, labels and fold ids: 1-7 folds, every (fold, class)
+    stratum holding 1-6 rows, rows shuffled; scores either drawn from a few
+    tied levels or all distinct."""
+    sizes = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=7))
+    folds = np.concatenate([np.full(neg + pos, f) for f, (neg, pos) in enumerate(sizes)])
+    y = np.concatenate([np.r_[np.zeros(neg, int), np.ones(pos, int)] for neg, pos in sizes])
+    n = y.size
+    if draw(st.booleans()):
+        level = st.sampled_from(_TIED_LEVELS)
+        ref, cand = (draw(st.lists(level, min_size=n, max_size=n)) for _ in range(2))
+    else:
+        distinct = st.floats(-1e6, 1e6, allow_nan=False)
+        ref, cand = (draw(st.lists(distinct, min_size=n, max_size=n, unique=True))
+                     for _ in range(2))
+    perm = np.random.default_rng(draw(st.integers(0, 2**32))).permutation(n)
+    return np.array(ref)[perm], np.array(cand)[perm], y[perm], folds[perm]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=_bootstrap_cases(),
+    metric=st.sampled_from(["roc_auc", "average_precision"]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_counted_bootstrap_is_bit_equal_to_the_sorting_reference(case, metric, seed):
+    ref, cand, y, folds = case
+    r = paired_bootstrap_delta(ref, cand, y, folds, metric, n_boot=40, seed=seed)
+    got = (r.delta, r.ci_low, r.ci_high, r.p_value)
+    want = _bootstrap_reference(ref, cand, y, folds, metric, 40, seed)
+    assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 60), min_size=1, max_size=12),
+    seed=st.integers(0, 2**64 - 1),
+    rep=st.integers(0, 10**6),
+)
+def test_one_call_draw_equals_the_per_stratum_draws(sizes, seed, rep):
+    # the bootstrap draws all strata with one array of bounds; its stream
+    # must be the per-stratum calls' stream, concatenated
+    one = np.random.default_rng([seed, rep]).integers(0, np.repeat(sizes, sizes))
+    rng = np.random.default_rng([seed, rep])
+    per_stratum = np.concatenate([rng.integers(0, size, size) for size in sizes])
+    assert np.array_equal(one, per_stratum)
+
+
 class TestPairedBootstrapDelta:
     def test_identical_scores_give_null_result(self):
         rng = np.random.default_rng(0)
@@ -150,6 +228,19 @@ class TestPairedBootstrapDelta:
     def test_unknown_metric_rejected(self):
         with pytest.raises(ParameterError):
             paired_bootstrap_delta([0.5], [0.5], [1], [0], "accuracy", n_boot=10)
+
+    @pytest.mark.parametrize("side", ["ref", "cand"])
+    def test_nan_scores_refused_before_any_replicate(self, side, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        scores = {"ref": [0.1, 0.4, 0.6, 0.9], "cand": [0.2, 0.3, 0.7, 0.8]}
+        scores[side] = [0.1, math.nan, 0.6, 0.9]
+        with pytest.raises(ParameterError, match="^scores must not be NaN$"):
+            paired_bootstrap_delta(
+                scores["ref"], scores["cand"], [0, 1, 0, 1], [0, 0, 1, 1], "roc_auc", n_boot=10
+            )
 
 
 class TestBhFdr:
