@@ -10,7 +10,9 @@ a seed inside the config file is used only when the flag is absent.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import sys
 from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
@@ -80,10 +82,10 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _csv(header: str, rows) -> str:
-    lines = [header]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+    return buffer.getvalue()
 
 
 def _digest(data: bytes) -> str:
@@ -336,7 +338,7 @@ def _read_settings(subcommand: str, config: dict, seed=None) -> tuple[dict, list
 def _bundle_rows(bundles: dict[str, MetricBundle], extra: dict[str, dict[str, float]] | None = None):
     metric_names = [f.name for f in dataclass_fields(MetricBundle)]
     extra_names = sorted(next(iter(extra.values())).keys()) if extra else []
-    header = "name," + ",".join(metric_names + extra_names)
+    header = ["name", *metric_names, *extra_names]
     rows = []
     for name, bundle in bundles.items():
         cells = [name] + [_fmt(getattr(bundle, m)) for m in metric_names]
@@ -370,7 +372,7 @@ def _cmd_qc(args) -> int:
     summary_rows += [
         ("rule", code, str(count)) for code, count in sorted(flags.counts.items())
     ]
-    summary = _csv("kind,name,count", summary_rows)
+    summary = _csv(["kind", "name", "count"], summary_rows)
     for line in lines:
         print(line)
     print(summary, end="")
@@ -426,13 +428,13 @@ def _cmd_encode(args) -> int:
         for j in range(matrix.n_cols):
             cells.append("" if matrix.missing_mask[i, j] else _fmt(matrix.values[i, j]))
         feature_rows.append(cells)
-    run.write("features.csv", _csv("row_id," + ",".join(matrix.column_names), feature_rows))
+    run.write("features.csv", _csv(["row_id", *matrix.column_names], feature_rows))
     if labels is not None:
         label_rows = [
             (matrix.row_ids[i], str(int(labels.tc[i])), str(int(labels.ec[i])))
             for i in range(matrix.n_rows)
         ]
-        run.write("labels.csv", _csv("row_id,tc,ec", label_rows))
+        run.write("labels.csv", _csv(["row_id", "tc", "ec"], label_rows))
     run.write(
         "schema.json",
         _canonical(
@@ -514,7 +516,7 @@ def _cmd_predict(args) -> int:
         (p.row_id, _fmt(p.coliform_prob), _fmt(p.probability), str(p.decision))
         for p in predict(model, matrix)
     ]
-    run.write("predictions.csv", _csv("uuid,coliform_prob,probability,decision", rows))
+    run.write("predictions.csv", _csv(["uuid", "coliform_prob", "probability", "decision"], rows))
     run.seal()
     print(f"scored {len(rows)} rows")
     return 0
@@ -537,7 +539,7 @@ def _cmd_evaluate(args) -> int:
     run.write(
         "threshold_curve.csv",
         _csv(
-            "threshold,precision,recall,f1,fbeta",
+            ["threshold", "precision", "recall", "f1", "fbeta"],
             [[_fmt(c) for c in row] for row in curve],
         ),
     )
@@ -622,7 +624,7 @@ def _cmd_explain(args) -> int:
     ranking = mean_abs_shap(attributions)
     run.write(
         "mean_abs_shap.csv",
-        _csv("feature,mean_abs_shap", [(name, _fmt(v)) for name, v in ranking]),
+        _csv(["feature", "mean_abs_shap"], [(name, _fmt(v)) for name, v in ranking]),
     )
     run.seal()
     top = ", ".join(name for name, _ in ranking[:3])

@@ -10,6 +10,8 @@ equals the model margin for the row.
 attribute_rows runs the polynomial-time path recursion, and tree_shap is
 its one-row case; brute_force_shap evaluates the Shapley sum over feature
 subsets with the same conditional expectation, and exists to check it.
+The recursion holds the path as four plain lists, each element's feature,
+zero and one fractions and weight, and builds new ones at each extension.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ def _check(model, matrix: FeatureMatrix) -> list[Tree]:
         raise UnsupportedModelError("attributions are defined for tree ensembles only")
     used = model.trees[: model.best_iteration]
     for tree in used:
-        if tree.cover[0] <= 0:
-            raise UnsupportedModelError("model lacks training cover weights")
+        if not (tree.cover > 0).all():
+            raise UnsupportedModelError("model lacks positive training cover weights")
     if matrix.column_names != list(model.feature_names):
         raise ParameterError("row columns do not match the fitted model")
     return used
@@ -64,70 +66,59 @@ def _tree_expectation(tree: Tree) -> float:
     return float(expect[0])
 
 
-class _PathElement:
-    __slots__ = ("feature", "zero", "one", "weight")
-
-    def __init__(self, feature, zero, one, weight):
-        self.feature = feature
-        self.zero = zero
-        self.one = one
-        self.weight = weight
-
-
-def _extend(path: list[_PathElement], pz: float, po: float, pi: int) -> list[_PathElement]:
-    length = len(path)
-    out = [_PathElement(e.feature, e.zero, e.one, e.weight) for e in path]
-    out.append(_PathElement(pi, pz, po, 1.0 if length == 0 else 0.0))
+def _extend(weights: list[float], pz: float, po: float) -> list[float]:
+    """The path's weights once an element with fractions (pz, po) joins it."""
+    length = len(weights)
+    w = weights + [1.0 if length == 0 else 0.0]
     for i in range(length - 1, -1, -1):
-        out[i + 1].weight += po * out[i].weight * (i + 1) / (length + 1)
-        out[i].weight = pz * out[i].weight * (length - i) / (length + 1)
-    return out
+        w[i + 1] += po * w[i] * (i + 1) / (length + 1)
+        w[i] = pz * w[i] * (length - i) / (length + 1)
+    return w
 
 
-def _unwind(path: list[_PathElement], index: int) -> list[_PathElement]:
-    length = len(path)
-    one = path[index].one
-    zero = path[index].zero
-    n = path[-1].weight
-    out = [_PathElement(e.feature, e.zero, e.one, e.weight) for e in path[:-1]]
+def _unwound(weights: list[float], zero: float, one: float) -> list[float]:
+    """The path's weights once the element with fractions (zero, one) leaves it."""
+    length = len(weights)
+    n = weights[-1]
+    w = weights[:-1]
     for j in range(length - 2, -1, -1):
         if one != 0.0:
-            t = out[j].weight
-            out[j].weight = n * length / ((j + 1) * one)
-            n = t - out[j].weight * zero * (length - j - 1) / length
+            t = w[j]
+            w[j] = n * length / ((j + 1) * one)
+            n = t - w[j] * zero * (length - j - 1) / length
         else:
-            out[j].weight = out[j].weight * length / (zero * (length - j - 1))
-    for j in range(index, length - 1):
-        out[j].feature = path[j + 1].feature
-        out[j].zero = path[j + 1].zero
-        out[j].one = path[j + 1].one
-    return out
+            w[j] = w[j] * length / (zero * (length - j - 1))
+    return w
 
 
-def _shap_one_tree(tree: Tree, left_at: np.ndarray, phi: np.ndarray) -> None:
-    """Add one tree's contributions to phi, for the row with decisions left_at."""
-    def recurse(node: int, path: list[_PathElement], pz: float, po: float, pi: int):
-        path = _extend(path, pz, po, pi)
-        if tree.feature[node] < 0:
-            leaf_value = tree.value[node]
-            for i in range(1, len(path)):
-                w = sum(e.weight for e in _unwind(path, i))
-                el = path[i]
-                phi[el.feature] += w * (el.one - el.zero) * leaf_value
+def _shap_one_tree(tree: list[list], left_at: list[bool], phi: list[float]) -> None:
+    """Add one tree's contributions to phi, for the row with decisions left_at;
+    tree holds its feature, left, right, cover and value arrays as lists."""
+    feature, left, right, cover, value = tree
+
+    def recurse(node, features, zeros, ones, weights, pz, po, pi):
+        features, zeros, ones = features + [pi], zeros + [pz], ones + [po]
+        weights = _extend(weights, pz, po)
+        f = feature[node]
+        if f < 0:
+            for i in range(1, len(weights)):
+                # a plain loop: from Python 3.12, sum() compensates float rounding
+                w = 0.0
+                for x in _unwound(weights, zeros[i], ones[i]):
+                    w += x
+                phi[features[i]] += w * (ones[i] - zeros[i]) * value[node]
             return
-        f = int(tree.feature[node])
-        left, right = int(tree.left[node]), int(tree.right[node])
-        hot, cold = (left, right) if left_at[node] else (right, left)
+        hot, cold = (left[node], right[node]) if left_at[node] else (right[node], left[node])
         iz, io = 1.0, 1.0
-        found = next((k for k in range(len(path)) if path[k].feature == f), None)
-        if found is not None:
-            iz, io = path[found].zero, path[found].one
-            path = _unwind(path, found)
-        cover = tree.cover[node]
-        recurse(hot, path, iz * tree.cover[hot] / cover, io, f)
-        recurse(cold, path, iz * tree.cover[cold] / cover, 0.0, f)
+        if f in features:
+            k = features.index(f)
+            iz, io = zeros[k], ones[k]
+            weights = _unwound(weights, iz, io)
+            features, zeros, ones = (xs[:k] + xs[k + 1:] for xs in (features, zeros, ones))
+        recurse(hot, features, zeros, ones, weights, iz * cover[hot] / cover[node], io, f)
+        recurse(cold, features, zeros, ones, weights, iz * cover[cold] / cover[node], 0.0, f)
 
-    recurse(0, [], 1.0, 1.0, -1)
+    recurse(0, [], [], [], [], 1.0, 1.0, -1)
 
 
 def attribute_rows(model: TreeEnsembleModel, matrix: FeatureMatrix) -> list[ShapAttribution]:
@@ -138,13 +129,15 @@ def attribute_rows(model: TreeEnsembleModel, matrix: FeatureMatrix) -> list[Shap
     in the same order whichever rows it is explained with.
     """
     used = _check(model, matrix)
-    phi = np.zeros((matrix.n_rows, matrix.n_cols))
+    rows = [[0.0] * matrix.n_cols for _ in range(matrix.n_rows)]
     base = 0.0
     for tree in used:
-        left_at = tree.decisions(matrix.values, matrix.missing_mask)
-        for i in range(matrix.n_rows):
-            _shap_one_tree(tree, left_at[i], phi[i])
+        arrays = [getattr(tree, a).tolist() for a in ("feature", "left", "right", "cover", "value")]
+        left_at = tree.decisions(matrix.values, matrix.missing_mask).tolist()
+        for row, decisions in zip(rows, left_at):
+            _shap_one_tree(arrays, decisions, row)
         base += _tree_expectation(tree)
+    phi = np.array(rows)
     if model.family == FAMILY_FOREST:
         scale = 1.0 / len(used) if used else 1.0
         phi *= scale

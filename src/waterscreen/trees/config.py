@@ -49,8 +49,11 @@ class LearnerConfig:
     def __post_init__(self) -> None:
         # a value model.json could not read back is refused here, not on read
         for key, kind in LEARNER_CONFIG.fields.items():
-            if not kind.test(getattr(self, key)):
+            value = getattr(self, key)
+            if not kind.test(value):
                 raise ParameterError(f"{key} must be {kind.wording}")
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ParameterError(f"{key} must be finite")
         if self.family not in FAMILIES:
             raise ParameterError(f"unknown learner family {self.family!r}")
         if self.growth not in GROWTHS:

@@ -692,6 +692,31 @@ def test_predict_writes_decision_table(workspace, tmp_path):
         assert row["decision"] in {"0", "1"}
 
 
+def test_csv_outputs_quote_cells_that_hold_commas_and_quotes(workspace, tmp_path):
+    with open(workspace / "data" / "fixture.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))[:6]
+    uuids = ["hh-1,north", 'hh-2 "east"'] + [row["uuid"] for row in rows[2:]]
+    for row, uuid in zip(rows, uuids):
+        row["uuid"] = uuid
+    rows[0]["source_type"] = "well, covered"
+    records = tmp_path / "records.csv"
+    with open(records, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    model = str(workspace / "model" / "model.json")
+    assert run(["predict", "--model", model, "--records", str(records),
+                "--out", str(tmp_path / "pred")]) == 0
+    assert run(["encode", "--records", str(records), "--out", str(tmp_path / "enc")]) == 0
+    for path in ("pred/predictions.csv", "enc/features.csv", "enc/labels.csv"):
+        with open(tmp_path / path, newline="") as handle:
+            header, *table = list(csv.reader(handle))
+        assert [len(row) for row in table] == [len(header)] * len(uuids), path
+        assert [row[0] for row in table] == uuids, path
+    with open(tmp_path / "enc" / "features.csv", newline="") as handle:
+        assert "source_type=well, covered" in next(csv.reader(handle))
+
+
 def test_predict_rejects_a_model_with_a_feature_scaler(workspace, tmp_path, capsys):
     data = json.loads((workspace / "model" / "model.json").read_text())
     data["scaler"] = {"column_indices": [0], "means": [0.0], "sds": [1.0]}

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waterscreen.errors import (
     EnumerationLimitError,
@@ -10,6 +12,7 @@ from waterscreen.errors import (
     UnsupportedModelError,
 )
 from waterscreen.explain import (
+    _tree_expectation,
     attribute_rows,
     brute_force_shap,
     export_beeswarm,
@@ -18,12 +21,14 @@ from waterscreen.explain import (
 )
 from waterscreen.records import KIND_PHYSICO, FeatureMatrix
 from waterscreen.trees import (
+    FAMILY_FOREST,
     LogisticModel,
     TreeEnsembleModel,
     bin_features,
     fit_forest,
     fit_gbdt,
     forest_preset,
+    gbdt_depthwise_preset,
     gbdt_leafwise_preset,
     predict_proba,
 )
@@ -211,6 +216,13 @@ def test_symmetric_tree_gives_equal_attributions_on_symmetric_input():
     assert fast.values[0] == pytest.approx(fast.values[1], abs=1e-12)
 
 
+def test_a_node_without_cover_is_refused():
+    model = symmetric_xor_tree()
+    model.trees[0].cover[3] = 0.0
+    with pytest.raises(UnsupportedModelError, match="positive training cover"):
+        tree_shap(model, make_matrix(np.array([[0.2, 0.7]])))
+
+
 def test_mean_abs_shap_ranks_the_only_informative_feature_first():
     rng = np.random.default_rng(612)
     n = 80
@@ -288,3 +300,144 @@ def test_attribution_errors():
     if len(used) >= 2:
         with pytest.raises(EnumerationLimitError):
             brute_force_shap(model, matrix.take([0]), max_features=1)
+
+
+# The path recursion on per-element objects, as it was before the path
+# became plain lists; attribute_rows must match it bit for bit.
+class _PathElement:
+    __slots__ = ("feature", "zero", "one", "weight")
+
+    def __init__(self, feature, zero, one, weight):
+        self.feature = feature
+        self.zero = zero
+        self.one = one
+        self.weight = weight
+
+
+def _extend(path: list[_PathElement], pz: float, po: float, pi: int) -> list[_PathElement]:
+    length = len(path)
+    out = [_PathElement(e.feature, e.zero, e.one, e.weight) for e in path]
+    out.append(_PathElement(pi, pz, po, 1.0 if length == 0 else 0.0))
+    for i in range(length - 1, -1, -1):
+        out[i + 1].weight += po * out[i].weight * (i + 1) / (length + 1)
+        out[i].weight = pz * out[i].weight * (length - i) / (length + 1)
+    return out
+
+
+def _unwind(path: list[_PathElement], index: int) -> list[_PathElement]:
+    length = len(path)
+    one = path[index].one
+    zero = path[index].zero
+    n = path[-1].weight
+    out = [_PathElement(e.feature, e.zero, e.one, e.weight) for e in path[:-1]]
+    for j in range(length - 2, -1, -1):
+        if one != 0.0:
+            t = out[j].weight
+            out[j].weight = n * length / ((j + 1) * one)
+            n = t - out[j].weight * zero * (length - j - 1) / length
+        else:
+            out[j].weight = out[j].weight * length / (zero * (length - j - 1))
+    for j in range(index, length - 1):
+        out[j].feature = path[j + 1].feature
+        out[j].zero = path[j + 1].zero
+        out[j].one = path[j + 1].one
+    return out
+
+
+def _shap_one_tree_reference(tree: Tree, left_at: np.ndarray, phi: np.ndarray) -> None:
+    """Add one tree's contributions to phi, for the row with decisions left_at."""
+    def recurse(node: int, path: list[_PathElement], pz: float, po: float, pi: int):
+        path = _extend(path, pz, po, pi)
+        if tree.feature[node] < 0:
+            leaf_value = tree.value[node]
+            for i in range(1, len(path)):
+                w = sum(e.weight for e in _unwind(path, i))
+                el = path[i]
+                phi[el.feature] += w * (el.one - el.zero) * leaf_value
+            return
+        f = int(tree.feature[node])
+        left, right = int(tree.left[node]), int(tree.right[node])
+        hot, cold = (left, right) if left_at[node] else (right, left)
+        iz, io = 1.0, 1.0
+        found = next((k for k in range(len(path)) if path[k].feature == f), None)
+        if found is not None:
+            iz, io = path[found].zero, path[found].one
+            path = _unwind(path, found)
+        cover = tree.cover[node]
+        recurse(hot, path, iz * tree.cover[hot] / cover, io, f)
+        recurse(cold, path, iz * tree.cover[cold] / cover, 0.0, f)
+
+    recurse(0, [], 1.0, 1.0, -1)
+
+
+def reference_rows(model, matrix):
+    used = model.trees[: model.best_iteration]
+    phi = np.zeros((matrix.n_rows, matrix.n_cols))
+    base = 0.0
+    for tree in used:
+        left_at = tree.decisions(matrix.values, matrix.missing_mask)
+        for i in range(matrix.n_rows):
+            _shap_one_tree_reference(tree, left_at[i], phi[i])
+        base += _tree_expectation(tree)
+    if model.family == FAMILY_FOREST:
+        scale = 1.0 / len(used) if used else 1.0
+        phi *= scale
+        base = base * scale if used else model.base_score
+    else:
+        base += model.base_score
+    return float(base), phi
+
+
+LEARNERS = {
+    "leafwise": gbdt_leafwise_preset,
+    "depthwise": gbdt_depthwise_preset,
+    "forest": forest_preset,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    learner=st.sampled_from(sorted(LEARNERS)),
+    max_depth=st.integers(1, 10),
+    min_samples=st.integers(1, 6),
+    subsample=st.sampled_from([1.0, 0.7]),
+    iterations=st.integers(1, 4),
+    missing_rate=st.sampled_from([0.0, 0.1, 0.4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_attributions_match_the_object_path_recursion_bit_for_bit(
+    learner, max_depth, min_samples, subsample, iterations, missing_rate, seed
+):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 150))
+    raw = rng.normal(size=(n, 3))
+    # a copied and a rounded column add near-twin features; with those and
+    # deep trees, most models have a path that splits on one feature twice
+    values = np.column_stack([raw, raw[:, 0], np.round(raw[:, 1], 1)])
+    values[rng.random(values.shape) < missing_rate] = np.nan
+    y = (raw[:, 0] + raw[:, 1] * raw[:, 2] + rng.normal(scale=0.7, size=n) > 0).astype(np.int8)
+    y[:2] = (0, 1)
+    matrix = make_matrix(values)
+    config = LEARNERS[learner](
+        max_depth=min(max_depth, 8) if learner != "forest" else max_depth,
+        leaf_limit=2 ** max_depth,
+        min_samples_per_leaf=min_samples,
+        row_subsample=subsample,
+        column_subsample=subsample,
+        iteration_cap=iterations,
+        early_stopping_rounds=0,
+        positive_class_weight=1.0,
+        max_bins=int(rng.integers(4, 33)),
+        seed=int(rng.integers(10000)),
+    )
+    if learner == "forest":
+        model = fit_forest(matrix, y, config)
+    else:
+        model = fit_gbdt(bin_features(matrix, config.max_bins), y, config)
+    rows = matrix.take(np.arange(min(n, 25)))
+    base, phi = reference_rows(model, rows)
+    for attribution, expected in zip(attribute_rows(model, rows), phi):
+        assert attribution.base_value.hex() == base.hex()
+        assert [v.hex() for v in attribution.values.tolist()] == [
+            v.hex() for v in expected.tolist()
+        ]

@@ -235,6 +235,15 @@ class TestLearnerConfigTypes:
         with pytest.raises(ParameterError, match=f"^{field} must be {wording}$"):
             gbdt_leafwise_preset(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field", ["row_subsample", "column_subsample", "l2_regularization", "learning_rate",
+                  "positive_class_weight"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_a_value_json_cannot_hold_is_refused(self, field, value):
+        with pytest.raises(ParameterError, match=f"^{field} must be finite$"):
+            gbdt_leafwise_preset(**{field: value})
+
     def test_a_config_built_in_python_round_trips(self):
         model, _ = fitted_gbdt()
         config = gbdt_leafwise_preset(
