@@ -8,26 +8,34 @@ a stage model's kind or a calibrator's method.
 
 Reading follows one rule: it refuses with SchemaError, naming the field, a
 value that is not a JSON object where one is due, a missing field, an
-unknown field, and a value that is not of its kind. A table's own check of
-fields that constrain each other runs after that. Writing converts only
-where a kind says so, and dump is the one canonical text: sorted keys,
-compact separators and Python's shortest-repr floats, so equal objects
-give byte-equal JSON and a stable digest.
+unknown field, and a value that is not of its kind. Every number must be
+finite: NaN appears only as null, where a field allows null, and a NaN or
+Infinity token is refused. A table's own check of fields that constrain
+each other runs after that. Writing converts only where a kind says so,
+and dump is the one canonical text: standard JSON (a non-finite number
+raises ValueError) with sorted keys, compact separators and Python's
+shortest-repr floats, so equal objects give byte-equal JSON and a stable
+digest.
+
+The same kinds check the settings of a CLI config and the fields of the
+learner and synth configs, which checked() refuses with ParameterError.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import ParameterError, SchemaError
 
 
 def dump(obj, default=None) -> str:
     """Canonical JSON text of obj; default converts what JSON lacks."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=default)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=default,
+                      allow_nan=False)
 
 
 def _same(value):
@@ -50,8 +58,25 @@ class Kind:
             raise SchemaError(f"{where} holds a value out of range") from exc
 
 
+_MAX = sys.float_info.max
+
+
+def _finite(x):
+    # of a number (exact for ints of any size) or elementwise of an array
+    return (-_MAX <= x) & (x <= _MAX)
+
+
 def _is(*types):
     return lambda value: type(value) in types
+
+
+def _number(value) -> bool:
+    # booleans are never numbers here
+    return type(value) in (int, float) and _finite(value)
+
+
+def _object_of(test):
+    return lambda value: type(value) is dict and all(map(test, value.values()))
 
 
 def _list_of(*types):
@@ -61,32 +86,61 @@ def _list_of(*types):
 
 
 _STRINGS = _list_of(str)
-BOOLEAN = Kind("a boolean", _is(bool))
+_NUMBERS = _object_of(_number)
+BOOLEAN = Kind("true or false", _is(bool))
 INTEGER = Kind("an integer", _is(int))
-NUMBER = Kind("a number", _is(int, float))
-FLOAT = Kind("a number", _is(int, float), float, float)
-FLOAT_OR_NULL = Kind("a number or null", _is(int, float, type(None)),
+NUMBER = Kind("a finite number", _number)
+FLOAT = Kind("a finite number", _number, float, float)
+FLOAT_OR_NULL = Kind("a finite number or null", lambda v: v is None or _number(v),
                      lambda v: v if v is None else float(v))
 STRING = Kind("a string", _is(str))
 STRINGS = Kind("a list of strings", _STRINGS)
-STRING_LISTS = Kind("an object of string lists",
-                    lambda v: type(v) is dict and all(map(_STRINGS, v.values())))
+STRING_LISTS = Kind("a JSON object of string lists", _object_of(_STRINGS))
 # the kind of a dataclass field by its annotation; values pass as they are
-_ANNOTATED = {"int": INTEGER, "float": NUMBER, "str": STRING,
-              "float | str": Kind("a number or a string", _is(int, float, str))}
-_ELEMENTS = {"b": ("booleans", (bool,)), "i": ("integers", (int,)), "f": ("numbers", (int, float))}
+_ANNOTATED = {
+    "int": INTEGER, "float": NUMBER, "str": STRING,
+    "float | str": Kind('a finite number or "auto"', lambda v: type(v) is str or _number(v)),
+    "dict[str, float]": Kind("a JSON object of finite numbers", _NUMBERS),
+    "float | dict[str, float]": Kind("a finite number or a JSON object of finite numbers",
+                                     lambda v: _number(v) or _NUMBERS(v)),
+    "dict[str, dict[str, float]]": Kind("a JSON object of JSON objects of finite numbers",
+                                        _object_of(_NUMBERS)),
+}
+
+
+class _Floats(Kind):
+    """A list read into a float array: its elements' types are tested on the
+    list, then their finiteness on the whole array, nulls (NaN) set aside."""
+
+    def read(self, value, where: str):
+        floats = super().read(value, where)
+        if np.count_nonzero(_finite(floats)) + value.count(None) < floats.size:
+            raise SchemaError(f"{where} must be {self.wording}")
+        return floats
+
+
+_ELEMENTS = {"b": ("booleans", (bool,), Kind), "i": ("integers", (int,), Kind),
+             "f": ("finite numbers", (int, float), _Floats)}
 
 
 def array(dtype, nulls: bool = False) -> Kind:
     """A JSON list read into a numpy array of dtype and written from one;
     with nulls, a list of numbers in which null stands for NaN."""
-    words, types = _ELEMENTS[np.dtype(dtype).kind]
+    words, types, kind = _ELEMENTS[np.dtype(dtype).kind]
     if nulls:
-        return Kind(f"a list of {words} or nulls", _list_of(*types, type(None)),
+        return kind(f"a list of {words} or nulls", _list_of(*types, type(None)),
                     lambda v: np.array(v, dtype),
                     lambda a: [None if x != x else x for x in a.tolist()])
-    return Kind(f"a list of {words}", _list_of(*types), lambda v: np.array(v, dtype),
+    return kind(f"a list of {words}", _list_of(*types), lambda v: np.array(v, dtype),
                 lambda a: np.asarray(a, dtype).tolist())
+
+
+def checked(name: str, value, kind: Kind):
+    """value as kind reads it, for a setting or config field called name;
+    ParameterError saying what name must be when value is not of kind."""
+    if not kind.test(value):
+        raise ParameterError(f"{name} must be {kind.wording}, got {value!r}")
+    return kind.convert(value)
 
 
 class ListOf:
@@ -146,6 +200,13 @@ def fields_table(cls, name: str) -> Table:
     """The table of a dataclass whose fields are all scalars, each of the
     kind its annotation names."""
     return Table(cls, name, {f.name: _ANNOTATED[f.type] for f in dataclass_fields(cls)})
+
+
+def check_fields(obj, table: Table) -> None:
+    """Refuse, as checked() does, the first field of obj, a config built in
+    Python, whose value is not of its kind in table."""
+    for key, kind in table.fields.items():
+        checked(key, getattr(obj, key), kind)
 
 
 class Choice:

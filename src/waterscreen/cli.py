@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import dump
+from .artifacts import BOOLEAN, INTEGER, NUMBER, STRING_LISTS, Kind, checked, dump
 from .errors import ParameterError, WaterscreenError
 from .explain import attribute_rows, export_beeswarm, mean_abs_shap
 from .metrics import MetricBundle, full_bundle, threshold_curve
@@ -51,15 +51,15 @@ from .records import (
     screen_outliers,
 )
 from .stats import compare_models
-from .synth import SynthConfig, generate, write_fixture
+from .synth import SYNTH_CONFIG, SynthConfig, generate, write_fixture
 from .trees import LearnerConfig, gbdt_depthwise_preset, gbdt_leafwise_preset
+from .trees.config import LEARNER_CONFIG
 # not called here since explain builds its input with stage2_input; the span
 # table of bench/spans.py still looks the name up in this module
 from .trees import predict_proba  # noqa: F401
 
 MANIFEST_NAME = "manifest.json"
 ARTIFACT_VERSIONS = {"manifest": 3, "model": 2, "report": 1}
-_MAX = sys.float_info.max
 
 
 def _jsonable(value):
@@ -192,131 +192,84 @@ def _encode_input(run: _Run, path, category_levels=None, require_labels=True):
 # ---------------------------------------------------------------------------
 # settings
 
-_BAD = object()  # what a check returns for a value it refuses
+
+def _integer(least: int) -> Kind:
+    return Kind(f"an integer >= {least}", lambda v: INTEGER.test(v) and v >= least)
 
 
-def _checked(name: str, value, wanted: str, check):
-    """check(value), the setting as the run reads it; ParameterError saying
-    what name must be when check refuses value."""
-    resolved = check(value)
-    if resolved is _BAD:
-        raise ParameterError(f"{name} must be {wanted}, got {value!r}")
-    return resolved
+def _number(wording: str, accept) -> Kind:
+    # a finite number accept holds for, read as a float
+    return Kind(wording, lambda v: NUMBER.test(v) and accept(v), float)
 
 
-def _finite(value) -> bool:
-    return -_MAX <= value <= _MAX
+def _optional(kind: Kind) -> Kind:
+    return Kind(kind.wording, lambda v: v is None or kind.test(v),
+                lambda v: v if v is None else kind.convert(v))
 
 
-def _finite_values(table: dict) -> bool:
-    return all(type(v) in (int, float) and _finite(v) for v in table.values())
-
-
-def _is(types, accept=lambda v: True):
-    # the value itself if its type is one of types (booleans are never ints
-    # here) and accept holds for it
-    return lambda v: v if type(v) in types and accept(v) else _BAD
-
-
-def _integer(least: int):
-    return _is((int,), lambda v: v >= least)
-
-
-def _number(accept):
-    # a number accept holds for, read as a float
-    return lambda v: float(v) if type(v) in (int, float) and accept(v) else _BAD
-
-
-def _optional(check):
-    return lambda v: v if v is None else check(v)
-
-
-# what a setting typed by a LearnerConfig or SynthConfig field annotation
-# must be, and its check; the dataclass's own validation checks the ranges
-_FIELD_VALUES = {
-    "int": ("an integer", _is((int,))),
-    "float": ("a finite number", _is((int, float), _finite)),
-    "float | str": ('a finite number or "auto"',
-                    _is((int, float, str), lambda v: type(v) is str or _finite(v))),
-    "str": ("a string", _is((str,))),
-    "dict[str, float]": ("a JSON object of finite numbers", _is((dict,), _finite_values)),
-    "float | dict[str, float]": ("a finite number or a JSON object of finite numbers", _is(
-        (int, float, dict), lambda v: _finite_values(v) if type(v) is dict else _finite(v))),
-    "dict[str, dict[str, float]]": ("a JSON object of JSON objects of finite numbers", _is(
-        (dict,), lambda v: all(type(t) is dict and _finite_values(t) for t in v.values()))),
-}
-_LEARNER_FIELDS = {f.name: f.type for f in dataclass_fields(LearnerConfig)}
+_OBJECT = Kind("a JSON object", lambda v: type(v) is dict)
 # a stage learns with its preset under the run's seed, then the stage's settings
 _STAGE_PRESETS = {"stage1": gbdt_leafwise_preset, "stage2": gbdt_depthwise_preset}
 
 
-def _members(prefix: str, annotation):
-    """Check: a JSON object whose every member is of the type annotation(name)
-    names in _FIELD_VALUES. Only learner settings have names without one."""
-    def check(table):
-        if type(table) is not dict:
-            return _BAD
-        unknown = sorted(name for name in table if annotation(name) is None)
+def _members(prefix: str, wording: str, kind_of) -> Kind:
+    """A JSON object whose every member is of the kind kind_of(name) gives.
+    Only learner settings have names without one."""
+    def read(table):
+        unknown = sorted(name for name in table if kind_of(name) is None)
         if unknown:
             raise ParameterError(f"unknown learner settings: {', '.join(unknown)}")
         for name, value in table.items():
-            _checked(f"{prefix}.{name}", value, *_FIELD_VALUES[annotation(name)])
+            checked(f"{prefix}.{name}", value, kind_of(name))
         return table
-    return check
+    return Kind(wording, _OBJECT.test, read)
 
 
-def _bounds(bounds):
-    # measurement names mapped to [low, high] pairs of finite numbers with
-    # low <= high, read as pairs of floats
-    if type(bounds) is not dict:
-        return _BAD
-    for name, pair in bounds.items():
-        _checked("bounds", name, "keyed by " + ", ".join(sorted(DEFAULT_BOUNDS)),
-                 _is((str,), lambda v: v in DEFAULT_BOUNDS))
-        _checked(f"bounds.{name}", pair, "[low, high] with finite numbers low <= high",
-                 _is((list,), lambda v: len(v) == 2 and all(type(x) in (int, float) for x in v)
-                     and -_MAX <= v[0] <= v[1] <= _MAX))
-    return {name: (float(lo), float(hi)) for name, (lo, hi) in bounds.items()}
-
+_BOUND_NAME = Kind("keyed by " + ", ".join(sorted(DEFAULT_BOUNDS)), lambda v: v in DEFAULT_BOUNDS)
+_BOUND_PAIR = Kind("[low, high] with finite numbers low <= high",
+                   lambda v: type(v) is list and len(v) == 2 and all(map(NUMBER.test, v))
+                   and v[0] <= v[1],
+                   lambda v: (float(v[0]), float(v[1])))
+# measurement names mapped to [low, high] pairs, read as pairs of floats
+_BOUNDS = Kind(_OBJECT.wording, _OBJECT.test, lambda bounds: {
+    checked("bounds", name, _BOUND_NAME): checked(f"bounds.{name}", pair, _BOUND_PAIR)
+    for name, pair in bounds.items()
+})
 
 EVERY = "every subcommand"
 _TRAINING = ("train", "ablate")
 _SYNTH_DEFAULTS = SynthConfig()
-_NON_NEGATIVE = _number(lambda v: 0 <= v <= _MAX)
-_POSITIVE = _number(lambda v: 0 < v <= _MAX)
+_NON_NEGATIVE = _number("a finite number >= 0", lambda v: v >= 0)
+_POSITIVE = _number("a finite number > 0", lambda v: v > 0)
 
-# (subcommands or EVERY, key, default, what the value must be, check): every
-# setting a subcommand reads from its config, in the order they are checked
+# (subcommands or EVERY, key, default, kind): every setting a subcommand
+# reads from its config, in the order they are checked
 SETTINGS = [
-    (EVERY, "seed", 0, "an integer >= 0", _integer(0)),
-    (("qc",), "batch_min", BatchConfig.batch_min, "an integer >= 1", _integer(1)),
-    (("qc",), "cluster_min", BatchConfig.cluster_min, "an integer >= 1", _integer(1)),
-    (("qc",), "batch_gap_s", BatchConfig.batch_gap_s, "a finite number >= 0", _NON_NEGATIVE),
-    (("qc",), "cluster_radius_m", BatchConfig.cluster_radius_m, "a finite number >= 0",
-     _NON_NEGATIVE),
-    (("clean",), "bounds", {}, "a JSON object", _bounds),
-    (("clean",), "z_threshold", 4.0, "a finite number > 0", _POSITIVE),
-    (("clean",), "dictionary", {}, "a JSON object", _is((dict,))),
-    (("encode",), "require_labels", True, "true or false", _is((bool,))),
-    (("encode",), "category_levels", None, "a JSON object of string lists",
-     _is((dict,), lambda v: all(
-         type(levels) is list and all(type(x) is str for x in levels) for levels in v.values()
-     ))),
-    *[(("synth",), f.name, getattr(_SYNTH_DEFAULTS, f.name), *_FIELD_VALUES[f.type])
-      for f in dataclass_fields(SynthConfig) if f.name != "seed"],
-    (_TRAINING, "k", 5, "an integer >= 2", _integer(2)),
-    (_TRAINING, "inner_fraction", 0.85, "a number in (0, 1)", _number(lambda v: 0 < v < 1)),
-    (_TRAINING, "beta", 2.0, "a finite number > 0", _POSITIVE),
-    (_TRAINING, "calibration", METHOD_ISOTONIC, f"{METHOD_ISOTONIC} or {METHOD_PLATT}",
-     _is((str,), lambda v: v in (METHOD_ISOTONIC, METHOD_PLATT))),
-    *[(_TRAINING, stage, {}, "a JSON object of learner settings",
-       _members(stage, _LEARNER_FIELDS.get)) for stage in _STAGE_PRESETS],
-    *[(("evaluate",), side, {}, "a JSON object of finite numbers",
-       _members(side, lambda name: "float")) for side in ("min", "max")],
-    (("compare",), "n_boot", 10000, "an integer >= 1", _integer(1)),
-    (("compare",), "threshold", None, "a number in [0, 1]",
-     _optional(_number(lambda v: 0 <= v <= 1))),
-    (("explain",), "max_rows", None, "an integer >= 1", _optional(_integer(1))),
+    (EVERY, "seed", 0, _integer(0)),
+    (("qc",), "batch_min", BatchConfig.batch_min, _integer(1)),
+    (("qc",), "cluster_min", BatchConfig.cluster_min, _integer(1)),
+    (("qc",), "batch_gap_s", BatchConfig.batch_gap_s, _NON_NEGATIVE),
+    (("qc",), "cluster_radius_m", BatchConfig.cluster_radius_m, _NON_NEGATIVE),
+    (("clean",), "bounds", {}, _BOUNDS),
+    (("clean",), "z_threshold", 4.0, _POSITIVE),
+    (("clean",), "dictionary", {}, _OBJECT),
+    (("encode",), "require_labels", True, BOOLEAN),
+    (("encode",), "category_levels", None, STRING_LISTS),
+    *[(("synth",), key, getattr(_SYNTH_DEFAULTS, key), kind)
+      for key, kind in SYNTH_CONFIG.fields.items() if key != "seed"],
+    (_TRAINING, "k", 5, _integer(2)),
+    (_TRAINING, "inner_fraction", 0.85, _number("a number in (0, 1)", lambda v: 0 < v < 1)),
+    (_TRAINING, "beta", 2.0, _POSITIVE),
+    (_TRAINING, "calibration", METHOD_ISOTONIC, Kind(f"{METHOD_ISOTONIC} or {METHOD_PLATT}",
+                                                     lambda v: v in (METHOD_ISOTONIC, METHOD_PLATT))),
+    *[(_TRAINING, stage, {}, _members(stage, "a JSON object of learner settings",
+                                      LEARNER_CONFIG.fields.get)) for stage in _STAGE_PRESETS],
+    *[(("evaluate",), side, {}, _members(side, "a JSON object of finite numbers",
+                                         lambda name: NUMBER)) for side in ("min", "max")],
+    (("compare",), "n_boot", 10000, _integer(1)),
+    (("compare",), "threshold", None,
+     _optional(_number("a number in [0, 1]", lambda v: 0 <= v <= 1))),
+    (("explain",), "max_rows", None, _optional(_integer(1))),
 ]
 
 
@@ -326,9 +279,9 @@ def _read_settings(subcommand: str, config: dict, seed=None) -> tuple[dict, list
     flag stands in for the config's seed."""
     values = config if seed is None else {**config, "seed": seed}
     settings = {}
-    for scope, key, default, wanted, check in SETTINGS:
+    for scope, key, default, kind in SETTINGS:
         if scope == EVERY or subcommand in scope:
-            settings[key] = _checked(key, values[key], wanted, check) if key in values else default
+            settings[key] = checked(key, values[key], kind) if key in values else default
     for stage, preset in _STAGE_PRESETS.items():
         if stage in settings:
             settings[stage] = preset(**{"seed": settings["seed"], **settings[stage]})

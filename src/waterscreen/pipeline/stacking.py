@@ -169,9 +169,7 @@ def _fit_learner(matrix: FeatureMatrix, labels: np.ndarray, config: LearnerConfi
     if config.family == FAMILY_GBDT:
         binned = bin_features(matrix.take(train_idx), config.max_bins)
         valid = None
-        if config.early_stopping_rounds > 0:
-            if valid_idx is None:
-                raise ParameterError("early stopping requires validation rows")
+        if config.early_stopping_rounds > 0 and valid_idx is not None:
             valid = (apply_bins(matrix.take(valid_idx), binned), labels[valid_idx])
         model = fit_gbdt(binned, labels[train_idx], config, valid=valid)
         return model, lambda idx: predict_proba(model, matrix.take(idx))

@@ -247,10 +247,14 @@ def bh_fdr(p_values) -> list[float]:
 
 @dataclass(frozen=True)
 class McnemarResult:
+    """A McNemar test; compare_models names its challenger and FDR q-value."""
+
     statistic: float
     p_value: float
     b: int
     c: int
+    challenger: str | None = None
+    q_value: float | None = None
 
 
 def mcnemar(ref_correct, cand_correct) -> McnemarResult:
@@ -275,23 +279,13 @@ def mcnemar(ref_correct, cand_correct) -> McnemarResult:
 
 
 @dataclass(frozen=True)
-class McnemarComparison:
-    challenger: str
-    statistic: float
-    p_value: float
-    b: int
-    c: int
-    q_value: float
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
     """All challenger-vs-reference tests, FDR-adjusted within metric families."""
 
     reference: str
     deltas: list[DeltaResult] = field(default_factory=list)
     delta_challengers: list[str] = field(default_factory=list)
-    mcnemar_tests: list[McnemarComparison] = field(default_factory=list)
+    mcnemar_tests: list[McnemarResult] = field(default_factory=list)
     threshold: float = 0.5
     n_boot: int = 0
     seed: int = 0
@@ -383,15 +377,7 @@ def compare_models(
         mc_family.append(mcnemar(ref_correct, cand_correct))
     mc_qs = bh_fdr([m.p_value for m in mc_family])
     mcnemar_tests = [
-        McnemarComparison(
-            challenger=ch.name,
-            statistic=m.statistic,
-            p_value=m.p_value,
-            b=m.b,
-            c=m.c,
-            q_value=q,
-        )
-        for ch, m, q in zip(challengers, mc_family, mc_qs)
+        replace(m, challenger=ch.name, q_value=q) for ch, m, q in zip(challengers, mc_family, mc_qs)
     ]
     return ComparisonReport(
         reference=reference.name,

@@ -29,6 +29,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
+from .artifacts import check_fields, fields_table
 from .errors import ParameterError
 from .records import CATEGORICAL_FIELDS, MEASUREMENT_FIELDS, PARSEABLE_FIELDS, FieldRecord
 
@@ -124,6 +125,9 @@ class SynthConfig:
     seed: int = 0
 
 
+SYNTH_CONFIG = fields_table(SynthConfig, "a synth config")
+
+
 @dataclass
 class GroundTruth:
     """What the generator knows and a model should recover."""
@@ -140,6 +144,7 @@ def implied_odds_ratio(ec_given_tc1: float, ec_given_tc0: float) -> float:
 
 
 def _check_config(config: SynthConfig) -> None:
+    check_fields(config, SYNTH_CONFIG)
     if config.n_rows < 10:
         raise ParameterError("n_rows must be at least 10")
     for name in ("tc_prevalence", "ec_given_tc1", "ec_given_tc0"):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..artifacts import fields_table
+from ..artifacts import check_fields, fields_table
 from ..errors import ParameterError
 
 FAMILY_GBDT = "hist_gbdt"
@@ -48,12 +48,7 @@ class LearnerConfig:
 
     def __post_init__(self) -> None:
         # a value model.json could not read back is refused here, not on read
-        for key, kind in LEARNER_CONFIG.fields.items():
-            value = getattr(self, key)
-            if not kind.test(value):
-                raise ParameterError(f"{key} must be {kind.wording}")
-            if isinstance(value, float) and not np.isfinite(value):
-                raise ParameterError(f"{key} must be finite")
+        check_fields(self, LEARNER_CONFIG)
         if self.family not in FAMILIES:
             raise ParameterError(f"unknown learner family {self.family!r}")
         if self.growth not in GROWTHS:

@@ -378,6 +378,23 @@ def _damage(data, defect):
         data["bogus"] = 1
     elif defect == "unknown_fold_key":
         data["folds"][0]["bogus"] = 1
+    # json.dumps writes these as the NaN and Infinity tokens JSON lacks
+    elif defect == "base_score_nan":
+        data["stage2"]["base_score"] = float("nan")
+    elif defect == "threshold_nan":
+        data["threshold"] = float("nan")
+    elif defect == "threshold_infinite":
+        data["threshold"] = float("inf")
+    elif defect == "knots_y_infinite":
+        data["calibrator"]["knots_y"][-1] = float("inf")
+    elif defect == "bin_edges_nan":
+        data["stage1"]["bin_edges"][0].insert(0, float("nan"))
+    elif defect == "raw_negative_infinite":
+        data["folds"][0]["raw"][0] = float("-inf")
+    elif defect == "fold_threshold_nan":
+        data["folds"][0]["threshold"] = float("nan")
+    elif defect == "stage1_auc_infinite":
+        data["stage1_auc"] = float("inf")
     return data
 
 
@@ -408,6 +425,14 @@ DAMAGED_ARTIFACTS = [
     ("predict", "model.json", "max_depth_as_string", "'max_depth'"),
     ("predict", "model.json", "unknown_top_level_key", "'bogus'"),
     ("compare", "cv_report.json", "unknown_fold_key", "'bogus'"),
+    ("predict", "model.json", "base_score_nan", "'base_score' must be a finite number"),
+    ("predict", "model.json", "threshold_nan", "'threshold' must be a finite number"),
+    ("evaluate", "model.json", "threshold_infinite", "'threshold' must be a finite number"),
+    ("predict", "model.json", "knots_y_infinite", "'knots_y' must be a list of finite numbers"),
+    ("explain", "model.json", "bin_edges_nan", "'bin_edges'[0] must be a list of finite numbers"),
+    ("compare", "cv_report.json", "raw_negative_infinite", "'raw' must be a list of finite numbers"),
+    ("compare", "cv_report.json", "fold_threshold_nan", "'threshold' must be a finite number"),
+    ("compare", "cv_report.json", "stage1_auc_infinite", "'stage1_auc' must be a finite number"),
 ]
 
 
@@ -645,6 +670,11 @@ def test_artifacts_read_and_written_again_are_byte_equal(workspace):
     for name in ("cv_report.json", "cv_report_no_aux.json"):
         text = (model_dir / name).read_text()
         assert dump(cv_report_to_dict(cv_report_from_dict(json.loads(text)))) + "\n" == text
+
+
+def test_artifacts_are_written_as_standard_json_only():
+    with pytest.raises(ValueError):
+        dump({"x": float("nan")})
 
 
 def test_parse_warnings_reach_the_manifest(workspace, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for model serialization, digests, and prediction plumbing."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -228,11 +229,12 @@ class TestLearnerConfigTypes:
         [
             ("max_depth", 3.0, "an integer"),
             ("iteration_cap", True, "an integer"),
-            ("positive_class_weight", True, "a number or a string"),
+            ("positive_class_weight", True, 'a finite number or "auto"'),
         ],
     )
     def test_a_value_model_json_would_refuse_is_refused(self, field, value, wording):
-        with pytest.raises(ParameterError, match=f"^{field} must be {wording}$"):
+        message = re.escape(f"{field} must be {wording}, got {value!r}")
+        with pytest.raises(ParameterError, match=f"^{message}$"):
             gbdt_leafwise_preset(**{field: value})
 
     @pytest.mark.parametrize(
@@ -241,7 +243,9 @@ class TestLearnerConfigTypes:
     )
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_a_value_json_cannot_hold_is_refused(self, field, value):
-        with pytest.raises(ParameterError, match=f"^{field} must be finite$"):
+        wording = 'a finite number or "auto"' if field == "positive_class_weight" else "a finite number"
+        message = re.escape(f"{field} must be {wording}, got {value!r}")
+        with pytest.raises(ParameterError, match=f"^{message}$"):
             gbdt_leafwise_preset(**{field: value})
 
     def test_a_config_built_in_python_round_trips(self):

@@ -132,3 +132,11 @@ def test_config_validation():
         generate(SynthConfig(missing_rate=1.5))
     with pytest.raises(ParameterError):
         generate(SynthConfig(category_frequencies={"sex": {}}))
+
+
+@pytest.mark.parametrize(
+    "setting, value", [("n_rows", "400"), ("n_rows", 40.5), ("feature_signal", {"ph": float("nan")})]
+)
+def test_generate_refuses_a_mistyped_setting(setting, value):
+    with pytest.raises(ParameterError, match=f"^{setting} must be "):
+        generate(SynthConfig(**{setting: value}))
