@@ -18,7 +18,8 @@ shortest-repr floats, so equal objects give byte-equal JSON and a stable
 digest.
 
 The same kinds check the settings of a CLI config and the fields of the
-learner and synth configs, which checked() refuses with ParameterError.
+learner, synth and qc batch configs, which checked() refuses with
+ParameterError.
 """
 
 from __future__ import annotations
@@ -133,6 +134,15 @@ def array(dtype, nulls: bool = False) -> Kind:
                     lambda a: [None if x != x else x for x in a.tolist()])
     return kind(f"a list of {words}", _list_of(*types), lambda v: np.array(v, dtype),
                 lambda a: np.asarray(a, dtype).tolist())
+
+
+def integer_at_least(least: int) -> Kind:
+    return Kind(f"an integer >= {least}", lambda v: INTEGER.test(v) and v >= least)
+
+
+def number_where(wording: str, accept) -> Kind:
+    """A finite number accept holds for, read as a float."""
+    return Kind(wording, lambda v: NUMBER.test(v) and accept(v), float)
 
 
 def checked(name: str, value, kind: Kind):

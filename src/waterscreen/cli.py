@@ -20,7 +20,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import BOOLEAN, INTEGER, NUMBER, STRING_LISTS, Kind, checked, dump
+from .artifacts import (
+    BOOLEAN,
+    NUMBER,
+    STRING_LISTS,
+    Kind,
+    checked,
+    dump,
+    integer_at_least,
+    number_where,
+)
 from .errors import ParameterError, WaterscreenError
 from .explain import attribute_rows, export_beeswarm, mean_abs_shap
 from .metrics import MetricBundle, full_bundle, threshold_curve
@@ -38,7 +47,14 @@ from .pipeline import (
     stage2_input,
 )
 from .pipeline.calibration import METHOD_ISOTONIC, METHOD_PLATT
-from .qc import CATEGORY_ALERT, CATEGORY_OK, CATEGORY_REVIEW, BatchConfig, evaluate_batch
+from .qc import (
+    BATCH_CONFIG,
+    CATEGORY_ALERT,
+    CATEGORY_OK,
+    CATEGORY_REVIEW,
+    BatchConfig,
+    evaluate_batch,
+)
 from .records import (
     DEFAULT_BOUNDS,
     KIND_CONTEXT,
@@ -48,6 +64,7 @@ from .records import (
     encode,
     harmonize,
     parse_records,
+    read_dictionary,
     screen_outliers,
 )
 from .stats import compare_models
@@ -193,15 +210,6 @@ def _encode_input(run: _Run, path, category_levels=None, require_labels=True):
 # settings
 
 
-def _integer(least: int) -> Kind:
-    return Kind(f"an integer >= {least}", lambda v: INTEGER.test(v) and v >= least)
-
-
-def _number(wording: str, accept) -> Kind:
-    # a finite number accept holds for, read as a float
-    return Kind(wording, lambda v: NUMBER.test(v) and accept(v), float)
-
-
 def _optional(kind: Kind) -> Kind:
     return Kind(kind.wording, lambda v: v is None or kind.test(v),
                 lambda v: v if v is None else kind.convert(v))
@@ -239,17 +247,13 @@ _BOUNDS = Kind(_OBJECT.wording, _OBJECT.test, lambda bounds: {
 EVERY = "every subcommand"
 _TRAINING = ("train", "ablate")
 _SYNTH_DEFAULTS = SynthConfig()
-_NON_NEGATIVE = _number("a finite number >= 0", lambda v: v >= 0)
-_POSITIVE = _number("a finite number > 0", lambda v: v > 0)
+_POSITIVE = number_where("a finite number > 0", lambda v: v > 0)
 
 # (subcommands or EVERY, key, default, kind): every setting a subcommand
 # reads from its config, in the order they are checked
 SETTINGS = [
-    (EVERY, "seed", 0, _integer(0)),
-    (("qc",), "batch_min", BatchConfig.batch_min, _integer(1)),
-    (("qc",), "cluster_min", BatchConfig.cluster_min, _integer(1)),
-    (("qc",), "batch_gap_s", BatchConfig.batch_gap_s, _NON_NEGATIVE),
-    (("qc",), "cluster_radius_m", BatchConfig.cluster_radius_m, _NON_NEGATIVE),
+    (EVERY, "seed", 0, integer_at_least(0)),
+    *[(("qc",), key, getattr(BatchConfig, key), kind) for key, kind in BATCH_CONFIG.fields.items()],
     (("clean",), "bounds", {}, _BOUNDS),
     (("clean",), "z_threshold", 4.0, _POSITIVE),
     (("clean",), "dictionary", {}, _OBJECT),
@@ -257,8 +261,8 @@ SETTINGS = [
     (("encode",), "category_levels", None, STRING_LISTS),
     *[(("synth",), key, getattr(_SYNTH_DEFAULTS, key), kind)
       for key, kind in SYNTH_CONFIG.fields.items() if key != "seed"],
-    (_TRAINING, "k", 5, _integer(2)),
-    (_TRAINING, "inner_fraction", 0.85, _number("a number in (0, 1)", lambda v: 0 < v < 1)),
+    (_TRAINING, "k", 5, integer_at_least(2)),
+    (_TRAINING, "inner_fraction", 0.85, number_where("a number in (0, 1)", lambda v: 0 < v < 1)),
     (_TRAINING, "beta", 2.0, _POSITIVE),
     (_TRAINING, "calibration", METHOD_ISOTONIC, Kind(f"{METHOD_ISOTONIC} or {METHOD_PLATT}",
                                                      lambda v: v in (METHOD_ISOTONIC, METHOD_PLATT))),
@@ -266,10 +270,10 @@ SETTINGS = [
                                       LEARNER_CONFIG.fields.get)) for stage in _STAGE_PRESETS],
     *[(("evaluate",), side, {}, _members(side, "a JSON object of finite numbers",
                                          lambda name: NUMBER)) for side in ("min", "max")],
-    (("compare",), "n_boot", 10000, _integer(1)),
+    (("compare",), "n_boot", 10000, integer_at_least(1)),
     (("compare",), "threshold", None,
-     _optional(_number("a number in [0, 1]", lambda v: 0 <= v <= 1))),
-    (("explain",), "max_rows", None, _optional(_integer(1))),
+     _optional(number_where("a number in [0, 1]", lambda v: 0 <= v <= 1))),
+    (("explain",), "max_rows", None, _optional(integer_at_least(1))),
 ]
 
 
@@ -307,7 +311,7 @@ def _bundle_rows(bundles: dict[str, MetricBundle], extra: dict[str, dict[str, fl
 def _cmd_qc(args) -> int:
     run = _Run(args, "qc")
     parsed = _parse_input_records(run, args.records)
-    config = BatchConfig(**{f.name: run.settings[f.name] for f in dataclass_fields(BatchConfig)})
+    config = BatchConfig(**{key: run.settings[key] for key in BATCH_CONFIG.fields})
     verdicts, flags = evaluate_batch(parsed.records, config)
     lines = [
         json.dumps(
@@ -339,10 +343,11 @@ def _cmd_qc(args) -> int:
 def _cmd_clean(args) -> int:
     run = _Run(args, "clean")
     bounds, dictionary = run.settings["bounds"], run.settings["dictionary"]
+    tables = read_dictionary(dictionary)  # a malformed table is refused before any input
     parsed = _parse_input_records(run, args.records)
     records = parsed.records
     if dictionary:
-        records = harmonize(records, dictionary)
+        records = harmonize(records, tables)
     kept, clean_log = clean(records, bounds or None)
     kept, outlier_log = screen_outliers(kept, run.settings["z_threshold"])
     removals = [

@@ -12,6 +12,16 @@ its one-row case; brute_force_shap evaluates the Shapley sum over feature
 subsets with the same conditional expectation, and exists to check it.
 The recursion holds the path as four plain lists, each element's feature,
 zero and one fractions and weight, and builds new ones at each extension.
+
+Its state at a node depends only on which edges above the node the row
+follows, the row's pattern there, so attribute_rows runs it once per tree
+over the distinct patterns of all rows instead of once per row, and each
+leaf is evaluated once per pattern into a table of contribution rows. A
+row then adds its leaves' table rows in the recursion's own order, hot
+child first: a leaf's visit rank is the sum, over the path edges the row
+does not follow, of the leaf count under the sibling it does follow. So
+every row gets the bits of its own recursion, whichever rows it is
+explained with.
 """
 
 from __future__ import annotations
@@ -91,53 +101,84 @@ def _unwound(weights: list[float], zero: float, one: float) -> list[float]:
     return w
 
 
-def _shap_one_tree(tree: list[list], left_at: list[bool], phi: list[float]) -> None:
-    """Add one tree's contributions to phi, for the row with decisions left_at;
-    tree holds its feature, left, right, cover and value arrays as lists."""
-    feature, left, right, cover, value = tree
+def _tree_patterns(tree: Tree, left_at: np.ndarray, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """One tree's contributions for the rows with decisions left_at: a table
+    with one row per (leaf, pattern), and for each row of left_at the table
+    rows of its leaves in the order the recursion visits them."""
+    feature, left, right, cover, value = (
+        getattr(tree, a).tolist() for a in ("feature", "left", "right", "cover", "value")
+    )
+    below = [1] * len(feature)
+    for node in range(len(feature) - 1, -1, -1):
+        if feature[node] >= 0:
+            below[node] = below[left[node]] + below[right[node]]
+    table, index, ranks = [], [], []
 
-    def recurse(node, features, zeros, ones, weights, pz, po, pi):
-        features, zeros, ones = features + [pi], zeros + [pz], ones + [po]
-        weights = _extend(weights, pz, po)
+    def recurse(node, states, ids, rank):
+        # states: the path (features, zeros, ones, weights) of each distinct
+        # pattern of the edges above node; ids: each row's pattern
         f = feature[node]
         if f < 0:
-            for i in range(1, len(weights)):
-                # a plain loop: from Python 3.12, sum() compensates float rounding
-                w = 0.0
-                for x in _unwound(weights, zeros[i], ones[i]):
-                    w += x
-                phi[features[i]] += w * (ones[i] - zeros[i]) * value[node]
+            index.append(len(table) + ids)
+            ranks.append(rank)
+            for features, zeros, ones, weights in states:
+                row = [0.0] * n_cols
+                for i in range(1, len(weights)):
+                    # a plain loop: from Python 3.12, sum() compensates float rounding
+                    w = 0.0
+                    for x in _unwound(weights, zeros[i], ones[i]):
+                        w += x
+                    row[features[i]] = w * (ones[i] - zeros[i]) * value[node]
+                table.append(row)
             return
-        hot, cold = (left[node], right[node]) if left_at[node] else (right[node], left[node])
-        iz, io = 1.0, 1.0
-        if f in features:
-            k = features.index(f)
-            iz, io = zeros[k], ones[k]
-            weights = _unwound(weights, iz, io)
-            features, zeros, ones = (xs[:k] + xs[k + 1:] for xs in (features, zeros, ones))
-        recurse(hot, features, zeros, ones, weights, iz * cover[hot] / cover[node], io, f)
-        recurse(cold, features, zeros, ones, weights, iz * cover[cold] / cover[node], 0.0, f)
+        bases = []  # each state once a split on a feature already on its path unwinds it
+        for features, zeros, ones, weights in states:
+            iz, io = 1.0, 1.0
+            if f in features:
+                k = features.index(f)
+                iz, io = zeros[k], ones[k]
+                weights = _unwound(weights, iz, io)
+                features, zeros, ones = (xs[:k] + xs[k + 1:] for xs in (features, zeros, ones))
+            bases.append((features + [f], zeros, ones, weights, iz, io))
+        go_left = left_at[:, node]
+        for child, sibling, follows in ((left[node], right[node], go_left),
+                                        (right[node], left[node], ~go_left)):
+            # a child's pattern is its parent's plus whether the row follows
+            # the edge; a row visits the hot sibling's leaves first
+            codes, child_ids = np.unique(2 * ids + follows, return_inverse=True)
+            child_states = []
+            for code in codes.tolist():
+                features, zeros, ones, weights, iz, io = bases[code // 2]
+                pz, po = iz * cover[child] / cover[node], io if code % 2 else 0.0
+                child_states.append((features, zeros + [pz], ones + [po], _extend(weights, pz, po)))
+            recurse(child, child_states, child_ids, rank + np.where(follows, 0, below[sibling]))
 
-    recurse(0, [], [], [], [], 1.0, 1.0, -1)
+    start = np.zeros(left_at.shape[0], dtype=np.int64)
+    recurse(0, [([-1], [1.0], [1.0], _extend([], 1.0, 1.0))], start, start)
+    # a row's ranks are a permutation of its leaves, so argsort lists them in visit order
+    order = np.argsort(np.column_stack(ranks), axis=1)
+    visits = np.take_along_axis(np.column_stack(index), order, axis=1)
+    return np.array(table).reshape(len(table), n_cols), visits
 
 
 def attribute_rows(model: TreeEnsembleModel, matrix: FeatureMatrix) -> list[ShapAttribution]:
     """Exact path-dependent Shapley values for every row of a matrix.
 
-    Works tree by tree: one decisions matrix and one expectation per tree,
-    then the path recursion for each row, so a row's contributions add up
-    in the same order whichever rows it is explained with.
+    Works tree by tree: one decisions matrix, one pattern table and one
+    expectation per tree. Each row adds its leaves' table rows in the
+    recursion's visit order, so its contributions get the same bits
+    whichever rows it is explained with.
     """
     used = _check(model, matrix)
-    rows = [[0.0] * matrix.n_cols for _ in range(matrix.n_rows)]
+    phi = np.zeros((matrix.n_rows, matrix.n_cols))
     base = 0.0
     for tree in used:
-        arrays = [getattr(tree, a).tolist() for a in ("feature", "left", "right", "cover", "value")]
-        left_at = tree.decisions(matrix.values, matrix.missing_mask).tolist()
-        for row, decisions in zip(rows, left_at):
-            _shap_one_tree(arrays, decisions, row)
+        table, visits = _tree_patterns(
+            tree, tree.decisions(matrix.values, matrix.missing_mask), matrix.n_cols
+        )
+        for table_rows in visits.T:
+            phi += table[table_rows]
         base += _tree_expectation(tree)
-    phi = np.array(rows)
     if model.family == FAMILY_FOREST:
         scale = 1.0 / len(used) if used else 1.0
         phi *= scale

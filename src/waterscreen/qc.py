@@ -17,6 +17,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
+from .artifacts import Table, check_fields, integer_at_least, number_where
 from .errors import ParameterError
 from .records import DEFAULT_BOUNDS, FieldRecord, implausible
 
@@ -92,10 +93,24 @@ class BatchFlags:
 
 @dataclass
 class BatchConfig:
+    """Thresholds of the batch rules; BATCH_CONFIG says what each must be."""
+
     batch_min: int = 5
     batch_gap_s: float = 60.0
     cluster_min: int = 5
     cluster_radius_m: float = 10.0
+
+    def __post_init__(self):
+        check_fields(self, BATCH_CONFIG)
+
+
+_NON_NEGATIVE = number_where("a finite number >= 0", lambda v: v >= 0)
+BATCH_CONFIG = Table(BatchConfig, "a qc batch config", {
+    "batch_min": integer_at_least(1),
+    "cluster_min": integer_at_least(1),
+    "batch_gap_s": _NON_NEGATIVE,
+    "cluster_radius_m": _NON_NEGATIVE,
+})
 
 
 class UuidRegistry:

@@ -280,22 +280,39 @@ def _unit_lookup(field_name: str, table) -> dict[str, float]:
     return {label.strip().casefold(): float(factor) for label, factor in table.items()}
 
 
-def harmonize(records: list[FieldRecord], dictionary: Mapping) -> list[FieldRecord]:
+@dataclass(frozen=True)
+class Dictionary:
+    """A harmonization dictionary's checked tables: per categorical field,
+    casefolded raw spelling -> canonical label; per measurement, casefolded
+    unit label -> factor to canonical."""
+
+    categories: dict[str, dict[str, str]]
+    units: dict[str, dict[str, float]]
+
+
+def read_dictionary(dictionary: Mapping) -> Dictionary:
+    """The tables of a dictionary holding "categories" ({field: pairs or map
+    of raw -> canonical}) and "units" ({field: {unit label: factor to
+    canonical}}); a malformed table raises DictionaryError."""
+    return Dictionary(
+        categories=_tables(dictionary, "categories", CATEGORICAL_FIELDS, _category_lookup),
+        units=_tables(dictionary, "units", MEASUREMENT_FIELDS, _unit_lookup),
+    )
+
+
+def harmonize(records: list[FieldRecord], dictionary: Dictionary) -> list[FieldRecord]:
     """Canonicalize category spellings and convert tagged units.
 
-    `dictionary` holds "categories" ({field: pairs or map of raw -> canonical})
-    and "units" ({field: {unit label: factor to canonical}}). Fields without a
-    table pass through. Unrecognized non-empty spellings become "other";
-    unanswered values stay empty. Unit tags with a known factor are applied
-    and cleared; unknown tags are left in place so the non-conversion stays
-    visible. Idempotent: canonical labels map to themselves. A malformed
-    table raises DictionaryError before any record is read.
+    Fields without a table pass through. Unrecognized non-empty spellings
+    become "other"; unanswered values stay empty. Unit tags with a known
+    factor are applied and cleared; unknown tags are left in place so the
+    non-conversion stays visible. Idempotent: canonical labels map to
+    themselves.
     """
-    category_tables = _tables(dictionary, "categories", CATEGORICAL_FIELDS, _category_lookup)
+    category_tables, unit_tables = dictionary.categories, dictionary.units
     canonical_sets = {
         field_name: set(table.values()) for field_name, table in category_tables.items()
     }
-    unit_tables = _tables(dictionary, "units", MEASUREMENT_FIELDS, _unit_lookup)
     out = []
     for record in records:
         changes: dict[str, object] = {}

@@ -627,6 +627,19 @@ def test_clean_converts_tagged_units(tmp_path):
     assert cleaned == {"a": "250.0", "b": "180.0"}
 
 
+def test_clean_refuses_a_bad_dictionary_before_reading_the_records(tmp_path, capsys):
+    config = _write(tmp_path / "units.json", {"dictionary": {"units": {"tds_ppm": {"g/L": "x"}}}})
+    out_dir = tmp_path / "cleaned"
+    args = ["clean", "--records", str(tmp_path / "absent.csv"), "--config", str(config),
+            "--out", str(out_dir)]
+    assert run(args) == 1
+    assert capsys.readouterr().err == (
+        "error: dictionary units tds_ppm must map unit labels to finite numbers > 0,"
+        " got {'g/L': 'x'}\n"
+    )
+    assert not out_dir.exists()
+
+
 def test_encode_writes_matrix_labels_and_schema(workspace, tmp_path):
     out_dir = tmp_path / "enc"
     assert (

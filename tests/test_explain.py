@@ -351,7 +351,10 @@ def _shap_one_tree_reference(tree: Tree, left_at: np.ndarray, phi: np.ndarray) -
         if tree.feature[node] < 0:
             leaf_value = tree.value[node]
             for i in range(1, len(path)):
-                w = sum(e.weight for e in _unwind(path, i))
+                # a plain loop: from Python 3.12, sum() compensates float rounding
+                w = 0.0
+                for e in _unwind(path, i):
+                    w += e.weight
                 el = path[i]
                 phi[el.feature] += w * (el.one - el.zero) * leaf_value
             return
@@ -434,10 +437,73 @@ def test_attributions_match_the_object_path_recursion_bit_for_bit(
         model = fit_forest(matrix, y, config)
     else:
         model = fit_gbdt(bin_features(matrix, config.max_bins), y, config)
-    rows = matrix.take(np.arange(min(n, 25)))
+    # up to 60 rows, so that a leaf's patterns are mostly shared by several
+    rows = matrix.take(np.arange(min(n, 60)))
+    assert_same_bits(model, rows)
+    # the visit order is per row: explained in reverse, each row keeps its bits
+    reversed_rows = rows.take(np.arange(rows.n_rows)[::-1])
+    assert [hex_bits(a) for a in attribute_rows(model, reversed_rows)] == [
+        hex_bits(a) for a in attribute_rows(model, rows)
+    ][::-1]
+
+
+def hex_bits(attribution):
+    return attribution.base_value.hex(), [v.hex() for v in attribution.values.tolist()]
+
+
+def assert_same_bits(model, rows):
     base, phi = reference_rows(model, rows)
-    for attribution, expected in zip(attribute_rows(model, rows), phi):
-        assert attribution.base_value.hex() == base.hex()
-        assert [v.hex() for v in attribution.values.tolist()] == [
-            v.hex() for v in expected.tolist()
-        ]
+    for attribution, expected in zip(attribute_rows(model, rows), phi, strict=True):
+        assert hex_bits(attribution) == (base.hex(), [v.hex() for v in expected.tolist()])
+
+
+def chain_model(n_splits, rng):
+    # internal node 2j splits on feature j % 3 at a fresh threshold, one
+    # child a leaf and the other the next split, alternating sides; every
+    # leaf has cover 1, and the leaf values include 0.0 and -0.0
+    n = 2 * n_splits + 1
+    feature = np.full(n, -1, dtype=np.int32)
+    left = np.full(n, -1, dtype=np.int32)
+    right = np.full(n, -1, dtype=np.int32)
+    threshold = np.full(n, np.nan)
+    cover = np.ones(n)
+    for j in range(n_splits):
+        node = 2 * j
+        feature[node] = j % 3
+        threshold[node] = rng.normal()
+        leaf, deeper = node + 1, node + 2
+        left[node], right[node] = (leaf, deeper) if j % 2 else (deeper, leaf)
+        cover[node] = n_splits - j + 1
+    value = np.where(feature < 0, rng.normal(size=n), 0.0)
+    value[[1, 7, 2 * n_splits]] = 0.0
+    value[[3, 9]] = -0.0
+    tree = Tree(
+        feature=feature,
+        split_bin=np.where(feature >= 0, 0, -1).astype(np.int32),
+        threshold=threshold,
+        missing_left=rng.random(n) < 0.5,
+        left=left,
+        right=right,
+        value=value,
+        cover=cover,
+        count=cover.astype(np.int64),
+        gain=np.where(feature >= 0, 1.0, np.nan),
+    )
+    return TreeEnsembleModel(
+        family="hist_gbdt",
+        trees=[tree],
+        base_score=0.25,
+        best_iteration=1,
+        bin_edges=[np.array([0.0])] * 4,
+        feature_names=[f"f{i}" for i in range(4)],
+        config=gbdt_leafwise_preset(),
+    )
+
+
+def test_a_chain_longer_than_64_splits_matches_the_recursion_bit_for_bit():
+    rng = np.random.default_rng(617)
+    model = chain_model(70, rng)
+    values = rng.normal(size=(40, 4))
+    values[rng.random(values.shape) < 0.2] = np.nan
+    rows = make_matrix(values)
+    assert_same_bits(model, rows)

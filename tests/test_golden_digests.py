@@ -13,7 +13,10 @@ one node table and scored in one walk; the ensemble walk reproduces them
 exactly. The comparison digest was computed with the bootstrap that sorted
 both resampled score vectors in every replicate, which
 `tests/test_stats.py::_bootstrap_reference` keeps, before replicates
-became counts over tie groups. A change that moves a digest on purpose
+became counts over tie groups. The attribution digest was computed with
+the per-row path recursion, as `tests/test_explain.py::_shap_one_tree_reference`
+keeps it, before the recursion ran once per tree over the rows' leaf
+patterns. A change that moves a digest on purpose
 says so and shows that model quality held.
 
 The same trained pipelines also score rows one at a time from CSV, the way

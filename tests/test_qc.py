@@ -342,14 +342,17 @@ def clouds(draw):
     i, j = sorted(draw(st.lists(st.integers(0, len(records) - 1), min_size=2, max_size=2)))
     a, b = records[i], records[j]
     if draw(st.booleans()) and None not in (a.latitude, a.longitude, b.latitude, b.longitude):
-        # a radius at a pair's distance or one ulp either side of it
+        # a radius at a pair's distance or one ulp either side of it; never
+        # NaN or below 0, which BatchConfig refuses
         try:
-            radius = _haversine_m(a.latitude, a.longitude, b.latitude, b.longitude)
+            distance = _haversine_m(a.latitude, a.longitude, b.latitude, b.longitude)
         except ValueError:
-            pass
-        radius = draw(st.sampled_from((
-            radius, math.nextafter(radius, -math.inf), math.nextafter(radius, math.inf)
-        )))
+            distance = radius
+        if not math.isnan(distance):
+            radius = draw(st.sampled_from((
+                distance, max(math.nextafter(distance, -math.inf), 0.0),
+                math.nextafter(distance, math.inf),
+            )))
     return records, BatchConfig(cluster_min=draw(st.integers(1, 5)), cluster_radius_m=radius)
 
 
@@ -404,3 +407,18 @@ def test_empty_batch_is_vacuous():
     verdicts, flags = evaluate_batch([])
     assert verdicts == []
     assert flags.counts == {}
+
+
+@pytest.mark.parametrize("setting", [
+    {"cluster_radius_m": float("nan")},
+    {"cluster_radius_m": -1.0},
+    {"batch_gap_s": float("inf")},
+    {"batch_min": "5"},
+    {"batch_min": 2.5},
+    {"cluster_min": 0},
+    {"cluster_min": True},
+])
+def test_batch_config_refuses_bad_thresholds(setting):
+    # refused when built, not later as a bare TypeError or a rule that never fires
+    with pytest.raises(ParameterError, match=f"^{next(iter(setting))} must be .*, got "):
+        BatchConfig(**setting)

@@ -33,6 +33,7 @@ from waterscreen.records import (
     harmonize,
     implausible,
     parse_records,
+    read_dictionary,
     screen_outliers,
     stratified_split,
 )
@@ -163,23 +164,24 @@ DICTIONARY = {
     },
     "units": {"tds_ppm": {"g/l": 1000.0, "ppm": 1.0}},
 }
+TABLES = read_dictionary(DICTIONARY)
 
 
 class TestHarmonize:
     def test_alias_and_casefold(self):
         records = [make_record(treatment="  BOILED "), make_record("u2", treatment="boiling")]
-        out = harmonize(records, DICTIONARY)
+        out = harmonize(records, TABLES)
         assert out[0].treatment == "boiling"
         assert out[1].treatment == "boiling"
 
     def test_unknown_becomes_other_and_empty_stays_empty(self):
         records = [make_record(treatment="magnets"), make_record("u2", treatment="")]
-        out = harmonize(records, DICTIONARY)
+        out = harmonize(records, TABLES)
         assert out[0].treatment == "other"
         assert out[1].treatment == ""
 
     def test_field_without_table_passes_through(self):
-        out = harmonize([make_record(container_type="jerry can")], DICTIONARY)
+        out = harmonize([make_record(container_type="jerry can")], TABLES)
         assert out[0].container_type == "jerry can"
 
     def test_idempotent(self):
@@ -189,26 +191,26 @@ class TestHarmonize:
             make_record(f"u{i}", treatment=spellings[rng.integers(len(spellings))])
             for i in range(40)
         ]
-        once = harmonize(records, DICTIONARY)
-        twice = harmonize(once, DICTIONARY)
+        once = harmonize(records, TABLES)
+        twice = harmonize(once, TABLES)
         assert once == twice
 
     def test_unit_conversion_applied_and_tag_cleared(self):
         r = make_record(tds_ppm=0.2, unit_tags=(("tds_ppm", "g/L"),))
-        out = harmonize([r], DICTIONARY)[0]
+        out = harmonize([r], TABLES)[0]
         assert out.tds_ppm == pytest.approx(200.0)
         assert out.unit_tags == ()
 
     def test_unknown_unit_tag_left_in_place(self):
         r = make_record(tds_ppm=0.2, unit_tags=(("tds_ppm", "furlongs"),))
-        out = harmonize([r], DICTIONARY)[0]
+        out = harmonize([r], TABLES)[0]
         assert out.tds_ppm == pytest.approx(0.2)
         assert out.unit_tags == (("tds_ppm", "furlongs"),)
 
     def test_conflicting_alias_raises(self):
         bad = {"categories": {"treatment": [["ro", "RO treatment"], ["RO", "boiling"]]}}
         with pytest.raises(DictionaryError, match="RO"):
-            harmonize([make_record()], bad)
+            read_dictionary(bad)
 
     @pytest.mark.parametrize(
         "bad",
@@ -230,9 +232,9 @@ class TestHarmonize:
         ],
     )
     def test_malformed_tables_raise(self, bad):
-        # refused even when no record would reach the table
+        # refused before any record is harmonized
         with pytest.raises(DictionaryError, match=", got "):
-            harmonize([], bad)
+            read_dictionary(bad)
 
 
 class TestClean:
