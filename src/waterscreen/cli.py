@@ -380,18 +380,18 @@ def _cmd_encode(args) -> int:
     matrix, labels = _encode_input(
         run, args.records, run.settings["category_levels"], run.settings["require_labels"]
     )
-    feature_rows = []
-    for i in range(matrix.n_rows):
-        cells = [matrix.row_ids[i]]
-        for j in range(matrix.n_cols):
-            cells.append("" if matrix.missing_mask[i, j] else _fmt(matrix.values[i, j]))
-        feature_rows.append(cells)
+    # tolist() gives Python floats, which repr as _fmt does
+    feature_rows = [
+        [row_id, *["" if gone else repr(value) for value, gone in zip(values, mask)]]
+        for row_id, values, mask in zip(
+            matrix.row_ids, matrix.values.tolist(), matrix.missing_mask.tolist()
+        )
+    ]
     run.write("features.csv", _csv(["row_id", *matrix.column_names], feature_rows))
     if labels is not None:
-        label_rows = [
-            (matrix.row_ids[i], str(int(labels.tc[i])), str(int(labels.ec[i])))
-            for i in range(matrix.n_rows)
-        ]
+        label_rows = zip(
+            matrix.row_ids, map(str, labels.tc.tolist()), map(str, labels.ec.tolist())
+        )
         run.write("labels.csv", _csv(["row_id", "tc", "ec"], label_rows))
     run.write(
         "schema.json",
@@ -573,9 +573,12 @@ def _cmd_explain(args) -> int:
     run = _Run(args, "explain")
     max_rows = run.settings["max_rows"]
     model = pipeline_from_json(run.read_input(args.model).decode("utf-8"))
-    matrix, _ = _encode_input(run, args.records, model.category_levels, require_labels=False)
-    if max_rows is not None:
-        matrix = matrix.take(np.arange(min(max_rows, matrix.n_rows)))
+    # every row is parsed, so the manifest lists every parse warning, but only
+    # the rows explained are encoded: the model pins the category levels
+    parsed = _parse_input_records(run, args.records)
+    matrix, _ = encode(
+        parsed.records[:max_rows], category_levels=model.category_levels, require_labels=False
+    )
     widened = stage2_input(model, matrix)
     attributions = attribute_rows(model.stage2, widened)
     run.write("beeswarm.csv", export_beeswarm(attributions, widened))

@@ -287,20 +287,23 @@ def export_beeswarm(attributions: list[ShapAttribution], matrix: FeatureMatrix) 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["row_id", "feature", "shap_value", "feature_value", "feature_missing"])
-    for i, attribution in enumerate(attributions):
+    names = matrix.column_names
+    rows = zip(np.asarray(matrix.values, dtype=float).tolist(), matrix.missing_mask.tolist())
+    for i, (attribution, (values, missing)) in enumerate(zip(attributions, rows)):
         if attribution.row_id != matrix.row_ids[i]:
             raise PairingError(f"attribution {i} is for a different row id")
-        if attribution.feature_names != matrix.column_names:
+        if attribution.feature_names != names:
             raise PairingError(f"attribution {i} has a different column set")
-        for j, name in enumerate(matrix.column_names):
-            gone = bool(matrix.missing_mask[i, j])
-            writer.writerow(
-                [
-                    attribution.row_id,
-                    name,
-                    repr(float(attribution.values[j])),
-                    "" if gone else repr(float(matrix.values[i, j])),
-                    "true" if gone else "false",
-                ]
+        writer.writerows(
+            (
+                attribution.row_id,
+                name,
+                repr(shap),
+                "" if gone else repr(value),
+                "true" if gone else "false",
             )
+            for name, shap, value, gone in zip(
+                names, np.asarray(attribution.values, dtype=float).tolist(), values, missing
+            )
+        )
     return buffer.getvalue()

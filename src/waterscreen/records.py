@@ -2,6 +2,14 @@
 harmonization, technical cleaning, z-score outlier screening, one-hot
 encoding, and the stratified train/test split.
 
+Ingest works a column at a time. parse_records reads the CSV in blocks of a
+fixed number of rows, transposes each block, and reads a run of columns of
+one kind in a single pass of a builtin (float over the number columns, say);
+only a run holding a cell the builtin rejects is parsed again cell by cell,
+to word its warnings. A block bounds the raw cells held at once. A block of
+one row, a single request's input, is parsed cell by cell, which costs less
+there. encode fills the feature matrix with one numpy call over its cells.
+
 All operations are pure: they return new records or arrays and never mutate
 their inputs.
 """
@@ -12,7 +20,10 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
+from dataclasses import fields as dataclass_fields
 from datetime import datetime
+from itertools import chain, compress, groupby, islice, repeat
+from operator import attrgetter, itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -76,7 +87,7 @@ REASON_MISSING_OUTCOME = "missing_outcome"
 REASON_OUTLIER = "outlier"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldRecord:
     """One survey submission, as parsed; empty string means not answered."""
 
@@ -137,15 +148,9 @@ def _number(raw: str) -> float:
     return value
 
 
-def _whole(accept=lambda v: True):
-    """Parser for a whole number for which accept holds."""
-    def parse(raw: str) -> int:
-        value = _number(raw)
-        if value != int(value) or not accept(value):
-            raise ValueError(raw)
-        return int(value)
-
-    return parse
+def _finite(values: list) -> bool:
+    # a zero or an empty cell needs no test
+    return all(map(math.isfinite, filter(None, values)))
 
 
 def _timestamp(raw: str) -> datetime:
@@ -155,33 +160,123 @@ def _timestamp(raw: str) -> datetime:
         raise ValueError(raw) from None
 
 
+def _whole(low=-math.inf, high=math.inf):
+    """Parsers of a whole number in [low, high]: the cell parser, then int
+    and the test of the values int reads from a column."""
+    def parse(raw: str) -> int:
+        value = _number(raw)
+        if value != int(value) or not low <= value <= high:
+            raise ValueError(raw)
+        return int(value)
+
+    # int() reads whole-number text only, and agrees with the cell parser on
+    # every value a float holds exactly; any other cell takes the cell parser
+    low_exact, high_exact = max(low, -(2**53)), min(high, 2**53)
+
+    def within(values: list) -> bool:
+        present = [v for v in values if v is not None]
+        return not present or low_exact <= min(present) <= max(present) <= high_exact
+
+    return parse, int, within
+
+
 def _choice(options: tuple[str, ...]):
-    """Parser for one of options, compared and kept in lower case."""
+    """Parsers of one of options, compared and kept in lower case: the cell
+    parser, then str.lower and the test of the values it reads from a column."""
     def parse(raw: str) -> str:
         value = raw.lower()
         if value not in options:
             raise ValueError(value)
         return value
 
-    return parse
+    return parse, str.lower, frozenset(options).issuperset
 
 
-# field -> parser of its stripped, non-empty cell; a parser returns the value
-# or raises ValueError holding the text the parse warning shows
+# field -> (cell parser, reader, test). The cell parser takes a stripped,
+# non-empty cell and returns the value or raises ValueError holding the text
+# the parse warning shows. The reader is the builtin that reads a column of
+# such cells in one pass (none for text, which is kept as it is); the test,
+# if any, says whether every value it read is one the cell parser returns.
 _PARSERS = {
-    **dict.fromkeys(("uuid", "sample_id", "collector_id") + CATEGORICAL_FIELDS, str),
-    **dict.fromkeys(("latitude", "longitude", "gps_accuracy_m") + MEASUREMENT_FIELDS, _number),
-    **dict.fromkeys(("started_at", "ended_at"), _timestamp),
-    **dict.fromkeys(("photo_count", "expected_photo_count"), _whole(lambda v: v >= 0)),
+    **dict.fromkeys(("uuid", "sample_id", "collector_id") + CATEGORICAL_FIELDS, (str, None, None)),
+    **dict.fromkeys(
+        ("latitude", "longitude", "gps_accuracy_m") + MEASUREMENT_FIELDS, (_number, float, _finite)
+    ),
+    **dict.fromkeys(("started_at", "ended_at"), (_timestamp, datetime.fromisoformat, None)),
+    **dict.fromkeys(("photo_count", "expected_photo_count"), _whole(low=0)),
     "children_under_5": _whole(),
-    **dict.fromkeys(("tc_present", "ec_present"), _whole(lambda v: v in (0, 1))),
+    **dict.fromkeys(("tc_present", "ec_present"), _whole(low=0, high=1)),
     "survey_kind": _choice(SURVEY_KINDS),
     "dataset_origin": _choice(DATASET_ORIGINS),
 }
 
+
+def _read_column(read, test, cells: list[str], default) -> list:
+    """A column of stripped cells read in one pass, default where a cell is
+    empty; raises ValueError if a cell does not read or the column fails test."""
+    if read is None:
+        return cells
+    values = [read(raw) if raw else default for raw in cells]
+    if test is not None and not test(values):
+        raise ValueError(cells)
+    return values
+
+
 PARSEABLE_FIELDS = tuple(_PARSERS)
 
 MANDATORY_FIELDS = ("uuid", "survey_kind")
+
+# what a field holds where its column is absent or its cell empty, in
+# FieldRecord order; the unit tags come from the unit columns instead
+_DEFAULTS = {f.name: f.default for f in dataclass_fields(FieldRecord) if f.name != "unit_tags"}
+_DEFAULTS["uuid"] = ""
+# each field's cell parser and default, in PARSEABLE_FIELDS order
+_CELL_PARSERS = [_PARSERS[name][0] for name in PARSEABLE_FIELDS]
+_DEFAULT_VALUES = [_DEFAULTS[name] for name in PARSEABLE_FIELDS]
+
+
+def _runs() -> list[tuple]:
+    """Runs of PARSEABLE_FIELDS sharing parsers and default, as (reader,
+    test, default, first field, end field): a run is read in one pass."""
+    runs, end = [], 0
+    for ((_, read, test), default), names in groupby(
+        PARSEABLE_FIELDS, key=lambda name: (_PARSERS[name], _DEFAULTS[name])
+    ):
+        first, end = end, end + len(list(names))
+        runs.append((read, test, default, first, end))
+    return runs
+
+
+_RUNS = _runs()
+# FieldRecord's arguments, picked from columns in PARSEABLE_FIELDS order
+_RECORD_ORDER = itemgetter(*map(PARSEABLE_FIELDS.index, _DEFAULTS))
+
+
+def _parse_cells(cells: list[str], first: int, n: int, bad: list) -> list:
+    """The values of stripped cells parsed one by one: n rows of each field
+    from PARSEABLE_FIELDS[first] on, one field after another. Each cell that
+    fails adds (row, field rank, warning) to bad and reads as the default."""
+    values = []
+    for k, raw in enumerate(cells):
+        rank = first + k // n
+        value = _DEFAULT_VALUES[rank]
+        if raw:
+            try:
+                value = _CELL_PARSERS[rank](raw)
+            except ValueError as e:
+                what = f"unparseable {PARSEABLE_FIELDS[rank]} value {e.args[0]!r}"
+                bad.append((k % n, rank, what))
+        values.append(value)
+    return values
+
+
+# each measurement's unit column, in the order unit tags list them
+_UNIT_COLUMNS = [(name, f"{name}__unit") for name in sorted(MEASUREMENT_FIELDS)]
+
+# rows parse_records reads, transposes and converts at a time: long enough
+# that a column converts in one long run, short enough that the raw cells
+# of a large file are never all held at once
+_BLOCK_ROWS = 1024
 
 
 def parse_records(csv_bytes: bytes) -> ParseResult:
@@ -192,6 +287,7 @@ def parse_records(csv_bytes: bytes) -> ParseResult:
     carries raw unit labels for that measurement, kept as unit tags for
     harmonize. An unparseable cell leaves its field at the default (missing,
     for numbers and times) and adds a warning; rows are never dropped here.
+    Warnings come in row order, and within a row in PARSEABLE_FIELDS order.
     """
     try:
         text = csv_bytes.decode("utf-8")
@@ -205,34 +301,48 @@ def parse_records(csv_bytes: bytes) -> ParseResult:
     except StopIteration:
         raise EmptyInputError("no CSV content") from None
     # a repeated header name means its first column
-    position = {name: pos for pos, name in reversed(list(enumerate(header)))}
+    position = dict(zip(reversed(header), range(len(header) - 1, -1, -1)))
     missing_mandatory = [name for name in MANDATORY_FIELDS if name not in position]
     if missing_mandatory:
         raise SchemaError(f"missing mandatory columns: {', '.join(missing_mandatory)}")
-    columns = [
-        (name, position[name], parse) for name, parse in _PARSERS.items() if name in position
-    ]
-    units = [
-        (name, position[f"{name}__unit"])
-        for name in sorted(MEASUREMENT_FIELDS)
-        if f"{name}__unit" in position
-    ]
+    units = [(name, position[column]) for name, column in _UNIT_COLUMNS if column in position]
+    # every row is read with `width` empty cells appended, so a short row reads
+    # empty past its end, and an absent field reads the last, always empty, cell
+    positions = [*map(position.get, PARSEABLE_FIELDS, repeat(-1)), *(pos for _, pos in units)]
+    width = max(positions) + 1
+    pad = [""] * width
+    pick = itemgetter(*positions)
+    unit_names = [name for name, _ in units]
     records: list[FieldRecord] = []
     warnings: list[str] = []
-    for row_idx, row in enumerate(reader):
-        width = len(row)
-        kwargs: dict[str, object] = {"uuid": ""}
-        for name, pos, parse in columns:
-            raw = row[pos].strip() if pos < width else ""
-            if raw:
+    while block := list(islice(reader, _BLOCK_ROWS)):
+        n = len(block)
+        rows = map(pick, map(list.__add__, block, repeat(pad)))
+        bad: list[tuple[int, int, str]] = []
+        if n == 1:
+            # a single row, one request's case, is parsed cell by cell: on one
+            # row, transposing and a pass per run cost more than they save
+            cells = list(map(str.strip, next(rows)))
+            values = _parse_cells(cells[: len(PARSEABLE_FIELDS)], 0, 1, bad)
+        else:
+            # every picked cell, stripped, one column after another
+            cells = list(map(str.strip, chain.from_iterable(zip(*rows))))
+            values = []
+            for read, test, default, first, end in _RUNS:
+                run = cells[first * n : end * n]
                 try:
-                    kwargs[name] = parse(raw)
-                except ValueError as bad:
-                    warnings.append(f"row {row_idx}: unparseable {name} value {bad.args[0]!r}")
-        kwargs["unit_tags"] = tuple(
-            (name, row[pos].strip()) for name, pos in units if pos < width and row[pos].strip()
-        )
-        records.append(FieldRecord(**kwargs))
+                    values += _read_column(read, test, run, default)
+                except ValueError:
+                    values += _parse_cells(run, first, n, bad)
+        if bad:
+            warnings += [f"row {len(records) + row}: {what}" for row, _, what in sorted(bad)]
+        tags = repeat(())
+        if units:
+            unit_columns = zip(*[iter(cells[len(values) :])] * n)
+            tags = [tuple(compress(zip(unit_names, row), row)) for row in zip(*unit_columns)]
+        records += [
+            FieldRecord(*_RECORD_ORDER(values[row::n]), tag) for row, tag in zip(range(n), tags)
+        ]
     return ParseResult(records=records, warnings=warnings)
 
 
@@ -366,6 +476,12 @@ def implausible(record: FieldRecord, bounds: Mapping[str, tuple[float, float]]) 
     return False
 
 
+# the fields whose values, all equal, make two submissions duplicates
+_BODY = attrgetter(
+    *(f.name for f in dataclass_fields(FieldRecord) if f.name not in ("uuid", "unit_tags"))
+)
+
+
 def clean(
     records: list[FieldRecord],
     bounds: Mapping[str, tuple[float, float]] | None = None,
@@ -384,11 +500,11 @@ def clean(
     if bounds:
         effective.update(bounds)
     seen_uuids: set[str] = set()
-    seen_tuples: set[FieldRecord] = set()
+    seen_tuples: set[tuple] = set()
     kept: list[FieldRecord] = []
     removed: list[Removal] = []
     for idx, record in enumerate(records):
-        body = replace(record, uuid="", unit_tags=())
+        body = _BODY(record)
         reason = None
         if (record.uuid and record.uuid in seen_uuids) or body in seen_tuples:
             reason = REASON_DUPLICATE
@@ -522,6 +638,11 @@ class Labels:
                 raise ParameterError("labels must be exactly 0 or 1")
 
 
+# encode's physicochemical columns, first and in name order
+_PHYSICO_SPECS = [(name, name, None) for name in sorted(MEASUREMENT_FIELDS)]
+_PHYSICO_COLUMNS = [(name, KIND_PHYSICO) for name, _, _ in _PHYSICO_SPECS]
+
+
 def encode(
     records: list[FieldRecord],
     category_levels: Mapping[str, list[str]] | None = None,
@@ -540,7 +661,9 @@ def encode(
     if not records:
         raise EmptyInputError("no records to encode")
     if category_levels is None:
-        levels = {f: sorted({getattr(r, f) for r in records} - {""}) for f in CATEGORICAL_FIELDS}
+        levels = {
+            f: sorted(set(map(attrgetter(f), records)) - {""}) for f in CATEGORICAL_FIELDS
+        }
     else:
         levels = {f: list(category_levels.get(f, [])) for f in CATEGORICAL_FIELDS}
     if require_labels:
@@ -551,16 +674,15 @@ def encode(
                 )
     # (column name, record field, level): a level makes a 0/1 indicator of
     # field == level, no level the field's value, with None as NaN
-    physico = [(name, name, None) for name in sorted(MEASUREMENT_FIELDS)]
     contextual = sorted(
         [(name, name, None) for name in ("latitude", "longitude", "children_under_5")]
         + [("dataset_origin=set2", "dataset_origin", "set2")]
         + [(f"{f}={level}", f, level) for f in CATEGORICAL_FIELDS for level in levels[f]],
-        key=lambda spec: spec[0],
+        key=itemgetter(0),
     )
-    specs = physico + contextual
-    # one pass over the cells, record by record, with no list per record: a
-    # nested list of a large batch would grow the heap for the whole run
+    specs = _PHYSICO_SPECS + contextual
+    # one numpy call over every cell, which on one row costs less than
+    # filling the matrix a column or a level at a time
     values = np.fromiter(
         (getattr(r, f) if level is None else getattr(r, f) == level
          for r in records for _, f, level in specs),
@@ -569,8 +691,7 @@ def encode(
     matrix = FeatureMatrix(
         values=values,
         missing_mask=np.zeros(values.shape, dtype=bool),
-        columns=[(name, KIND_PHYSICO) for name, _, _ in physico]
-        + [(name, KIND_CONTEXT) for name, _, _ in contextual],
+        columns=_PHYSICO_COLUMNS + [(name, KIND_CONTEXT) for name, _, _ in contextual],
         row_ids=[r.uuid for r in records],
         category_levels=levels,
     )

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from operator import attrgetter
 
 import numpy as np
 
@@ -288,10 +289,24 @@ def _format_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        # a numpy float is written as the float it holds, not as its repr
+        return repr(float(value))
     if isinstance(value, datetime):
         return value.isoformat()
     return str(value)
+
+
+# cells the csv writer already writes as _format_cell would: a float as its
+# repr, an int in decimal, None as empty
+_WRITTEN_AS_IS = frozenset({str, float, int, type(None)})
+_FIXTURE_CELLS = attrgetter(*PARSEABLE_FIELDS)
+
+
+def _fixture_row(record: FieldRecord) -> list:
+    return [
+        cell if type(cell) in _WRITTEN_AS_IS else _format_cell(cell)
+        for cell in _FIXTURE_CELLS(record)
+    ]
 
 
 def write_fixture(records: list[FieldRecord], path) -> None:
@@ -302,7 +317,4 @@ def write_fixture(records: list[FieldRecord], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(PARSEABLE_FIELDS)
-        for record in records:
-            writer.writerow(
-                [_format_cell(getattr(record, name)) for name in PARSEABLE_FIELDS]
-            )
+        writer.writerows(map(_fixture_row, records))

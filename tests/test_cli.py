@@ -694,19 +694,28 @@ def test_parse_warnings_reach_the_manifest(workspace, tmp_path, monkeypatch):
     with open(workspace / "data" / "fixture.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
     rows[0]["ph"] = "seven"
+    rows[3]["orp_mv"] = "high"
     records = tmp_path / "records.csv"
     with open(records, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    warning = "row 0: unparseable ph value 'seven'"
+    warnings = ["row 0: unparseable ph value 'seven'", "row 3: unparseable orp_mv value 'high'"]
     model = str(workspace / "model" / "model.json")
     assert run(["predict", "--model", model, "--records", str(records),
                 "--out", str(tmp_path / "pred")]) == 0
-    assert read_manifest(tmp_path / "pred")["parse_warnings"] == [warning]
+    assert read_manifest(tmp_path / "pred")["parse_warnings"] == warnings
     assert run(["train", "--records", str(records), "--config", str(workspace / "train.json"),
                 "--out", str(tmp_path / "model")]) == 0
-    assert read_manifest(tmp_path / "model")["parse_warnings"] == [warning]
+    assert read_manifest(tmp_path / "model")["parse_warnings"] == warnings
+    # explain encodes only the rows it explains, but its manifest lists the
+    # warnings of every row read
+    config = _write(tmp_path / "explain.json", {"max_rows": 1})
+    assert run(["explain", "--model", model, "--records", str(records), "--config", str(config),
+                "--out", str(tmp_path / "shap")]) == 0
+    assert read_manifest(tmp_path / "shap")["parse_warnings"] == warnings
+    with open(tmp_path / "shap" / "beeswarm.csv", newline="") as handle:
+        assert {row["row_id"] for row in csv.DictReader(handle)} == {rows[0]["uuid"]}
     assert read_manifest(workspace / "model")["parse_warnings"] == []
     monkeypatch.chdir(tmp_path)
     assert run(["qc", "--records", str(records)]) == 0

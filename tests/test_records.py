@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import random
 from dataclasses import replace
 from datetime import datetime
 
@@ -37,6 +38,7 @@ from waterscreen.records import (
     screen_outliers,
     stratified_split,
 )
+from waterscreen.records import _BLOCK_ROWS
 
 
 def make_record(uuid="u1", **overrides):
@@ -731,6 +733,43 @@ def test_parse_and_encode_match_the_references(case):
         got = _outcome(encode, parsed.records, levels, require_labels)
         want = _outcome(_encode_reference, parsed.records, levels, require_labels)
         assert _matrix_parts(got) == _matrix_parts(want)
+
+
+def test_parse_and_encode_match_the_references_across_blocks():
+    """Over two block edges, the last block one row long: short and long
+    rows and unparseable cells on both sides of each edge, unit columns,
+    and a repeated pinned level."""
+    rng = random.Random(5)
+    names = list(_REF_FIELDS) + ["ph__unit", "notes", "tds_ppm__unit"]
+    rows = []
+    for _ in range(2 * _BLOCK_ROWS + 1):
+        # mostly parseable cells, so that most columns convert in one pass
+        row = [rng.choice(_CELLS[name][:3]) for name in names]
+        if rng.random() < 0.01:
+            row[rng.randrange(len(row))] = rng.choice(["n/a", "1e400", "Garden", "2", "x"])
+        rows.append(row)
+    for edge in (_BLOCK_ROWS, 2 * _BLOCK_ROWS):
+        rows[edge - 3] = rows[edge - 3] + ["extra", "cells"]
+        rows[edge - 2] = rows[edge - 2][:5]
+        rows[edge - 1][names.index("ph")] = "n/a"
+        rows[edge - 1][names.index("started_at")] = "yesterday"
+        rows[edge][names.index("tc_present")] = "2"
+        rows[edge][names.index("survey_kind")] = "Garden"
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([names, *rows])
+    data = buffer.getvalue().encode("utf-8")
+    parsed = parse_records(data)
+    expected = _parse_records_reference(data)
+    assert (parsed.records, parsed.warnings) == expected
+    for edge in (_BLOCK_ROWS, 2 * _BLOCK_ROWS):
+        assert f"row {edge - 1}: unparseable ph value 'n/a'" in parsed.warnings
+        assert f"row {edge}: unparseable survey_kind value 'garden'" in parsed.warnings
+    pinned = {"source_type": ["piped", "Piped", "piped"], "treatment": ["a1"]}
+    for levels in (None, pinned):
+        for require_labels in (False, True):
+            got = _outcome(encode, parsed.records, levels, require_labels)
+            want = _outcome(_encode_reference, parsed.records, levels, require_labels)
+            assert _matrix_parts(got) == _matrix_parts(want)
 
 
 def _implausible_reference(record, bounds):

@@ -1,10 +1,22 @@
 """Synthetic data generator: target moments, coupling, and file round-trips."""
 
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waterscreen.errors import ParameterError
-from waterscreen.records import MEASUREMENT_FIELDS, parse_records
+from waterscreen.records import (
+    CATEGORICAL_FIELDS,
+    DATASET_ORIGINS,
+    MEASUREMENT_FIELDS,
+    PARSEABLE_FIELDS,
+    SURVEY_KINDS,
+    FieldRecord,
+    parse_records,
+)
 from waterscreen.synth import (
     SynthConfig,
     generate,
@@ -108,6 +120,72 @@ def test_fixture_round_trips_through_parser(tmp_path):
     parsed = parse_records(path.read_bytes())
     assert parsed.warnings == []
     assert parsed.records == records
+
+
+def test_numpy_scalars_are_written_as_the_numbers_they_hold(tmp_path):
+    record = FieldRecord(
+        uuid="u1", ph=np.float64(7.25), latitude=np.float64(-0.0),
+        photo_count=np.int64(3), children_under_5=np.int64(2), tc_present=np.int64(1),
+    )
+    path = tmp_path / "fixture.csv"
+    write_fixture([record], path)
+    assert "np." not in path.read_text(encoding="utf-8")
+    parsed = parse_records(path.read_bytes())
+    assert parsed.warnings == []
+    (back,) = parsed.records
+    assert back == record
+    assert (back.ph, back.photo_count, back.children_under_5) == (7.25, 3, 2)
+    assert type(back.ph) is float and type(back.photo_count) is int
+    assert repr(back.latitude) == "-0.0"
+
+
+# text cells: commas, quotes and inner line breaks, but no outer blanks,
+# which parsing strips
+_TEXT = st.text(st.sampled_from('ab,"\' ;\né'), max_size=6).filter(lambda s: s == s.strip())
+_FLOATS = st.one_of(
+    st.none(),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# ISO text does not carry fold, so every time is drawn with fold 0
+_MOMENTS = st.datetimes(min_value=datetime(1900, 1, 1), max_value=datetime(2100, 1, 1)).map(
+    lambda moment: moment.replace(fold=0)
+)
+_TIMES = st.one_of(
+    st.none(),
+    _MOMENTS,
+    st.builds(
+        lambda moment, offset: moment.replace(tzinfo=timezone(offset)),
+        _MOMENTS,
+        # whole minutes: Python 3.11 reads an offset's microseconds back as zero
+        st.integers(-(24 * 60 - 1), 24 * 60 - 1).map(lambda minutes: timedelta(minutes=minutes)),
+    ),
+)
+_LIMIT = 2**53  # whole numbers a float holds exactly
+_RECORDS = st.builds(
+    FieldRecord,
+    uuid=_TEXT, sample_id=_TEXT, collector_id=_TEXT,
+    **dict.fromkeys(CATEGORICAL_FIELDS, _TEXT),
+    **dict.fromkeys(("latitude", "longitude", "gps_accuracy_m", *MEASUREMENT_FIELDS), _FLOATS),
+    started_at=_TIMES, ended_at=_TIMES,
+    survey_kind=st.sampled_from(SURVEY_KINDS), dataset_origin=st.sampled_from(DATASET_ORIGINS),
+    photo_count=st.integers(0, _LIMIT), expected_photo_count=st.integers(0, _LIMIT),
+    children_under_5=st.one_of(st.none(), st.integers(-_LIMIT, _LIMIT)),
+    tc_present=st.sampled_from([None, 0, 1]), ec_present=st.sampled_from([None, 0, 1]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_RECORDS, min_size=1, max_size=5))
+def test_fixture_round_trip_is_lossless(tmp_path_factory, records):
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    write_fixture(records, path)
+    parsed = parse_records(path.read_bytes())
+    assert parsed.warnings == []
+    assert parsed.records == records
+    # equal is not enough for -0.0 and for a datetime's offset
+    cells = [[repr(getattr(r, name)) for name in PARSEABLE_FIELDS] for r in records]
+    assert [[repr(getattr(r, name)) for name in PARSEABLE_FIELDS] for r in parsed.records] == cells
 
 
 def test_fixture_writes_are_byte_identical(tmp_path):
