@@ -19,14 +19,16 @@ digest.
 
 The same kinds check the settings of a CLI config and the fields of the
 learner, synth and qc batch configs, which checked() refuses with
-ParameterError.
+ParameterError. A config's table states each field's range in its kind,
+once: a range kind such as where() builds tests a value and, over NUMBER
+or INTEGER, converts nothing, so a config read from model.json is written
+back with the same bytes.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
@@ -87,7 +89,6 @@ def _list_of(*types):
 
 
 _STRINGS = _list_of(str)
-_NUMBERS = _object_of(_number)
 BOOLEAN = Kind("true or false", _is(bool))
 INTEGER = Kind("an integer", _is(int))
 NUMBER = Kind("a finite number", _number)
@@ -97,16 +98,6 @@ FLOAT_OR_NULL = Kind("a finite number or null", lambda v: v is None or _number(v
 STRING = Kind("a string", _is(str))
 STRINGS = Kind("a list of strings", _STRINGS)
 STRING_LISTS = Kind("a JSON object of string lists", _object_of(_STRINGS))
-# the kind of a dataclass field by its annotation; values pass as they are
-_ANNOTATED = {
-    "int": INTEGER, "float": NUMBER, "str": STRING,
-    "float | str": Kind('a finite number or "auto"', lambda v: type(v) is str or _number(v)),
-    "dict[str, float]": Kind("a JSON object of finite numbers", _NUMBERS),
-    "float | dict[str, float]": Kind("a finite number or a JSON object of finite numbers",
-                                     lambda v: _number(v) or _NUMBERS(v)),
-    "dict[str, dict[str, float]]": Kind("a JSON object of JSON objects of finite numbers",
-                                        _object_of(_NUMBERS)),
-}
 
 
 class _Floats(Kind):
@@ -136,13 +127,25 @@ def array(dtype, nulls: bool = False) -> Kind:
                 lambda a: np.asarray(a, dtype).tolist())
 
 
+def where(kind: Kind, wording: str, accept) -> Kind:
+    """The values of kind that accept holds for, read and written as kind
+    reads and writes them."""
+    return Kind(wording, lambda v: kind.test(v) and accept(v), kind.convert, kind.write)
+
+
 def integer_at_least(least: int) -> Kind:
-    return Kind(f"an integer >= {least}", lambda v: INTEGER.test(v) and v >= least)
+    return where(INTEGER, f"an integer >= {least}", lambda v: v >= least)
 
 
 def number_where(wording: str, accept) -> Kind:
     """A finite number accept holds for, read as a float."""
-    return Kind(wording, lambda v: NUMBER.test(v) and accept(v), float)
+    return where(FLOAT, wording, accept)
+
+
+def one_of(options: tuple[str, ...]) -> Kind:
+    """One of the strings options, passed as it is."""
+    wording = f"{', '.join(options[:-1])} or {options[-1]}"
+    return Kind(wording, lambda v: type(v) is str and v in options)
 
 
 def checked(name: str, value, kind: Kind):
@@ -204,12 +207,6 @@ class Table:
         if self.check is not None:
             self.check(obj)
         return obj
-
-
-def fields_table(cls, name: str) -> Table:
-    """The table of a dataclass whose fields are all scalars, each of the
-    kind its annotation names."""
-    return Table(cls, name, {f.name: _ANNOTATED[f.type] for f in dataclass_fields(cls)})
 
 
 def check_fields(obj, table: Table) -> None:

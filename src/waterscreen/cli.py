@@ -29,6 +29,7 @@ from .artifacts import (
     dump,
     integer_at_least,
     number_where,
+    one_of,
 )
 from .errors import ParameterError, WaterscreenError
 from .explain import attribute_rows, export_beeswarm, mean_abs_shap
@@ -264,8 +265,7 @@ SETTINGS = [
     (_TRAINING, "k", 5, integer_at_least(2)),
     (_TRAINING, "inner_fraction", 0.85, number_where("a number in (0, 1)", lambda v: 0 < v < 1)),
     (_TRAINING, "beta", 2.0, _POSITIVE),
-    (_TRAINING, "calibration", METHOD_ISOTONIC, Kind(f"{METHOD_ISOTONIC} or {METHOD_PLATT}",
-                                                     lambda v: v in (METHOD_ISOTONIC, METHOD_PLATT))),
+    (_TRAINING, "calibration", METHOD_ISOTONIC, one_of((METHOD_ISOTONIC, METHOD_PLATT))),
     *[(_TRAINING, stage, {}, _members(stage, "a JSON object of learner settings",
                                       LEARNER_CONFIG.fields.get)) for stage in _STAGE_PRESETS],
     *[(("evaluate",), side, {}, _members(side, "a JSON object of finite numbers",

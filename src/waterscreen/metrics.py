@@ -8,11 +8,11 @@ anything `np.asarray` accepts). Labels must be exactly 0 or 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .artifacts import fields_table
+from .artifacts import NUMBER, Table
 from .errors import ParameterError, ThresholdError, UndefinedMetricError
 
 
@@ -58,7 +58,8 @@ class MetricBundle:
     specificity: float
 
 
-METRIC_BUNDLE = fields_table(MetricBundle, "a cv report's pooled set")
+METRIC_BUNDLE = Table(MetricBundle, "a cv report's pooled set",
+                      {f.name: NUMBER for f in fields(MetricBundle)})
 
 
 def _check_binary(scores, labels, name: str) -> tuple[np.ndarray, np.ndarray]:

@@ -6,9 +6,8 @@ Ingest works a column at a time. parse_records reads the CSV in blocks of a
 fixed number of rows, transposes each block, and reads a run of columns of
 one kind in a single pass of a builtin (float over the number columns, say);
 only a run holding a cell the builtin rejects is parsed again cell by cell,
-to word its warnings. A block bounds the raw cells held at once. A block of
-one row, a single request's input, is parsed cell by cell, which costs less
-there. encode fills the feature matrix with one numpy call over its cells.
+to word its warnings. A block bounds the raw cells held at once. encode
+fills the feature matrix with one numpy call over its cells.
 
 All operations are pure: they return new records or arrays and never mutate
 their inputs.
@@ -319,21 +318,15 @@ def parse_records(csv_bytes: bytes) -> ParseResult:
         n = len(block)
         rows = map(pick, map(list.__add__, block, repeat(pad)))
         bad: list[tuple[int, int, str]] = []
-        if n == 1:
-            # a single row, one request's case, is parsed cell by cell: on one
-            # row, transposing and a pass per run cost more than they save
-            cells = list(map(str.strip, next(rows)))
-            values = _parse_cells(cells[: len(PARSEABLE_FIELDS)], 0, 1, bad)
-        else:
-            # every picked cell, stripped, one column after another
-            cells = list(map(str.strip, chain.from_iterable(zip(*rows))))
-            values = []
-            for read, test, default, first, end in _RUNS:
-                run = cells[first * n : end * n]
-                try:
-                    values += _read_column(read, test, run, default)
-                except ValueError:
-                    values += _parse_cells(run, first, n, bad)
+        # every picked cell, stripped, one column after another
+        cells = list(map(str.strip, chain.from_iterable(zip(*rows))))
+        values = []
+        for read, test, default, first, end in _RUNS:
+            run = cells[first * n : end * n]
+            try:
+                values += _read_column(read, test, run, default)
+            except ValueError:
+                values += _parse_cells(run, first, n, bad)
         if bad:
             warnings += [f"row {len(records) + row}: {what}" for row, _, what in sorted(bad)]
         tags = repeat(())
@@ -524,6 +517,9 @@ def clean(
     return kept, CleanLog(removed=removed, kept_count=len(kept))
 
 
+_MEASUREMENTS = attrgetter(*MEASUREMENT_FIELDS)
+
+
 def screen_outliers(
     records: list[FieldRecord], z_threshold: float = 4.0
 ) -> tuple[list[FieldRecord], CleanLog]:
@@ -531,34 +527,25 @@ def screen_outliers(
     column mean; means and SDs are computed once over the input set.
 
     Columns with fewer than two observed values or zero variance are skipped.
+    A missing value, None or NaN, is not observed.
     """
     if not z_threshold > 0:
         raise ParameterError("z_threshold must be positive")
-    stats: dict[str, tuple[float, float]] = {}
-    for field_name in MEASUREMENT_FIELDS:
-        values = np.array(
-            [getattr(r, field_name) for r in records if getattr(r, field_name) is not None],
-            dtype=float,
-        )
+    # a row per record, a column per measurement, None as NaN
+    table = np.array(list(map(_MEASUREMENTS, records)), dtype=float)
+    far = np.zeros(len(records), dtype=bool)
+    for column in table.reshape(len(records), len(MEASUREMENT_FIELDS)).T:
+        values = column[~np.isnan(column)]
         if values.size < 2:
             continue
         sd = float(values.std())
         if sd == 0.0:
             continue
-        stats[field_name] = (float(values.mean()), sd)
-    kept: list[FieldRecord] = []
-    removed: list[Removal] = []
-    for idx, record in enumerate(records):
-        is_outlier = False
-        for field_name, (mean, sd) in stats.items():
-            value = getattr(record, field_name)
-            if value is not None and abs(value - mean) > z_threshold * sd:
-                is_outlier = True
-                break
-        if is_outlier:
-            removed.append(Removal(row=idx, uuid=record.uuid, reason=REASON_OUTLIER))
-        else:
-            kept.append(record)
+        # a missing cell is never far: NaN compares false
+        far |= np.abs(column - float(values.mean())) > z_threshold * sd
+    removed = [Removal(row=idx, uuid=records[idx].uuid, reason=REASON_OUTLIER)
+               for idx in np.flatnonzero(far).tolist()]
+    kept = list(compress(records, (~far).tolist()))
     return kept, CleanLog(removed=removed, kept_count=len(kept))
 
 

@@ -30,7 +30,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .artifacts import check_fields, fields_table
+from .artifacts import NUMBER, Kind, Table, check_fields, integer_at_least, where
 from .errors import ParameterError
 from .records import CATEGORICAL_FIELDS, MEASUREMENT_FIELDS, PARSEABLE_FIELDS, FieldRecord
 
@@ -110,8 +110,10 @@ _TC_PATHWAY_WEIGHT = 0.4
 _TC_INTERACTION_WEIGHT = 1.7
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
+    """What generate draws; SYNTH_CONFIG says what each field must be."""
+
     n_rows: int = 2207
     tc_prevalence: float = 0.88
     ec_given_tc1: float = 0.764
@@ -125,8 +127,41 @@ class SynthConfig:
     )
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        check_fields(self, SYNTH_CONFIG)
 
-SYNTH_CONFIG = fields_table(SynthConfig, "a synth config")
+
+def _naming(names, test):
+    """A test of a JSON object that names only names, each value passing test."""
+    return lambda v: type(v) is dict and v.keys() <= names and all(map(test, v.values()))
+
+
+def _levels(table) -> bool:
+    # a non-empty JSON object of level frequencies, each finite and > 0
+    return type(table) is dict and len(table) > 0 and all(
+        NUMBER.test(p) and p > 0 for p in table.values())
+
+
+_RATE = where(NUMBER, "a number in (0, 1)", lambda v: 0 < v < 1)
+_GAP_RATE = where(NUMBER, "a number in [0, 1)", lambda v: 0 <= v < 1).test
+_GAP_RATES = _naming(set(_GAPPED_COLUMNS), _GAP_RATE)
+_CATEGORICAL = set(CATEGORICAL_FIELDS)
+SYNTH_CONFIG = Table(SynthConfig, "a synth config", {
+    "n_rows": integer_at_least(10),
+    "tc_prevalence": _RATE,
+    "ec_given_tc1": _RATE,
+    "ec_given_tc0": _RATE,
+    "feature_signal": Kind("a JSON object of finite numbers keyed by measurement fields",
+                           _naming(set(MEASUREMENT_FIELDS), NUMBER.test)),
+    "missing_rate": Kind("a number in [0, 1), or a JSON object of such numbers keyed by "
+                         "measurement, categorical, latitude or longitude fields",
+                         lambda v: _GAP_RATE(v) or _GAP_RATES(v)),
+    "category_frequencies": Kind(
+        "a JSON object of non-empty JSON objects of finite numbers > 0, keyed by exactly "
+        "the categorical fields",
+        lambda v: type(v) is dict and v.keys() == _CATEGORICAL and all(map(_levels, v.values()))),
+    "seed": integer_at_least(0),
+})
 
 
 @dataclass
@@ -142,40 +177,6 @@ class GroundTruth:
 def implied_odds_ratio(ec_given_tc1: float, ec_given_tc0: float) -> float:
     """Odds ratio implied by the two conditional E. coli rates."""
     return (ec_given_tc1 / (1.0 - ec_given_tc1)) / (ec_given_tc0 / (1.0 - ec_given_tc0))
-
-
-def _check_config(config: SynthConfig) -> None:
-    check_fields(config, SYNTH_CONFIG)
-    if config.n_rows < 10:
-        raise ParameterError("n_rows must be at least 10")
-    for name in ("tc_prevalence", "ec_given_tc1", "ec_given_tc0"):
-        value = getattr(config, name)
-        if not 0.0 < value < 1.0:
-            raise ParameterError(f"{name} must lie strictly between 0 and 1")
-    rates = (
-        config.missing_rate.values()
-        if isinstance(config.missing_rate, dict)
-        else [config.missing_rate]
-    )
-    for rate in rates:
-        if not 0.0 <= rate < 1.0:
-            raise ParameterError("missing rates must lie in [0, 1)")
-    if isinstance(config.missing_rate, dict):
-        _check_names("missing_rate", config.missing_rate, _GAPPED_COLUMNS)
-    _check_names("feature_signal", config.feature_signal, MEASUREMENT_FIELDS)
-    _check_names("category_frequencies", config.category_frequencies, CATEGORICAL_FIELDS)
-    absent = sorted(set(CATEGORICAL_FIELDS) - set(config.category_frequencies))
-    if absent:
-        raise ParameterError(f"category_frequencies lacks a table for {', '.join(absent)}")
-    for name, table in config.category_frequencies.items():
-        if not table or any(p <= 0 for p in table.values()):
-            raise ParameterError(f"category frequencies for {name} must be positive")
-
-
-def _check_names(setting: str, table: dict, known) -> None:
-    unknown = sorted(set(table) - set(known))
-    if unknown:
-        raise ParameterError(f"{setting} names unknown columns: {', '.join(unknown)}")
 
 
 def _missing_rate_for(config: SynthConfig, column: str) -> float:
@@ -204,7 +205,6 @@ def generate(config: SynthConfig | None = None) -> tuple[list[FieldRecord], Grou
     """Draw records and the latents behind them; deterministic per seed."""
     if config is None:
         config = SynthConfig()
-    _check_config(config)
     n = config.n_rows
     rng = np.random.default_rng(config.seed)
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..artifacts import check_fields, fields_table
+from ..artifacts import INTEGER, NUMBER, Kind, Table, check_fields, integer_at_least, one_of, where
 from ..errors import ParameterError
 
 FAMILY_GBDT = "hist_gbdt"
@@ -21,7 +21,7 @@ GROWTHS = (GROWTH_LEAFWISE, GROWTH_DEPTHWISE)
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    """Hyperparameters for one learner; validated on construction.
+    """Hyperparameters for one learner; LEARNER_CONFIG says what each must be.
 
     row_subsample semantics differ by family: hist_gbdt draws the fraction
     without replacement each iteration (1.0 means every row, no draw), while
@@ -47,38 +47,28 @@ class LearnerConfig:
     growth: str = GROWTH_LEAFWISE
 
     def __post_init__(self) -> None:
-        # a value model.json could not read back is refused here, not on read
         check_fields(self, LEARNER_CONFIG)
-        if self.family not in FAMILIES:
-            raise ParameterError(f"unknown learner family {self.family!r}")
-        if self.growth not in GROWTHS:
-            raise ParameterError(f"unknown growth policy {self.growth!r}")
-        if self.max_depth < 1:
-            raise ParameterError("max_depth must be at least 1")
-        if self.leaf_limit < 2:
-            raise ParameterError("leaf_limit must be at least 2")
-        if self.min_samples_per_leaf < 1:
-            raise ParameterError("min_samples_per_leaf must be at least 1")
-        for name in ("row_subsample", "column_subsample"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ParameterError(f"{name} must lie in (0, 1]")
-        if self.l2_regularization < 0:
-            raise ParameterError("l2_regularization must be non-negative")
-        if not self.learning_rate > 0:
-            raise ParameterError("learning_rate must be positive")
-        if self.iteration_cap < 1:
-            raise ParameterError("iteration_cap must be at least 1")
-        if self.early_stopping_rounds < 0:
-            raise ParameterError("early_stopping_rounds must be non-negative")
-        w = self.positive_class_weight
-        if w != "auto" and not (isinstance(w, (int, float)) and w > 0):
-            raise ParameterError('positive_class_weight must be positive or "auto"')
-        if not 2 <= self.max_bins <= 256:
-            raise ParameterError("max_bins must lie in [2, 256]")
 
 
-LEARNER_CONFIG = fields_table(LearnerConfig, "a stage config")
+_FRACTION = where(NUMBER, "a number in (0, 1]", lambda v: 0 < v <= 1)
+LEARNER_CONFIG = Table(LearnerConfig, "a stage config", {
+    "family": one_of(FAMILIES),
+    "max_depth": integer_at_least(1),
+    "leaf_limit": integer_at_least(2),
+    "min_samples_per_leaf": integer_at_least(1),
+    "row_subsample": _FRACTION,
+    "column_subsample": _FRACTION,
+    "l2_regularization": where(NUMBER, "a finite number >= 0", lambda v: v >= 0),
+    "learning_rate": where(NUMBER, "a finite number > 0", lambda v: v > 0),
+    "iteration_cap": integer_at_least(1),
+    "early_stopping_rounds": integer_at_least(0),
+    "positive_class_weight": Kind(
+        'a finite number > 0 or "auto"',
+        lambda v: v == "auto" if type(v) is str else NUMBER.test(v) and v > 0),
+    "max_bins": where(INTEGER, "an integer in [2, 256]", lambda v: 2 <= v <= 256),
+    "seed": integer_at_least(0),
+    "growth": one_of(GROWTHS),
+})
 
 
 def resolve_positive_weight(weight: float | str, labels) -> float:

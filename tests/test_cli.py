@@ -232,6 +232,10 @@ BAD_SETTINGS = {
         "learner_integer_boolean": {"stage1": {"leaf_limit": True}},
         "learner_number_as_string": {"stage2": {"learning_rate": "0.1"}},
         "learner_settings_not_an_object": {"stage1": [4]},
+        "learner_max_depth_zero": {"stage1": {"max_depth": 0}},
+        "learner_seed_negative": {"stage1": {"seed": -1}},
+        "learner_family_unknown": {"stage2": {"family": "bogus"}},
+        "learner_max_bins_above_256": {"stage2": {"max_bins": 300}},
     },
     "ablate": {
         "k_not_an_integer": {"k": "five"},
@@ -497,23 +501,36 @@ def test_synth_range_errors_leave_no_output_directory(tmp_path, capsys):
     config = _write(tmp_path / "c.json", {"n_rows": 5})
     out_dir = tmp_path / "out"
     assert run(["synth", "--config", str(config), "--out", str(out_dir)]) == 1
-    assert capsys.readouterr().err == "error: n_rows must be at least 10\n"
+    assert capsys.readouterr().err == "error: n_rows must be an integer >= 10, got 5\n"
     assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("setting,message", [
     ({"category_frequencies": {"sex": {"female": 1}}},
-     "category_frequencies lacks a table for container_material, container_placement, "
-     "container_type, education_level, perception, source_type, storage_duration, treatment"),
+     "category_frequencies must be a JSON object of non-empty JSON objects of finite numbers > 0, "
+     "keyed by exactly the categorical fields, got {'sex': {'female': 1}}"),
     ({"feature_signal": {"bogus": 1}, "missing_rate": {"ph": 0.1}},
-     "feature_signal names unknown columns: bogus"),
-    ({"missing_rate": {"ph": 0.1, "bogus": 0.5}}, "missing_rate names unknown columns: bogus"),
+     "feature_signal must be a JSON object of finite numbers keyed by measurement fields, "
+     "got {'bogus': 1}"),
+    ({"missing_rate": {"ph": 0.1, "bogus": 0.5}},
+     "missing_rate must be a number in [0, 1), or a JSON object of such numbers keyed by "
+     "measurement, categorical, latitude or longitude fields, got {'ph': 0.1, 'bogus': 0.5}"),
 ], ids=["partial_category_frequencies", "unknown_feature_signal_name", "unknown_missing_rate_name"])
 def test_synth_refuses_tables_that_name_the_wrong_columns(tmp_path, capsys, setting, message):
     config = _write(tmp_path / "c.json", setting)
     out_dir = tmp_path / "out"
     assert run(["synth", "--config", str(config), "--out", str(out_dir)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+def test_a_stage_setting_is_refused_before_any_input_is_read(tmp_path, capsys):
+    config = _write(tmp_path / "c.json", {"stage1": {"seed": -1}})
+    out_dir = tmp_path / "out"
+    args = ["train", "--records", str(tmp_path / "absent.csv"), "--config", str(config),
+            "--out", str(out_dir)]
+    assert run(args) == 1
+    assert capsys.readouterr().err == "error: stage1.seed must be an integer >= 0, got -1\n"
     assert not out_dir.exists()
 
 

@@ -2,14 +2,19 @@
 
 import json
 import re
+from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from waterscreen.errors import ParameterError, SchemaError
+from waterscreen.metrics import METRIC_BUNDLE, MetricBundle
+from waterscreen.qc import BATCH_CONFIG, BatchConfig
 from waterscreen.records import FeatureMatrix
+from waterscreen.synth import SYNTH_CONFIG, SynthConfig
 from waterscreen.trees import (
+    LearnerConfig,
     Tree,
     TreeEnsembleModel,
     bin_features,
@@ -25,6 +30,7 @@ from waterscreen.trees import (
     predict_proba,
     to_json,
 )
+from waterscreen.trees.config import LEARNER_CONFIG
 from waterscreen.trees.model import NODE_DTYPES, sigmoid
 
 
@@ -183,6 +189,10 @@ def _break(data, defect):
         data["family"] = "logistic"
     elif defect == "unknown_tree_key":
         tree["bogus"] = []
+    elif defect == "config_max_depth_zero":
+        data["config"]["max_depth"] = 0
+    elif defect == "config_seed_negative":
+        data["config"]["seed"] = -1
     return data
 
 
@@ -214,6 +224,8 @@ MALFORMED = (
     "bin_edges_as_strings",
     "family_not_a_tree_family",
     "unknown_tree_key",
+    "config_max_depth_zero",
+    "config_seed_negative",
 )
 
 
@@ -227,9 +239,16 @@ class TestLearnerConfigTypes:
     @pytest.mark.parametrize(
         "field, value, wording",
         [
-            ("max_depth", 3.0, "an integer"),
-            ("iteration_cap", True, "an integer"),
-            ("positive_class_weight", True, 'a finite number or "auto"'),
+            ("max_depth", 3.0, "an integer >= 1"),
+            ("iteration_cap", True, "an integer >= 1"),
+            ("positive_class_weight", True, 'a finite number > 0 or "auto"'),
+            ("max_depth", 0, "an integer >= 1"),
+            ("seed", -1, "an integer >= 0"),
+            ("family", "bogus", "hist_gbdt, random_forest or logistic"),
+            ("growth", "sideways", "leafwise or depthwise"),
+            ("row_subsample", 0, "a number in (0, 1]"),
+            ("positive_class_weight", "balanced", 'a finite number > 0 or "auto"'),
+            ("max_bins", 257, "an integer in [2, 256]"),
         ],
     )
     def test_a_value_model_json_would_refuse_is_refused(self, field, value, wording):
@@ -243,7 +262,13 @@ class TestLearnerConfigTypes:
     )
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_a_value_json_cannot_hold_is_refused(self, field, value):
-        wording = 'a finite number or "auto"' if field == "positive_class_weight" else "a finite number"
+        wording = {
+            "row_subsample": "a number in (0, 1]",
+            "column_subsample": "a number in (0, 1]",
+            "l2_regularization": "a finite number >= 0",
+            "learning_rate": "a finite number > 0",
+            "positive_class_weight": 'a finite number > 0 or "auto"',
+        }[field]
         message = re.escape(f"{field} must be {wording}, got {value!r}")
         with pytest.raises(ParameterError, match=f"^{message}$"):
             gbdt_leafwise_preset(**{field: value})
@@ -253,8 +278,21 @@ class TestLearnerConfigTypes:
         config = gbdt_leafwise_preset(
             max_depth=4, l2_regularization=2, positive_class_weight=3, learning_rate=0.25
         )
-        loaded = from_json(to_json(replace(model, config=config)))
+        text = to_json(replace(model, config=config))
+        loaded = from_json(text)
         assert loaded.config == config
+        # integers stay integers: the config is written back with the same bytes
+        assert to_json(loaded) == text
+
+    @pytest.mark.parametrize("table, cls", [
+        (LEARNER_CONFIG, LearnerConfig),
+        (SYNTH_CONFIG, SynthConfig),
+        (BATCH_CONFIG, BatchConfig),
+        (METRIC_BUNDLE, MetricBundle),
+    ], ids=["learner", "synth", "batch", "metric_bundle"])
+    def test_a_table_covers_exactly_its_dataclass_fields(self, table, cls):
+        # a field the table left out would be left out of model.json too
+        assert sorted(table.fields) == sorted(f.name for f in dataclass_fields(cls))
 
 
 class TestMalformedTrees:
@@ -268,6 +306,16 @@ class TestMalformedTrees:
         model, _ = fitted_gbdt()
         text = json.dumps(_break(json.loads(to_json(model)), defect))
         with pytest.raises(SchemaError):
+            from_json(text)
+
+    @pytest.mark.parametrize("defect, message", [
+        ("config_max_depth_zero", "a stage config's 'max_depth' must be an integer >= 1"),
+        ("config_seed_negative", "a stage config's 'seed' must be an integer >= 0"),
+    ], ids=["max_depth_zero", "seed_negative"])
+    def test_an_out_of_range_config_is_named(self, defect, message):
+        model, _ = fitted_gbdt()
+        text = json.dumps(_break(json.loads(to_json(model)), defect))
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             from_json(text)
 
     def test_a_missing_key_is_named(self):

@@ -335,6 +335,50 @@ class TestScreenOutliers:
             screen_outliers([make_record()], z_threshold=0.0)
 
 
+def _screen_outliers_reference(records, z_threshold):
+    # the per-record loop that screen_outliers replaced
+    stats = {}
+    for name in MEASUREMENT_FIELDS:
+        values = np.array(
+            [getattr(r, name) for r in records if getattr(r, name) is not None], dtype=float
+        )
+        if values.size >= 2 and float(values.std()) != 0.0:
+            stats[name] = (float(values.mean()), float(values.std()))
+    return [
+        any(
+            getattr(r, name) is not None and abs(getattr(r, name) - mean) > z_threshold * sd
+            for name, (mean, sd) in stats.items()
+        )
+        for r in records
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.dictionaries(
+            st.sampled_from(MEASUREMENT_FIELDS),
+            st.one_of(
+                st.none(),
+                st.sampled_from([0.0, 1.0, 7.0, 1e6]),
+                st.floats(-1e3, 1e3, allow_nan=False),
+            ),
+        ),
+        max_size=30,
+    ),
+    st.sampled_from([0.5, 1, 2.0, 4.0]),
+)
+def test_screen_outliers_matches_the_per_record_reference(rows, z_threshold):
+    records = [make_record(f"u{i}", **row) for i, row in enumerate(rows)]
+    far = _screen_outliers_reference(records, z_threshold)
+    kept, log = screen_outliers(records, z_threshold)
+    assert kept == [r for r, f in zip(records, far) if not f]
+    assert [(r.row, r.uuid) for r in log.removed] == [
+        (i, r.uuid) for i, (r, f) in enumerate(zip(records, far)) if f
+    ]
+    assert all(type(r.row) is int for r in log.removed)
+
+
 class TestEncode:
     def records(self):
         return [

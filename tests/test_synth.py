@@ -212,6 +212,11 @@ def test_config_validation():
         generate(SynthConfig(category_frequencies={"sex": {}}))
 
 
+def test_generate_refuses_a_negative_seed():
+    with pytest.raises(ParameterError, match=r"^seed must be an integer >= 0, got -1$"):
+        generate(SynthConfig(seed=-1))
+
+
 @pytest.mark.parametrize(
     "setting, value", [("n_rows", "400"), ("n_rows", 40.5), ("feature_signal", {"ph": float("nan")})]
 )
