@@ -12,8 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptyInputError, ParameterError, SchemaError
+from ..artifacts import checked
+from ..errors import EmptyInputError, SchemaError
 from ..records import FeatureMatrix
+from .config import LEARNER_CONFIG
 
 
 @dataclass
@@ -68,8 +70,7 @@ def bin_features(matrix: FeatureMatrix, max_bins: int) -> BinnedMatrix:
     midpoints); denser columns get deduplicated quantile edges. All-missing
     columns have no edges and every cell in the missing bin.
     """
-    if not 2 <= max_bins <= 256:
-        raise ParameterError("max_bins must lie in [2, 256]")
+    checked("max_bins", max_bins, LEARNER_CONFIG.fields["max_bins"])
     if matrix.n_rows == 0 or matrix.n_cols == 0:
         raise EmptyInputError("nothing to bin")
     values, missing = matrix.values, matrix.missing_mask

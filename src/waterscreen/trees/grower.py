@@ -15,13 +15,18 @@ maximizes G_L^2/(H_L+l2) + G_R^2/(H_R+l2) - G^2/(H+l2). Ties break toward
 the lowest feature index, then the lowest bin, then missing-right, so
 growth is deterministic. Gains at or below MIN_GAIN never split.
 
-The candidates of a node are scored in one whole-array pass. Each fit
-builds a candidate table once: a padded (feature, value bin) gather index
-into the flat histograms, and the row-major flat positions of the real
-candidates, bins 0 .. n_value_bins-2 of every feature with at least two
-value bins. Per node, one cumsum along each padded row gives every
-feature's left-side sums, which add the bins in the same order as a
-per-feature cumsum, so each gain is bit-for-bit the per-feature value.
+The candidates of a node are scored in one whole-array pass over a compact
+table. Each fit builds it once: a feature with v >= 2 value bins has
+candidates after bins 0 .. v-2, and joins the width class of the next
+power of two at or above its candidate count (1, 2, 4, ... 256). Each class
+holds one (features, width) gather index into the flat histograms, so a
+feature is padded only to its own class width; every real candidate knows
+its position in the concatenated class tables. Per node, one cumsum along
+each class row gives every feature's left-side sums, which add the bins in
+the same order as a per-feature cumsum, so each gain is bit-for-bit the
+per-feature value. The candidates of columns outside the node's sample are
+dropped before any gain is computed, and the rest are read back in
+row-major (feature, bin) order, which keeps the tie-break.
 """
 
 from __future__ import annotations
@@ -43,13 +48,14 @@ MIN_GAIN = 1e-12
 class Workspace:
     """Per-fit precomputation over one binned matrix.
 
-    gather (n_features, width) indexes the flat histograms at each feature's
-    value bins; cells past a feature's last candidate bin are padding whose
-    sums are never read. The real candidates are listed in row-major order
-    (feature, then bin) by their flat position in that padded table
-    (cand_flat), their feature and bin, and the flat histogram index of
-    their feature's missing bin (cand_missing). gone marks the cells in
-    their column's missing bin.
+    class_gathers holds one (features, width) index into the flat histograms
+    per width class, each row a feature's value bins; cells past a feature's
+    last candidate bin are padding whose sums are never read. The real
+    candidates are listed in row-major order (feature, then bin) by their
+    position in the class tables, flattened and concatenated in class order
+    (cand_pos), their feature and bin, and the flat histogram index of their
+    feature's missing bin (cand_missing). gone marks the cells in their
+    column's missing bin.
     """
 
     codes: np.ndarray
@@ -57,8 +63,8 @@ class Workspace:
     offsets: np.ndarray
     flat_codes: np.ndarray
     edges: list[np.ndarray]
-    gather: np.ndarray
-    cand_flat: np.ndarray
+    class_gathers: list[np.ndarray]
+    cand_pos: np.ndarray
     cand_feature: np.ndarray
     cand_bin: np.ndarray
     cand_missing: np.ndarray
@@ -70,18 +76,26 @@ class Workspace:
         flat = binned.bin_indices.astype(np.int64) + offsets[:-1][None, :]
         # a feature with v value bins has candidates after bins 0 .. v-2
         n_candidates = np.maximum(total.astype(np.int64) - 2, 0)
-        bins = np.arange(n_candidates.max())
-        gather = np.minimum(offsets[:-1, None] + bins[None, :], offsets[-1] - 1)
-        real = bins[None, :] < n_candidates[:, None]
-        cand_feature, cand_bin = np.nonzero(real)
+        width = np.array([1 << (int(n) - 1).bit_length() if n else 0 for n in n_candidates])
+        class_gathers = []
+        row_start = np.zeros(binned.n_cols, dtype=np.int64)
+        size = 0
+        for w in np.unique(width[width > 0]):
+            members = np.flatnonzero(width == w)
+            class_gathers.append(np.minimum(offsets[members, None] + np.arange(w), offsets[-1] - 1))
+            row_start[members] = size + w * np.arange(members.size)
+            size += w * members.size
+        cand_feature = np.repeat(np.arange(binned.n_cols), n_candidates)
+        first = np.cumsum(n_candidates) - n_candidates
+        cand_bin = np.arange(cand_feature.size) - first[cand_feature]
         return cls(
             codes=binned.bin_indices,
             gone=binned.missing_mask,
             offsets=offsets,
             flat_codes=flat,
             edges=binned.bin_edges,
-            gather=gather,
-            cand_flat=np.flatnonzero(real),
+            class_gathers=class_gathers,
+            cand_pos=row_start[cand_feature] + cand_bin,
             cand_feature=cand_feature,
             cand_bin=cand_bin,
             cand_missing=offsets[1:][cand_feature] - 1,
@@ -106,15 +120,19 @@ def _feature_subset(n_features: int, column_subsample: float, rng) -> np.ndarray
 def _best_split(ws, rows, g, h, l2, min_samples, features, g_total, h_total):
     """Highest-gain (gain, feature, bin, missing_left) over the node, or None.
 
-    Scores every (candidate, direction) pair at once, direction 0 being
-    missing-right and 1 missing-left, with the columns outside features
-    masked to -inf. Candidates run feature by feature and bin by bin, so the
-    first maximum a row-major argmax finds is the documented tie-break:
-    lowest feature, then lowest bin, then missing-right.
+    Scores every (candidate, direction) pair of the sampled features at
+    once, direction 0 being missing-right and 1 missing-left. Candidates
+    run feature by feature and bin by bin, so the first maximum a row-major
+    argmax finds is the documented tie-break: lowest feature, then lowest
+    bin, then missing-right.
     """
-    if ws.cand_flat.size == 0:
-        return None
     m = ws.n_features
+    sampled = np.zeros(m, dtype=bool)
+    sampled[features] = True
+    keep = np.flatnonzero(sampled[ws.cand_feature])
+    if keep.size == 0:
+        return None
+    pos, missing = ws.cand_pos[keep], ws.cand_missing[keep]
     flat = ws.flat_codes[rows].ravel()
     hist_g = np.bincount(flat, weights=np.repeat(g[rows], m), minlength=ws.flat_dim)
     hist_h = np.bincount(flat, weights=np.repeat(h[rows], m), minlength=ws.flat_dim)
@@ -125,23 +143,17 @@ def _best_split(ws, rows, g, h, l2, min_samples, features, g_total, h_total):
     def left_sums(hist):
         # (candidate, direction) sums left of the split: through the bin,
         # plus nothing (missing right) or the missing bin (missing left)
-        through_bin = np.cumsum(hist[ws.gather], axis=1).ravel()[ws.cand_flat]
-        missing = hist[ws.cand_missing]
-        return through_bin[:, None] + np.column_stack([np.zeros_like(missing), missing])
+        tables = [np.cumsum(hist[gather], axis=1).ravel() for gather in ws.class_gathers]
+        sums = np.empty((keep.size, 2), dtype=hist.dtype)
+        sums[:, 0] = np.concatenate(tables)[pos]
+        np.add(sums[:, 0], hist[missing], out=sums[:, 1])
+        return sums
 
     gl, hl, cl = left_sums(hist_g), left_sums(hist_h), left_sums(hist_c)
     gr = g_total - gl
     hr = h_total - hl
     cr = count - cl
-    sampled = np.zeros(m, dtype=bool)
-    sampled[features] = True
-    ok = (
-        (cl >= min_samples)
-        & (cr >= min_samples)
-        & (hl + l2 > 0)
-        & (hr + l2 > 0)
-        & sampled[ws.cand_feature][:, None]
-    )
+    ok = (cl >= min_samples) & (cr >= min_samples) & (hl + l2 > 0) & (hr + l2 > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         gains = gl * gl / (hl + l2) + gr * gr / (hr + l2) - parent_term
     gains = np.where(ok, gains, -np.inf).ravel()
@@ -149,7 +161,7 @@ def _best_split(ws, rows, g, h, l2, min_samples, features, g_total, h_total):
     gain = float(gains[pick])
     if gain <= MIN_GAIN:
         return None
-    cand = pick // 2
+    cand = keep[pick // 2]
     return (gain, int(ws.cand_feature[cand]), int(ws.cand_bin[cand]), bool(pick % 2))
 
 

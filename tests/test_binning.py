@@ -83,6 +83,13 @@ class TestBinFeatures:
             with pytest.raises(ParameterError):
                 bin_features(m, bad)
 
+    def test_max_bins_must_be_an_integer(self):
+        # 64.5 once binned continuous columns into 65 total bins
+        m = make_matrix(np.arange(200.0).reshape(-1, 1))
+        for bad in (64.5, 64.0, True, "64"):
+            with pytest.raises(ParameterError, match=r"max_bins must be an integer in \[2, 256\]"):
+                bin_features(m, bad)
+
 
 class TestApplyBins:
     def test_same_data_reproduces_codes(self):

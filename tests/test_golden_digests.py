@@ -5,7 +5,10 @@ A change that claims bit-identical training or scoring must leave these
 digests alone. The model and CV-report digests were computed with the
 per-feature split search that `tests/test_grower.py::_best_split_reference`
 keeps, before the search was rewritten as one whole-array pass over a
-node's candidates; the rewrite reproduces them exactly. The scoring and
+node's candidates; the rewrite reproduces them exactly. The default-bins
+model digest was computed with one table padded to the widest feature,
+before each feature was padded only to its power-of-two width class and
+unsampled columns were dropped before scoring. The scoring and
 attribution digests were computed with the per-level NaN-checking router
 that `tests/test_gbdt.py::_margins_reference` keeps, before raw and binned
 routing became one walk, and before a model's kept trees were packed into
@@ -44,7 +47,14 @@ from waterscreen.pipeline import (
 from waterscreen.records import encode, parse_records
 from waterscreen.stats import compare_models
 from waterscreen.synth import SynthConfig, generate, write_fixture
-from waterscreen.trees import forest_preset, gbdt_depthwise_preset, gbdt_leafwise_preset
+from waterscreen.trees import (
+    bin_features,
+    fit_gbdt,
+    forest_preset,
+    gbdt_depthwise_preset,
+    gbdt_leafwise_preset,
+    model_digest,
+)
 
 SEED = 7
 ATTRIBUTED_ROWS = 50
@@ -78,6 +88,10 @@ GOLDEN = {
     },
 }
 COMPARISON = "71174666a02feb159440334262f7e22f0d02f0d7563ef544398c7a32a7964b02"
+# the cases above bin at 64; this one keeps the default max_bins of 256, so
+# each continuous column offers 254 split candidates
+DEFAULT_BINS = gbdt_leafwise_preset(iteration_cap=8, early_stopping_rounds=0, seed=SEED)
+DEFAULT_BINS_MODEL = "018ece39e05144cdd459b111ae599f1ea99cf1c3e940300c8e51d4e770bc1711"
 
 
 def _sha256(text: str) -> str:
@@ -150,6 +164,12 @@ def test_comparison_matches_its_pinned_digest(cv_reports):
     # both reports share one fold plan, so their rows pair
     report = compare_models(cv_reports["depthwise"], [cv_reports["forest"]], n_boot=1000, seed=SEED)
     assert _sha256(dump(asdict(report))) == COMPARISON
+
+
+def test_default_max_bins_model_matches_its_pinned_digest(fixture):
+    matrix, labels = fixture[:2]
+    model = fit_gbdt(bin_features(matrix, DEFAULT_BINS.max_bins), labels.tc, DEFAULT_BINS)
+    assert model_digest(model) == DEFAULT_BINS_MODEL
 
 
 def test_rows_scored_alone_match_the_batch(records, trained, tmp_path):

@@ -138,7 +138,13 @@ def _best_split_reference(ws, rows, g, h, l2, min_samples, features, g_total, h_
     return best
 
 
-COLUMN_KINDS = ("coarse", "dense", "no_missing", "single_value", "all_missing", "duplicate")
+COLUMN_KINDS = (
+    "coarse", "dense", "no_missing", "single_value", "all_missing", "duplicate", "one_hot",
+    "levels", "outside_levels",
+)
+# distinct values of a "levels" column: one more than candidate counts on
+# both sides of the width-class edges 4, 8 and 16
+LEVELS = (2, 3, 4, 5, 6, 9, 10, 17, 18)
 
 
 @st.composite
@@ -148,7 +154,10 @@ def split_problems(draw, mirror=False):
 
     Coarse columns and dyadic gradients make exact gain ties common;
     duplicated columns tie across features, and columns without missing
-    cells tie across the two missing directions.
+    cells tie across the two missing directions. An "outside_levels" pair,
+    an earlier column and its copy, differs only in levels that rows outside
+    the node hold, which the node sees as empty bins: the two tie across
+    features in different width classes, the wider one first or second.
     """
     n = draw(st.integers(2, 60))
     kinds = [draw(st.sampled_from(COLUMN_KINDS[:3]))]
@@ -156,10 +165,18 @@ def split_problems(draw, mirror=False):
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     missing_rate = draw(st.sampled_from([0.0, 0.1, 0.4]))
+    rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=draw(st.booleans())))
+    outside = np.ones(n, dtype=bool)
+    outside[rows] = False
     columns = []
     for kind in kinds:
-        if kind == "duplicate" and columns:
-            columns.append(columns[int(rng.integers(len(columns)))].copy())
+        if kind in ("duplicate", "outside_levels") and columns:
+            j = int(rng.integers(len(columns)))
+            columns.append(columns[j].copy())
+            if kind == "outside_levels":
+                # new levels between the old ones, on the earlier column or the copy
+                wider = columns[j if rng.integers(2) else -1]
+                wider[outside] += 0.5
             continue
         if kind == "dense":
             col = rng.normal(size=n)
@@ -167,9 +184,13 @@ def split_problems(draw, mirror=False):
             col = np.full(n, 3.0)
         elif kind == "all_missing":
             col = np.full(n, np.nan)
+        elif kind == "one_hot":
+            col = rng.integers(0, 2, size=n).astype(float)
+        elif kind == "levels":
+            col = rng.permutation(np.resize(np.arange(float(rng.choice(LEVELS))), n))
         else:
             col = rng.choice([0.0, 1.0, 2.5, 4.0, 7.0], size=n)
-        if kind in ("coarse", "dense", "single_value"):
+        if kind in ("coarse", "dense", "single_value", "levels"):
             col[rng.random(n) < missing_rate] = np.nan
         columns.append(col)
     values = np.column_stack(columns)
@@ -180,7 +201,6 @@ def split_problems(draw, mirror=False):
     else:
         g = rng.normal(size=n)
         h = rng.uniform(0.0, 2.0, size=n)
-    rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=draw(st.booleans())))
     if mirror and draw(st.booleans()):
         # two copies told apart by a leading column, the second with negated
         # gradients: only that column splits the root, and each split then
@@ -219,17 +239,25 @@ def test_best_split_matches_the_per_feature_reference(problem):
 def test_candidate_table_lists_real_candidates_in_row_major_order():
     values = np.column_stack(
         [
-            np.tile([0.0, 1.0], 6),  # one-hot: one candidate
+            np.tile([0.0, 1.0], 6),  # one-hot: one candidate, width 1
             np.full(12, np.nan),  # all missing: none
-            np.repeat([1.0, 2.0, 3.0, 4.0], 3),  # four values: three candidates
+            np.repeat([1.0, 2.0, 3.0, 4.0], 3),  # four values: three candidates, width 4
             np.full(12, 5.0),  # single value: none
+            np.repeat([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 2),  # six values: five candidates, width 8
+            np.repeat([0.0, 1.0], 6),  # one-hot again: width 1
         ]
     )
     ws = Workspace.from_binned(bin_features(make_matrix(values), 256))
-    assert ws.gather.shape == (4, 3)
-    assert ws.cand_feature.tolist() == [0, 2, 2, 2]
-    assert ws.cand_bin.tolist() == [0, 0, 1, 2]
-    assert ws.cand_flat.tolist() == [0, 6, 7, 8]
+    # one table per width class, narrowest first, each feature padded only
+    # to its own class width
+    assert [gather.shape for gather in ws.class_gathers] == [(2, 1), (1, 4), (1, 8)]
+    assert ws.class_gathers[0][:, 0].tolist() == [ws.offsets[0], ws.offsets[5]]
+    assert ws.class_gathers[1][0, :3].tolist() == (ws.offsets[2] + np.arange(3)).tolist()
+    assert ws.class_gathers[2][0, :5].tolist() == (ws.offsets[4] + np.arange(5)).tolist()
+    assert ws.cand_feature.tolist() == [0, 2, 2, 2, 4, 4, 4, 4, 4, 5]
+    assert ws.cand_bin.tolist() == [0, 0, 1, 2, 0, 1, 2, 3, 4, 0]
+    # tables concatenated as [f0 f5 | f2 pad | f4 pad pad pad]
+    assert ws.cand_pos.tolist() == [0, 2, 3, 4, 6, 7, 8, 9, 10, 1]
     assert (ws.cand_missing == ws.offsets[1:][ws.cand_feature] - 1).all()
 
 
