@@ -312,7 +312,7 @@ def _cmd_qc(args) -> int:
     run = _Run(args, "qc")
     parsed = _parse_input_records(run, args.records)
     config = BatchConfig(**{key: run.settings[key] for key in BATCH_CONFIG.fields})
-    verdicts, flags = evaluate_batch(parsed.records, config)
+    verdicts, rule_counts = evaluate_batch(parsed.records, config)
     lines = [
         json.dumps(
             {"uuid": v.uuid, "category": v.category, "triggered": list(v.triggered)},
@@ -327,7 +327,7 @@ def _cmd_qc(args) -> int:
         ("category", name, str(count)) for name, count in category_counts.items()
     ]
     summary_rows += [
-        ("rule", code, str(count)) for code, count in sorted(flags.counts.items())
+        ("rule", code, str(count)) for code, count in sorted(rule_counts.items())
     ]
     summary = _csv(["kind", "name", "count"], summary_rows)
     for line in lines:
@@ -602,8 +602,7 @@ def _subset_matrix(matrix: FeatureMatrix, kind: str | None) -> FeatureMatrix:
     idx = matrix.kind_indices(kind)
     if not idx:
         raise ParameterError(f"no {kind} columns to ablate on")
-    return replace(matrix, values=matrix.values[:, idx].copy(),
-                   missing_mask=matrix.missing_mask[:, idx].copy(),
+    return replace(matrix, values=matrix.values[:, idx], missing_mask=matrix.missing_mask[:, idx],
                    columns=[matrix.columns[i] for i in idx])
 
 

@@ -53,7 +53,3 @@ class DegenerateTableError(WaterscreenError):
 
 class UnsupportedModelError(WaterscreenError):
     """The model lacks structure an operation requires (e.g. cover weights)."""
-
-
-class EnumerationLimitError(ParameterError):
-    """Exact subset enumeration was asked for more features than it can afford."""

@@ -8,8 +8,7 @@ forests), where additivity is exact: base_value plus the contributions
 equals the model margin for the row.
 
 attribute_rows runs the polynomial-time path recursion, and tree_shap is
-its one-row case; brute_force_shap evaluates the Shapley sum over feature
-subsets with the same conditional expectation, and exists to check it.
+its one-row case.
 The recursion holds the path as four plain lists, each element's feature,
 zero and one fractions and weight, and builds new ones at each extension.
 
@@ -28,16 +27,14 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationLimitError, PairingError, ParameterError, UnsupportedModelError
+from .errors import PairingError, ParameterError, UnsupportedModelError
 from .records import FeatureMatrix
 from .trees import FAMILY_FOREST, TreeEnsembleModel
-from .trees.model import Tree
+from .trees.model import Tree, _check_schema
 
 
 @dataclass
@@ -58,8 +55,7 @@ def _check(model, matrix: FeatureMatrix) -> list[Tree]:
     for tree in used:
         if not (tree.cover > 0).all():
             raise UnsupportedModelError("model lacks positive training cover weights")
-    if matrix.column_names != list(model.feature_names):
-        raise ParameterError("row columns do not match the fitted model")
+    _check_schema(model.feature_names, matrix)
     return used
 
 
@@ -196,73 +192,6 @@ def tree_shap(model: TreeEnsembleModel, row: FeatureMatrix) -> ShapAttribution:
     if row.n_rows != 1:
         raise ParameterError("attribution rows are explained one at a time")
     return attribute_rows(model, row)[0]
-
-
-def _conditional_margin(model: TreeEnsembleModel, used: list[Tree], left_at: list[np.ndarray],
-                        coalition: frozenset) -> float:
-    """Expected margin when only coalition features follow the row's decisions."""
-
-    def expect(tree: Tree, left_of: np.ndarray, node: int) -> float:
-        if tree.feature[node] < 0:
-            return float(tree.value[node])
-        left, right = int(tree.left[node]), int(tree.right[node])
-        if int(tree.feature[node]) in coalition:
-            return expect(tree, left_of, left if left_of[node] else right)
-        total = tree.cover[left] + tree.cover[right]
-        return (
-            tree.cover[left] * expect(tree, left_of, left)
-            + tree.cover[right] * expect(tree, left_of, right)
-        ) / total
-
-    acc = sum(expect(tree, left_of, 0) for tree, left_of in zip(used, left_at))
-    if model.family == FAMILY_FOREST:
-        return acc / len(used) if used else float(model.base_score)
-    return float(model.base_score) + acc
-
-
-def brute_force_shap(model: TreeEnsembleModel, row: FeatureMatrix,
-                     max_features: int = 12) -> ShapAttribution:
-    """Shapley values by direct subset enumeration over the used features.
-
-    Features no tree splits on are dummy players and receive exactly 0.
-    """
-    if row.n_rows != 1:
-        raise ParameterError("attribution rows are explained one at a time")
-    used = _check(model, row)
-    if max_features > 12:
-        raise ParameterError("max_features is capped at 12")
-    used_features = sorted({int(f) for tree in used for f in tree.feature if f >= 0})
-    if len(used_features) > max_features:
-        raise EnumerationLimitError(
-            f"model uses {len(used_features)} features, enumeration capped at {max_features}"
-        )
-    left_at = [tree.decisions(row.values, row.missing_mask)[0] for tree in used]
-    m = len(used_features)
-    cache: dict[frozenset, float] = {}
-
-    def margin_of(coalition: frozenset) -> float:
-        if coalition not in cache:
-            cache[coalition] = _conditional_margin(model, used, left_at, coalition)
-        return cache[coalition]
-
-    phi = np.zeros(row.n_cols)
-    for feature in used_features:
-        rest = [f for f in used_features if f != feature]
-        total = 0.0
-        for size in range(m):
-            weight = (
-                math.factorial(size) * math.factorial(m - size - 1) / math.factorial(m)
-            )
-            for subset in itertools.combinations(rest, size):
-                s = frozenset(subset)
-                total += weight * (margin_of(s | {feature}) - margin_of(s))
-        phi[feature] = total
-    return ShapAttribution(
-        row_id=row.row_ids[0],
-        base_value=margin_of(frozenset()),
-        values=phi,
-        feature_names=list(model.feature_names),
-    )
 
 
 def mean_abs_shap(attributions: list[ShapAttribution]) -> list[tuple[str, float]]:

@@ -137,10 +137,12 @@ def brier(probs, labels) -> float:
     return float(np.mean((p - y) ** 2))
 
 
-def confusion_at(probs, labels, t: float) -> ConfusionCounts:
-    """Confusion counts when predicting positive for prob >= t (closed threshold)."""
+def confusion_at(probs, labels, t) -> ConfusionCounts:
+    """Confusion counts when predicting positive for prob >= t (closed
+    threshold); t is one threshold or one per row."""
     p, y = _check_binary(probs, labels, "probs")
-    if not 0.0 <= t <= 1.0:
+    t = np.asarray(t, dtype=float)
+    if not ((0.0 <= t) & (t <= 1.0)).all():
         raise ParameterError("threshold must lie in [0, 1]")
     pred = p >= t
     pos = y == 1
@@ -244,20 +246,12 @@ def select_threshold(calibrated_probs, labels, beta: float = 2.0) -> float:
     return float(candidates[np.flatnonzero(fbeta == fbeta.max())[-1]])
 
 
-def full_bundle(probs, labels, threshold: float) -> MetricBundle:
-    """MetricBundle combining ranking scores with the operating point at `threshold`."""
-    counts = confusion_at(probs, labels, threshold)
-    return bundle_from_parts(probs, labels, counts)
-
-
-def bundle_from_parts(probs, labels, counts: ConfusionCounts) -> MetricBundle:
-    """MetricBundle from probabilities plus an externally derived confusion matrix.
-
-    Used when decisions were not made at a single global threshold (e.g. pooled
-    out-of-fold decisions taken at per-fold thresholds).
-    """
-    m = classification_bundle(counts, beta=2.0)
+def full_bundle(probs, labels, threshold) -> MetricBundle:
+    """MetricBundle combining ranking scores with the operating point at
+    `threshold`: one threshold, or one per row (pooled out-of-fold decisions,
+    each taken at its fold's threshold)."""
     p, y = _check_binary(probs, labels, "probs")
+    m = classification_bundle(confusion_at(p, y, threshold), beta=2.0)
     sweep = _sweep(p, y)
     return MetricBundle(
         roc_auc=_roc_auc(sweep),

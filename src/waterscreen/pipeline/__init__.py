@@ -10,7 +10,7 @@ raw measurements; scaling and imputation serve the logistic baseline alone.
 from ..metrics import select_threshold
 from .calibration import Calibrator, fit_calibrator, isotonic_fit, platt_fit
 from .folds import FoldPlan, plan_folds
-from .scaling import Scaler, fit_fold_scaler, impute_for_linear
+from .scaling import Scaler, fit_fold_scaler
 from .stacking import (
     AUX_COLUMN,
     CvReport,
@@ -47,7 +47,6 @@ __all__ = [
     "fit_calibrator",
     "fit_fold_scaler",
     "generate_oof_probs",
-    "impute_for_linear",
     "isotonic_fit",
     "pipeline_from_json",
     "pipeline_to_json",

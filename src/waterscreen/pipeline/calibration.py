@@ -129,13 +129,6 @@ class Calibrator:
             return np.clip(self.knots_y[np.clip(idx, 0, None)], 0.0, 1.0)
         return sigmoid(self.a * s + self.b)
 
-    def to_dict(self) -> dict:
-        return CALIBRATOR.write(self)
-
-    @classmethod
-    def from_dict(cls, data) -> "Calibrator":
-        return CALIBRATOR.read(data)
-
 
 CALIBRATOR = Choice("a calibrator", "method", {
     METHOD_ISOTONIC: Table(partial(Calibrator, METHOD_ISOTONIC), "an isotonic calibrator",

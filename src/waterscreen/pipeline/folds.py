@@ -27,9 +27,6 @@ class FoldPlan:
     def held_out(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.fold_of == fold)
 
-    def training_portion(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of != fold)
-
 
 def plan_folds(labels, k: int, inner_fraction: float = 0.85, seed: int = 0) -> FoldPlan:
     """Assign rows to k stratified folds and pre-compute each fold's

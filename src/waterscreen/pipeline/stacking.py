@@ -26,10 +26,7 @@ from ..errors import (
     SchemaError,
     ThresholdError,
 )
-from ..metrics import (
-    METRIC_BUNDLE, ConfusionCounts, MetricBundle, bundle_from_parts, confusion_at, roc_auc,
-    select_threshold,
-)
+from ..metrics import METRIC_BUNDLE, MetricBundle, full_bundle, roc_auc, select_threshold
 from ..records import KIND_AUX, FeatureMatrix, stratified_split
 from ..trees import (
     FAMILY_FOREST,
@@ -47,7 +44,7 @@ from ..trees import (
 from ..trees.model import MODEL
 from .calibration import CALIBRATOR, Calibrator, fit_calibrator
 from .folds import FoldPlan
-from .scaling import fit_fold_scaler, impute_for_linear
+from .scaling import fit_fold_scaler
 
 AUX_COLUMN = "coliform_prob"
 
@@ -95,8 +92,8 @@ FOLD = Table(FoldResult, "a cv report fold", {
 class CvReport:
     """Cross-validated evaluation: per-fold results plus pooled metrics.
 
-    The pooled bundle scores all out-of-fold probabilities together, with
-    the confusion matrix accumulated from each fold's own threshold.
+    The pooled bundle scores all out-of-fold probabilities together, each
+    row decided at its own fold's threshold.
     """
 
     name: str
@@ -164,7 +161,8 @@ def _fit_learner(matrix: FeatureMatrix, labels: np.ndarray, config: LearnerConfi
     """Fit one learner on train_idx; returns (model, scorer over global rows).
 
     gbdt bins on the training rows and uses valid_idx for early stopping;
-    the logistic path scales and imputes from training-row statistics first.
+    the logistic path scales and fills missing cells from training-row
+    statistics first.
     """
     if config.family == FAMILY_GBDT:
         binned = bin_features(matrix.take(train_idx), config.max_bins)
@@ -177,8 +175,7 @@ def _fit_learner(matrix: FeatureMatrix, labels: np.ndarray, config: LearnerConfi
         model = fit_forest(matrix.take(train_idx), labels[train_idx], config)
         return model, lambda idx: predict_proba(model, matrix.take(idx))
     if config.family == FAMILY_LOGISTIC:
-        scaled = fit_fold_scaler(matrix, train_idx).transform(matrix)
-        filled = impute_for_linear(scaled, train_idx)
+        filled = fit_fold_scaler(matrix, train_idx).transform(matrix)
         model = fit_logistic(
             filled.take(train_idx), labels[train_idx], config.l2_regularization
         )
@@ -253,7 +250,6 @@ def run_cv(matrix: FeatureMatrix, labels, plan: FoldPlan, config: LearnerConfig,
 
     folds: list[FoldResult] = []
     pooled_cal = np.full(work.n_rows, np.nan)
-    counts = ConfusionCounts(0, 0, 0, 0)
     for fold in range(plan.k):
         held = plan.held_out(fold)
         inner_train = plan.inner_train[fold]
@@ -269,13 +265,6 @@ def run_cv(matrix: FeatureMatrix, labels, plan: FoldPlan, config: LearnerConfig,
         except (FitError, ThresholdError) as exc:
             raise type(exc)(f"fold {fold}: {exc}") from exc
         held_cal = calibrator.apply(held_raw)
-        fold_counts = confusion_at(held_cal, y[held], threshold)
-        counts = ConfusionCounts(
-            tp=counts.tp + fold_counts.tp,
-            fp=counts.fp + fold_counts.fp,
-            fn=counts.fn + fold_counts.fn,
-            tn=counts.tn + fold_counts.tn,
-        )
         pooled_cal[held] = held_cal
         folds.append(
             FoldResult(
@@ -295,7 +284,8 @@ def run_cv(matrix: FeatureMatrix, labels, plan: FoldPlan, config: LearnerConfig,
         name=name,
         labels=y.copy(),
         folds=folds,
-        pooled=bundle_from_parts(pooled_cal, y, counts),
+        # each row is decided at its own fold's threshold
+        pooled=full_bundle(pooled_cal, y, thresholds[plan.fold_of]),
         threshold_mean=float(thresholds.mean()),
         threshold_sd=float(thresholds.std()),
         beta=float(beta),

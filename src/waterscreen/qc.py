@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .artifacts import Table, check_fields, integer_at_least, number_where
-from .errors import ParameterError
 from .records import DEFAULT_BOUNDS, FieldRecord, implausible
 
 CATEGORY_OK = "OK"
@@ -85,13 +84,6 @@ class QcVerdict:
 
 
 @dataclass
-class BatchFlags:
-    """How many verdicts carry each rule code (absent codes never fired)."""
-
-    counts: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
 class BatchConfig:
     """Thresholds of the batch rules; BATCH_CONFIG says what each must be."""
 
@@ -113,26 +105,6 @@ BATCH_CONFIG = Table(BatchConfig, "a qc batch config", {
 })
 
 
-class UuidRegistry:
-    """Insert-only set of accepted uuids; queries never mutate."""
-
-    def __init__(self):
-        self.seen: set[str] = set()
-
-    def __contains__(self, uuid: str) -> bool:
-        return uuid in self.seen
-
-
-def register_uuid(registry: UuidRegistry, uuid: str) -> bool:
-    """Insert uuid if novel; False (and no mutation) when already present."""
-    if uuid == "":
-        raise ParameterError("cannot register an empty uuid")
-    if uuid in registry.seen:
-        return False
-    registry.seen.add(uuid)
-    return True
-
-
 def categorize(triggered: list[str]) -> str:
     """Triage category as a pure function of the triggered rule set."""
     if any(RULES_BY_CODE[code].severity == SEVERITY_ALERT for code in triggered):
@@ -142,22 +114,23 @@ def categorize(triggered: list[str]) -> str:
     return CATEGORY_OK
 
 
-def evaluate_record(record: FieldRecord, registry: UuidRegistry,
-                    bounds: dict[str, tuple[float, float]] | None = None) -> QcVerdict:
-    """Screen one record against every per-record rule and update the registry.
+def evaluate_record(record: FieldRecord, seen: set[str]) -> QcVerdict:
+    """Screen one record against every per-record rule; seen holds the
+    uuids of the records screened before it, and a new non-empty uuid joins
+    it.
 
     Duration rules are skipped when timestamps are absent or reversed (the
-    reversal itself alerts); plausibility fires once no matter how many
-    measurements are out of range.
+    reversal itself alerts); plausibility, at DEFAULT_BOUNDS, fires once no
+    matter how many measurements are out of range.
     """
-    if bounds is None:
-        bounds = DEFAULT_BOUNDS
     triggered: list[str] = []
 
     if record.uuid == "":
         triggered.append("MISSING_UUID")
-    elif not register_uuid(registry, record.uuid):
+    elif record.uuid in seen:
         triggered.append("DUPLICATE_UUID")
+    else:
+        seen.add(record.uuid)
 
     if record.sample_id == "":
         triggered.append("MISSING_SAMPLE_ID")
@@ -185,7 +158,7 @@ def evaluate_record(record: FieldRecord, registry: UuidRegistry,
     if record.photo_count < record.expected_photo_count:
         triggered.append("PHOTOS_INCOMPLETE")
 
-    if implausible(record, bounds):
+    if implausible(record, DEFAULT_BOUNDS):
         triggered.append("VALUE_OUT_OF_RANGE")
 
     return QcVerdict(uuid=record.uuid, category=categorize(triggered), triggered=triggered)
@@ -294,15 +267,17 @@ def _cluster_rows(records: list[FieldRecord], config: BatchConfig) -> set[int]:
 
 
 def evaluate_batch(records: list[FieldRecord],
-                   config: BatchConfig | None = None) -> tuple[list[QcVerdict], BatchFlags]:
-    """Per-record screening over a shared registry, then the batch anomaly
-    rules (BATCH_FILLING and SPATIAL_CLUSTER), which append their codes to
-    the verdicts they flag and re-categorize every verdict.
+                   config: BatchConfig | None = None) -> tuple[list[QcVerdict], dict[str, int]]:
+    """Per-record screening in order, each record against the uuids before
+    it, then the batch anomaly rules (BATCH_FILLING and SPATIAL_CLUSTER),
+    which append their codes to the verdicts they flag and re-categorize
+    every verdict. Also returns how many verdicts carry each rule code
+    (codes that never fired are absent).
     """
     if config is None:
         config = BatchConfig()
-    registry = UuidRegistry()
-    verdicts = [evaluate_record(record, registry) for record in records]
+    seen: set[str] = set()
+    verdicts = [evaluate_record(record, seen) for record in records]
     for i in _batch_filling_rows(records, config):
         verdicts[i].triggered.append("BATCH_FILLING")
     for i in _cluster_rows(records, config):
@@ -313,4 +288,4 @@ def evaluate_batch(records: list[FieldRecord],
     for verdict in verdicts:
         for code in verdict.triggered:
             counts[code] = counts.get(code, 0) + 1
-    return verdicts, BatchFlags(counts=counts)
+    return verdicts, counts

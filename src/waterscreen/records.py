@@ -585,15 +585,9 @@ class FeatureMatrix:
     def kind_indices(self, kind: str) -> list[int]:
         return [i for i, (_, k) in enumerate(self.columns) if k == kind]
 
-    def index_of(self, name: str) -> int:
-        for i, (col_name, _) in enumerate(self.columns):
-            if col_name == name:
-                return i
-        raise SchemaError(f"no column named {name!r}")
-
     def take(self, indices) -> FeatureMatrix:
         idx = np.asarray(indices, dtype=np.int64)
-        return replace(self, values=self.values[idx].copy(), missing_mask=self.missing_mask[idx],
+        return replace(self, values=self.values[idx], missing_mask=self.missing_mask[idx],
                        row_ids=[self.row_ids[i] for i in idx])
 
     def with_column(self, name: str, kind: str, values) -> FeatureMatrix:

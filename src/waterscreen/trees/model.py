@@ -284,20 +284,12 @@ def predict_proba(model: Model, matrix: FeatureMatrix) -> np.ndarray:
     raise UnsupportedModelError(f"cannot predict with {type(model).__name__}")
 
 
-def to_dict(model: Model) -> dict:
-    return MODEL.write(model)
-
-
-def from_dict(data) -> Model:
-    return MODEL.read(data)
-
-
 def to_json(model: Model) -> str:
-    return dump(to_dict(model))
+    return dump(MODEL.write(model))
 
 
 def from_json(text: str) -> Model:
-    return from_dict(json.loads(text))
+    return MODEL.read(json.loads(text))
 
 
 def model_digest(model: Model) -> str:

@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from shapley_oracle import brute_force_shap
 from waterscreen.cli import run as cli_run
-from waterscreen.explain import brute_force_shap, tree_shap
+from waterscreen.explain import tree_shap
 from waterscreen.metrics import (
     ConfusionCounts,
     classification_bundle,
@@ -35,6 +36,7 @@ from waterscreen.pipeline import (
     run_cv,
     select_threshold,
 )
+from waterscreen.pipeline.calibration import CALIBRATOR
 from waterscreen.qc import DOMAINS, RULES_BY_CODE, evaluate_batch
 from waterscreen.records import (
     KIND_PHYSICO,
@@ -152,8 +154,8 @@ def test_criterion_4_held_out_labels_cannot_reach_their_own_fold():
         assert probe.digest == base.digest
         assert probe.threshold == base.threshold
         assert probe.calibration_method == base.calibration_method
-        assert json.dumps(probe.calibrator.to_dict(), sort_keys=True) == json.dumps(
-            base.calibrator.to_dict(), sort_keys=True
+        assert json.dumps(CALIBRATOR.write(probe.calibrator), sort_keys=True) == json.dumps(
+            CALIBRATOR.write(base.calibrator), sort_keys=True
         )
     assert time.perf_counter() - t0 < 120.0
 

@@ -12,6 +12,7 @@ from waterscreen.pipeline import (
     platt_fit,
     select_threshold,
 )
+from waterscreen.pipeline.calibration import CALIBRATOR
 
 
 def minimax_isotonic(scores, labels):
@@ -123,7 +124,7 @@ def test_calibrator_dict_round_trip():
     sig = fit_calibrator([0.1, 0.4, 0.6, 0.9], [0, 1, 0, 1], method="platt")
     probe = np.linspace(0, 1, 23)
     for cal in (iso, sig):
-        again = Calibrator.from_dict(cal.to_dict())
+        again = CALIBRATOR.read(CALIBRATOR.write(cal))
         assert again.method == cal.method
         np.testing.assert_array_equal(again.apply(probe), cal.apply(probe))
 

@@ -1,20 +1,22 @@
 """Shapley attributions: oracle agreement, additivity, and exports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shapley_oracle import brute_force_shap
 from waterscreen.errors import (
-    EnumerationLimitError,
     PairingError,
     ParameterError,
+    SchemaError,
     UnsupportedModelError,
 )
 from waterscreen.explain import (
     _tree_expectation,
     attribute_rows,
-    brute_force_shap,
     export_beeswarm,
     mean_abs_shap,
     tree_shap,
@@ -296,10 +298,20 @@ def test_attribution_errors():
         tree_shap(logistic, matrix.take([0]))
     with pytest.raises(ParameterError):
         tree_shap(model, matrix.take([0, 1]))
-    used = {int(f) for tree in model.trees for f in tree.feature if f >= 0}
-    if len(used) >= 2:
-        with pytest.raises(EnumerationLimitError):
-            brute_force_shap(model, matrix.take([0]), max_features=1)
+
+
+def test_rows_with_other_columns_are_refused_as_prediction_refuses_them():
+    rng = np.random.default_rng(618)
+    model, matrix = random_model(rng, n_features=4)
+    renamed = dataclasses.replace(matrix, columns=[("g0", KIND_PHYSICO), *matrix.columns[1:]])
+    fewer = dataclasses.replace(
+        matrix, values=matrix.values[:, :3], missing_mask=matrix.missing_mask[:, :3],
+        columns=matrix.columns[:3],
+    )
+    for rows in (renamed, fewer):
+        for call in (attribute_rows, predict_proba):
+            with pytest.raises(SchemaError, match="feature columns do not match the fitted model"):
+                call(model, rows)
 
 
 # The path recursion on per-element objects, as it was before the path

@@ -19,7 +19,7 @@ def test_folds_partition_all_rows():
     seen = np.concatenate([plan.held_out(f) for f in range(5)])
     assert np.array_equal(np.sort(seen), np.arange(103))
     for f in range(5):
-        assert np.intersect1d(plan.held_out(f), plan.training_portion(f)).size == 0
+        assert np.intersect1d(plan.held_out(f), np.flatnonzero(plan.fold_of != f)).size == 0
 
 
 def test_ten_balanced_rows_give_one_of_each_class_per_fold():
@@ -52,7 +52,7 @@ def test_inner_split_partitions_training_portion():
     y = labels_with_prevalence(100, 40)
     plan = plan_folds(y, 5, seed=7)
     for f in range(5):
-        portion = plan.training_portion(f)
+        portion = np.flatnonzero(plan.fold_of != f)
         combined = np.sort(np.concatenate([plan.inner_train[f], plan.inner_valid[f]]))
         assert np.array_equal(combined, np.sort(portion))
         assert np.intersect1d(plan.inner_train[f], plan.inner_valid[f]).size == 0

@@ -272,6 +272,20 @@ class TestConfusionAt:
         c = confusion_at([0.5], [1], 0.5)
         assert c.tp == 1
 
+    def test_one_threshold_per_row_sums_the_groups(self):
+        probs, labels = [0.2, 0.5, 0.7, 0.4, 0.9, 0.1], [0, 1, 1, 0, 1, 1]
+        t = [0.3, 0.3, 0.3, 0.8, 0.8, 0.8]
+        c = confusion_at(probs, labels, t)
+        first = confusion_at(probs[:3], labels[:3], 0.3)
+        second = confusion_at(probs[3:], labels[3:], 0.8)
+        assert (c.tp, c.fp, c.fn, c.tn) == tuple(
+            a + b for a, b in zip((first.tp, first.fp, first.fn, first.tn),
+                                  (second.tp, second.fp, second.fn, second.tn))
+        )
+        assert (c.tp, c.fp, c.fn, c.tn) == (3, 0, 1, 2)
+        with pytest.raises(ParameterError, match="threshold must lie in"):
+            confusion_at(probs, labels, [0.3] * 5 + [1.5])
+
 
 class TestClassificationBundle:
     def test_reported_precision_recall_identities(self):

@@ -15,7 +15,6 @@ from waterscreen.pipeline import (
     fit_fold_scaler,
     finalize,
     generate_oof_probs,
-    impute_for_linear,
     pipeline_from_json,
     pipeline_to_json,
     plan_folds,
@@ -23,6 +22,7 @@ from waterscreen.pipeline import (
     run_cv,
     stacking,
 )
+from waterscreen.pipeline.calibration import CALIBRATOR
 from waterscreen.records import KIND_AUX, KIND_CONTEXT, KIND_PHYSICO, FeatureMatrix
 from waterscreen.stats import compare_models
 from waterscreen.trees import (
@@ -82,9 +82,10 @@ def test_fold_scaler_standardizes_fit_rows_only():
         fitted = out.values[fit_idx, col][observed]
         assert abs(fitted.mean()) < 1e-9
         assert abs(fitted.std() - 1.0) < 1e-9
-    ctx = matrix.index_of("extra")
-    np.testing.assert_array_equal(out.values[:, ctx], matrix.values[:, ctx])
-    np.testing.assert_array_equal(out.missing_mask, matrix.missing_mask)
+    ctx = matrix.column_names.index("extra")
+    observed = ~matrix.missing_mask[:, ctx]
+    np.testing.assert_array_equal(out.values[observed, ctx], matrix.values[observed, ctx])
+    assert not out.missing_mask.any()
 
 
 def test_fold_scaler_zero_variance_column_centers_without_dividing():
@@ -106,16 +107,63 @@ def test_impute_uses_fit_row_means():
     matrix = FeatureMatrix(
         values=values,
         missing_mask=np.isnan(values),
-        columns=[("a", KIND_PHYSICO), ("b", KIND_PHYSICO)],
+        columns=[("a", KIND_CONTEXT), ("b", KIND_CONTEXT)],
         row_ids=list("wxyz"),
         category_levels={},
     )
-    filled = impute_for_linear(matrix, np.array([0, 1]))
+    filled = fit_fold_scaler(matrix, np.array([0, 1])).transform(matrix)
     # column means over fit rows {0, 1}: a -> 2.0, b -> 4.0 (only row 1 observed)
     assert filled.values[2, 0] == 2.0
     assert filled.values[0, 1] == 4.0
     assert not filled.missing_mask.any()
     assert not np.isnan(filled.values).any()
+
+
+def _scale_then_impute_reference(matrix, fit_idx):
+    # the logistic preprocessing as two passes: z-score the physicochemical
+    # columns (one without spread is only centered), then fill each missing
+    # cell with its column's mean over the observed fit rows of the result
+    values = matrix.values.copy()
+    gaps = matrix.missing_mask
+    for col in matrix.kind_indices(KIND_PHYSICO):
+        observed = values[fit_idx, col][~gaps[fit_idx, col]]
+        if observed.size:
+            centered = values[:, col] - float(observed.mean())
+            sd = float(observed.std())
+            values[:, col] = centered / sd if sd > 0 else centered
+    for col in range(matrix.n_cols):
+        observed = values[fit_idx, col][~gaps[fit_idx, col]]
+        values[gaps[:, col], col] = float(observed.mean()) if observed.size else 0.0
+    return values
+
+
+def test_logistic_preprocessing_fills_unscaled_and_zero_sd_columns():
+    values = np.array([
+        [7.0, 300.0, 23.5],
+        [8.0, 300.0, np.nan],
+        [np.nan, 300.0, 23.9],
+        [6.5, np.nan, 24.1],
+        [9.0, 500.0, np.nan],
+    ])
+    matrix = FeatureMatrix(
+        values=values,
+        missing_mask=np.isnan(values),
+        columns=[("ph", KIND_PHYSICO), ("tds_ppm", KIND_PHYSICO), ("latitude", KIND_CONTEXT)],
+        row_ids=list("abcde"),
+    )
+    fit = np.arange(4)
+    out = fit_fold_scaler(matrix, fit).transform(matrix)
+    assert not out.missing_mask.any()
+    # latitude is not scaled, and its gaps take the mean of its fit rows
+    assert out.values[[0, 2, 3], 2].tolist() == [23.5, 23.9, 24.1]
+    fill = float(np.array([23.5, 23.9, 24.1]).mean())
+    assert out.values[[1, 4], 2].tolist() == [fill, fill]
+    # tds has no spread over the fit rows: it is only centered, and its gap
+    # takes the centered mean, 0
+    assert out.values[:, 1].tolist() == [0.0, 0.0, 0.0, 0.0, 200.0]
+    # ph is z-scored on its fit rows, and its gap takes their scaled mean
+    assert abs(out.values[2, 0]) < 1e-12
+    np.testing.assert_array_equal(out.values, _scale_then_impute_reference(matrix, fit))
 
 
 def test_oof_probs_cover_every_row_and_are_deterministic():
@@ -193,7 +241,7 @@ def test_logistic_held_out_features_cannot_reach_their_own_fold():
     a, b = base.folds[probe_fold], other.folds[probe_fold]
     assert a.digest == b.digest
     assert a.threshold == b.threshold
-    assert a.calibrator.to_dict() == b.calibrator.to_dict()
+    assert CALIBRATOR.write(a.calibrator) == CALIBRATOR.write(b.calibrator)
     # the shifted rows did reach the folds that train on them
     assert not np.array_equal(a.raw, b.raw)
     for fold in range(plan.k):

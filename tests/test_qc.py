@@ -17,15 +17,13 @@ from waterscreen.qc import (
     DOMAINS,
     RULES,
     RULES_BY_CODE,
-    UuidRegistry,
     _cluster_rows,
     _haversine_m,
     categorize,
     evaluate_batch,
     evaluate_record,
-    register_uuid,
 )
-from waterscreen.records import FieldRecord
+from waterscreen.records import DEFAULT_BOUNDS, FieldRecord
 
 T0 = datetime(2024, 3, 1, 10, 0, 0)
 
@@ -49,8 +47,8 @@ def compliant(uuid="u1", **overrides):
     return FieldRecord(**base)
 
 
-def verdict_of(record, registry=None):
-    return evaluate_record(record, registry if registry is not None else UuidRegistry())
+def verdict_of(record, seen=None):
+    return evaluate_record(record, seen if seen is not None else set())
 
 
 def test_rule_table_covers_all_seven_domains_with_unique_codes():
@@ -94,12 +92,13 @@ def test_missing_coordinates_are_review():
 
 
 def test_duplicate_uuid_is_alert_and_stays_duplicate():
-    registry = UuidRegistry()
-    assert verdict_of(compliant("a"), registry).category == "OK"
-    second = verdict_of(compliant("a"), registry)
+    seen = set()
+    assert verdict_of(compliant("a"), seen).category == "OK"
+    assert seen == {"a"}
+    second = verdict_of(compliant("a"), seen)
     assert second.triggered == ["DUPLICATE_UUID"]
     assert second.category == "ALERT"
-    third = verdict_of(compliant("a"), registry)
+    third = verdict_of(compliant("a"), seen)
     assert "DUPLICATE_UUID" in third.triggered
 
 
@@ -153,10 +152,12 @@ def test_out_of_range_measurement_alerts_once():
     assert both.triggered.count("VALUE_OUT_OF_RANGE") == 1
 
 
-def test_custom_bounds_override_defaults():
-    registry = UuidRegistry()
-    v = evaluate_record(compliant(ph=9.0), registry, bounds={"ph": (6.0, 8.5)})
-    assert v.triggered == ["VALUE_OUT_OF_RANGE"]
+def test_plausibility_reads_the_default_bounds():
+    low, high = DEFAULT_BOUNDS["ph"]
+    for ph in (low, 9.0, high):
+        assert verdict_of(compliant(ph=ph)).category == "OK"
+    for ph in (low - 0.5, high + 0.5):
+        assert verdict_of(compliant(ph=ph)).triggered == ["VALUE_OUT_OF_RANGE"]
 
 
 def test_category_is_pure_function_of_triggered_subset():
@@ -173,13 +174,17 @@ def test_category_is_pure_function_of_triggered_subset():
             assert categorize(codes) == expected
 
 
-def test_register_uuid_contract():
-    registry = UuidRegistry()
-    assert register_uuid(registry, "x") is True
-    assert register_uuid(registry, "x") is False
-    assert "x" in registry
-    with pytest.raises(ParameterError):
-        register_uuid(registry, "")
+def test_batch_flags_repeated_and_missing_uuids():
+    records = [
+        compliant(uuid, sample_id=f"s{i}", latitude=23.7 + 0.01 * i)
+        for i, uuid in enumerate(["a", "a", "", "", "b"])
+    ]
+    verdicts, counts = evaluate_batch(records)
+    # only the second "a" repeats one before it; an empty uuid is missing, never a repeat
+    assert [v.triggered for v in verdicts] == [
+        [], ["DUPLICATE_UUID"], ["MISSING_UUID"], ["MISSING_UUID"], [],
+    ]
+    assert counts == {"DUPLICATE_UUID": 1, "MISSING_UUID": 2}
 
 
 def spaced_records(n, gap_s, collector="c1", start=T0):
@@ -199,26 +204,26 @@ def spaced_records(n, gap_s, collector="c1", start=T0):
 
 
 def test_rapid_run_flags_batch_filling():
-    verdicts, flags = evaluate_batch(spaced_records(6, 20))
+    verdicts, counts = evaluate_batch(spaced_records(6, 20))
     assert all("BATCH_FILLING" in v.triggered for v in verdicts)
     assert all(v.category == "REVIEW" for v in verdicts)
-    assert flags.counts["BATCH_FILLING"] == 6
+    assert counts["BATCH_FILLING"] == 6
 
 
 def test_short_or_slow_runs_do_not_flag():
-    verdicts, flags = evaluate_batch(spaced_records(4, 20))
-    assert "BATCH_FILLING" not in flags.counts
+    verdicts, counts = evaluate_batch(spaced_records(4, 20))
+    assert "BATCH_FILLING" not in counts
     # a gap of exactly the threshold breaks the run
-    verdicts, flags = evaluate_batch(spaced_records(6, 60))
-    assert "BATCH_FILLING" not in flags.counts
+    verdicts, counts = evaluate_batch(spaced_records(6, 60))
+    assert "BATCH_FILLING" not in counts
 
 
 def test_batch_filling_is_per_collector():
     records = spaced_records(3, 20, collector="c1") + spaced_records(
         3, 20, collector="c2", start=T0 + timedelta(seconds=10)
     )
-    _, flags = evaluate_batch(records)
-    assert "BATCH_FILLING" not in flags.counts
+    _, counts = evaluate_batch(records)
+    assert "BATCH_FILLING" not in counts
 
 
 def clustered_records(n, step_m=0.0, kind="household"):
@@ -240,26 +245,26 @@ def clustered_records(n, step_m=0.0, kind="household"):
 
 
 def test_dense_household_cluster_flags_all_members():
-    verdicts, flags = evaluate_batch(clustered_records(5, step_m=2.0))
+    verdicts, counts = evaluate_batch(clustered_records(5, step_m=2.0))
     assert all("SPATIAL_CLUSTER" in v.triggered for v in verdicts)
-    assert flags.counts["SPATIAL_CLUSTER"] == 5
+    assert counts["SPATIAL_CLUSTER"] == 5
 
 
 def test_two_close_records_stay_below_cluster_minimum():
-    _, flags = evaluate_batch(clustered_records(2, step_m=5.0))
-    assert "SPATIAL_CLUSTER" not in flags.counts
+    _, counts = evaluate_batch(clustered_records(2, step_m=5.0))
+    assert "SPATIAL_CLUSTER" not in counts
 
 
 def test_cluster_linkage_is_single_link():
     # consecutive points 8 m apart chain into one group even though the
     # endpoints are 32 m from each other
-    _, flags = evaluate_batch(clustered_records(5, step_m=8.0))
-    assert flags.counts["SPATIAL_CLUSTER"] == 5
+    _, counts = evaluate_batch(clustered_records(5, step_m=8.0))
+    assert counts["SPATIAL_CLUSTER"] == 5
 
 
 def test_water_body_records_do_not_cluster():
-    _, flags = evaluate_batch(clustered_records(5, step_m=2.0, kind="water_body"))
-    assert "SPATIAL_CLUSTER" not in flags.counts
+    _, counts = evaluate_batch(clustered_records(5, step_m=2.0, kind="water_body"))
+    assert "SPATIAL_CLUSTER" not in counts
 
 
 def _cluster_rows_reference(records, config):
@@ -404,9 +409,9 @@ def test_sweep_tests_a_small_multiple_of_n_pairs(monkeypatch):
 
 
 def test_empty_batch_is_vacuous():
-    verdicts, flags = evaluate_batch([])
+    verdicts, counts = evaluate_batch([])
     assert verdicts == []
-    assert flags.counts == {}
+    assert counts == {}
 
 
 @pytest.mark.parametrize("setting", [

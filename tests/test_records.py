@@ -19,7 +19,7 @@ from waterscreen.errors import (
     SchemaError,
     StratificationError,
 )
-from waterscreen.qc import UuidRegistry, evaluate_record
+from waterscreen.qc import evaluate_record
 from waterscreen.records import (
     CATEGORICAL_FIELDS,
     DEFAULT_BOUNDS,
@@ -410,11 +410,11 @@ class TestEncode:
 
     def test_one_hot_and_missing_mask(self):
         matrix, _ = encode(self.records())
-        piped = matrix.index_of("source_type=piped")
+        piped = matrix.column_names.index("source_type=piped")
         assert matrix.values[:, piped].tolist() == [1.0, 0.0, 1.0]
-        boiling = matrix.index_of("treatment=boiling")
+        boiling = matrix.column_names.index("treatment=boiling")
         assert matrix.values[:, boiling].tolist() == [1.0, 0.0, 0.0]
-        ph = matrix.index_of("ph")
+        ph = matrix.column_names.index("ph")
         assert matrix.missing_mask[:, ph].tolist() == [False, True, False]
         assert np.isnan(matrix.values[1, ph])
         assert not matrix.missing_mask[:, piped].any()
@@ -432,7 +432,7 @@ class TestEncode:
         matrix, _ = encode(self.records(), category_levels=levels)
         assert "source_type=groundwater" not in matrix.column_names
         groundwater_row = matrix.values[1]
-        piped = matrix.index_of("source_type=piped")
+        piped = matrix.column_names.index("source_type=piped")
         assert groundwater_row[piped] == 0.0
 
     def test_require_labels_raises_on_gap(self):
@@ -844,8 +844,11 @@ def test_one_plausibility_rule_for_qc_and_clean(values, bounds):
     record = make_record(**values)
     expected = _implausible_reference(record, bounds)
     assert implausible(record, bounds) == expected
-    verdict = evaluate_record(record, UuidRegistry(), bounds)
-    assert ("VALUE_OUT_OF_RANGE" in verdict.triggered) == expected
+    # qc screens at the default bounds
+    verdict = evaluate_record(record, set())
+    assert ("VALUE_OUT_OF_RANGE" in verdict.triggered) == _implausible_reference(
+        record, DEFAULT_BOUNDS
+    )
     # clean lays the bounds it is given over the defaults
     widened = {**{name: (-math.inf, math.inf) for name in DEFAULT_BOUNDS}, **bounds}
     _, log = clean([record], widened)
