@@ -15,7 +15,7 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
+from dataclasses import asdict, fields as dataclass_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -110,23 +110,6 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@dataclass
-class RunManifest:
-    """What a run consumed and produced, with content digests throughout,
-    and the warnings from parsing its records, in read order."""
-
-    subcommand: str
-    config_digest: str
-    input_digests: dict[str, str]
-    seed: int
-    settings: dict
-    unread_config_keys: list[str]
-    parse_warnings: list[str]
-    artifact_versions: dict[str, int]
-    output_paths: list[str]
-    output_digests: dict[str, str]
-
-
 class _Run:
     """Collects inputs and outputs of one subcommand, then seals a manifest.
 
@@ -179,21 +162,24 @@ class _Run:
         self.digests[name] = _digest((self.out_dir / name).read_bytes())
 
     def seal(self) -> None:
-        manifest = RunManifest(
-            subcommand=self.subcommand,
-            config_digest=self.config_digest,
-            input_digests=dict(sorted(self.inputs.items())),
-            seed=self.seed,
-            settings=self.settings,
-            unread_config_keys=self.unread,
-            parse_warnings=self.parse_warnings,
-            artifact_versions=dict(ARTIFACT_VERSIONS),
-            output_paths=sorted(self.paths + [MANIFEST_NAME]),
-            output_digests=dict(sorted(self.digests.items())),
-        )
+        """Write what the run consumed and produced, with content digests
+        throughout, and the warnings from parsing its records, in read
+        order."""
+        manifest = {
+            "subcommand": self.subcommand,
+            "config_digest": self.config_digest,
+            "input_digests": dict(sorted(self.inputs.items())),
+            "seed": self.seed,
+            "settings": self.settings,
+            "unread_config_keys": self.unread,
+            "parse_warnings": self.parse_warnings,
+            "artifact_versions": dict(ARTIFACT_VERSIONS),
+            "output_paths": sorted(self.paths + [MANIFEST_NAME]),
+            "output_digests": dict(sorted(self.digests.items())),
+        }
         path = self.out_dir / MANIFEST_NAME
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(_canonical(manifest.__dict__), encoding="utf-8")
+        path.write_text(_canonical(manifest), encoding="utf-8")
 
 
 def _parse_input_records(run: _Run, path):
@@ -602,8 +588,7 @@ def _subset_matrix(matrix: FeatureMatrix, kind: str | None) -> FeatureMatrix:
     idx = matrix.kind_indices(kind)
     if not idx:
         raise ParameterError(f"no {kind} columns to ablate on")
-    return replace(matrix, values=matrix.values[:, idx], missing_mask=matrix.missing_mask[:, idx],
-                   columns=[matrix.columns[i] for i in idx])
+    return replace(matrix, values=matrix.values[:, idx], columns=[matrix.columns[i] for i in idx])
 
 
 def _cmd_ablate(args) -> int:
@@ -705,10 +690,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parse_args leaves it as it is
+PARSER = build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -169,9 +169,7 @@ def attribute_rows(model: TreeEnsembleModel, matrix: FeatureMatrix) -> list[Shap
     phi = np.zeros((matrix.n_rows, matrix.n_cols))
     base = 0.0
     for tree in used:
-        table, visits = _tree_patterns(
-            tree, tree.decisions(matrix.values, matrix.missing_mask), matrix.n_cols
-        )
+        table, visits = _tree_patterns(tree, tree.decisions(matrix.values), matrix.n_cols)
         for table_rows in visits.T:
             phi += table[table_rows]
         base += _tree_expectation(tree)

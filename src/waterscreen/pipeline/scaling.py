@@ -20,18 +20,18 @@ from ..records import KIND_PHYSICO, FeatureMatrix
 @dataclass
 class Scaler:
     """Per column: the shift and divisor that standardize it (0 and 1 for a
-    column that is not z-scored or has no spread) and the fill of its
-    missing cells, fitted on one index set."""
+    column that is not z-scored or has no spread) and the fill of its NaN
+    cells, fitted on one index set."""
 
     means: np.ndarray
     sds: np.ndarray
     fills: np.ndarray
 
     def transform(self, matrix: FeatureMatrix) -> FeatureMatrix:
-        """Standardize every column and fill its missing cells; the result
-        has none."""
+        """Standardize every column and fill its NaN cells; the result has
+        none."""
         values = np.where(matrix.missing_mask, self.fills, (matrix.values - self.means) / self.sds)
-        return replace(matrix, values=values, missing_mask=np.zeros_like(matrix.missing_mask))
+        return replace(matrix, values=values)
 
 
 def fit_fold_scaler(matrix: FeatureMatrix, fit_indices) -> Scaler:
@@ -43,9 +43,11 @@ def fit_fold_scaler(matrix: FeatureMatrix, fit_indices) -> Scaler:
     if idx.size == 0:
         raise ParameterError("fit_indices must be non-empty")
     physico = set(matrix.kind_indices(KIND_PHYSICO))
+    values = matrix.values[idx]
+    present = ~np.isnan(values)
     means, sds, fills = np.zeros(matrix.n_cols), np.ones(matrix.n_cols), np.zeros(matrix.n_cols)
     for col in range(matrix.n_cols):
-        observed = matrix.values[idx, col][~matrix.missing_mask[idx, col]]
+        observed = values[present[:, col], col]
         if not observed.size:
             continue
         if col in physico:

@@ -551,24 +551,20 @@ def screen_outliers(
 
 @dataclass
 class FeatureMatrix:
-    """Encoded design matrix with missingness mask and per-column kinds.
+    """Encoded design matrix with per-column kinds.
 
-    missing_mask is the one record of which cells are missing: construction
-    folds every NaN value into it, so consumers read the mask alone. A
-    masked cell may still hold a number, which no consumer reads.
+    A missing cell is NaN in values and nothing else; missing_mask derives
+    the mask from values on each read.
     """
 
     values: np.ndarray
-    missing_mask: np.ndarray
     columns: list[tuple[str, str]]
     row_ids: list[str]
     category_levels: dict[str, list[str]] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        mask = np.asarray(self.missing_mask, dtype=bool)
-        if mask.shape != self.values.shape:
-            raise ParameterError("missing_mask and values differ in shape")
-        self.missing_mask = mask | np.isnan(self.values)
+    @property
+    def missing_mask(self) -> np.ndarray:
+        return np.isnan(self.values)
 
     @property
     def n_rows(self) -> int:
@@ -587,19 +583,14 @@ class FeatureMatrix:
 
     def take(self, indices) -> FeatureMatrix:
         idx = np.asarray(indices, dtype=np.int64)
-        return replace(self, values=self.values[idx], missing_mask=self.missing_mask[idx],
-                       row_ids=[self.row_ids[i] for i in idx])
+        return replace(self, values=self.values[idx], row_ids=[self.row_ids[i] for i in idx])
 
     def with_column(self, name: str, kind: str, values) -> FeatureMatrix:
         col = np.asarray(values, dtype=float).reshape(-1, 1)
         if col.shape[0] != self.n_rows:
             raise ParameterError("new column length does not match row count")
-        return replace(
-            self,
-            values=np.hstack([self.values, col]),
-            missing_mask=np.hstack([self.missing_mask, np.zeros_like(col, dtype=bool)]),
-            columns=[*self.columns, (name, kind)],
-        )
+        return replace(self, values=np.hstack([self.values, col]),
+                       columns=[*self.columns, (name, kind)])
 
 
 @dataclass
@@ -671,7 +662,6 @@ def encode(
     ).reshape(len(records), len(specs))
     matrix = FeatureMatrix(
         values=values,
-        missing_mask=np.zeros(values.shape, dtype=bool),
         columns=_PHYSICO_COLUMNS + [(name, KIND_CONTEXT) for name, _, _ in contextual],
         row_ids=[r.uuid for r in records],
         category_levels=levels,

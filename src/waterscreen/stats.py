@@ -330,10 +330,11 @@ def compare_models(
 
     Ranking metrics (ROC-AUC and average precision) each form their own FDR
     family across challengers; operating-point McNemar tests form a third,
-    separate family. All reports must share identical held-out index lists per
-    fold so the pairing is strict. Decisions for McNemar are taken at one
-    fixed threshold applied to both models: `threshold` if given, otherwise
-    the reference report's mean per-fold threshold.
+    separate family. All reports must share their labels and identical
+    held-out index lists per fold so the pairing is strict. Decisions for
+    McNemar are taken at one fixed threshold applied to both models:
+    `threshold` if given, otherwise the reference report's mean per-fold
+    threshold.
     """
     if not challengers:
         raise ParameterError("at least one challenger report is required")
@@ -346,6 +347,8 @@ def compare_models(
                 raise PairingError(
                     f"{ch.name}: held-out indices differ from reference in fold {rf.fold_id}"
                 )
+        if not np.array_equal(ch.labels, reference.labels):
+            raise PairingError(f"{ch.name}: labels differ from reference")
     labels = np.asarray(reference.labels)
     if threshold is None:
         threshold = float(np.mean([f.threshold for f in reference.folds]))

@@ -57,10 +57,12 @@ def _column_edges(values: np.ndarray, max_bins: int) -> np.ndarray:
     return np.unique(np.quantile(values, probs))
 
 
-def _digitize(values: np.ndarray, missing: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    codes = np.searchsorted(edges, values, side="left").astype(np.int16)
-    codes[missing] = len(edges) + 1
-    return codes
+def _digitize(values: np.ndarray, missing: np.ndarray, edges: list[np.ndarray]) -> np.ndarray:
+    """Every cell's bin code under its column's edges; a missing cell gets
+    its column's missing bin."""
+    codes = np.column_stack([np.searchsorted(e, values[:, j], side="left")
+                             for j, e in enumerate(edges)])
+    return np.where(missing, [e.size + 1 for e in edges], codes).astype(np.int16)
 
 
 def bin_features(matrix: FeatureMatrix, max_bins: int) -> BinnedMatrix:
@@ -75,24 +77,16 @@ def bin_features(matrix: FeatureMatrix, max_bins: int) -> BinnedMatrix:
         raise EmptyInputError("nothing to bin")
     values, missing = matrix.values, matrix.missing_mask
     edges = [_column_edges(values[~missing[:, j], j], max_bins) for j in range(matrix.n_cols)]
-    codes = np.column_stack(
-        [_digitize(values[:, j], missing[:, j], edges[j]) for j in range(matrix.n_cols)]
-    )
-    return BinnedMatrix(bin_indices=codes, bin_edges=edges, columns=list(matrix.columns))
+    return BinnedMatrix(bin_indices=_digitize(values, missing, edges), bin_edges=edges,
+                        columns=list(matrix.columns))
 
 
 def apply_bins(matrix: FeatureMatrix, reference: BinnedMatrix) -> BinnedMatrix:
     """Encode new rows with a previously fitted binning."""
     if [n for n, _ in matrix.columns] != [n for n, _ in reference.columns]:
         raise SchemaError("columns do not match the fitted binning")
-    codes = np.column_stack(
-        [
-            _digitize(matrix.values[:, j], matrix.missing_mask[:, j], reference.bin_edges[j])
-            for j in range(matrix.n_cols)
-        ]
-    )
     return BinnedMatrix(
-        bin_indices=codes,
+        bin_indices=_digitize(matrix.values, matrix.missing_mask, reference.bin_edges),
         bin_edges=[e.copy() for e in reference.bin_edges],
         columns=list(reference.columns),
     )

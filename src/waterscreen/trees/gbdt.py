@@ -88,6 +88,9 @@ def fit_gbdt(
         if not all(map(np.array_equal, valid_binned.bin_edges, binned.bin_edges)):
             raise ParameterError("validation matrix was binned with other edges than training")
         valid_y = np.asarray(valid_labels, dtype=float)
+        # unlike training labels, a single class is allowed
+        if valid_y.ndim != 1 or not np.isin(valid_y, (0.0, 1.0)).all():
+            raise ParameterError("validation labels must be a 1-d vector of exactly 0 or 1")
         if valid_y.size != valid_binned.n_rows:
             raise ParameterError("validation labels length does not match matrix rows")
         valid_w = np.where(valid_y == 1.0, pos_weight, 1.0)

@@ -4,8 +4,8 @@ Prediction walks all of a model's kept trees at once: _leaf_values packs
 them into one flat node table with global child indices, in which each
 leaf points to itself, and moves an (n_rows, n_trees) node matrix one level
 per step under the one split rule goes_left. Tree.margins and
-Tree.margins_binned, used by boosting, are the one-tree case of the same
-walk. The table is packed on every call and never stored, so model.json
+Tree.margins_binned (the one boosting uses) are the one-tree case of the
+same walk. The table is packed on every call and never stored, so model.json
 and loaded models stay as they are.
 
 Each model class declares its artifact table beside itself; to_json,
@@ -43,7 +43,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def goes_left(x, gone, cut, missing_left):
     """The split rule: a cell marked gone follows missing_left; any other
-    goes left when x <= cut."""
+    goes left when x <= cut. A raw value is gone when it is NaN, a bin code
+    when it is its column's missing bin."""
     return np.where(gone, missing_left, x <= cut)
 
 
@@ -79,16 +80,16 @@ class Tree:
     def n_nodes(self) -> int:
         return self.feature.size
 
-    def decisions(self, values: np.ndarray, gone: np.ndarray) -> np.ndarray:
+    def decisions(self, values: np.ndarray) -> np.ndarray:
         """(rows, nodes) goes_left verdict of every internal node for every
         raw row, whether or not the row reaches the node; False at leaves."""
         internal = self.feature >= 0
-        f = np.where(internal, self.feature, 0)
-        return internal & goes_left(values[:, f], gone[:, f], self.threshold, self.missing_left)
+        x = values[:, np.where(internal, self.feature, 0)]
+        return internal & goes_left(x, np.isnan(x), self.threshold, self.missing_left)
 
-    def margins(self, values: np.ndarray, gone: np.ndarray) -> np.ndarray:
-        """Leaf value reached by each raw row; gone must mark NaN cells too."""
-        return _leaf_values([self], values, gone, "threshold")[:, 0]
+    def margins(self, values: np.ndarray) -> np.ndarray:
+        """Leaf value reached by each raw row."""
+        return _leaf_values([self], values, np.isnan(values), "threshold")[:, 0]
 
     def margins_binned(self, codes: np.ndarray, gone: np.ndarray) -> np.ndarray:
         """Leaf value reached by each row of bin codes; used during boosting."""
@@ -122,8 +123,8 @@ def _leaf_values(trees: list[Tree], x: np.ndarray, gone: np.ndarray, cut: str) -
     0, so a row that reaches a leaf stays there. An (n_rows, n_trees) node
     matrix starts at the roots and moves one level per step under goes_left
     against the node's cut array ("threshold" for raw values, "split_bin"
-    for bin codes), reading each cell through the flat index
-    row * n_cols + feature, until no row sits on an internal node. The
+    for bin codes), reading each cell and its gone mark through the flat
+    index row * n_cols + feature, until no row sits on an internal node. The
     table is packed on every call.
     """
     def packed(name):

@@ -60,7 +60,7 @@ def brute_force_shap(model: TreeEnsembleModel, row: FeatureMatrix,
         raise EnumerationLimitError(
             f"model uses {len(used_features)} features, enumeration capped at {max_features}"
         )
-    left_at = [tree.decisions(row.values, row.missing_mask)[0] for tree in used]
+    left_at = [tree.decisions(row.values)[0] for tree in used]
     m = len(used_features)
     cache: dict[frozenset, float] = {}
 

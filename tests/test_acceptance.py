@@ -308,7 +308,6 @@ def shap_matrix(values):
     values = np.asarray(values, dtype=float)
     return FeatureMatrix(
         values=values,
-        missing_mask=np.isnan(values),
         columns=[(f"f{i}", KIND_PHYSICO) for i in range(values.shape[1])],
         row_ids=[f"r{i}" for i in range(values.shape[0])],
         category_levels={},
@@ -363,7 +362,6 @@ def gain_matrix(values):
     values = np.asarray(values, dtype=float)
     return FeatureMatrix(
         values=values,
-        missing_mask=np.isnan(values),
         columns=[(f"x{j}", KIND_PHYSICO) for j in range(values.shape[1])],
         row_ids=[f"r{i}" for i in range(values.shape[0])],
     )

@@ -8,15 +8,12 @@ from waterscreen.records import FeatureMatrix
 from waterscreen.trees import apply_bins, bin_features
 
 
-def make_matrix(values, missing=None, names=None):
+def make_matrix(values, names=None):
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    if missing is None:
-        missing = np.isnan(values)
     if names is None:
         names = [f"x{j}" for j in range(values.shape[1])]
     return FeatureMatrix(
         values=values,
-        missing_mask=np.asarray(missing, dtype=bool),
         columns=[(n, "physicochemical") for n in names],
         row_ids=[f"r{i}" for i in range(values.shape[0])],
     )

@@ -37,12 +37,10 @@ from waterscreen.trees import (
 from waterscreen.trees.model import Tree, predict_margin
 
 
-def make_matrix(values, missing=None):
+def make_matrix(values):
     values = np.asarray(values, dtype=float)
-    mask = np.isnan(values) if missing is None else np.asarray(missing, dtype=bool)
     return FeatureMatrix(
         values=values,
-        missing_mask=mask,
         columns=[(f"f{i}", KIND_PHYSICO) for i in range(values.shape[1])],
         row_ids=[f"r{i}" for i in range(values.shape[0])],
         category_levels={},
@@ -304,10 +302,7 @@ def test_rows_with_other_columns_are_refused_as_prediction_refuses_them():
     rng = np.random.default_rng(618)
     model, matrix = random_model(rng, n_features=4)
     renamed = dataclasses.replace(matrix, columns=[("g0", KIND_PHYSICO), *matrix.columns[1:]])
-    fewer = dataclasses.replace(
-        matrix, values=matrix.values[:, :3], missing_mask=matrix.missing_mask[:, :3],
-        columns=matrix.columns[:3],
-    )
+    fewer = dataclasses.replace(matrix, values=matrix.values[:, :3], columns=matrix.columns[:3])
     for rows in (renamed, fewer):
         for call in (attribute_rows, predict_proba):
             with pytest.raises(SchemaError, match="feature columns do not match the fitted model"):
@@ -390,7 +385,7 @@ def reference_rows(model, matrix):
     phi = np.zeros((matrix.n_rows, matrix.n_cols))
     base = 0.0
     for tree in used:
-        left_at = tree.decisions(matrix.values, matrix.missing_mask)
+        left_at = tree.decisions(matrix.values)
         for i in range(matrix.n_rows):
             _shap_one_tree_reference(tree, left_at[i], phi[i])
         base += _tree_expectation(tree)

@@ -15,7 +15,6 @@ def make_matrix(values, names=None):
         names = [f"x{j}" for j in range(values.shape[1])]
     return FeatureMatrix(
         values=values,
-        missing_mask=np.isnan(values),
         columns=[(n, "physicochemical") for n in names],
         row_ids=[f"r{i}" for i in range(values.shape[0])],
     )

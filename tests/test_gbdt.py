@@ -28,7 +28,6 @@ def make_matrix(values, names=None):
         names = [f"x{j}" for j in range(values.shape[1])]
     return FeatureMatrix(
         values=values,
-        missing_mask=np.isnan(values),
         columns=[(n, "physicochemical") for n in names],
         row_ids=[f"r{i}" for i in range(values.shape[0])],
     )
@@ -59,7 +58,7 @@ def signal_data(rng, n):
     return values, y
 
 
-def _margins_reference(tree, values, missing):
+def _margins_reference(tree, values):
     """Leaf value per row, walking raw values and testing NaN at every level."""
     n = values.shape[0]
     node = np.zeros(n, dtype=np.int32)
@@ -71,8 +70,7 @@ def _margins_reference(tree, values, missing):
             break
         fi = np.where(internal, f, 0)
         v = values[rows, fi]
-        miss = missing[rows, fi] | np.isnan(v)
-        go_left = np.where(miss, tree.missing_left[node], v <= tree.threshold[node])
+        go_left = np.where(np.isnan(v), tree.missing_left[node], v <= tree.threshold[node])
         nxt = np.where(go_left, tree.left[node], tree.right[node])
         node = np.where(internal, nxt, node)
     return tree.value[node]
@@ -96,14 +94,12 @@ def _routing_column(kind, rng, n):
 
 
 def _with_missing(values, rng, rate):
-    """Missing cells of both kinds: NaN values, and masked cells that still
-    hold a number."""
+    """The values with a share rate of their cells set to NaN, the one mark
+    of a missing cell."""
     values = values.copy()
     values[rng.random(values.shape) < rate] = np.nan
-    masked = rng.random(values.shape) < rate
     return FeatureMatrix(
         values=values,
-        missing_mask=np.isnan(values) | masked,
         columns=[(f"x{j}", "physicochemical") for j in range(values.shape[1])],
         row_ids=[f"r{i}" for i in range(values.shape[0])],
     )
@@ -181,6 +177,20 @@ class TestFitBasics:
         with pytest.raises(ParameterError, match="edges"):
             fit_gbdt(binned, y, config, valid=(own_edges, y[:40]))
         fit_gbdt(binned, y, config, valid=(apply_bins(make_matrix(values[:40]), binned), y[:40]))
+
+    def test_validation_labels_must_be_a_0_1_vector(self):
+        rng = np.random.default_rng(8)
+        values, y = signal_data(rng, 120)
+        binned = bin_features(make_matrix(values), 16)
+        valid = apply_bins(make_matrix(values[:40]), binned)
+        config = small_config(early_stopping_rounds=5)
+        for bad in (np.full(40, np.nan), np.full(40, 7.0), np.where(y[:40] == 1, 2.0, 0.0),
+                    y[:40].reshape(20, 2)):
+            with pytest.raises(ParameterError, match="validation labels"):
+                fit_gbdt(binned, y, config, valid=(valid, bad))
+        # a validation set of one class is still a validation set
+        model = fit_gbdt(binned, y, config, valid=(valid, np.zeros(40)))
+        assert model.best_iteration >= 1
 
     def test_wrong_family_config_rejected(self):
         rng = np.random.default_rng(3)
@@ -261,16 +271,16 @@ class TestWeightsAndRouting:
     @given(routing_cases())
     def test_raw_and_binned_routing_match_the_reference(self, case):
         model, matrix, reference = case
-        gone = matrix.missing_mask | np.isnan(matrix.values)
+        gone = np.isnan(matrix.values)
         binned = apply_bins(matrix, reference)
         assert np.array_equal(binned.missing_mask, gone)
         rows = np.arange(matrix.n_rows)
         for tree in model.trees:
-            expected = _margins_reference(tree, matrix.values, matrix.missing_mask)
-            assert np.array_equal(tree.margins(matrix.values, gone), expected)
+            expected = _margins_reference(tree, matrix.values)
+            assert np.array_equal(tree.margins(matrix.values), expected)
             assert np.array_equal(tree.margins_binned(binned.bin_indices, gone), expected)
             # every row's per-node decisions, followed from the root, reach that leaf
-            left_at = tree.decisions(matrix.values, gone)
+            left_at = tree.decisions(matrix.values)
             node = np.zeros(matrix.n_rows, dtype=np.int32)
             for _ in range(tree.n_nodes):
                 internal = tree.feature[node] >= 0
@@ -285,7 +295,7 @@ class TestWeightsAndRouting:
         if one_row:
             matrix = matrix.take([0])
         codes = apply_bins(matrix, reference).bin_indices
-        per_tree = [_margins_reference(t, matrix.values, matrix.missing_mask) for t in model.trees]
+        per_tree = [_margins_reference(t, matrix.values) for t in model.trees]
         start = model.base_score
         for kept in range(len(model.trees) + 1):
             expected = np.full(matrix.n_rows, start)

@@ -26,7 +26,6 @@ def make_matrix(values):
     values = np.asarray(values, dtype=float)
     return FeatureMatrix(
         values=values,
-        missing_mask=np.isnan(values),
         columns=[(f"x{j}", "physicochemical") for j in range(values.shape[1])],
         row_ids=[f"r{i}" for i in range(values.shape[0])],
     )

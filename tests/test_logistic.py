@@ -18,7 +18,6 @@ def make_matrix(values, names=None):
         names = [f"x{j}" for j in range(values.shape[1])]
     return FeatureMatrix(
         values=values,
-        missing_mask=np.zeros_like(values, dtype=bool),
         columns=[(n, "physicochemical") for n in names],
         row_ids=[f"r{i}" for i in range(values.shape[0])],
     )
@@ -28,7 +27,6 @@ class TestFitLogistic:
     def test_intercept_only_recovers_log_odds(self):
         matrix = FeatureMatrix(
             values=np.empty((100, 0)),
-            missing_mask=np.empty((100, 0), dtype=bool),
             columns=[],
             row_ids=[f"r{i}" for i in range(100)],
         )
@@ -83,7 +81,6 @@ class TestFitLogistic:
         values = np.array([[1.0], [np.nan], [2.0]])
         matrix = FeatureMatrix(
             values=values,
-            missing_mask=np.isnan(values),
             columns=[("x0", "physicochemical")],
             row_ids=["a", "b", "c"],
         )

@@ -40,7 +40,6 @@ def make_matrix(values, names=None):
         names = [f"x{j}" for j in range(values.shape[1])]
     return FeatureMatrix(
         values=values,
-        missing_mask=np.isnan(values),
         columns=[(n, "physicochemical") for n in names],
         row_ids=[f"r{i}" for i in range(values.shape[0])],
     )
@@ -361,9 +360,8 @@ class TestPredictEdgeCases:
         truncated = predict_proba(model, matrix)
         assert not np.array_equal(full, truncated)
         manual = np.full(matrix.n_rows, model.base_score)
-        gone = matrix.missing_mask | np.isnan(matrix.values)
         for tree in model.trees[:2]:
-            manual += tree.margins(matrix.values, gone)
+            manual += tree.margins(matrix.values)
         assert np.array_equal(truncated, sigmoid(manual))
 
     def test_schema_mismatch_raises(self):

@@ -51,7 +51,6 @@ def synthetic_matrix(n=200, seed=0, missing_rate=0.04, offset=0.0):
     columns = [(f"meas_{i}", KIND_PHYSICO) for i in range(3)] + [("extra", KIND_CONTEXT)]
     matrix = FeatureMatrix(
         values=values,
-        missing_mask=mask,
         columns=columns,
         row_ids=[f"row-{i}" for i in range(n)],
         category_levels={},
@@ -78,7 +77,7 @@ def test_fold_scaler_standardizes_fit_rows_only():
     scaler = fit_fold_scaler(matrix, fit_idx)
     out = scaler.transform(matrix)
     for col in matrix.kind_indices(KIND_PHYSICO):
-        observed = ~(matrix.missing_mask[fit_idx, col] | np.isnan(matrix.values[fit_idx, col]))
+        observed = ~matrix.missing_mask[fit_idx, col]
         fitted = out.values[fit_idx, col][observed]
         assert abs(fitted.mean()) < 1e-9
         assert abs(fitted.std() - 1.0) < 1e-9
@@ -92,7 +91,6 @@ def test_fold_scaler_zero_variance_column_centers_without_dividing():
     values = np.column_stack([np.full(10, 3.5), np.arange(10.0)])
     matrix = FeatureMatrix(
         values=values,
-        missing_mask=np.zeros_like(values, dtype=bool),
         columns=[("const", KIND_PHYSICO), ("grows", KIND_PHYSICO)],
         row_ids=[str(i) for i in range(10)],
         category_levels={},
@@ -106,7 +104,6 @@ def test_impute_uses_fit_row_means():
     values = np.array([[1.0, np.nan], [3.0, 4.0], [np.nan, 8.0], [5.0, 6.0]])
     matrix = FeatureMatrix(
         values=values,
-        missing_mask=np.isnan(values),
         columns=[("a", KIND_CONTEXT), ("b", KIND_CONTEXT)],
         row_ids=list("wxyz"),
         category_levels={},
@@ -147,7 +144,6 @@ def test_logistic_preprocessing_fills_unscaled_and_zero_sd_columns():
     ])
     matrix = FeatureMatrix(
         values=values,
-        missing_mask=np.isnan(values),
         columns=[("ph", KIND_PHYSICO), ("tds_ppm", KIND_PHYSICO), ("latitude", KIND_CONTEXT)],
         row_ids=list("abcde"),
     )
@@ -232,7 +228,6 @@ def test_logistic_held_out_features_cannot_reach_their_own_fold():
     values[cells] = values[cells] * 7.0 + 30.0
     shifted = FeatureMatrix(
         values=values,
-        missing_mask=matrix.missing_mask.copy(),
         columns=list(matrix.columns),
         row_ids=list(matrix.row_ids),
         category_levels={},

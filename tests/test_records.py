@@ -457,18 +457,16 @@ class TestEncode:
         assert matrix.n_cols == grown.n_cols - 1
 
     def test_missing_mask_holds_every_missing_cell(self):
-        values = np.array([[1.0, np.nan], [2.0, 3.0]])
-        masked = np.array([[False, False], [True, False]])
+        values = np.array([[1.0, np.nan], [np.nan, 3.0]])
         columns = [("a", "physicochemical"), ("b", "physicochemical")]
-        matrix = FeatureMatrix(values=values, missing_mask=masked, columns=columns,
-                               row_ids=["r0", "r1"])
-        # the NaN cell joins the mask; the masked cell that holds 2.0 stays in it
+        matrix = FeatureMatrix(values=values, columns=columns, row_ids=["r0", "r1"])
+        # NaN is the one mark of a missing cell, and the mask is read from it
         assert matrix.missing_mask.tolist() == [[False, True], [True, False]]
         assert matrix.take([1, 0]).missing_mask.tolist() == [[True, False], [False, True]]
         grown = matrix.with_column("c", "auxiliary", [np.nan, 0.5])
         assert grown.missing_mask.tolist() == [[False, True, True], [True, False, False]]
-        with pytest.raises(ParameterError, match="shape"):
-            FeatureMatrix(values=values, missing_mask=masked[:, :1], columns=columns,
+        with pytest.raises(TypeError, match="missing_mask"):
+            FeatureMatrix(values=values, missing_mask=np.isnan(values), columns=columns,
                           row_ids=["r0", "r1"])
 
 
@@ -652,36 +650,29 @@ def _encode_reference(records, category_levels=None, require_labels=True):
                 raise ParameterError(
                     f"record {i} ({r.uuid or 'no uuid'}) lacks an outcome label; clean first"
                 )
-    n = len(records)
-    columns, cols, masks = [], [], []
+    columns, cols = [], []
 
     def optional_numeric(field_name):
         raw = [getattr(r, field_name) for r in records]
-        mask = np.array([v is None for v in raw], dtype=bool)
-        values = np.array([np.nan if v is None else float(v) for v in raw], dtype=float)
-        return values, mask
+        return np.array([np.nan if v is None else float(v) for v in raw], dtype=float)
 
     for field_name in sorted(MEASUREMENT_FIELDS):
-        values, mask = optional_numeric(field_name)
         columns.append((field_name, "physicochemical"))
-        cols.append(values)
-        masks.append(mask)
+        cols.append(optional_numeric(field_name))
     contextual = []
     for field_name in ("latitude", "longitude", "children_under_5"):
-        contextual.append((field_name, *optional_numeric(field_name)))
+        contextual.append((field_name, optional_numeric(field_name)))
     origin = np.array([1.0 if r.dataset_origin == "set2" else 0.0 for r in records])
-    contextual.append(("dataset_origin=set2", origin, np.zeros(n, dtype=bool)))
+    contextual.append(("dataset_origin=set2", origin))
     for field_name in CATEGORICAL_FIELDS:
         for level in levels.get(field_name, []):
             hot = np.array([1.0 if getattr(r, field_name) == level else 0.0 for r in records])
-            contextual.append((f"{field_name}={level}", hot, np.zeros(n, dtype=bool)))
-    for name, values, mask in sorted(contextual, key=lambda item: item[0]):
+            contextual.append((f"{field_name}={level}", hot))
+    for name, values in sorted(contextual, key=lambda item: item[0]):
         columns.append((name, "contextual"))
         cols.append(values)
-        masks.append(mask)
     matrix = FeatureMatrix(
         values=np.column_stack(cols),
-        missing_mask=np.column_stack(masks),
         columns=columns,
         row_ids=[r.uuid for r in records],
         category_levels=levels,
@@ -752,7 +743,7 @@ def _matrix_parts(outcome):
         return outcome
     matrix, labels = outcome
     return (
-        matrix.values.tobytes(), matrix.missing_mask.tobytes(), matrix.values.shape,
+        matrix.values.tobytes(), matrix.values.shape,
         matrix.columns, matrix.row_ids, matrix.category_levels,
         None if labels is None else (labels.tc.tobytes(), labels.ec.tobytes()),
     )

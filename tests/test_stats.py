@@ -370,6 +370,16 @@ class TestCompareModels:
         with pytest.raises(PairingError, match="fold 2"):
             compare_models(ref, [bad], n_boot=10, seed=0)
 
+    def test_challenger_on_other_labels_is_refused(self):
+        rng = np.random.default_rng(12)
+        y = _balanced_labels(rng, 40)
+        probs = rng.random(40)
+        ref = make_report("ref", y, probs)
+        # same folds and scores, but every label flipped
+        flipped = make_report("flipped", 1 - y, probs.copy())
+        with pytest.raises(PairingError, match="flipped: labels differ"):
+            compare_models(ref, [flipped], n_boot=10, seed=0)
+
     @pytest.mark.parametrize("defect", ["row_unscored", "row_scored_twice", "score_missing"])
     def test_folds_must_score_every_row_once(self, defect):
         rng = np.random.default_rng(11)
