@@ -61,14 +61,13 @@ def _check(model, matrix: FeatureMatrix) -> list[Tree]:
 
 def _tree_expectation(tree: Tree) -> float:
     """Cover-weighted mean leaf value, resolved bottom-up."""
+    feature, lefts, rights, cover = tree.feature, tree.left, tree.right, tree.cover
     expect = np.array(tree.value, dtype=float)
     for node in range(tree.n_nodes - 1, -1, -1):
-        if tree.feature[node] >= 0:
-            left, right = tree.left[node], tree.right[node]
-            total = tree.cover[left] + tree.cover[right]
-            expect[node] = (
-                tree.cover[left] * expect[left] + tree.cover[right] * expect[right]
-            ) / total
+        if feature[node] >= 0:
+            left, right = lefts[node], rights[node]
+            total = cover[left] + cover[right]
+            expect[node] = (cover[left] * expect[left] + cover[right] * expect[right]) / total
     return float(expect[0])
 
 

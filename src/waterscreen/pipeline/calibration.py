@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from ..artifacts import FLOAT, Choice, Table, array
-from ..errors import ParameterError
+from ..errors import ParameterError, SchemaError
 from ..trees.model import sigmoid
 
 METHOD_PLATT = "platt"
@@ -123,16 +123,33 @@ class Calibrator:
     knots_y: np.ndarray | None = None
 
     def apply(self, scores) -> np.ndarray:
+        """Calibrated probability of each score. An isotonic map holds knots
+        as isotonic_fit makes them (the reader refuses others), so each
+        score reads the last knot at or below it, or the first knot."""
         s = np.asarray(scores, dtype=float)
         if self.method == METHOD_ISOTONIC:
             idx = np.searchsorted(self.knots_x, s, side="right") - 1
-            return np.clip(self.knots_y[np.clip(idx, 0, None)], 0.0, 1.0)
+            return self.knots_y[np.maximum(idx, 0)]
         return sigmoid(self.a * s + self.b)
+
+
+def _check_knots(calibrator: Calibrator) -> None:
+    """Refuse isotonic knots that isotonic_fit cannot produce."""
+    x, y = calibrator.knots_x, calibrator.knots_y
+    if x.size == 0 or x.size != y.size:
+        raise SchemaError("an isotonic calibrator's knots are empty or differ in length")
+    if not (x[1:] > x[:-1]).all():
+        raise SchemaError("an isotonic calibrator's 'knots_x' must be strictly increasing")
+    if not (y[1:] >= y[:-1]).all():
+        raise SchemaError("an isotonic calibrator's 'knots_y' must not decrease")
+    if not ((y >= 0.0) & (y <= 1.0)).all():
+        raise SchemaError("an isotonic calibrator's 'knots_y' must lie within [0, 1]")
 
 
 CALIBRATOR = Choice("a calibrator", "method", {
     METHOD_ISOTONIC: Table(partial(Calibrator, METHOD_ISOTONIC), "an isotonic calibrator",
-                           {"knots_x": array(float), "knots_y": array(float)}),
+                           {"knots_x": array(float), "knots_y": array(float)},
+                           check=_check_knots),
     **{method: Table(partial(Calibrator, method), f"a {method} calibrator", {"a": FLOAT, "b": FLOAT})
        for method in (METHOD_PLATT, METHOD_FALLBACK)},
 })

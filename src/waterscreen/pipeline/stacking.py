@@ -18,6 +18,7 @@ import numpy as np
 
 from ..artifacts import (
     BOOLEAN, FLOAT, FLOAT_OR_NULL, INTEGER, STRING, STRING_LISTS, STRINGS, Choice, Table, array, dump,
+    where,
 )
 from ..errors import (
     FitError,
@@ -107,11 +108,34 @@ class CvReport:
     stage1_auc: float | None
 
 
+def _check_cv_report(report: CvReport) -> None:
+    """Refuse folds that do not score every label row exactly once, and
+    pooled metrics other than those the folds and labels give: the bundle
+    run_cv pools, each row decided at its own fold's threshold."""
+    n = report.labels.size
+    held = np.concatenate([np.empty(0, np.int64), *(f.held_out for f in report.folds)])
+    scored = all(f.raw.size == f.calibrated.size == f.held_out.size for f in report.folds)
+    if not (scored and np.array_equal(np.sort(held), np.arange(n))):
+        raise SchemaError(
+            f"cv report {report.name!r}: its folds do not score every row exactly once"
+        )
+    probs, thresholds = np.empty(n), np.empty(n)
+    for fold in report.folds:
+        probs[fold.held_out] = fold.calibrated
+        thresholds[fold.held_out] = fold.threshold
+    if full_bundle(probs, report.labels, thresholds) != report.pooled:
+        raise SchemaError(
+            f"cv report {report.name!r}: its pooled metrics differ from those its folds give"
+        )
+
+
 CV_REPORT = Table(CvReport, "a cv report", {
-    "name": STRING, "labels": array(np.int64), "folds": [FOLD], "pooled": METRIC_BUNDLE,
+    "name": STRING,
+    "labels": where(array(np.int64), "a list of 0s and 1s", lambda v: set(v) <= {0, 1}),
+    "folds": [FOLD], "pooled": METRIC_BUNDLE,
     "threshold_mean": FLOAT, "threshold_sd": FLOAT, "beta": FLOAT, "aux_used": BOOLEAN,
     "stage1_auc": FLOAT_OR_NULL,
-})
+}, check=_check_cv_report)
 
 
 @dataclass

@@ -44,9 +44,9 @@ def fit_forest(matrix: FeatureMatrix, labels, config: LearnerConfig) -> TreeEnse
     ]
 
     base_score = float(np.sum(w * y) / np.sum(w))
-    return TreeEnsembleModel(
+    return TreeEnsembleModel.from_trees(
+        trees,
         family=FAMILY_FOREST,
-        trees=trees,
         base_score=base_score,
         best_iteration=len(trees),
         bin_edges=[e.copy() for e in ws.edges],

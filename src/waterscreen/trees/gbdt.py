@@ -133,11 +133,9 @@ def fit_gbdt(
                 break
 
     best_iteration = best_index + 1 if valid_loss else len(trees)
-    trees = trees[:best_iteration]
-
-    return TreeEnsembleModel(
+    return TreeEnsembleModel.from_trees(
+        trees[:best_iteration],
         family=FAMILY_GBDT,
-        trees=trees,
         base_score=base_score,
         best_iteration=best_iteration,
         bin_edges=[e.copy() for e in ws.edges],

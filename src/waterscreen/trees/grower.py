@@ -235,7 +235,7 @@ def grow_tree(
         node["left"] = add_node(left_rows, depth + 1)
         node["right"] = add_node(right_rows, depth + 1)
 
-    return Tree(**{
+    return Tree.from_arrays(**{
         name: np.array([node[name] for node in nodes], dtype=dtype)
         for name, dtype in NODE_DTYPES.items()
     })

@@ -6,14 +6,17 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import waterscreen
 from waterscreen.cli import run
 from waterscreen.artifacts import dump
+from waterscreen.metrics import full_bundle
 from waterscreen.pipeline import (
     cv_report_from_dict,
     cv_report_to_dict,
@@ -399,6 +402,25 @@ def _damage(data, defect):
         data["folds"][0]["threshold"] = float("nan")
     elif defect == "stage1_auc_infinite":
         data["stage1_auc"] = float("inf")
+    elif defect == "knots_empty":
+        data["calibrator"]["knots_x"], data["calibrator"]["knots_y"] = [], []
+    elif defect == "knots_of_unequal_length":
+        data["calibrator"]["knots_y"].pop()
+    elif defect == "knots_x_not_increasing":
+        knots_x = data["calibrator"]["knots_x"]
+        knots_x[1] = knots_x[0]
+    elif defect == "knots_y_decreasing":
+        knots_y = data["calibrator"]["knots_y"]
+        knots_y[0], knots_y[-1] = knots_y[-1], knots_y[0]
+    elif defect == "knots_y_above_one":
+        data["calibrator"]["knots_y"][-1] = 1.5
+    elif defect == "knots_y_below_zero":
+        data["calibrator"]["knots_y"][0] = -0.5
+    elif defect == "labels_flipped":
+        data["labels"] = [1 - v for v in data["labels"]]
+    elif defect == "held_out_row_twice":
+        fold = data["folds"][0]
+        fold["held_out"][0] = data["folds"][1]["held_out"][0]
     return data
 
 
@@ -437,6 +459,17 @@ DAMAGED_ARTIFACTS = [
     ("compare", "cv_report.json", "raw_negative_infinite", "'raw' must be a list of finite numbers"),
     ("compare", "cv_report.json", "fold_threshold_nan", "'threshold' must be a finite number"),
     ("compare", "cv_report.json", "stage1_auc_infinite", "'stage1_auc' must be a finite number"),
+    ("predict", "model.json", "knots_empty", "isotonic calibrator's knots are empty or differ"),
+    ("predict", "model.json", "knots_of_unequal_length",
+     "isotonic calibrator's knots are empty or differ in length"),
+    ("predict", "model.json", "knots_x_not_increasing", "'knots_x' must be strictly increasing"),
+    ("predict", "model.json", "knots_y_decreasing", "'knots_y' must not decrease"),
+    ("predict", "model.json", "knots_y_above_one", "'knots_y' must lie within [0, 1]"),
+    ("predict", "model.json", "knots_y_below_zero", "'knots_y' must lie within [0, 1]"),
+    ("compare", "cv_report.json", "labels_flipped",
+     "'two_stage': its pooled metrics differ from those its folds give"),
+    ("compare", "cv_report.json", "held_out_row_twice",
+     "'two_stage': its folds do not score every row exactly once"),
 ]
 
 
@@ -876,6 +909,28 @@ def test_compare_reports_fdr_adjusted_deltas(workspace, tmp_path):
     for d in report["deltas"]:
         assert d["q_value"] >= d["p_value"] - 1e-12
     assert len(report["mcnemar"]) == 1
+
+
+def test_compare_refuses_a_challenger_on_other_labels(workspace, tmp_path, capsys):
+    # every label flipped, and the pooled metrics scored again on the
+    # flipped labels, so the report loads and only the pairing refuses it
+    report = cv_report_from_dict(
+        json.loads((workspace / "model" / "cv_report_no_aux.json").read_text())
+    )
+    labels = 1 - report.labels
+    probs, thresholds = np.empty(labels.size), np.empty(labels.size)
+    for fold in report.folds:
+        probs[fold.held_out] = fold.calibrated
+        thresholds[fold.held_out] = fold.threshold
+    flipped = replace(report, labels=labels, pooled=full_bundle(probs, labels, thresholds))
+    challenger = tmp_path / "flipped.json"
+    challenger.write_text(dump(cv_report_to_dict(flipped)))
+    out_dir = tmp_path / "cmp"
+    assert run(["compare", "--reference", str(workspace / "model" / "cv_report.json"),
+                "--challengers", str(challenger), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: single_stage: labels differ from reference\n"
+    assert not out_dir.exists()
 
 
 def test_explain_exports_attributions(workspace, tmp_path):

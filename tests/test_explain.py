@@ -184,7 +184,7 @@ def test_duplicated_unused_feature_is_a_dummy_player():
 
 def symmetric_xor_tree():
     # root on f0, both children on f1, XOR leaf pattern, uniform covers
-    tree = Tree(
+    tree = Tree.from_arrays(
         feature=np.array([0, 1, 1, -1, -1, -1, -1], dtype=np.int32),
         split_bin=np.array([0, 0, 0, -1, -1, -1, -1], dtype=np.int32),
         threshold=np.array([0.5, 0.5, 0.5, np.nan, np.nan, np.nan, np.nan]),
@@ -196,9 +196,9 @@ def symmetric_xor_tree():
         count=np.array([100, 50, 50, 25, 25, 25, 25], dtype=np.int64),
         gain=np.array([1.0, 1.0, 1.0, np.nan, np.nan, np.nan, np.nan]),
     )
-    return TreeEnsembleModel(
+    return TreeEnsembleModel.from_trees(
+        [tree],
         family="hist_gbdt",
-        trees=[tree],
         base_score=0.0,
         best_iteration=1,
         bin_edges=[np.array([0.5]), np.array([0.5])],
@@ -484,7 +484,7 @@ def chain_model(n_splits, rng):
     value = np.where(feature < 0, rng.normal(size=n), 0.0)
     value[[1, 7, 2 * n_splits]] = 0.0
     value[[3, 9]] = -0.0
-    tree = Tree(
+    tree = Tree.from_arrays(
         feature=feature,
         split_bin=np.where(feature >= 0, 0, -1).astype(np.int32),
         threshold=threshold,
@@ -496,9 +496,9 @@ def chain_model(n_splits, rng):
         count=cover.astype(np.int64),
         gain=np.where(feature >= 0, 1.0, np.nan),
     )
-    return TreeEnsembleModel(
+    return TreeEnsembleModel.from_trees(
+        [tree],
         family="hist_gbdt",
-        trees=[tree],
         base_score=0.25,
         best_iteration=1,
         bin_edges=[np.array([0.0])] * 4,

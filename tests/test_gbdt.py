@@ -1,5 +1,7 @@
 """Tests for the boosted-tree fitter."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,11 +17,12 @@ from waterscreen.trees import (
     fit_forest,
     fit_gbdt,
     forest_preset,
+    from_json,
     gbdt_leafwise_preset,
     predict_proba,
     to_json,
 )
-from waterscreen.trees.model import _leaf_sum, _leaf_values
+from waterscreen.trees.model import Tree, TreeEnsembleModel, _leaf_sum, _leaf_values
 
 
 def make_matrix(values, names=None):
@@ -304,9 +307,67 @@ class TestWeightsAndRouting:
             model.best_iteration = kept
             assert np.array_equal(_leaf_sum(model, matrix, start), expected)
             binned = np.full(matrix.n_rows, start)
-            for leaf in _leaf_values(model.trees[:kept], codes, matrix.missing_mask, "split_bin").T:
+            for leaf in _leaf_values(model.nodes, model.roots[:kept], codes, matrix.missing_mask,
+                                     "split_bin").T:
                 binned += leaf
             assert np.array_equal(binned, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(routing_cases(), st.data())
+    def test_packed_router_gives_each_tree_its_reference_leaves(self, case, data):
+        # a fitted model, or one read from JSON that keeps fewer trees than
+        # it stores (a forest possibly none); 0, 1 or all rows; raw values
+        # and bin codes
+        model, matrix, reference = case
+        n_trees = len(model.trees)
+        if data.draw(st.booleans(), label="read"):
+            stored = json.loads(to_json(model))
+            stored["best_iteration"] = data.draw(st.integers(0, n_trees - 1), label="kept")
+            model = from_json(json.dumps(stored))
+        n_rows = data.draw(st.sampled_from([0, 1, matrix.n_rows]), label="rows")
+        matrix = matrix.take(range(n_rows))
+        binned = apply_bins(matrix, reference)
+        expected = [_margins_reference(tree, matrix.values) for tree in model.trees]
+        for x, gone, cut in ((matrix.values, np.isnan(matrix.values), "threshold"),
+                             (binned.bin_indices, binned.missing_mask, "split_bin")):
+            for kept in {model.best_iteration, n_trees}:
+                leaves = _leaf_values(model.nodes, model.roots[:kept], x, gone, cut)
+                assert leaves.shape == (n_rows, kept)
+                for column, reference_leaves in zip(leaves.T, expected):
+                    assert np.array_equal(column, reference_leaves)
+        if model.best_iteration == 0 and model.family == "random_forest":
+            assert np.array_equal(predict_proba(model, matrix), np.full(n_rows, model.base_score))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-1e17, 1e17, allow_subnormal=True), min_size=0, max_size=12),
+        st.floats(-1e17, 1e17),
+        st.integers(1, 3),
+    )
+    def test_leaf_sum_adds_the_trees_in_order_as_a_loop_does(self, leaf_values, start, n_rows):
+        # one constant tree per value: the cumsum over the tree axis must
+        # round as start + tree 0 + tree 1 + ... one at a time, whatever the
+        # magnitudes (a pairwise or reordered sum rounds differently)
+        trees = [_constant_tree(v) for v in leaf_values]
+        model = TreeEnsembleModel.from_trees(
+            trees, family="hist_gbdt", base_score=0.0, best_iteration=len(trees),
+            bin_edges=[np.empty(0)], feature_names=["x0"], config=small_config(),
+        )
+        loop = np.full(n_rows, start)
+        for v in leaf_values:
+            loop += v
+        total = _leaf_sum(model, make_matrix(np.zeros((n_rows, 1))), start)
+        assert total.tobytes() == loop.tobytes()
+
+
+def _constant_tree(value):
+    return Tree.from_arrays(
+        feature=np.array([-1], dtype=np.int32), split_bin=np.array([-1], dtype=np.int32),
+        threshold=np.array([np.nan]), missing_left=np.array([False]),
+        left=np.array([-1], dtype=np.int32), right=np.array([-1], dtype=np.int32),
+        value=np.array([value]), cover=np.array([1.0]), count=np.array([1]),
+        gain=np.array([np.nan]),
+    )
 
 
 class TestDeterminism:

@@ -12,8 +12,9 @@ unsampled columns were dropped before scoring. The scoring and
 attribution digests were computed with the per-level NaN-checking router
 that `tests/test_gbdt.py::_margins_reference` keeps, before raw and binned
 routing became one walk, and before a model's kept trees were packed into
-one node table and scored in one walk; the ensemble walk reproduces them
-exactly. The comparison digest was computed with the bootstrap that sorted
+one node table and scored in one walk, and before that table was built
+once per fit or load instead of on every call; the ensemble walk
+reproduces them exactly. The comparison digest was computed with the bootstrap that sorted
 both resampled score vectors in every replicate, which
 `tests/test_stats.py::_bootstrap_reference` keeps, before replicates
 became counts over tie groups. The attribution digest was computed with
@@ -59,6 +60,7 @@ from waterscreen.trees import (
 SEED = 7
 ATTRIBUTED_ROWS = 50
 SCORED_ALONE = 50
+PREDICTED_ALONE = 100
 
 # stage 1 keeps the preset's 0.8 row and column subsampling
 STAGE1 = gbdt_leafwise_preset(
@@ -187,3 +189,13 @@ def test_rows_scored_alone_match_the_batch(records, trained, tmp_path):
     batch = score(path.read_bytes())
     alone = [row for line in lines[:SCORED_ALONE] for row in score(header + b"\n" + line + b"\n")]
     assert alone == batch[:SCORED_ALONE]
+
+
+def test_rows_predicted_alone_match_the_batch(fixture, trained):
+    # a one-row matrix walks each stage's node table with a 1 x n_trees
+    # node matrix, the batch with an n_rows x n_trees one
+    matrix = fixture[0]
+    model = trained[2]
+    batch = predict(model, matrix)
+    for i in range(PREDICTED_ALONE):
+        assert predict(model, matrix.take([i])) == [batch[i]]

@@ -431,7 +431,7 @@ def _grow_tree_reference(
                 if child["split"] is not None:
                     queue.append(child)
 
-    return Tree(
+    return Tree.from_arrays(
         feature=np.array([n["feature"] for n in nodes], dtype=np.int32),
         split_bin=np.array([n["split_bin"] for n in nodes], dtype=np.int32),
         threshold=np.array([n["threshold"] for n in nodes], dtype=float),

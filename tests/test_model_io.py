@@ -64,7 +64,7 @@ def fitted_gbdt(seed=0):
 
 
 def constant_tree(value, n=10):
-    return Tree(
+    return Tree.from_arrays(
         feature=np.array([-1], dtype=np.int32),
         split_bin=np.array([-1], dtype=np.int32),
         threshold=np.array([np.nan]),
@@ -192,6 +192,11 @@ def _break(data, defect):
         data["config"]["max_depth"] = 0
     elif defect == "config_seed_negative":
         data["config"]["seed"] = -1
+    elif defect == "leaf_with_a_child":
+        leaf = int(np.flatnonzero(np.array(tree["feature"]) < 0)[0])
+        tree["left"][leaf] = len(tree["feature"]) - 1
+    elif defect == "leaf_feature_below_minus_one":
+        tree["feature"][int(np.flatnonzero(np.array(tree["feature"]) < 0)[0])] = -5
     return data
 
 
@@ -225,6 +230,8 @@ MALFORMED = (
     "unknown_tree_key",
     "config_max_depth_zero",
     "config_seed_negative",
+    "leaf_with_a_child",
+    "leaf_feature_below_minus_one",
 )
 
 
@@ -297,8 +304,10 @@ class TestLearnerConfigTypes:
 class TestMalformedTrees:
     """Load refuses trees that lack an array, whose walk might not end at a
     leaf, whose bin and threshold would route a row differently, or whose
-    leaves hold no finite value; a self-loop would otherwise make
-    prediction spin forever and a null leaf score NaN."""
+    leaves hold no finite value, or a feature or child other than -1; a
+    self-loop would otherwise make prediction spin forever, a null leaf
+    score NaN, and a leaf's other child or feature be lost, since in the
+    node table a leaf's children are the leaf itself."""
 
     @pytest.mark.parametrize("defect", MALFORMED)
     def test_load_refuses(self, defect):
@@ -328,9 +337,9 @@ class TestMalformedTrees:
 class TestPredictEdgeCases:
     def test_empty_ensemble_predicts_sigmoid_of_base(self):
         matrix = make_matrix(np.zeros((4, 1)))
-        model = TreeEnsembleModel(
+        model = TreeEnsembleModel.from_trees(
+            [],
             family="hist_gbdt",
-            trees=[],
             base_score=0.4,
             best_iteration=0,
             bin_edges=[np.empty(0)],
@@ -342,9 +351,9 @@ class TestPredictEdgeCases:
 
     def test_forest_of_identical_constant_trees(self):
         matrix = make_matrix(np.zeros((6, 1)))
-        model = TreeEnsembleModel(
+        model = TreeEnsembleModel.from_trees(
+            [constant_tree(0.3), constant_tree(0.3)],
             family="random_forest",
-            trees=[constant_tree(0.3), constant_tree(0.3)],
             base_score=0.3,
             best_iteration=2,
             bin_edges=[np.empty(0)],
