@@ -62,14 +62,22 @@ METRIC_BUNDLE = Table(MetricBundle, "a cv report's pooled set",
                       {f.name: NUMBER for f in fields(MetricBundle)})
 
 
+def binary_labels(labels, name: str) -> np.ndarray:
+    """labels as an array, refused with ParameterError naming them unless a
+    1-d vector whose every element == 0 or == 1, tested as given: 1.5, 257
+    or "1" is refused, not cast. Callers cast the result."""
+    y = np.asarray(labels)
+    if y.ndim != 1:
+        raise ParameterError(f"{name} must be one-dimensional")
+    if not ((y == 0) | (y == 1)).all():
+        raise ParameterError(f"{name} must be 0/1")
+    return y
+
+
 def _check_binary(scores, labels, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Float scores and 0/1 labels of the same length."""
     s = np.asarray(scores, dtype=float)
-    y = np.asarray(labels)
-    if y.ndim != 1:
-        raise ParameterError("labels must be one-dimensional")
-    if not ((y == 0) | (y == 1)).all():
-        raise ParameterError("labels must be 0/1")
+    y = binary_labels(labels, "labels")
     if s.shape != y.shape:
         raise ParameterError(f"{name} and labels must have the same length")
     return s, y.astype(np.int64)

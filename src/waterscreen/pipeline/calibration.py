@@ -16,6 +16,7 @@ import numpy as np
 
 from ..artifacts import FLOAT, Choice, Table, array
 from ..errors import ParameterError, SchemaError
+from ..metrics import binary_labels
 from ..trees.model import sigmoid
 
 METHOD_PLATT = "platt"
@@ -159,9 +160,9 @@ def fit_calibrator(raw_scores, labels, method: str = METHOD_ISOTONIC) -> Calibra
     """Fit the requested calibrator; isotonic downgrades to a sigmoid when
     labels are single-class, scores have fewer than 2 distinct values, or
     the fitted step map is constant, and records method "sigmoid_fallback".
-    """
+    Labels other than 0/1 (binary_labels) raise ParameterError."""
     s = np.asarray(raw_scores, dtype=float)
-    y = np.asarray(labels)
+    y = binary_labels(labels, "calibration labels")
     if s.shape != y.shape:
         raise ParameterError("scores and labels must have the same length")
     if s.size < 2:

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..artifacts import (
     BOOLEAN, FLOAT, FLOAT_OR_NULL, INTEGER, STRING, STRING_LISTS, STRINGS, Choice, Table, array, dump,
-    where,
+    number_where, one_of, where,
 )
 from ..errors import (
     FitError,
@@ -84,8 +84,9 @@ class FoldResult:
 
 FOLD = Table(FoldResult, "a cv report fold", {
     "fold_id": INTEGER, "held_out": array(np.int64), "raw": array(float),
-    "calibrated": array(float), "threshold": FLOAT, "best_iteration": INTEGER,
-    "calibration_method": STRING, "digest": STRING,
+    "calibrated": array(float), "best_iteration": INTEGER, "digest": STRING,
+    "threshold": number_where("a finite number in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "calibration_method": one_of(tuple(CALIBRATOR.tables)),
 })
 
 
@@ -93,8 +94,8 @@ FOLD = Table(FoldResult, "a cv report fold", {
 class CvReport:
     """Cross-validated evaluation: per-fold results plus pooled metrics.
 
-    The pooled bundle scores all out-of-fold probabilities together, each
-    row decided at its own fold's threshold.
+    Building one refuses, with SchemaError, folds that do not score every
+    label row exactly once; its derived fields are those of pooled_fields.
     """
 
     name: str
@@ -107,26 +108,47 @@ class CvReport:
     aux_used: bool
     stage1_auc: float | None
 
+    def __post_init__(self) -> None:
+        held = np.concatenate([np.empty(0, np.int64), *(f.held_out for f in self.folds)])
+        scored = all(f.raw.size == f.calibrated.size == f.held_out.size for f in self.folds)
+        if not (scored and np.array_equal(np.sort(held), np.arange(self.labels.size))):
+            raise SchemaError(
+                f"cv report {self.name!r}: its folds do not score every row exactly once"
+            )
+
+    def by_row(self, name: str) -> np.ndarray:
+        """Each label row's value of the fold field name (calibrated, raw,
+        threshold or fold_id), from the fold that holds the row out."""
+        return _by_row(self.labels.size, self.folds, name)
+
+
+def _by_row(n_rows: int, folds: list[FoldResult], name: str) -> np.ndarray:
+    out = np.empty(n_rows, np.int64 if name == "fold_id" else float)
+    for fold in folds:
+        out[fold.held_out] = getattr(fold, name)
+    return out
+
+
+def pooled_fields(labels: np.ndarray, folds: list[FoldResult]) -> dict:
+    """The derived fields of a CV report on labels and folds: pooled, each
+    row decided at its own fold's threshold, and the thresholds' mean and SD."""
+    thresholds = np.array([f.threshold for f in folds])
+    return {
+        "pooled": full_bundle(_by_row(labels.size, folds, "calibrated"), labels,
+                              _by_row(labels.size, folds, "threshold")),
+        "threshold_mean": float(thresholds.mean()),
+        "threshold_sd": float(thresholds.std()),
+    }
+
 
 def _check_cv_report(report: CvReport) -> None:
-    """Refuse folds that do not score every label row exactly once, and
-    pooled metrics other than those the folds and labels give: the bundle
-    run_cv pools, each row decided at its own fold's threshold."""
-    n = report.labels.size
-    held = np.concatenate([np.empty(0, np.int64), *(f.held_out for f in report.folds)])
-    scored = all(f.raw.size == f.calibrated.size == f.held_out.size for f in report.folds)
-    if not (scored and np.array_equal(np.sort(held), np.arange(n))):
-        raise SchemaError(
-            f"cv report {report.name!r}: its folds do not score every row exactly once"
-        )
-    probs, thresholds = np.empty(n), np.empty(n)
-    for fold in report.folds:
-        probs[fold.held_out] = fold.calibrated
-        thresholds[fold.held_out] = fold.threshold
-    if full_bundle(probs, report.labels, thresholds) != report.pooled:
-        raise SchemaError(
-            f"cv report {report.name!r}: its pooled metrics differ from those its folds give"
-        )
+    """Refuse stored pooled, threshold_mean or threshold_sd other than
+    pooled_fields gives; the folds were checked when the report was built."""
+    for key, value in pooled_fields(report.labels, report.folds).items():
+        if value != getattr(report, key):
+            differ = ("pooled metrics differ from those" if key == "pooled"
+                      else f"{key!r} differs from the one")
+            raise SchemaError(f"cv report {report.name!r}: its {differ} its folds give")
 
 
 CV_REPORT = Table(CvReport, "a cv report", {
@@ -273,7 +295,6 @@ def run_cv(matrix: FeatureMatrix, labels, plan: FoldPlan, config: LearnerConfig,
         work = matrix.with_column(AUX_COLUMN, KIND_AUX, aux_values)
 
     folds: list[FoldResult] = []
-    pooled_cal = np.full(work.n_rows, np.nan)
     for fold in range(plan.k):
         held = plan.held_out(fold)
         inner_train = plan.inner_train[fold]
@@ -288,14 +309,12 @@ def run_cv(matrix: FeatureMatrix, labels, plan: FoldPlan, config: LearnerConfig,
             held_raw = score(held)
         except (FitError, ThresholdError) as exc:
             raise type(exc)(f"fold {fold}: {exc}") from exc
-        held_cal = calibrator.apply(held_raw)
-        pooled_cal[held] = held_cal
         folds.append(
             FoldResult(
                 fold_id=fold,
                 held_out=held,
                 raw=held_raw,
-                calibrated=held_cal,
+                calibrated=calibrator.apply(held_raw),
                 threshold=float(threshold),
                 best_iteration=int(getattr(model, "best_iteration", 0)),
                 calibration_method=calibrator.method,
@@ -303,15 +322,11 @@ def run_cv(matrix: FeatureMatrix, labels, plan: FoldPlan, config: LearnerConfig,
                 calibrator=calibrator,
             )
         )
-    thresholds = np.array([f.threshold for f in folds])
     return CvReport(
         name=name,
         labels=y.copy(),
         folds=folds,
-        # each row is decided at its own fold's threshold
-        pooled=full_bundle(pooled_cal, y, thresholds[plan.fold_of]),
-        threshold_mean=float(thresholds.mean()),
-        threshold_sd=float(thresholds.std()),
+        **pooled_fields(y, folds),
         beta=float(beta),
         aux_used=aux_values is not None,
         stage1_auc=stage1_auc,
@@ -381,9 +396,7 @@ def finalize(matrix: FeatureMatrix, tc_labels, ec_labels,
     widened = matrix.with_column(AUX_COLUMN, KIND_AUX, aux_values)
     stage2 = _refit(widened, ec, stage2_config, plan, 2)
 
-    oof_raw = np.full(matrix.n_rows, np.nan)
-    for fold in cv_report.folds:
-        oof_raw[fold.held_out] = fold.raw
+    oof_raw = cv_report.by_row("raw")
     calibrator = fit_calibrator(oof_raw, ec, calibration)
     threshold = select_threshold(calibrator.apply(oof_raw), ec, cv_report.beta)
 

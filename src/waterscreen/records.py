@@ -34,6 +34,7 @@ from .errors import (
     SchemaError,
     StratificationError,
 )
+from .metrics import binary_labels
 
 SURVEY_KINDS = ("household", "water_body")
 DATASET_ORIGINS = ("set1", "set2")
@@ -595,19 +596,17 @@ class FeatureMatrix:
 
 @dataclass
 class Labels:
-    """Binary outcome vectors aligned with FeatureMatrix rows."""
+    """Binary outcome vectors aligned with FeatureMatrix rows, held as int8
+    once binary_labels accepts each as given (1.5, 257 or "1" is refused)."""
 
     tc: np.ndarray
     ec: np.ndarray
 
     def __post_init__(self) -> None:
-        self.tc = np.asarray(self.tc, dtype=np.int8)
-        self.ec = np.asarray(self.ec, dtype=np.int8)
+        self.tc = np.asarray(binary_labels(self.tc, "tc labels"), dtype=np.int8)
+        self.ec = np.asarray(binary_labels(self.ec, "ec labels"), dtype=np.int8)
         if self.tc.shape != self.ec.shape:
             raise ParameterError("tc and ec label vectors must share length")
-        for vec in (self.tc, self.ec):
-            if vec.size and not np.isin(vec, (0, 1)).all():
-                raise ParameterError("labels must be exactly 0 or 1")
 
 
 # encode's physicochemical columns, first and in name order

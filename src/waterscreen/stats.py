@@ -21,6 +21,7 @@ from .metrics import (
     _check_binary,
     _roc_auc,
     average_precision,
+    binary_labels,
     roc_auc,
 )
 
@@ -264,12 +265,10 @@ def mcnemar(ref_correct, cand_correct) -> McnemarResult:
     reverse. The statistic is max(|b - c| - 1, 0)^2 / (b + c); with no
     discordant pairs the result is statistic 0, p 1.
     """
-    ref = np.asarray(ref_correct)
-    cand = np.asarray(cand_correct)
-    if ref.shape != cand.shape or ref.ndim != 1:
-        raise ParameterError("correctness vectors must be 1-d and the same length")
-    if ref.size and not (np.isin(ref, (0, 1)).all() and np.isin(cand, (0, 1)).all()):
-        raise ParameterError("correctness vectors must be 0/1")
+    ref = binary_labels(ref_correct, "ref_correct")
+    cand = binary_labels(cand_correct, "cand_correct")
+    if ref.shape != cand.shape:
+        raise ParameterError("correctness vectors must be the same length")
     b = int(np.count_nonzero((ref == 1) & (cand == 0)))
     c = int(np.count_nonzero((ref == 0) & (cand == 1)))
     if b + c == 0:
@@ -301,24 +300,6 @@ def _sub_seed(seed: int, *parts: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _pooled(report):
-    """Pooled out-of-fold probabilities and fold ids from a CV report whose
-    folds hold out every row exactly once."""
-    n = report.labels.size
-    held = np.concatenate([np.empty(0, np.int64)] + [fold.held_out for fold in report.folds])
-    scored = all(fold.calibrated.shape == fold.held_out.shape for fold in report.folds)
-    if not (scored and np.array_equal(np.sort(held), np.arange(n))):
-        raise PairingError(
-            f"cv report {report.name!r}: its folds do not score every row exactly once"
-        )
-    probs = np.full(n, np.nan)
-    fold_ids = np.full(n, -1, dtype=np.int64)
-    for fold in report.folds:
-        probs[fold.held_out] = fold.calibrated
-        fold_ids[fold.held_out] = fold.fold_id
-    return probs, fold_ids
-
-
 def compare_models(
     reference,
     challengers,
@@ -326,19 +307,19 @@ def compare_models(
     seed: int = 0,
     threshold: float | None = None,
 ) -> ComparisonReport:
-    """Test every challenger CV report against the reference one.
+    """Test every challenger CvReport against the reference one; each was
+    checked when built, and its rows are read through CvReport.by_row.
 
     Ranking metrics (ROC-AUC and average precision) each form their own FDR
     family across challengers; operating-point McNemar tests form a third,
     separate family. All reports must share their labels and identical
     held-out index lists per fold so the pairing is strict. Decisions for
     McNemar are taken at one fixed threshold applied to both models:
-    `threshold` if given, otherwise the reference report's mean per-fold
-    threshold.
+    `threshold` if given, otherwise the reference report's threshold_mean.
     """
     if not challengers:
         raise ParameterError("at least one challenger report is required")
-    ref_probs, fold_ids = _pooled(reference)
+    ref_probs, fold_ids = reference.by_row("calibrated"), reference.by_row("fold_id")
     for ch in challengers:
         if len(ch.folds) != len(reference.folds):
             raise PairingError(f"{ch.name}: fold count differs from reference")
@@ -351,8 +332,8 @@ def compare_models(
             raise PairingError(f"{ch.name}: labels differ from reference")
     labels = np.asarray(reference.labels)
     if threshold is None:
-        threshold = float(np.mean([f.threshold for f in reference.folds]))
-    challenger_probs = [_pooled(ch)[0] for ch in challengers]
+        threshold = reference.threshold_mean
+    challenger_probs = [ch.by_row("calibrated") for ch in challengers]
     deltas: list[DeltaResult] = []
     owners: list[str] = []
     for metric in sorted(_METRICS):

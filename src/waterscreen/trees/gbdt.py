@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FitError, ParameterError
+from ..metrics import binary_labels
 from .binning import BinnedMatrix
 from .config import FAMILY_GBDT, LearnerConfig, resolve_positive_weight
 from .grower import Workspace, _draw_rows, grow_tree
@@ -24,11 +25,9 @@ class TrainingLog:
 
 def _check_labels(labels, n_rows: int) -> np.ndarray:
     """Float 0/1 labels of both classes, one per matrix row."""
-    y = np.asarray(labels, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ParameterError("labels must be a non-empty 1-d vector")
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise ParameterError("labels must be exactly 0 or 1")
+    y = np.asarray(binary_labels(labels, "training labels"), dtype=float)
+    if y.size == 0:
+        raise ParameterError("training labels must not be empty")
     if y.min() == y.max():
         raise FitError("training labels contain a single class")
     if y.size != n_rows:
@@ -87,10 +86,8 @@ def fit_gbdt(
             raise ParameterError("validation matrix has a different column count")
         if not all(map(np.array_equal, valid_binned.bin_edges, binned.bin_edges)):
             raise ParameterError("validation matrix was binned with other edges than training")
-        valid_y = np.asarray(valid_labels, dtype=float)
         # unlike training labels, a single class is allowed
-        if valid_y.ndim != 1 or not np.isin(valid_y, (0.0, 1.0)).all():
-            raise ParameterError("validation labels must be a 1-d vector of exactly 0 or 1")
+        valid_y = np.asarray(binary_labels(valid_labels, "validation labels"), dtype=float)
         if valid_y.size != valid_binned.n_rows:
             raise ParameterError("validation labels length does not match matrix rows")
         valid_w = np.where(valid_y == 1.0, pos_weight, 1.0)

@@ -117,6 +117,10 @@ def test_fit_calibrator_validates_input():
         fit_calibrator([0.1, 0.2], [0, 1, 1])
     with pytest.raises(ParameterError):
         fit_calibrator([0.1, 0.2], [0, 1], method="histogram")
+    # isotonic_fit would average labels of 2 into probabilities above 1
+    for method in ("isotonic", "platt"):
+        with pytest.raises(ParameterError, match="calibration labels must be 0/1"):
+            fit_calibrator([0.1, 0.2, 0.3, 0.4], [0, 2, 1, 2], method)
 
 
 def test_calibrator_dict_round_trip():

@@ -16,7 +16,6 @@ import pytest
 import waterscreen
 from waterscreen.cli import run
 from waterscreen.artifacts import dump
-from waterscreen.metrics import full_bundle
 from waterscreen.pipeline import (
     cv_report_from_dict,
     cv_report_to_dict,
@@ -421,6 +420,14 @@ def _damage(data, defect):
     elif defect == "held_out_row_twice":
         fold = data["folds"][0]
         fold["held_out"][0] = data["folds"][1]["held_out"][0]
+    elif defect == "threshold_mean_edited":
+        data["threshold_mean"] = 0.123
+    elif defect == "threshold_sd_edited":
+        data["threshold_sd"] += 0.01
+    elif defect == "fold_threshold_above_one":
+        data["folds"][0]["threshold"] = 1.5
+    elif defect == "unknown_calibration_method":
+        data["folds"][0]["calibration_method"] = "banana"
     return data
 
 
@@ -470,6 +477,14 @@ DAMAGED_ARTIFACTS = [
      "'two_stage': its pooled metrics differ from those its folds give"),
     ("compare", "cv_report.json", "held_out_row_twice",
      "'two_stage': its folds do not score every row exactly once"),
+    ("compare", "cv_report.json", "threshold_mean_edited",
+     "'two_stage': its 'threshold_mean' differs from the one its folds give"),
+    ("compare", "cv_report.json", "threshold_sd_edited",
+     "'two_stage': its 'threshold_sd' differs from the one its folds give"),
+    ("compare", "cv_report.json", "fold_threshold_above_one",
+     "a cv report fold's 'threshold' must be a finite number in [0, 1]"),
+    ("compare", "cv_report.json", "unknown_calibration_method",
+     "a cv report fold's 'calibration_method' must be isotonic, platt or sigmoid_fallback"),
 ]
 
 
@@ -912,17 +927,13 @@ def test_compare_reports_fdr_adjusted_deltas(workspace, tmp_path):
 
 
 def test_compare_refuses_a_challenger_on_other_labels(workspace, tmp_path, capsys):
-    # every label flipped, and the pooled metrics scored again on the
+    # every label flipped, and the derived fields made again from the
     # flipped labels, so the report loads and only the pairing refuses it
     report = cv_report_from_dict(
         json.loads((workspace / "model" / "cv_report_no_aux.json").read_text())
     )
     labels = 1 - report.labels
-    probs, thresholds = np.empty(labels.size), np.empty(labels.size)
-    for fold in report.folds:
-        probs[fold.held_out] = fold.calibrated
-        thresholds[fold.held_out] = fold.threshold
-    flipped = replace(report, labels=labels, pooled=full_bundle(probs, labels, thresholds))
+    flipped = replace(report, labels=labels, **stacking.pooled_fields(labels, report.folds))
     challenger = tmp_path / "flipped.json"
     challenger.write_text(dump(cv_report_to_dict(flipped)))
     out_dir = tmp_path / "cmp"

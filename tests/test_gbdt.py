@@ -164,6 +164,14 @@ class TestFitBasics:
         with pytest.raises(FitError):
             fit_gbdt(binned, np.ones(20), small_config())
 
+    def test_labels_are_tested_before_any_cast(self):
+        rng = np.random.default_rng(1)
+        values, y = signal_data(rng, 20)
+        binned = bin_features(make_matrix(values), 16)
+        for bad in (y.astype(int).astype(str), np.where(y == 1, 1.5, 0.0)):
+            with pytest.raises(ParameterError, match="training labels must be 0/1"):
+                fit_gbdt(binned, bad, small_config())
+
     def test_early_stopping_requires_validation_pair(self):
         rng = np.random.default_rng(2)
         values, y = signal_data(rng, 60)

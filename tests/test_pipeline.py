@@ -8,6 +8,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from waterscreen.errors import PairingError, ParameterError, SchemaError
 from waterscreen.pipeline import (
@@ -261,6 +263,43 @@ def test_run_cv_report_structure():
     assert report.threshold_mean == pytest.approx(thresholds.mean())
     assert report.threshold_sd == pytest.approx(thresholds.std())
     np.testing.assert_array_equal(report.labels, ec)
+
+
+@st.composite
+def unsorted_folds(draw):
+    """Row count and folds that hold out every row once, each fold's rows
+    in a drawn order, with distinct raw and calibrated scores."""
+    n = draw(st.integers(1, 24))
+    fold_of = draw(st.lists(st.sampled_from([3, 0, 7]), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    folds = []
+    for fold_id in dict.fromkeys(fold_of):
+        held = np.array([row for row in order if fold_of[row] == fold_id], dtype=np.int64)
+        raw = np.array(draw(st.lists(st.floats(0, 1), min_size=held.size, max_size=held.size)))
+        folds.append(stacking.FoldResult(
+            fold_id=fold_id, held_out=held, raw=raw, calibrated=raw / 2 + 0.25,
+            threshold=draw(st.floats(0, 1)), best_iteration=0, calibration_method="platt",
+            digest="",
+        ))
+    return n, folds
+
+
+@given(unsorted_folds(), st.sampled_from(["calibrated", "raw", "threshold", "fold_id"]))
+def test_by_row_gives_each_row_the_value_of_the_fold_holding_it_out(case, name):
+    n, folds = case
+    report = stacking.CvReport(
+        name="r", labels=np.zeros(n, np.int64), folds=folds, pooled=None, threshold_mean=0.0,
+        threshold_sd=0.0, beta=2.0, aux_used=False, stage1_auc=None,
+    )
+    expected = []
+    for row in range(n):
+        fold = next(f for f in folds if row in f.held_out)
+        value = getattr(fold, name)
+        expected.append(value[list(fold.held_out).index(row)] if np.ndim(value) else value)
+    expected = np.array(expected)
+    got = report.by_row(name)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_run_cv_rejects_mismatched_aux():

@@ -446,6 +446,16 @@ class TestEncode:
         with pytest.raises(EmptyInputError):
             encode([])
 
+    @pytest.mark.parametrize("tc,ec,named", [
+        ([1.5, 0.0], [0, 1], "tc labels"),
+        ([1, 0], [0, 257], "ec labels"),
+        (["1", "0"], [0, 1], "tc labels"),
+        ([[1, 0]], [[0, 1]], "tc labels"),
+    ])
+    def test_labels_refuse_anything_but_0_1_vectors(self, tc, ec, named):
+        with pytest.raises(ParameterError, match=named):
+            Labels(np.array(tc), np.array(ec))
+
     def test_take_and_with_column(self):
         matrix, _ = encode(self.records())
         sub = matrix.take([2, 0])

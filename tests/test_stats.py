@@ -1,15 +1,16 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waterscreen.errors import DegenerateTableError, PairingError, ParameterError
+from waterscreen.errors import DegenerateTableError, PairingError, ParameterError, SchemaError
 from waterscreen.metrics import average_precision, roc_auc
+from waterscreen.pipeline.stacking import CvReport, FoldResult, pooled_fields
 from waterscreen.stats import (
     ContingencyCounts,
     bh_fdr,
@@ -299,30 +300,17 @@ class TestMcnemar:
             mcnemar([1, 2], [0, 1])
 
 
-@dataclass
-class StubFold:
-    fold_id: int
-    held_out: np.ndarray
-    calibrated: np.ndarray
-    threshold: float
-
-
-@dataclass
-class StubReport:
-    name: str
-    labels: np.ndarray
-    folds: list
-
-
 def make_report(name, labels, probs, k=4, threshold=0.5):
     labels = np.asarray(labels)
     probs = np.asarray(probs, dtype=float)
-    n = labels.size
     folds = []
     for f in range(k):
-        held = np.arange(f, n, k)
-        folds.append(StubFold(f, held, probs[held], threshold))
-    return StubReport(name=name, labels=labels, folds=folds)
+        held = np.arange(f, labels.size, k)
+        folds.append(FoldResult(fold_id=f, held_out=held, raw=probs[held], calibrated=probs[held],
+                                threshold=threshold, best_iteration=0,
+                                calibration_method="isotonic", digest="stub"))
+    return CvReport(name=name, labels=labels, folds=folds, **pooled_fields(labels, folds),
+                    beta=2.0, aux_used=False, stage1_auc=None)
 
 
 def _balanced_labels(rng, n, k=4):
@@ -387,13 +375,15 @@ class TestCompareModels:
         ref = make_report("ref", y, rng.random(40))
         fold = ref.folds[1]
         if defect == "row_unscored":
-            fold.held_out, fold.calibrated = fold.held_out[1:], fold.calibrated[1:]
+            fold.held_out, fold.raw, fold.calibrated = (
+                fold.held_out[1:], fold.raw[1:], fold.calibrated[1:])
         elif defect == "row_scored_twice":
             fold.held_out = np.r_[fold.held_out[1:], ref.folds[0].held_out[0]]
         else:
             fold.calibrated = fold.calibrated[1:]
-        with pytest.raises(PairingError, match="'ref'"):
-            compare_models(ref, [make_report("cand", y, rng.random(40))], n_boot=10, seed=0)
+        # the folds are checked when a report is built from them
+        with pytest.raises(SchemaError, match="cv report 'ref': its folds do not score every row"):
+            replace(ref, folds=ref.folds)
 
     def test_null_challenger_rejection_rate_is_controlled(self):
         # independent noise on both sides: every null true; count q < 0.05 rejections
