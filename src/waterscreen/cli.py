@@ -537,17 +537,14 @@ def _cmd_compare(args) -> int:
         "threshold": report.threshold,
         "n_boot": report.n_boot,
         "seed": report.seed,
-        "deltas": [
-            {"challenger": who, **d.__dict__}
-            for who, d in zip(report.delta_challengers, report.deltas)
-        ],
+        "deltas": [d.__dict__ for d in report.deltas],
         "mcnemar": [m.__dict__ for m in report.mcnemar_tests],
     }
     run.write("comparison.json", _canonical(payload))
     run.seal()
-    for who, d in zip(report.delta_challengers, report.deltas):
+    for d in report.deltas:
         print(
-            f"{who} {d.metric} delta {_fmt(d.delta)}"
+            f"{d.challenger} {d.metric} delta {_fmt(d.delta)}"
             f" p {_fmt(d.p_value)} q {_fmt(d.q_value)}"
         )
     for m in report.mcnemar_tests:

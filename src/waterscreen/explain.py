@@ -39,9 +39,11 @@ from .trees.model import Tree, _check_schema
 
 @dataclass
 class ShapAttribution:
-    """Per-feature contributions for one row, additive with base_value."""
+    """Per-feature contributions for rows of a matrix: values[i], of row
+    row_ids[i], has one column per name of feature_names and adds to
+    base_value to give the row's margin."""
 
-    row_id: str
+    row_ids: list[str]
     base_value: float
     values: np.ndarray
     feature_names: list[str]
@@ -156,7 +158,7 @@ def _tree_patterns(tree: Tree, left_at: np.ndarray, n_cols: int) -> tuple[np.nda
     return np.array(table).reshape(len(table), n_cols), visits
 
 
-def attribute_rows(model: TreeEnsembleModel, matrix: FeatureMatrix) -> list[ShapAttribution]:
+def attribute_rows(model: TreeEnsembleModel, matrix: FeatureMatrix) -> ShapAttribution:
     """Exact path-dependent Shapley values for every row of a matrix.
 
     Works tree by tree: one decisions matrix, one pattern table and one
@@ -178,58 +180,44 @@ def attribute_rows(model: TreeEnsembleModel, matrix: FeatureMatrix) -> list[Shap
         base = base * scale if used else model.base_score
     else:
         base += model.base_score
-    return [
-        ShapAttribution(row_id, float(base), phi[i], list(model.feature_names))
-        for i, row_id in enumerate(matrix.row_ids)
-    ]
+    return ShapAttribution(list(matrix.row_ids), float(base), phi, list(model.feature_names))
 
 
 def tree_shap(model: TreeEnsembleModel, row: FeatureMatrix) -> ShapAttribution:
     """Exact path-dependent Shapley values for one row."""
     if row.n_rows != 1:
         raise ParameterError("attribution rows are explained one at a time")
-    return attribute_rows(model, row)[0]
+    return attribute_rows(model, row)
 
 
-def mean_abs_shap(attributions: list[ShapAttribution]) -> list[tuple[str, float]]:
-    """Features ranked by mean absolute contribution over the given
-    attributions (descending, then name)."""
-    if not attributions:
+def mean_abs_shap(attribution: ShapAttribution) -> list[tuple[str, float]]:
+    """Features ranked by mean absolute contribution over the attribution's
+    rows (descending, then name). One cumsum along the rows adds them one
+    at a time, in order, so each mean has the bits of a row-by-row sum."""
+    n_rows = attribution.values.shape[0]
+    if n_rows == 0:
         raise ParameterError("attribution needs at least one row")
-    acc = np.zeros(len(attributions[0].feature_names))
-    for attribution in attributions:
-        acc += np.abs(attribution.values)
-    acc /= len(attributions)
-    pairs = list(zip(attributions[0].feature_names, acc))
-    return sorted(pairs, key=lambda item: (-item[1], item[0]))
+    means = np.cumsum(np.abs(attribution.values), axis=0)[-1] / n_rows
+    return sorted(zip(attribution.feature_names, means), key=lambda item: (-item[1], item[0]))
 
 
-def export_beeswarm(attributions: list[ShapAttribution], matrix: FeatureMatrix) -> str:
+def export_beeswarm(attribution: ShapAttribution, matrix: FeatureMatrix) -> str:
     """Long-format CSV (row_id, feature, shap_value, feature_value,
     feature_missing), one line per row and feature; enough to draw a
     beeswarm elsewhere."""
-    if len(attributions) != matrix.n_rows:
-        raise PairingError("attribution count does not match matrix rows")
+    names = matrix.column_names
+    if (attribution.row_ids != matrix.row_ids or attribution.feature_names != names
+            or attribution.values.shape != matrix.values.shape):
+        raise PairingError("attributions do not match the matrix's row ids and columns")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["row_id", "feature", "shap_value", "feature_value", "feature_missing"])
-    names = matrix.column_names
-    rows = zip(np.asarray(matrix.values, dtype=float).tolist(), matrix.missing_mask.tolist())
-    for i, (attribution, (values, missing)) in enumerate(zip(attributions, rows)):
-        if attribution.row_id != matrix.row_ids[i]:
-            raise PairingError(f"attribution {i} is for a different row id")
-        if attribution.feature_names != names:
-            raise PairingError(f"attribution {i} has a different column set")
+    for row_id, shaps, values, missing in zip(
+        matrix.row_ids, attribution.values.tolist(),
+        np.asarray(matrix.values, dtype=float).tolist(), matrix.missing_mask.tolist(),
+    ):
         writer.writerows(
-            (
-                attribution.row_id,
-                name,
-                repr(shap),
-                "" if gone else repr(value),
-                "true" if gone else "false",
-            )
-            for name, shap, value, gone in zip(
-                names, np.asarray(attribution.values, dtype=float).tolist(), values, missing
-            )
+            (row_id, name, repr(shap), "" if gone else repr(value), "true" if gone else "false")
+            for name, shap, value, gone in zip(names, shaps, values, missing)
         )
     return buffer.getvalue()

@@ -137,7 +137,11 @@ def average_precision(scores, labels) -> float:
 
 def brier(probs, labels) -> float:
     """Mean squared error of predicted probabilities against 0/1 outcomes."""
-    p, y = _check_binary(probs, labels, "probs")
+    return _brier(*_check_binary(probs, labels, "probs"))
+
+
+def _brier(p, y) -> float:
+    """brier of scores and labels as _check_binary returns them."""
     if p.size == 0:
         raise ParameterError("brier needs at least one sample")
     if (p < 0).any() or (p > 1).any():
@@ -148,7 +152,11 @@ def brier(probs, labels) -> float:
 def confusion_at(probs, labels, t) -> ConfusionCounts:
     """Confusion counts when predicting positive for prob >= t (closed
     threshold); t is one threshold or one per row."""
-    p, y = _check_binary(probs, labels, "probs")
+    return _confusion_at(*_check_binary(probs, labels, "probs"), t)
+
+
+def _confusion_at(p, y, t) -> ConfusionCounts:
+    """confusion_at of scores and labels as _check_binary returns them."""
     t = np.asarray(t, dtype=float)
     if not ((0.0 <= t) & (t <= 1.0)).all():
         raise ParameterError("threshold must lie in [0, 1]")
@@ -259,12 +267,12 @@ def full_bundle(probs, labels, threshold) -> MetricBundle:
     `threshold`: one threshold, or one per row (pooled out-of-fold decisions,
     each taken at its fold's threshold)."""
     p, y = _check_binary(probs, labels, "probs")
-    m = classification_bundle(confusion_at(p, y, threshold), beta=2.0)
+    m = classification_bundle(_confusion_at(p, y, threshold), beta=2.0)
     sweep = _sweep(p, y)
     return MetricBundle(
         roc_auc=_roc_auc(sweep),
         pr_auc=_average_precision(sweep),
-        brier=brier(p, y),
+        brier=_brier(p, y),
         accuracy=m.accuracy,
         precision=m.precision,
         recall=m.recall,

@@ -42,7 +42,7 @@ from ..trees import (
     model_digest,
     predict_proba,
 )
-from ..trees.model import MODEL
+from ..trees.model import ENSEMBLE, TreeEnsembleModel
 from .calibration import CALIBRATOR, Calibrator, fit_calibrator
 from .folds import FoldPlan
 from .scaling import fit_fold_scaler
@@ -94,8 +94,9 @@ FOLD = Table(FoldResult, "a cv report fold", {
 class CvReport:
     """Cross-validated evaluation: per-fold results plus pooled metrics.
 
-    Building one refuses, with SchemaError, folds that do not score every
-    label row exactly once; its derived fields are those of pooled_fields.
+    Building one refuses, with SchemaError, folds whose fold_id is not
+    their position and folds that do not score every label row exactly
+    once; its derived fields are those of pooled_fields.
     """
 
     name: str
@@ -109,6 +110,10 @@ class CvReport:
     stage1_auc: float | None
 
     def __post_init__(self) -> None:
+        if [f.fold_id for f in self.folds] != list(range(len(self.folds))):
+            raise SchemaError(
+                f"cv report {self.name!r}: its fold ids are not 0 to {len(self.folds) - 1} in order"
+            )
         held = np.concatenate([np.empty(0, np.int64), *(f.held_out for f in self.folds)])
         scored = all(f.raw.size == f.calibrated.size == f.held_out.size for f in self.folds)
         if not (scored and np.array_equal(np.sort(held), np.arange(self.labels.size))):
@@ -165,8 +170,8 @@ class PipelineModel:
     """The deployable artifact: both stages, calibrator, threshold, and the
     input schema they expect. Split thresholds are in measurement units."""
 
-    stage1: object
-    stage2: object
+    stage1: TreeEnsembleModel
+    stage2: TreeEnsembleModel
     calibrator: Calibrator
     threshold: float
     beta: float
@@ -175,9 +180,11 @@ class PipelineModel:
     kind = "two_stage_pipeline"  # its tag in PIPELINE: a class attribute, not a field
 
 
+# finalize fits tree ensembles only, so a stage of another kind is refused
+STAGE = Choice("a pipeline stage", "kind", {TreeEnsembleModel.kind: ENSEMBLE})
 PIPELINE = Choice("a pipeline", "kind", {PipelineModel.kind: Table(
     PipelineModel, "a pipeline", {
-        "stage1": MODEL, "stage2": MODEL, "calibrator": CALIBRATOR, "threshold": FLOAT,
+        "stage1": STAGE, "stage2": STAGE, "calibrator": CALIBRATOR, "threshold": FLOAT,
         "beta": FLOAT, "feature_names": STRINGS, "category_levels": STRING_LISTS,
     })})
 

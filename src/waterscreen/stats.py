@@ -118,7 +118,8 @@ def uncorrected_chi2(counts: ContingencyCounts) -> float:
 
 @dataclass(frozen=True)
 class DeltaResult:
-    """Challenger-minus-reference effect on one metric with bootstrap inference."""
+    """Challenger-minus-reference effect on one metric with bootstrap
+    inference; compare_models names its challenger and FDR q-value."""
 
     metric: str
     delta: float
@@ -127,6 +128,7 @@ class DeltaResult:
     p_value: float
     n_boot: int
     seed: int
+    challenger: str | None = None
     q_value: float | None = None
 
 
@@ -283,7 +285,6 @@ class ComparisonReport:
 
     reference: str
     deltas: list[DeltaResult] = field(default_factory=list)
-    delta_challengers: list[str] = field(default_factory=list)
     mcnemar_tests: list[McnemarResult] = field(default_factory=list)
     threshold: float = 0.5
     n_boot: int = 0
@@ -324,7 +325,7 @@ def compare_models(
         if len(ch.folds) != len(reference.folds):
             raise PairingError(f"{ch.name}: fold count differs from reference")
         for rf, cf in zip(reference.folds, ch.folds):
-            if rf.fold_id != cf.fold_id or not np.array_equal(rf.held_out, cf.held_out):
+            if not np.array_equal(rf.held_out, cf.held_out):
                 raise PairingError(
                     f"{ch.name}: held-out indices differ from reference in fold {rf.fold_id}"
                 )
@@ -335,7 +336,6 @@ def compare_models(
         threshold = reference.threshold_mean
     challenger_probs = [ch.by_row("calibrated") for ch in challengers]
     deltas: list[DeltaResult] = []
-    owners: list[str] = []
     for metric in sorted(_METRICS):
         family: list[DeltaResult] = []
         for ch, ch_probs in zip(challengers, challenger_probs):
@@ -352,8 +352,7 @@ def compare_models(
             )
         qs = bh_fdr([d.p_value for d in family])
         for ch, d, q in zip(challengers, family, qs):
-            deltas.append(replace(d, q_value=q))
-            owners.append(ch.name)
+            deltas.append(replace(d, challenger=ch.name, q_value=q))
     ref_correct = ((ref_probs >= threshold).astype(int) == labels).astype(int)
     mc_family = []
     for ch_probs in challenger_probs:
@@ -366,7 +365,6 @@ def compare_models(
     return ComparisonReport(
         reference=reference.name,
         deltas=deltas,
-        delta_challengers=owners,
         mcnemar_tests=mcnemar_tests,
         threshold=threshold,
         n_boot=n_boot,

@@ -20,7 +20,6 @@ class TrainingLog:
 
     train_loss: list[float]
     valid_loss: list[float] | None
-    best_iteration: int
 
 
 def _check_labels(labels, n_rows: int) -> np.ndarray:
@@ -138,7 +137,5 @@ def fit_gbdt(
         bin_edges=[e.copy() for e in ws.edges],
         feature_names=[name for name, _ in binned.columns],
         config=config,
-        training_log=TrainingLog(
-            train_loss=train_loss, valid_loss=valid_loss, best_iteration=best_iteration
-        ),
+        training_log=TrainingLog(train_loss=train_loss, valid_loss=valid_loss),
     )

@@ -191,7 +191,7 @@ class TreeEnsembleModel:
     feature_names: list[str]
     config: LearnerConfig
     training_log: object | None = field(default=None, repr=False, compare=False)
-    kind = "tree_ensemble"  # its tag in MODEL: a class attribute, not a field
+    kind = "tree_ensemble"  # its tag in MODEL and STAGE: a class attribute, not a field
 
     @classmethod
     def from_trees(cls, trees: list[Tree], **fields) -> "TreeEnsembleModel":

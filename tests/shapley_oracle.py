@@ -82,8 +82,8 @@ def brute_force_shap(model: TreeEnsembleModel, row: FeatureMatrix,
                 total += weight * (margin_of(s | {feature}) - margin_of(s))
         phi[feature] = total
     return ShapAttribution(
-        row_id=row.row_ids[0],
+        row_ids=list(row.row_ids),
         base_value=margin_of(frozenset()),
-        values=phi,
+        values=phi[None, :],
         feature_names=list(model.feature_names),
     )

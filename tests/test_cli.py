@@ -428,6 +428,13 @@ def _damage(data, defect):
         data["folds"][0]["threshold"] = 1.5
     elif defect == "unknown_calibration_method":
         data["folds"][0]["calibration_method"] = "banana"
+    elif defect in ("logistic_stage1", "logistic_stage2"):
+        stage = defect.removeprefix("logistic_")
+        names = data[stage]["feature_names"]
+        data[stage] = {"kind": "logistic", "weights": [0.0] * len(names), "intercept": 0.0,
+                       "l2_regularization": 1.0, "feature_names": names}
+    elif defect == "fold_id_repeated":
+        data["folds"][1]["fold_id"] = 0
     return data
 
 
@@ -485,6 +492,12 @@ DAMAGED_ARTIFACTS = [
      "a cv report fold's 'threshold' must be a finite number in [0, 1]"),
     ("compare", "cv_report.json", "unknown_calibration_method",
      "a cv report fold's 'calibration_method' must be isotonic, platt or sigmoid_fallback"),
+    ("predict", "model.json", "logistic_stage1",
+     "a pipeline's 'stage1' has unknown kind 'logistic'"),
+    ("explain", "model.json", "logistic_stage2",
+     "a pipeline's 'stage2' has unknown kind 'logistic'"),
+    ("compare", "cv_report.json", "fold_id_repeated",
+     "cv report 'two_stage': its fold ids are not 0 to"),
 ]
 
 

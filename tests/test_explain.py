@@ -15,6 +15,7 @@ from waterscreen.errors import (
     UnsupportedModelError,
 )
 from waterscreen.explain import (
+    ShapAttribution,
     _tree_expectation,
     attribute_rows,
     export_beeswarm,
@@ -95,12 +96,14 @@ def test_local_accuracy_against_model_margin():
     rng = np.random.default_rng(607)
     model, matrix = random_model(rng, n_features=5)
     margins = predict_margin(model, matrix)
-    for i, attribution in enumerate(attribute_rows(model, matrix)):
-        total = attribution.base_value + attribution.values.sum()
-        assert total == pytest.approx(margins[i], abs=1e-9)
+    attribution = attribute_rows(model, matrix)
+    assert attribution.row_ids == matrix.row_ids
+    for i, values in enumerate(attribution.values):
+        assert attribution.base_value + values.sum() == pytest.approx(margins[i], abs=1e-9)
         # explained alone, a row gets the same bits as beside the others
         alone = tree_shap(model, matrix.take([i]))
-        assert np.array_equal(alone.values, attribution.values)
+        assert alone.row_ids == [matrix.row_ids[i]]
+        assert np.array_equal(alone.values, values[None, :])
         assert alone.base_value == attribution.base_value
 
 
@@ -131,7 +134,7 @@ def test_constant_model_attributes_nothing():
     config = shap_config(rng, iteration_cap=1)
     model = fit_gbdt(bin_features(matrix, 16), y, config)
     attribution = tree_shap(model, matrix.take([0]))
-    np.testing.assert_array_equal(attribution.values, np.zeros(3))
+    np.testing.assert_array_equal(attribution.values, np.zeros((1, 3)))
     assert attribution.base_value == pytest.approx(
         predict_margin(model, matrix.take([0]))[0], abs=1e-12
     )
@@ -159,9 +162,9 @@ def test_single_split_puts_everything_on_that_feature():
     margins = predict_margin(model, matrix)
     row = matrix.take([1])
     attribution = tree_shap(model, row)
-    assert attribution.values[1] == 0.0
-    assert attribution.values[2] == 0.0
-    assert attribution.values[0] == pytest.approx(
+    assert attribution.values[0, 1] == 0.0
+    assert attribution.values[0, 2] == 0.0
+    assert attribution.values[0, 0] == pytest.approx(
         margins[1] - attribution.base_value, abs=1e-9
     )
 
@@ -178,8 +181,8 @@ def test_duplicated_unused_feature_is_a_dummy_player():
     assert all((tree.feature != 1).all() for tree in model.trees)
     for i in (0, 5, 11):
         row = matrix.take([i])
-        assert tree_shap(model, row).values[1] == 0.0
-        assert brute_force_shap(model, row).values[1] == 0.0
+        assert tree_shap(model, row).values[0, 1] == 0.0
+        assert brute_force_shap(model, row).values[0, 1] == 0.0
 
 
 def symmetric_xor_tree():
@@ -213,7 +216,7 @@ def test_symmetric_tree_gives_equal_attributions_on_symmetric_input():
     fast = tree_shap(model, row)
     slow = brute_force_shap(model, row)
     np.testing.assert_allclose(fast.values, slow.values, atol=1e-12)
-    assert fast.values[0] == pytest.approx(fast.values[1], abs=1e-12)
+    assert fast.values[0, 0] == pytest.approx(fast.values[0, 1], abs=1e-12)
 
 
 def test_a_node_without_cover_is_refused():
@@ -240,8 +243,26 @@ def test_mean_abs_shap_ranks_the_only_informative_feature_first():
 
 
 def test_mean_abs_shap_needs_an_attribution():
-    with pytest.raises(ParameterError):
-        mean_abs_shap([])
+    empty = ShapAttribution([], 0.0, np.zeros((0, 3)), ["f0", "f1", "f2"])
+    with pytest.raises(ParameterError, match="at least one row"):
+        mean_abs_shap(empty)
+
+
+def test_mean_abs_shap_adds_the_rows_one_by_one_bit_for_bit():
+    rng = np.random.default_rng(619)
+    # magnitudes spread over 12 decades, so most additions round
+    values = rng.normal(size=(257, 6)) * 10.0 ** rng.uniform(-6, 6, size=(257, 6))
+    names = [f"f{i}" for i in range(6)]
+    attribution = ShapAttribution([f"r{i}" for i in range(257)], 0.5, values, names)
+    acc = np.zeros(6)
+    for row in values:
+        acc += np.abs(row)
+    acc /= 257
+    expected = sorted(zip(names, acc.tolist()), key=lambda item: (-item[1], item[0]))
+    ranking = mean_abs_shap(attribution)
+    assert [(name, float(v).hex()) for name, v in ranking] == [
+        (name, v.hex()) for name, v in expected
+    ]
 
 
 def test_oracle_auxiliary_feature_dominates_ranking():
@@ -260,8 +281,8 @@ def test_beeswarm_export_shape_and_missing_cells():
     rng = np.random.default_rng(614)
     model, matrix = random_model(rng, n_features=4)
     subset = matrix.take(np.arange(6))
-    attributions = attribute_rows(model, subset)
-    text = export_beeswarm(attributions, subset)
+    attribution = attribute_rows(model, subset)
+    text = export_beeswarm(attribution, subset)
     lines = text.splitlines()
     assert lines[0] == "row_id,feature,shap_value,feature_value,feature_missing"
     assert len(lines) == 1 + 6 * 4
@@ -270,19 +291,23 @@ def test_beeswarm_export_shape_and_missing_cells():
     assert len(missing_lines) == expected_missing
     for line in missing_lines:
         assert line.split(",")[3] == ""
-    assert export_beeswarm(attributions, subset) == text
+    assert export_beeswarm(attribution, subset) == text
 
 
 def test_beeswarm_export_rejects_misalignment():
     rng = np.random.default_rng(615)
     model, matrix = random_model(rng, n_features=3)
     subset = matrix.take(np.arange(4))
-    attributions = attribute_rows(model, subset)
-    with pytest.raises(PairingError):
-        export_beeswarm(attributions[:-1], subset)
-    swapped = [attributions[1], attributions[0]] + attributions[2:]
-    with pytest.raises(PairingError):
-        export_beeswarm(swapped, subset)
+    attribution = attribute_rows(model, subset)
+    fewer = dataclasses.replace(
+        attribution, row_ids=attribution.row_ids[:-1], values=attribution.values[:-1]
+    )
+    swapped = dataclasses.replace(attribution, row_ids=subset.take([1, 0, 2, 3]).row_ids)
+    renamed = dataclasses.replace(attribution, feature_names=["g0", *attribution.feature_names[1:]])
+    narrower = dataclasses.replace(attribution, values=attribution.values[:, :-1])
+    for misaligned in (fewer, swapped, renamed, narrower):
+        with pytest.raises(PairingError, match="do not match the matrix's row ids and columns"):
+            export_beeswarm(misaligned, subset)
 
 
 def test_attribution_errors():
@@ -449,19 +474,25 @@ def test_attributions_match_the_object_path_recursion_bit_for_bit(
     assert_same_bits(model, rows)
     # the visit order is per row: explained in reverse, each row keeps its bits
     reversed_rows = rows.take(np.arange(rows.n_rows)[::-1])
-    assert [hex_bits(a) for a in attribute_rows(model, reversed_rows)] == [
-        hex_bits(a) for a in attribute_rows(model, rows)
-    ][::-1]
+    assert hex_bits(attribute_rows(model, reversed_rows)) == hex_bits(
+        attribute_rows(model, rows)
+    )[::-1]
 
 
 def hex_bits(attribution):
-    return attribution.base_value.hex(), [v.hex() for v in attribution.values.tolist()]
+    """Each row's id, base value and contributions, as exact hex strings."""
+    return [
+        (row_id, attribution.base_value.hex(), [v.hex() for v in values])
+        for row_id, values in zip(attribution.row_ids, attribution.values.tolist(), strict=True)
+    ]
 
 
 def assert_same_bits(model, rows):
     base, phi = reference_rows(model, rows)
-    for attribution, expected in zip(attribute_rows(model, rows), phi, strict=True):
-        assert hex_bits(attribution) == (base.hex(), [v.hex() for v in expected.tolist()])
+    assert hex_bits(attribute_rows(model, rows)) == [
+        (row_id, base.hex(), [v.hex() for v in expected])
+        for row_id, expected in zip(rows.row_ids, phi.tolist(), strict=True)
+    ]
 
 
 def chain_model(n_splits, rng):

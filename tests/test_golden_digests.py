@@ -148,9 +148,10 @@ def test_scores_and_attributions_match_their_pinned_digests(fixture, trained):
         [p.row_id, p.coliform_prob, p.probability, p.decision] for p in predict(model, matrix)
     ]
     widened = stage2_input(model, matrix.take(range(ATTRIBUTED_ROWS)))
+    attribution = attribute_rows(model.stage2, widened)
     attributions = [
-        [a.row_id, a.base_value, a.values.tolist()]
-        for a in attribute_rows(model.stage2, widened)
+        [row_id, attribution.base_value, values]
+        for row_id, values in zip(attribution.row_ids, attribution.values.tolist())
     ]
     # json writes each float as its shortest round-trip repr, so equal
     # digests mean bit-equal values
@@ -165,7 +166,11 @@ def test_scores_and_attributions_match_their_pinned_digests(fixture, trained):
 def test_comparison_matches_its_pinned_digest(cv_reports):
     # both reports share one fold plan, so their rows pair
     report = compare_models(cv_reports["depthwise"], [cv_reports["forest"]], n_boot=1000, seed=SEED)
-    assert _sha256(dump(asdict(report))) == COMPARISON
+    # the digest is of the report's fields in the form they had when pinned,
+    # with each delta's challenger in a list parallel to the deltas
+    data = asdict(report)
+    data["delta_challengers"] = [d.pop("challenger") for d in data["deltas"]]
+    assert _sha256(dump(data)) == COMPARISON
 
 
 def test_default_max_bins_model_matches_its_pinned_digest(fixture):

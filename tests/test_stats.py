@@ -343,8 +343,8 @@ class TestCompareModels:
 
         def by_key(report):
             return {
-                (name, d.metric): (d.delta, d.p_value, d.q_value)
-                for name, d in zip(report.delta_challengers, report.deltas)
+                (d.challenger, d.metric): (d.delta, d.p_value, d.q_value)
+                for d in report.deltas
             }
 
         assert by_key(r1) == by_key(r2)
@@ -384,6 +384,16 @@ class TestCompareModels:
         # the folds are checked when a report is built from them
         with pytest.raises(SchemaError, match="cv report 'ref': its folds do not score every row"):
             replace(ref, folds=ref.folds)
+
+    @pytest.mark.parametrize("fold_ids", [[0, 0, 2, 3], [1, 0, 2, 3], [1, 2, 3, 4]])
+    def test_fold_ids_must_be_their_positions(self, fold_ids):
+        rng = np.random.default_rng(12)
+        y = _balanced_labels(rng, 40)
+        ref = make_report("ref", y, rng.random(40))
+        # a fold id names its bootstrap stratum, so a repeated one merges two folds
+        folds = [replace(fold, fold_id=i) for fold, i in zip(ref.folds, fold_ids)]
+        with pytest.raises(SchemaError, match="its fold ids are not 0 to 3 in order"):
+            replace(ref, folds=folds)
 
     def test_null_challenger_rejection_rate_is_controlled(self):
         # independent noise on both sides: every null true; count q < 0.05 rejections
