@@ -299,11 +299,9 @@ def _cmd_qc(args) -> int:
     parsed = _parse_input_records(run, args.records)
     config = BatchConfig(**{key: run.settings[key] for key in BATCH_CONFIG.fields})
     verdicts, rule_counts = evaluate_batch(parsed.records, config)
+    encode = json.JSONEncoder(separators=(",", ":")).encode
     lines = [
-        json.dumps(
-            {"uuid": v.uuid, "category": v.category, "triggered": list(v.triggered)},
-            separators=(",", ":"),
-        )
+        encode({"uuid": v.uuid, "category": v.category, "triggered": v.triggered})
         for v in verdicts
     ]
     category_counts = {c: 0 for c in (CATEGORY_OK, CATEGORY_REVIEW, CATEGORY_ALERT)}

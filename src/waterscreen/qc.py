@@ -14,8 +14,9 @@ on review.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 from .artifacts import Table, check_fields, integer_at_least, number_where
 from .records import DEFAULT_BOUNDS, FieldRecord, implausible
@@ -198,6 +199,26 @@ def _batch_filling_rows(records: list[FieldRecord], config: BatchConfig) -> set[
     return flagged
 
 
+# candidate pairs _sweep_pairs builds at a time, so that the peak memory of
+# _cluster_rows does not grow with the number of pairs
+_PAIR_CHUNK = 1 << 15
+
+
+def _sweep_pairs(lats: np.ndarray, reach: float):
+    """Every pair p < q of positions in ascending lats with lats[q] <=
+    lats[p] + reach, as (p array, q array) chunks of up to _PAIR_CHUNK pairs
+    in (p, q) order; a chunk may end inside one p's run of partners."""
+    # p's partners are p+1 .. p+counts[p], numbered ends[p]-counts[p] .. ends[p]-1
+    counts = np.searchsorted(lats, lats + reach, side="right") - np.arange(1, len(lats) + 1)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    for lo in range(0, int(counts.sum()), _PAIR_CHUNK):
+        hi = lo + _PAIR_CHUNK
+        rows = np.arange(np.searchsorted(ends, lo, side="right"), np.searchsorted(starts, hi))
+        first = np.repeat(rows, np.minimum(ends[rows], hi) - np.maximum(starts[rows], lo))
+        yield first, first + 1 + np.arange(lo, lo + len(first)) - starts[first]
+
+
 def _cluster_rows(records: list[FieldRecord], config: BatchConfig) -> set[int]:
     """Indices of household records in single-linkage groups of >= cluster_min
     within cluster_radius_m.
@@ -210,10 +231,24 @@ def _cluster_rows(records: list[FieldRecord], config: BatchConfig) -> set[int]:
     (rounding of radians() and underflow of sin² for latitudes an ulp
     apart). Rows with a latitude outside [-90, 90] (NaN included) or a
     non-finite longitude break the bound and are tested against every
-    located row. Each tested pair is decided by the same lower-index-first
-    _haversine_m call as an all-pairs scan, and union-find groups do not
-    depend on the order of unions, so the groups are the all-pairs groups.
-    The worst case, every row on one parallel, is the all-pairs scan.
+    located row. The worst case, every row on one parallel, tests every
+    pair.
+
+    The swept pairs are tested as arrays. numpy computes each pair's
+    haversine sum a, and h = sqrt(a) = sin(d / 2R), without asin. Its h
+    differs from _haversine_m's by rounding: a few ulps of h, from the sines,
+    the squares and the sum of non-negative terms, plus a few ulps of the
+    radians, under 1e-15 in all, about 1e-8 m. numpy decides a pair only
+    where h is below the radius's h by more than 1e-9 of it plus 1e-6 m / 2R,
+    or above it by as much and a below 1 - 2e-9: margins 10**6 times the
+    relative and 100 times the absolute rounding. asin is increasing with
+    slope >= 1, so _haversine_m puts such a pair on the same side of the
+    radius. Every other swept pair, among them those at the radius, those
+    near antipodal (where asin's slope is unbounded and a rounded sum above
+    1 makes asin raise) and those whose sum is NaN, and every pair with an
+    unbounded row, is decided by the same lower-index-first _haversine_m
+    call as an all-pairs scan. Union-find groups do not depend on the order
+    of unions, so the groups are the all-pairs groups.
     """
     located = [
         i
@@ -222,43 +257,55 @@ def _cluster_rows(records: list[FieldRecord], config: BatchConfig) -> set[int]:
         and record.latitude is not None
         and record.longitude is not None
     ]
-    parent = {i: i for i in located}
+    # union-find over positions in located, which keep the records' order
+    parent = list(range(len(located)))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
 
-    def link(i, j):
-        i, j = min(i, j), max(i, j)
+    def link(k, l):
+        i, j = located[min(k, l)], located[max(k, l)]
         d = _haversine_m(
             records[i].latitude, records[i].longitude,
             records[j].latitude, records[j].longitude,
         )
         if d <= config.cluster_radius_m:
-            parent[find(i)] = find(j)
+            parent[find(k)] = find(l)
 
-    swept = sorted(
-        (
-            i
-            for i in located
-            if -90.0 <= records[i].latitude <= 90.0 and math.isfinite(records[i].longitude)
-        ),
-        key=lambda i: records[i].latitude,
-    )
-    unbounded = sorted(set(located) - set(swept))
-    lats = [records[i].latitude for i in swept]
+    lat = np.array([records[i].latitude for i in located], dtype=float)
+    lon = np.array([records[i].longitude for i in located], dtype=float)
+    bounded = (np.abs(lat) <= 90.0) & np.isfinite(lon)
+    swept = np.flatnonzero(bounded)
+    swept = swept[np.argsort(lat[swept], kind="stable")]
+    phi, lons = np.radians(lat[swept]), lon[swept]
+    cos_phi = np.cos(phi)
     reach = math.degrees(config.cluster_radius_m / EARTH_RADIUS_M) * 1.001 + 1e-9
-    for pos, i in enumerate(swept):
-        for j in swept[pos + 1:bisect_right(lats, lats[pos] + reach)]:
-            link(i, j)
-    for pos, i in enumerate(unbounded):
-        for j in swept + unbounded[pos + 1:]:
-            link(i, j)
+    h = math.sin(min(config.cluster_radius_m / (2 * EARTH_RADIUS_M), math.pi / 2))
+    margin = 1e-9 * h + 1e-6 / (2 * EARTH_RADIUS_M)
+    below, above, top = max(h - margin, 0.0) ** 2, (h + margin) ** 2, 1 - 2e-9
+    for first, second in _sweep_pairs(lat[swept], reach):
+        with np.errstate(invalid="ignore", over="ignore"):
+            # a longitude difference that overflows makes a NaN, left to _haversine_m
+            a = (np.sin((phi[second] - phi[first]) / 2) ** 2
+                 + cos_phi[first] * cos_phi[second]
+                 * np.sin(np.radians(lons[second] - lons[first]) / 2) ** 2)
+        linked = a < below
+        near = ~(linked | ((a > above) & (a < top)))
+        for k, l in zip(swept[first[linked]].tolist(), swept[second[linked]].tolist()):
+            parent[find(k)] = find(l)
+        for k, l in zip(swept[first[near]].tolist(), swept[second[near]].tolist()):
+            link(k, l)
+    swept = swept.tolist()
+    unbounded = np.flatnonzero(~bounded).tolist()
+    for pos, k in enumerate(unbounded):
+        for l in swept + unbounded[pos + 1:]:
+            link(k, l)
     groups: dict[int, list[int]] = {}
-    for i in located:
-        groups.setdefault(find(i), []).append(i)
+    for k, i in enumerate(located):
+        groups.setdefault(find(k), []).append(i)
     flagged: set[int] = set()
     for members in groups.values():
         if len(members) >= config.cluster_min:
@@ -271,18 +318,21 @@ def evaluate_batch(records: list[FieldRecord],
     """Per-record screening in order, each record against the uuids before
     it, then the batch anomaly rules (BATCH_FILLING and SPATIAL_CLUSTER),
     which append their codes to the verdicts they flag and re-categorize
-    every verdict. Also returns how many verdicts carry each rule code
+    those verdicts. Also returns how many verdicts carry each rule code
     (codes that never fired are absent).
     """
     if config is None:
         config = BatchConfig()
     seen: set[str] = set()
     verdicts = [evaluate_record(record, seen) for record in records]
-    for i in _batch_filling_rows(records, config):
+    batch_filling = _batch_filling_rows(records, config)
+    clustered = _cluster_rows(records, config)
+    for i in batch_filling:
         verdicts[i].triggered.append("BATCH_FILLING")
-    for i in _cluster_rows(records, config):
+    for i in clustered:
         verdicts[i].triggered.append("SPATIAL_CLUSTER")
-    verdicts = [replace(v, category=categorize(v.triggered)) for v in verdicts]
+    for i in batch_filling | clustered:
+        verdicts[i].category = categorize(verdicts[i].triggered)
 
     counts: dict[str, int] = {}
     for verdict in verdicts:

@@ -270,6 +270,38 @@ def _parse_cells(cells: list[str], first: int, n: int, bad: list) -> list:
     return values
 
 
+_STARTED, _ENDED = map(PARSEABLE_FIELDS.index, ("started_at", "ended_at"))
+_TZINFO = attrgetter("tzinfo")
+
+
+def _one_offset_kind(values: list, cells: list[str], n: int, aware: bool | None,
+                     bad: list) -> bool | None:
+    """Whether the file's times carry a UTC offset, set by its first
+    timestamp (row order, started_at before ended_at): aware, as known before
+    this block, or None while no time has been read. A time of the other
+    kind, which cannot be compared with the first, reads as missing in
+    values and adds (row, field rank, warning) to bad."""
+    started = values[_STARTED * n : (_STARTED + 1) * n]
+    ended = values[_ENDED * n : (_ENDED + 1) * n]
+    zones = set(map(_TZINFO, filter(None, started + ended)))
+    naive = None in zones
+    offset = len(zones) > naive
+    if aware is None:
+        if not (naive and offset):
+            return offset if zones else None
+        aware = next(filter(None, chain.from_iterable(zip(started, ended)))).tzinfo is not None
+    if naive if aware else offset:
+        kind = "has no UTC offset" if aware else "has a UTC offset"
+        for rank, column in ((_STARTED, started), (_ENDED, ended)):
+            for row, moment in enumerate(column):
+                if moment is not None and (moment.tzinfo is not None) != aware:
+                    values[rank * n + row] = None
+                    raw = cells[rank * n + row]
+                    what = f"{PARSEABLE_FIELDS[rank]} value {raw!r} {kind}"
+                    bad.append((row, rank, f"{what}, unlike the file's first timestamp"))
+    return aware
+
+
 # each measurement's unit column, in the order unit tags list them
 _UNIT_COLUMNS = [(name, f"{name}__unit") for name in sorted(MEASUREMENT_FIELDS)]
 
@@ -287,6 +319,9 @@ def parse_records(csv_bytes: bytes) -> ParseResult:
     carries raw unit labels for that measurement, kept as unit tags for
     harmonize. An unparseable cell leaves its field at the default (missing,
     for numbers and times) and adds a warning; rows are never dropped here.
+    The file's first time (row order, started_at before ended_at) sets
+    whether its times carry a UTC offset: a later time of the other kind,
+    which could not be compared with it, is read as missing with a warning.
     Warnings come in row order, and within a row in PARSEABLE_FIELDS order.
     """
     try:
@@ -315,6 +350,7 @@ def parse_records(csv_bytes: bytes) -> ParseResult:
     unit_names = [name for name, _ in units]
     records: list[FieldRecord] = []
     warnings: list[str] = []
+    aware = None
     while block := list(islice(reader, _BLOCK_ROWS)):
         n = len(block)
         rows = map(pick, map(list.__add__, block, repeat(pad)))
@@ -328,6 +364,7 @@ def parse_records(csv_bytes: bytes) -> ParseResult:
                 values += _read_column(read, test, run, default)
             except ValueError:
                 values += _parse_cells(run, first, n, bad)
+        aware = _one_offset_kind(values, cells, n, aware, bad)
         if bad:
             warnings += [f"row {len(records) + row}: {what}" for row, _, what in sorted(bad)]
         tags = repeat(())

@@ -198,6 +198,34 @@ def test_qc_batch_thresholds_come_from_config(tmp_path, capsys):
     assert "rule,BATCH_FILLING,3" in out
 
 
+@pytest.mark.parametrize("first, other, kind", [
+    ("+05:30", "", "has no UTC offset"),
+    ("", "+05:30", "has a UTC offset"),
+], ids=["offset_first", "offset_later"])
+def test_qc_reads_a_time_of_the_other_offset_kind_as_missing(tmp_path, capsys, first, other, kind):
+    # times with and without a UTC offset cannot be compared: the file's
+    # first time sets the kind, and a later time of the other kind is missing
+    # rather than a TypeError in the batch-filling rule or a record's duration
+    (tmp_path / "mixed.csv").write_text(
+        "uuid,sample_id,survey_kind,collector_id,started_at,ended_at\n"
+        f"a,s-a,household,c1,2024-01-01T10:00:00{first},2024-01-01T10:06:00{first}\n"
+        f"b,s-b,household,c1,2024-01-01T10:01:00{other},2024-01-01T10:07:00{first}\n"
+        f"c,s-c,household,c2,2024-01-01T10:02:00{first},2024-01-01T10:03:00{other}\n"
+    )
+    out_dir = tmp_path / "qc"
+    assert run(["qc", "--records", str(tmp_path / "mixed.csv"), "--out", str(out_dir)]) == 0
+    assert read_manifest(out_dir)["parse_warnings"] == [
+        f"row 1: started_at value '2024-01-01T10:01:00{other}' {kind}, "
+        "unlike the file's first timestamp",
+        f"row 2: ended_at value '2024-01-01T10:03:00{other}' {kind}, "
+        "unlike the file's first timestamp",
+    ]
+    verdicts = [json.loads(line) for line in (out_dir / "verdicts.jsonl").read_text().splitlines()]
+    # c's duration is unknown, so its 60 s survey is not DURATION_SHORT
+    assert [v["triggered"] for v in verdicts] == [["GPS_MISSING"]] * 3
+    capsys.readouterr()
+
+
 BAD_BATCH_SETTINGS = {
     "radius_not_a_number": {"cluster_radius_m": "ten"},
     "negative_radius": {"cluster_radius_m": -1.0},

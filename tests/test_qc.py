@@ -4,7 +4,10 @@ anomaly detection."""
 import itertools
 import math
 import random
+import tracemalloc
+from bisect import bisect_right
 from datetime import datetime, timedelta
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,7 @@ from waterscreen.qc import (
     evaluate_record,
 )
 from waterscreen.records import DEFAULT_BOUNDS, FieldRecord
+from waterscreen.synth import SynthConfig, generate
 
 T0 = datetime(2024, 3, 1, 10, 0, 0)
 
@@ -303,6 +307,60 @@ def _cluster_rows_reference(records, config):
     return flagged
 
 
+def _cluster_rows_sweep_reference(records, config):
+    """The same groups by a latitude sort-and-sweep in plain Python, each
+    candidate pair decided by _haversine_m."""
+    located = [
+        i
+        for i, record in enumerate(records)
+        if record.survey_kind == "household"
+        and record.latitude is not None
+        and record.longitude is not None
+    ]
+    parent = {i: i for i in located}
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def link(i, j):
+        i, j = min(i, j), max(i, j)
+        d = _haversine_m(
+            records[i].latitude, records[i].longitude,
+            records[j].latitude, records[j].longitude,
+        )
+        if d <= config.cluster_radius_m:
+            parent[find(i)] = find(j)
+
+    swept = sorted(
+        (
+            i
+            for i in located
+            if -90.0 <= records[i].latitude <= 90.0 and math.isfinite(records[i].longitude)
+        ),
+        key=lambda i: records[i].latitude,
+    )
+    unbounded = sorted(set(located) - set(swept))
+    lats = [records[i].latitude for i in swept]
+    reach = math.degrees(config.cluster_radius_m / qc.EARTH_RADIUS_M) * 1.001 + 1e-9
+    for pos, i in enumerate(swept):
+        for j in swept[pos + 1:bisect_right(lats, lats[pos] + reach)]:
+            link(i, j)
+    for pos, i in enumerate(unbounded):
+        for j in swept + unbounded[pos + 1:]:
+            link(i, j)
+    groups: dict[int, list[int]] = {}
+    for i in located:
+        groups.setdefault(find(i), []).append(i)
+    flagged: set[int] = set()
+    for members in groups.values():
+        if len(members) >= config.cluster_min:
+            flagged.update(members)
+    return flagged
+
+
 def _outcome(cluster, records, config):
     """The flagged rows, or the type of the error the haversine raised."""
     try:
@@ -370,6 +428,17 @@ def test_sweep_matches_the_all_pairs_reference(cloud):
     )
 
 
+# chunks of 1 and 3 pairs end inside one row's run of partners
+@pytest.mark.parametrize("chunk", [1, 3])
+@settings(max_examples=400, deadline=None)
+@given(cloud=clouds())
+def test_sweep_in_small_chunks_matches_the_all_pairs_reference(chunk, cloud):
+    records, config = cloud
+    with mock.patch.object(qc, "_PAIR_CHUNK", chunk):
+        outcome = _outcome(_cluster_rows, records, config)
+    assert outcome == _outcome(_cluster_rows_reference, records, config)
+
+
 def _village_cloud(n, seed, span_m=8000.0):
     """n households, seven in ten in villages of about 30 spread 15 m around a
     centre, the rest scattered over a span_m square; village rows come first."""
@@ -390,22 +459,74 @@ def _village_cloud(n, seed, span_m=8000.0):
 
 def test_sweep_tests_a_small_multiple_of_n_pairs(monkeypatch):
     records = _village_cloud(8828, seed=4)
-    calls = 0
+    pairs = 0
+    sweep_pairs = qc._sweep_pairs
 
     def counted(*args):
-        nonlocal calls
-        calls += 1
-        return _haversine_m(*args)
+        nonlocal pairs
+        for first, second in sweep_pairs(*args):
+            pairs += len(first)
+            yield first, second
 
-    monkeypatch.setattr(qc, "_haversine_m", counted)
+    monkeypatch.setattr(qc, "_sweep_pairs", counted)
     flagged = _cluster_rows(records, BatchConfig())
-    # the all-pairs scan makes n(n-1)/2, about 39M, calls here
-    assert calls <= 20 * len(records)
+    # the all-pairs scan tests n(n-1)/2, about 39M, pairs here
+    assert 0 < pairs <= 20 * len(records)
     assert len(flagged) > len(records) // 2
     subset = records[:500]
     flagged_subset = _cluster_rows(subset, BatchConfig())
     assert flagged_subset
     assert flagged_subset == _cluster_rows_reference(subset, BatchConfig())
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _village_cloud(8828, seed=4), id="villages"),
+    pytest.param(lambda: generate(SynthConfig(n_rows=20000, seed=3))[0], id="synth_seed3"),
+])
+def test_numpy_sweep_matches_the_python_sweep(make):
+    records = make()
+    flagged = _cluster_rows(records, BatchConfig())
+    assert flagged
+    assert flagged == _cluster_rows_sweep_reference(records, BatchConfig())
+
+
+@pytest.mark.parametrize("step", [-math.inf, None, math.inf])
+def test_a_pair_at_the_radius_is_decided_by_the_haversine(monkeypatch, step):
+    a, b = FieldRecord(uuid="a", latitude=23.7, longitude=90.4), FieldRecord(
+        uuid="b", latitude=23.70006, longitude=90.40005)
+    distance = _haversine_m(a.latitude, a.longitude, b.latitude, b.longitude)
+    radius = distance if step is None else math.nextafter(distance, step)
+    far = FieldRecord(uuid="c", latitude=23.7, longitude=90.5)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _haversine_m(*args)
+
+    monkeypatch.setattr(qc, "_haversine_m", counted)
+    config = BatchConfig(cluster_min=2, cluster_radius_m=radius)
+    flagged = _cluster_rows([a, far, b], config)
+    # the pair at the radius takes the exact call, lower index first; both
+    # pairs with c, kilometres beyond it, are decided without one
+    assert calls == [(a.latitude, a.longitude, b.latitude, b.longitude)]
+    assert flagged == ({0, 2} if distance <= radius else set())
+
+
+def test_sweep_memory_is_bounded_by_the_chunk():
+    # every pair of 2000 rows on one parallel, about 2M pairs, is a candidate
+    rng = random.Random(5)
+    records = [FieldRecord(uuid=f"h{k}", latitude=23.7, longitude=rng.uniform(-180.0, 180.0))
+               for k in range(2000)]
+    tracemalloc.start()
+    try:
+        flagged = _cluster_rows(records, BatchConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert flagged == set()
+    # a dozen 8-byte arrays of one chunk, plus 1 KB a row; unchunked, one
+    # array of every pair alone would take 16 MB
+    assert peak < 12 * 8 * qc._PAIR_CHUNK + 1024 * len(records)
 
 
 def test_empty_batch_is_vacuous():

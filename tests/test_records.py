@@ -598,6 +598,7 @@ def _parse_records_reference(csv_bytes):
     def warn(row, field_name, raw):
         warnings.append(f"row {row}: unparseable {field_name} value {raw!r}")
 
+    first_has_offset = None
     for row_idx, row in enumerate(reader):
         kwargs = {}
 
@@ -627,6 +628,16 @@ def _parse_records_reference(csv_bytes):
                         kwargs[name] = value
                     except ValueError:
                         warn(row_idx, name, raw)
+                # the file's first time sets whether its times carry an offset
+                if names is _REF_TIME and name in kwargs:
+                    has_offset = kwargs[name].tzinfo is not None
+                    if first_has_offset is None:
+                        first_has_offset = has_offset
+                    elif has_offset != first_has_offset:
+                        del kwargs[name]
+                        kind = "has a UTC offset" if has_offset else "has no UTC offset"
+                        warnings.append(f"row {row_idx}: {name} value {raw!r} {kind}, "
+                                        "unlike the file's first timestamp")
         for name, options in (("survey_kind", ("household", "water_body")),
                               ("dataset_origin", ("set1", "set2"))):
             raw = cell(name).lower()
@@ -800,6 +811,7 @@ def test_parse_and_encode_match_the_references_across_blocks():
         rows[edge - 1][names.index("started_at")] = "yesterday"
         rows[edge][names.index("tc_present")] = "2"
         rows[edge][names.index("survey_kind")] = "Garden"
+        rows[edge][names.index("ended_at")] = "2024-03-01T10:00:00+05:30"
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows([names, *rows])
     data = buffer.getvalue().encode("utf-8")
@@ -809,6 +821,8 @@ def test_parse_and_encode_match_the_references_across_blocks():
     for edge in (_BLOCK_ROWS, 2 * _BLOCK_ROWS):
         assert f"row {edge - 1}: unparseable ph value 'n/a'" in parsed.warnings
         assert f"row {edge}: unparseable survey_kind value 'garden'" in parsed.warnings
+        assert (f"row {edge}: ended_at value '2024-03-01T10:00:00+05:30' has a UTC offset, "
+                "unlike the file's first timestamp") in parsed.warnings
     pinned = {"source_type": ["piped", "Piped", "piped"], "treatment": ["a1"]}
     for levels in (None, pinned):
         for require_labels in (False, True):

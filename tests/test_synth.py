@@ -151,32 +151,40 @@ _FLOATS = st.one_of(
 _MOMENTS = st.datetimes(min_value=datetime(1900, 1, 1), max_value=datetime(2100, 1, 1)).map(
     lambda moment: moment.replace(fold=0)
 )
-_TIMES = st.one_of(
-    st.none(),
-    _MOMENTS,
-    st.builds(
-        lambda moment, offset: moment.replace(tzinfo=timezone(offset)),
-        _MOMENTS,
-        # whole minutes: Python 3.11 reads an offset's microseconds back as zero
-        st.integers(-(24 * 60 - 1), 24 * 60 - 1).map(lambda minutes: timedelta(minutes=minutes)),
-    ),
+_OFFSETS = st.integers(-(24 * 60 - 1), 24 * 60 - 1).map(
+    # whole minutes: Python 3.11 reads an offset's microseconds back as zero
+    lambda minutes: timezone(timedelta(minutes=minutes))
 )
 _LIMIT = 2**53  # whole numbers a float holds exactly
-_RECORDS = st.builds(
-    FieldRecord,
-    uuid=_TEXT, sample_id=_TEXT, collector_id=_TEXT,
-    **dict.fromkeys(CATEGORICAL_FIELDS, _TEXT),
-    **dict.fromkeys(("latitude", "longitude", "gps_accuracy_m", *MEASUREMENT_FIELDS), _FLOATS),
-    started_at=_TIMES, ended_at=_TIMES,
-    survey_kind=st.sampled_from(SURVEY_KINDS), dataset_origin=st.sampled_from(DATASET_ORIGINS),
-    photo_count=st.integers(0, _LIMIT), expected_photo_count=st.integers(0, _LIMIT),
-    children_under_5=st.one_of(st.none(), st.integers(-_LIMIT, _LIMIT)),
-    tc_present=st.sampled_from([None, 0, 1]), ec_present=st.sampled_from([None, 0, 1]),
+
+
+def _records(with_offset: bool):
+    """Records whose times all carry a UTC offset or all do not: a file's
+    first time sets which, and a time of the other kind reads as missing."""
+    moments = _MOMENTS
+    if with_offset:
+        moments = st.builds(lambda moment, zone: moment.replace(tzinfo=zone), _MOMENTS, _OFFSETS)
+    times = st.one_of(st.none(), moments)
+    return st.builds(
+        FieldRecord,
+        uuid=_TEXT, sample_id=_TEXT, collector_id=_TEXT,
+        **dict.fromkeys(CATEGORICAL_FIELDS, _TEXT),
+        **dict.fromkeys(("latitude", "longitude", "gps_accuracy_m", *MEASUREMENT_FIELDS), _FLOATS),
+        started_at=times, ended_at=times,
+        survey_kind=st.sampled_from(SURVEY_KINDS), dataset_origin=st.sampled_from(DATASET_ORIGINS),
+        photo_count=st.integers(0, _LIMIT), expected_photo_count=st.integers(0, _LIMIT),
+        children_under_5=st.one_of(st.none(), st.integers(-_LIMIT, _LIMIT)),
+        tc_present=st.sampled_from([None, 0, 1]), ec_present=st.sampled_from([None, 0, 1]),
+    )
+
+
+_FILES = st.booleans().flatmap(
+    lambda with_offset: st.lists(_records(with_offset), min_size=1, max_size=5)
 )
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_RECORDS, min_size=1, max_size=5))
+@given(_FILES)
 def test_fixture_round_trip_is_lossless(tmp_path_factory, records):
     path = tmp_path_factory.getbasetemp() / "round_trip.csv"
     write_fixture(records, path)
