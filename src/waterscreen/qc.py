@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import Table, check_fields, integer_at_least, number_where
-from .records import DEFAULT_BOUNDS, FieldRecord, implausible
+from .records import DEFAULT_BOUNDS, FieldRecord, check_offset_kinds, implausible
 
 CATEGORY_OK = "OK"
 CATEGORY_REVIEW = "REVIEW"
@@ -115,6 +115,11 @@ def categorize(triggered: list[str]) -> str:
     return CATEGORY_OK
 
 
+def on_globe(latitude: float, longitude: float) -> bool:
+    """Latitude in [-90, 90] and longitude in [-180, 180] (NaN is neither)."""
+    return -90.0 <= latitude <= 90.0 and -180.0 <= longitude <= 180.0
+
+
 def evaluate_record(record: FieldRecord, seen: set[str]) -> QcVerdict:
     """Screen one record against every per-record rule; seen holds the
     uuids of the records screened before it, and a new non-empty uuid joins
@@ -138,8 +143,8 @@ def evaluate_record(record: FieldRecord, seen: set[str]) -> QcVerdict:
 
     if record.latitude is None or record.longitude is None:
         triggered.append("GPS_MISSING")
-    # a coordinate off the globe (NaN included) is impossible; an absent one is GPS_MISSING
-    if not (-90.0 <= (record.latitude or 0.0) <= 90.0 and -180.0 <= (record.longitude or 0.0) <= 180.0):
+    # an absent coordinate is GPS_MISSING, not off the globe
+    if not on_globe(record.latitude or 0.0, record.longitude or 0.0):
         triggered.append("GPS_OUT_OF_RANGE")
     if record.gps_accuracy_m is not None and record.gps_accuracy_m > GPS_ACCURACY_LIMIT_M:
         triggered.append("GPS_LOW_ACCURACY")
@@ -221,7 +226,7 @@ def _sweep_pairs(lats: np.ndarray, reach: float):
 
 def _cluster_rows(records: list[FieldRecord], config: BatchConfig) -> set[int]:
     """Indices of household records in single-linkage groups of >= cluster_min
-    within cluster_radius_m.
+    within cluster_radius_m; only those with both coordinates on_globe count.
 
     Candidate pairs come from a latitude sort-and-sweep. For latitudes in
     [-90, 90] both cosines of the haversine are >= 0, so a pair is at least
@@ -229,10 +234,7 @@ def _cluster_rows(records: list[FieldRecord], config: BatchConfig) -> set[int]:
     latitude order that lie within reach degrees. reach is the radius in
     degrees widened by 0.1% (rounding of the haversine) and by 1e-9 degrees
     (rounding of radians() and underflow of sin² for latitudes an ulp
-    apart). Rows with a latitude outside [-90, 90] (NaN included) or a
-    non-finite longitude break the bound and are tested against every
-    located row. The worst case, every row on one parallel, tests every
-    pair.
+    apart). The worst case, every row on one parallel, tests every pair.
 
     The swept pairs are tested as arrays. numpy computes each pair's
     haversine sum a, and h = sqrt(a) = sin(d / 2R), without asin. Its h
@@ -243,22 +245,22 @@ def _cluster_rows(records: list[FieldRecord], config: BatchConfig) -> set[int]:
     or above it by as much and a below 1 - 2e-9: margins 10**6 times the
     relative and 100 times the absolute rounding. asin is increasing with
     slope >= 1, so _haversine_m puts such a pair on the same side of the
-    radius. Every other swept pair, among them those at the radius, those
-    near antipodal (where asin's slope is unbounded and a rounded sum above
-    1 makes asin raise) and those whose sum is NaN, and every pair with an
-    unbounded row, is decided by the same lower-index-first _haversine_m
-    call as an all-pairs scan. Union-find groups do not depend on the order
-    of unions, so the groups are the all-pairs groups.
+    radius. Every other swept pair, among them those at the radius and those
+    near antipodal (where asin's slope is unbounded), is decided by the same
+    lower-index-first _haversine_m call as an all-pairs scan. Union-find
+    groups do not depend on the order of unions, so the groups are the
+    all-pairs groups.
     """
-    located = [
+    placed = [
         i
         for i, record in enumerate(records)
         if record.survey_kind == "household"
         and record.latitude is not None
         and record.longitude is not None
+        and on_globe(record.latitude, record.longitude)
     ]
-    # union-find over positions in located, which keep the records' order
-    parent = list(range(len(located)))
+    # union-find over positions in placed, which keep the records' order
+    parent = list(range(len(placed)))
 
     def find(k):
         while parent[k] != k:
@@ -266,20 +268,9 @@ def _cluster_rows(records: list[FieldRecord], config: BatchConfig) -> set[int]:
             k = parent[k]
         return k
 
-    def link(k, l):
-        i, j = located[min(k, l)], located[max(k, l)]
-        d = _haversine_m(
-            records[i].latitude, records[i].longitude,
-            records[j].latitude, records[j].longitude,
-        )
-        if d <= config.cluster_radius_m:
-            parent[find(k)] = find(l)
-
-    lat = np.array([records[i].latitude for i in located], dtype=float)
-    lon = np.array([records[i].longitude for i in located], dtype=float)
-    bounded = (np.abs(lat) <= 90.0) & np.isfinite(lon)
-    swept = np.flatnonzero(bounded)
-    swept = swept[np.argsort(lat[swept], kind="stable")]
+    lat = np.array([records[i].latitude for i in placed], dtype=float)
+    lon = np.array([records[i].longitude for i in placed], dtype=float)
+    swept = np.argsort(lat, kind="stable")
     phi, lons = np.radians(lat[swept]), lon[swept]
     cos_phi = np.cos(phi)
     reach = math.degrees(config.cluster_radius_m / EARTH_RADIUS_M) * 1.001 + 1e-9
@@ -287,24 +278,23 @@ def _cluster_rows(records: list[FieldRecord], config: BatchConfig) -> set[int]:
     margin = 1e-9 * h + 1e-6 / (2 * EARTH_RADIUS_M)
     below, above, top = max(h - margin, 0.0) ** 2, (h + margin) ** 2, 1 - 2e-9
     for first, second in _sweep_pairs(lat[swept], reach):
-        with np.errstate(invalid="ignore", over="ignore"):
-            # a longitude difference that overflows makes a NaN, left to _haversine_m
-            a = (np.sin((phi[second] - phi[first]) / 2) ** 2
-                 + cos_phi[first] * cos_phi[second]
-                 * np.sin(np.radians(lons[second] - lons[first]) / 2) ** 2)
+        a = (np.sin((phi[second] - phi[first]) / 2) ** 2
+             + cos_phi[first] * cos_phi[second]
+             * np.sin(np.radians(lons[second] - lons[first]) / 2) ** 2)
         linked = a < below
         near = ~(linked | ((a > above) & (a < top)))
         for k, l in zip(swept[first[linked]].tolist(), swept[second[linked]].tolist()):
             parent[find(k)] = find(l)
         for k, l in zip(swept[first[near]].tolist(), swept[second[near]].tolist()):
-            link(k, l)
-    swept = swept.tolist()
-    unbounded = np.flatnonzero(~bounded).tolist()
-    for pos, k in enumerate(unbounded):
-        for l in swept + unbounded[pos + 1:]:
-            link(k, l)
+            i, j = placed[min(k, l)], placed[max(k, l)]
+            d = _haversine_m(
+                records[i].latitude, records[i].longitude,
+                records[j].latitude, records[j].longitude,
+            )
+            if d <= config.cluster_radius_m:
+                parent[find(k)] = find(l)
     groups: dict[int, list[int]] = {}
-    for k, i in enumerate(located):
+    for k, i in enumerate(placed):
         groups.setdefault(find(k), []).append(i)
     flagged: set[int] = set()
     for members in groups.values():
@@ -319,8 +309,9 @@ def evaluate_batch(records: list[FieldRecord],
     it, then the batch anomaly rules (BATCH_FILLING and SPATIAL_CLUSTER),
     which append their codes to the verdicts they flag and re-categorize
     those verdicts. Also returns how many verdicts carry each rule code
-    (codes that never fired are absent).
+    (codes that never fired are absent). Refuses times of both offset kinds.
     """
+    check_offset_kinds(records)
     if config is None:
         config = BatchConfig()
     seen: set[str] = set()

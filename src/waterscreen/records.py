@@ -270,36 +270,49 @@ def _parse_cells(cells: list[str], first: int, n: int, bad: list) -> list:
     return values
 
 
-_STARTED, _ENDED = map(PARSEABLE_FIELDS.index, ("started_at", "ended_at"))
-_TZINFO = attrgetter("tzinfo")
+_TIME_FIELDS = ("started_at", "ended_at")
+_STARTED, _ENDED = map(PARSEABLE_FIELDS.index, _TIME_FIELDS)
+
+
+def _other_kind(times: list, aware: bool | None) -> tuple[bool | None, list[int]]:
+    """Whether times (row order, started_at before ended_at) carry a UTC
+    offset: aware, if known before them, else as their first time does; and
+    the positions of the times of the other kind, not comparable with it."""
+    if aware is None:
+        aware = next((moment.tzinfo is not None for moment in times if moment is not None), None)
+    return aware, [at for at, moment in enumerate(times)
+                   if moment is not None and (moment.tzinfo is not None) != aware]
 
 
 def _one_offset_kind(values: list, cells: list[str], n: int, aware: bool | None,
                      bad: list) -> bool | None:
-    """Whether the file's times carry a UTC offset, set by its first
-    timestamp (row order, started_at before ended_at): aware, as known before
-    this block, or None while no time has been read. A time of the other
-    kind, which cannot be compared with the first, reads as missing in
-    values and adds (row, field rank, warning) to bad."""
+    """The file's offset kind after this block (_other_kind; aware as known
+    before it). A time of the other kind reads as missing in values and adds
+    (row, field rank, warning) to bad."""
     started = values[_STARTED * n : (_STARTED + 1) * n]
     ended = values[_ENDED * n : (_ENDED + 1) * n]
-    zones = set(map(_TZINFO, filter(None, started + ended)))
-    naive = None in zones
-    offset = len(zones) > naive
-    if aware is None:
-        if not (naive and offset):
-            return offset if zones else None
-        aware = next(filter(None, chain.from_iterable(zip(started, ended)))).tzinfo is not None
-    if naive if aware else offset:
-        kind = "has no UTC offset" if aware else "has a UTC offset"
-        for rank, column in ((_STARTED, started), (_ENDED, ended)):
-            for row, moment in enumerate(column):
-                if moment is not None and (moment.tzinfo is not None) != aware:
-                    values[rank * n + row] = None
-                    raw = cells[rank * n + row]
-                    what = f"{PARSEABLE_FIELDS[rank]} value {raw!r} {kind}"
-                    bad.append((row, rank, f"{what}, unlike the file's first timestamp"))
+    aware, others = _other_kind(list(chain.from_iterable(zip(started, ended))), aware)
+    for at in others:
+        row, rank = at // 2, (_STARTED, _ENDED)[at % 2]
+        values[rank * n + row] = None
+        what = f"{PARSEABLE_FIELDS[rank]} value {cells[rank * n + row]!r}"
+        bad.append((row, rank, f"{what} has {'no' if aware else 'a'} UTC offset, "
+                    "unlike the file's first timestamp"))
     return aware
+
+
+def check_offset_kinds(records: list[FieldRecord]) -> None:
+    """Refuse, with ParameterError, records whose times mix values with and
+    without a UTC offset, which cannot be compared. As in parse_records, the
+    first time (record order, started_at before ended_at) sets the kind."""
+    times = list(chain.from_iterable(map(attrgetter(*_TIME_FIELDS), records)))
+    aware, others = _other_kind(times, None)
+    if others:
+        at = others[0]
+        raise ParameterError(
+            f"record {at // 2}: {_TIME_FIELDS[at % 2]} value {times[at].isoformat()!r} has "
+            f"{'no' if aware else 'a'} UTC offset, unlike the records' first timestamp"
+        )
 
 
 # each measurement's unit column, in the order unit tags list them

@@ -32,7 +32,8 @@ import numpy as np
 
 from .artifacts import NUMBER, Kind, Table, check_fields, integer_at_least, where
 from .errors import ParameterError
-from .records import CATEGORICAL_FIELDS, MEASUREMENT_FIELDS, PARSEABLE_FIELDS, FieldRecord
+from .records import (CATEGORICAL_FIELDS, MEASUREMENT_FIELDS, PARSEABLE_FIELDS, FieldRecord,
+                      check_offset_kinds)
 
 # per measurement: (baseline, noise sd, log-scale flag); log-scale columns
 # are exponentiated, giving the right-skewed shapes seen in field data
@@ -311,7 +312,9 @@ def _fixture_row(record: FieldRecord) -> list:
 
 def write_fixture(records: list[FieldRecord], path) -> None:
     """Write records as a schema-conformant CSV that parse_records round-trips
-    losslessly (floats via repr). Byte-identical for identical records."""
+    losslessly (floats via repr). Byte-identical for identical records.
+    Refuses times of both offset kinds (check_offset_kinds)."""
+    check_offset_kinds(records)
     if not records:
         raise ParameterError("cannot write an empty fixture")
     with open(path, "w", encoding="utf-8", newline="") as handle:

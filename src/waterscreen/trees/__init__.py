@@ -25,7 +25,6 @@ from .model import (
     LogisticModel,
     Tree,
     TreeEnsembleModel,
-    from_json,
     model_digest,
     predict_proba,
     to_json,
@@ -47,7 +46,6 @@ __all__ = [
     "fit_gbdt",
     "fit_logistic",
     "forest_preset",
-    "from_json",
     "gbdt_depthwise_preset",
     "gbdt_leafwise_preset",
     "logistic_preset",

@@ -76,9 +76,8 @@ def fit_gbdt(
         denom = h_sum + config.l2_regularization
         return -lr * g_sum / denom if denom > 0 else 0.0
 
-    valid_scores = None
-    valid_w = None
-    valid_y = None
+    # validation rows go under the training rows: one scores vector, one route a round
+    codes, gone = binned.bin_indices, ws.gone
     if valid is not None:
         valid_binned, valid_labels = valid
         if valid_binned.n_cols != binned.n_cols:
@@ -90,10 +89,10 @@ def fit_gbdt(
         if valid_y.size != valid_binned.n_rows:
             raise ParameterError("validation labels length does not match matrix rows")
         valid_w = np.where(valid_y == 1.0, pos_weight, 1.0)
-        valid_scores = np.full(valid_binned.n_rows, base_score, dtype=float)
-        valid_gone = valid_binned.missing_mask
+        codes = np.vstack([codes, valid_binned.bin_indices])
+        gone = np.vstack([gone, valid_binned.missing_mask])
 
-    scores = np.full(n, base_score, dtype=float)
+    scores = np.full(len(codes), base_score, dtype=float)
     trees: list[Tree] = []
     train_loss: list[float] = []
     valid_loss: list[float] | None = [] if valid is not None else None
@@ -101,14 +100,14 @@ def fit_gbdt(
     best_index = 0
 
     for iteration in range(config.iteration_cap):
-        probs = sigmoid(scores)
+        probs = sigmoid(scores[:n])
         g = w * (probs - y)
         h = w * probs * (1.0 - probs)
         rows = _draw_rows(n, config, rng, replace=False)
         tree = grow_tree(ws, rows, g, h, w, config, rng, leaf_value)
         trees.append(tree)
-        scores = scores + tree.margins_binned(binned.bin_indices, ws.gone)
-        loss = _weighted_logloss(scores, y, w)
+        scores = scores + tree.margins_binned(codes, gone)
+        loss = _weighted_logloss(scores[:n], y, w)
         if config.row_subsample >= 1.0 and train_loss and loss > train_loss[-1] + 1e-9:
             raise FitError(
                 f"training loss increased at iteration {iteration}: "
@@ -116,8 +115,7 @@ def fit_gbdt(
             )
         train_loss.append(loss)
         if valid is not None:
-            valid_scores += tree.margins_binned(valid_binned.bin_indices, valid_gone)
-            vloss = _weighted_logloss(valid_scores, valid_y, valid_w)
+            vloss = _weighted_logloss(scores[n:], valid_y, valid_w)
             valid_loss.append(vloss)
             if vloss < best_valid:
                 best_valid = vloss

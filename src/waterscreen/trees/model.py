@@ -12,16 +12,15 @@ one boosting uses) are the one-tree case of the same walk, and model.json
 is written from these views, with children numbered within each tree and
 -1 at leaves.
 
-Each model class declares its artifact table beside itself; to_json,
-from_json and model_digest read and write a model through them (see
-waterscreen.artifacts for the format and the rule every read follows).
+Each model class declares its artifact table beside itself; MODEL reads
+and writes a model through them, and to_json and model_digest write one
+(see waterscreen.artifacts for the format and the rule every read follows).
 _check_trees refuses, after reading, trees whose fields disagree.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -330,10 +329,6 @@ def predict_proba(model: Model, matrix: FeatureMatrix) -> np.ndarray:
 
 def to_json(model: Model) -> str:
     return dump(MODEL.write(model))
-
-
-def from_json(text: str) -> Model:
-    return MODEL.read(json.loads(text))
 
 
 def model_digest(model: Model) -> str:

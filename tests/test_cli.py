@@ -226,6 +226,24 @@ def test_qc_reads_a_time_of_the_other_offset_kind_as_missing(tmp_path, capsys, f
     capsys.readouterr()
 
 
+def test_qc_gives_a_household_off_the_globe_a_verdict(tmp_path, capsys):
+    # b's latitude is off the globe; the haversine puts b 0 m from a, by a
+    # sum that rounds below 0, on which sqrt raises
+    (tmp_path / "off.csv").write_text(
+        "uuid,survey_kind,latitude,longitude,sample_id\n"
+        "a,household,78.069423,72.560338,s1\n"
+        "b,household,101.930577,-107.439662,s2\n"
+    )
+    out_dir = tmp_path / "qc"
+    assert run(["qc", "--records", str(tmp_path / "off.csv"), "--out", str(out_dir)]) == 2
+    verdicts = [json.loads(line) for line in (out_dir / "verdicts.jsonl").read_text().splitlines()]
+    assert [(v["uuid"], v["category"], v["triggered"]) for v in verdicts] == [
+        ("a", "OK", []),
+        ("b", "ALERT", ["GPS_OUT_OF_RANGE"]),
+    ]
+    assert capsys.readouterr().err == ""
+
+
 BAD_BATCH_SETTINGS = {
     "radius_not_a_number": {"cluster_radius_m": "ten"},
     "negative_radius": {"cluster_radius_m": -1.0},

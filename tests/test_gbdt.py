@@ -17,12 +17,11 @@ from waterscreen.trees import (
     fit_forest,
     fit_gbdt,
     forest_preset,
-    from_json,
     gbdt_leafwise_preset,
     predict_proba,
     to_json,
 )
-from waterscreen.trees.model import Tree, TreeEnsembleModel, _leaf_sum, _leaf_values
+from waterscreen.trees.model import MODEL, Tree, TreeEnsembleModel, _leaf_sum, _leaf_values
 
 
 def make_matrix(values, names=None):
@@ -331,7 +330,7 @@ class TestWeightsAndRouting:
         if data.draw(st.booleans(), label="read"):
             stored = json.loads(to_json(model))
             stored["best_iteration"] = data.draw(st.integers(0, n_trees - 1), label="kept")
-            model = from_json(json.dumps(stored))
+            model = MODEL.read(stored)
         n_rows = data.draw(st.sampled_from([0, 1, matrix.n_rows]), label="rows")
         matrix = matrix.take(range(n_rows))
         binned = apply_bins(matrix, reference)

@@ -22,7 +22,6 @@ from waterscreen.trees import (
     fit_gbdt,
     fit_logistic,
     forest_preset,
-    from_json,
     gbdt_depthwise_preset,
     gbdt_leafwise_preset,
     logistic_preset,
@@ -31,7 +30,7 @@ from waterscreen.trees import (
     to_json,
 )
 from waterscreen.trees.config import LEARNER_CONFIG
-from waterscreen.trees.model import NODE_DTYPES, sigmoid
+from waterscreen.trees.model import MODEL, NODE_DTYPES, sigmoid
 
 
 def make_matrix(values, names=None):
@@ -82,7 +81,7 @@ class TestRoundTrip:
     def test_gbdt_json_round_trip_is_bitwise(self):
         model, matrix = fitted_gbdt()
         text = to_json(model)
-        loaded = from_json(text)
+        loaded = MODEL.read(json.loads(text))
         assert to_json(loaded) == text
         assert model_digest(loaded) == model_digest(model)
         assert np.array_equal(predict_proba(loaded, matrix), predict_proba(model, matrix))
@@ -93,7 +92,7 @@ class TestRoundTrip:
         y = (values[:, 0] > 0).astype(int)
         matrix = make_matrix(values)
         model = fit_forest(matrix, y, forest_preset(iteration_cap=5, seed=2))
-        loaded = from_json(to_json(model))
+        loaded = MODEL.read(json.loads(to_json(model)))
         assert to_json(loaded) == to_json(model)
         assert np.array_equal(predict_proba(loaded, matrix), predict_proba(model, matrix))
 
@@ -103,7 +102,7 @@ class TestRoundTrip:
         y = (values[:, 0] - values[:, 1] + rng.normal(size=150) > 0).astype(int)
         matrix = make_matrix(values)
         model = fit_logistic(matrix, y, l2=0.8)
-        loaded = from_json(to_json(model))
+        loaded = MODEL.read(json.loads(to_json(model)))
         assert to_json(loaded) == to_json(model)
         assert np.array_equal(predict_proba(loaded, matrix), predict_proba(model, matrix))
 
@@ -114,7 +113,7 @@ class TestRoundTrip:
             forest_preset(iteration_cap=3, max_bins=32, seed=1),
         )
         for fitted in (model, forest):
-            loaded = from_json(to_json(fitted))
+            loaded = MODEL.read(json.loads(to_json(fitted)))
             for tree, back in zip(fitted.trees, loaded.trees):
                 for name, dtype in NODE_DTYPES.items():
                     assert getattr(tree, name).dtype == dtype
@@ -285,7 +284,7 @@ class TestLearnerConfigTypes:
             max_depth=4, l2_regularization=2, positive_class_weight=3, learning_rate=0.25
         )
         text = to_json(replace(model, config=config))
-        loaded = from_json(text)
+        loaded = MODEL.read(json.loads(text))
         assert loaded.config == config
         # integers stay integers: the config is written back with the same bytes
         assert to_json(loaded) == text
@@ -314,7 +313,7 @@ class TestMalformedTrees:
         model, _ = fitted_gbdt()
         text = json.dumps(_break(json.loads(to_json(model)), defect))
         with pytest.raises(SchemaError):
-            from_json(text)
+            MODEL.read(json.loads(text))
 
     @pytest.mark.parametrize("defect, message", [
         ("config_max_depth_zero", "a stage config's 'max_depth' must be an integer >= 1"),
@@ -324,14 +323,14 @@ class TestMalformedTrees:
         model, _ = fitted_gbdt()
         text = json.dumps(_break(json.loads(to_json(model)), defect))
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
-            from_json(text)
+            MODEL.read(json.loads(text))
 
     def test_a_missing_key_is_named(self):
         model, _ = fitted_gbdt()
         data = json.loads(to_json(model))
         del data["trees"][0]["left"]
         with pytest.raises(SchemaError, match="'left'"):
-            from_json(json.dumps(data))
+            MODEL.read(data)
 
 
 class TestPredictEdgeCases:

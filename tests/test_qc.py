@@ -6,7 +6,7 @@ import math
 import random
 import tracemalloc
 from bisect import bisect_right
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from unittest import mock
 
 import pytest
@@ -191,6 +191,18 @@ def test_batch_flags_repeated_and_missing_uuids():
     assert counts == {"DUPLICATE_UUID": 1, "MISSING_UUID": 2}
 
 
+@pytest.mark.parametrize("times, refused", [
+    ([(T0, T0), (T0.replace(tzinfo=timezone.utc), None)], "record 1: started_at value .* has a"),
+    ([(T0.replace(tzinfo=timezone.utc), T0)], "record 0: ended_at value .* has no"),
+], ids=["across_records", "within_a_record"])
+def test_batch_refuses_times_of_both_offset_kinds(times, refused):
+    # such times cannot be compared or subtracted
+    records = [compliant(f"u{i}", started_at=start, ended_at=end)
+               for i, (start, end) in enumerate(times)]
+    with pytest.raises(ParameterError, match=f"^{refused} UTC offset"):
+        evaluate_batch(records)
+
+
 def spaced_records(n, gap_s, collector="c1", start=T0):
     out = []
     for i in range(n):
@@ -271,16 +283,24 @@ def test_water_body_records_do_not_cluster():
     assert "SPATIAL_CLUSTER" not in counts
 
 
-def _cluster_rows_reference(records, config):
-    """Indices of household records in single-linkage groups of >= cluster_min
-    within cluster_radius_m."""
-    located = [
+def _placed(records):
+    """Indices of the households whose two coordinates are present and on
+    the globe, in order."""
+    return [
         i
         for i, record in enumerate(records)
         if record.survey_kind == "household"
         and record.latitude is not None
         and record.longitude is not None
+        and -90.0 <= record.latitude <= 90.0
+        and -180.0 <= record.longitude <= 180.0
     ]
+
+
+def _cluster_rows_reference(records, config):
+    """Indices of placed household records in single-linkage groups of >=
+    cluster_min within cluster_radius_m."""
+    located = _placed(records)
     parent = {i: i for i in located}
 
     def find(i):
@@ -310,13 +330,7 @@ def _cluster_rows_reference(records, config):
 def _cluster_rows_sweep_reference(records, config):
     """The same groups by a latitude sort-and-sweep in plain Python, each
     candidate pair decided by _haversine_m."""
-    located = [
-        i
-        for i, record in enumerate(records)
-        if record.survey_kind == "household"
-        and record.latitude is not None
-        and record.longitude is not None
-    ]
+    located = _placed(records)
     parent = {i: i for i in located}
 
     def find(i):
@@ -334,22 +348,11 @@ def _cluster_rows_sweep_reference(records, config):
         if d <= config.cluster_radius_m:
             parent[find(i)] = find(j)
 
-    swept = sorted(
-        (
-            i
-            for i in located
-            if -90.0 <= records[i].latitude <= 90.0 and math.isfinite(records[i].longitude)
-        ),
-        key=lambda i: records[i].latitude,
-    )
-    unbounded = sorted(set(located) - set(swept))
+    swept = sorted(located, key=lambda i: records[i].latitude)
     lats = [records[i].latitude for i in swept]
     reach = math.degrees(config.cluster_radius_m / qc.EARTH_RADIUS_M) * 1.001 + 1e-9
     for pos, i in enumerate(swept):
         for j in swept[pos + 1:bisect_right(lats, lats[pos] + reach)]:
-            link(i, j)
-    for pos, i in enumerate(unbounded):
-        for j in swept + unbounded[pos + 1:]:
             link(i, j)
     groups: dict[int, list[int]] = {}
     for i in located:
@@ -361,20 +364,13 @@ def _cluster_rows_sweep_reference(records, config):
     return flagged
 
 
-def _outcome(cluster, records, config):
-    """The flagged rows, or the type of the error the haversine raised."""
-    try:
-        return cluster(records, config)
-    except ValueError as exc:
-        return type(exc)
-
-
 METERS_PER_DEGREE = 111195.0
 # poles, both sides of the antimeridian, and ordinary survey coordinates
 ANCHOR_LATS = (90.0, -90.0, 89.99995, -89.99995, 0.0, 23.7)
 ANCHOR_LONS = (180.0, -180.0, 179.99995, -179.99995, 0.0, 90.4)
-# latitudes the sweep's bound does not cover
+# coordinates off the globe, which place no household
 UNBOUNDED_LATS = (90.00001, -90.5, 135.0, -200.0, math.nan, math.inf)
+UNBOUNDED_LONS = (180.5, -180.00001, 255.0, -400.0, math.nan, -math.inf)
 
 
 @st.composite
@@ -393,7 +389,10 @@ def clouds(draw):
                 lat = math.nextafter(lat, draw(st.sampled_from((-math.inf, math.inf))))
             point = (lat, lon)
             if step == "unbounded":
-                point = (draw(st.sampled_from(UNBOUNDED_LATS)), lon)
+                point = draw(
+                    st.tuples(st.sampled_from(UNBOUNDED_LATS), st.just(lon))
+                    | st.tuples(st.just(lat), st.sampled_from(UNBOUNDED_LONS))
+                )
             elif step == "missing":
                 point = draw(st.sampled_from(((None, lon), (lat, None))))
             kind = draw(st.sampled_from(("household", "household", "water_body")))
@@ -423,9 +422,15 @@ def clouds(draw):
 @given(cloud=clouds())
 def test_sweep_matches_the_all_pairs_reference(cloud):
     records, config = cloud
-    assert _outcome(_cluster_rows, records, config) == _outcome(
-        _cluster_rows_reference, records, config
-    )
+    assert _cluster_rows(records, config) == _cluster_rows_reference(records, config)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cloud=clouds())
+def test_a_household_off_the_globe_is_never_clustered(cloud):
+    records, config = cloud
+    for i in _cluster_rows(records, config):
+        assert "GPS_OUT_OF_RANGE" not in evaluate_record(records[i], set()).triggered
 
 
 # chunks of 1 and 3 pairs end inside one row's run of partners
@@ -435,8 +440,8 @@ def test_sweep_matches_the_all_pairs_reference(cloud):
 def test_sweep_in_small_chunks_matches_the_all_pairs_reference(chunk, cloud):
     records, config = cloud
     with mock.patch.object(qc, "_PAIR_CHUNK", chunk):
-        outcome = _outcome(_cluster_rows, records, config)
-    assert outcome == _outcome(_cluster_rows_reference, records, config)
+        flagged = _cluster_rows(records, config)
+    assert flagged == _cluster_rows_reference(records, config)
 
 
 def _village_cloud(n, seed, span_m=8000.0):

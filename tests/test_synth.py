@@ -209,6 +209,25 @@ def test_write_rejects_empty_input(tmp_path):
         write_fixture([], tmp_path / "empty.csv")
 
 
+NAIVE = datetime(2024, 1, 1, 10, 0)
+AWARE = NAIVE.replace(tzinfo=timezone(timedelta(hours=5, minutes=30)))
+
+
+@pytest.mark.parametrize("times, refused", [
+    ([(NAIVE, NAIVE), (AWARE, AWARE)], "record 1: started_at value '2024-01-01T10:00:00[+]05:30' has a"),
+    ([(AWARE, NAIVE)], "record 0: ended_at value '2024-01-01T10:00:00' has no"),
+    ([(None, AWARE), (NAIVE, None)], "record 1: started_at value '2024-01-01T10:00:00' has no"),
+], ids=["across_records", "within_a_record", "first_is_an_end"])
+def test_write_refuses_times_of_both_offset_kinds(tmp_path, times, refused):
+    # parse_records would read the later kind back as missing
+    records = [FieldRecord(uuid=f"u{i}", started_at=start, ended_at=end)
+               for i, (start, end) in enumerate(times)]
+    path = tmp_path / "mixed.csv"
+    with pytest.raises(ParameterError, match=f"^{refused} UTC offset, unlike the records' first"):
+        write_fixture(records, path)
+    assert not path.exists()
+
+
 def test_config_validation():
     with pytest.raises(ParameterError):
         generate(SynthConfig(n_rows=5))
