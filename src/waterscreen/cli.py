@@ -298,7 +298,7 @@ def _cmd_qc(args) -> int:
     run = _Run(args, "qc")
     parsed = _parse_input_records(run, args.records)
     config = BatchConfig(**{key: run.settings[key] for key in BATCH_CONFIG.fields})
-    verdicts, rule_counts = evaluate_batch(parsed.records, config)
+    verdicts, rule_counts = evaluate_batch(list(parsed.records), config)
     encode = json.JSONEncoder(separators=(",", ":")).encode
     lines = [
         encode({"uuid": v.uuid, "category": v.category, "triggered": v.triggered})
@@ -329,7 +329,7 @@ def _cmd_clean(args) -> int:
     bounds, dictionary = run.settings["bounds"], run.settings["dictionary"]
     tables = read_dictionary(dictionary)  # a malformed table is refused before any input
     parsed = _parse_input_records(run, args.records)
-    records = parsed.records
+    records = list(parsed.records)
     if dictionary:
         records = harmonize(records, tables)
     kept, clean_log = clean(records, bounds or None)

@@ -5,9 +5,13 @@ encoding, and the stratified train/test split.
 Ingest works a column at a time. parse_records reads the CSV in blocks of a
 fixed number of rows, transposes each block, and reads a run of columns of
 one kind in a single pass of a builtin (float over the number columns, say);
-only a run holding a cell the builtin rejects is parsed again cell by cell,
-to word its warnings. A block bounds the raw cells held at once. encode
-fills the feature matrix with one numpy call over its cells.
+a run holding a cell the builtin rejects is read again a column at a time,
+and only a column that fails again is parsed cell by cell, to word its
+warnings. A block bounds the raw cells held at once. The records stay
+columns: parse_records returns a RecordTable, one column of values per
+FieldRecord field, which builds a FieldRecord only when a row is read.
+encode reads the columns and fills the feature matrix with one numpy call
+over them, a one-hot column being its field's column compared with a level.
 
 All operations are pure: they return new records or arrays and never mutate
 their inputs.
@@ -18,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from dataclasses import fields as dataclass_fields
 from datetime import datetime
@@ -132,9 +137,44 @@ class FieldRecord:
         return (self.ended_at - self.started_at).total_seconds()
 
 
+# FieldRecord's fields, in order, the getter of all of them from a record,
+# and the columns of no records
+_RECORD_FIELDS = tuple(f.name for f in dataclass_fields(FieldRecord))
+_RECORD_CELLS = attrgetter(*_RECORD_FIELDS)
+_NO_ROWS = ((),) * len(_RECORD_FIELDS)
+
+
+class RecordTable(Sequence):
+    """Records held as columns: a read-only sequence of FieldRecords that
+    builds a row only when one is read. columns maps each FieldRecord field
+    to the sequence of its values; a slice is a table."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict[str, Sequence]):
+        self.columns = columns
+
+    @classmethod
+    def from_records(cls, records) -> RecordTable:
+        """The columns of a sequence of FieldRecords."""
+        rows = list(map(_RECORD_CELLS, records))
+        return cls(dict(zip(_RECORD_FIELDS, zip(*rows) if rows else _NO_ROWS)))
+
+    def __len__(self) -> int:
+        return len(self.columns["uuid"])
+
+    def __iter__(self):
+        return map(FieldRecord, *map(self.columns.__getitem__, _RECORD_FIELDS))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RecordTable({name: column[index] for name, column in self.columns.items()})
+        return FieldRecord(*[self.columns[name][index] for name in _RECORD_FIELDS])
+
+
 @dataclass
 class ParseResult:
-    records: list[FieldRecord]
+    records: RecordTable
     warnings: list[str]
 
 
@@ -211,17 +251,6 @@ _PARSERS = {
 }
 
 
-def _read_column(read, test, cells: list[str], default) -> list:
-    """A column of stripped cells read in one pass, default where a cell is
-    empty; raises ValueError if a cell does not read or the column fails test."""
-    if read is None:
-        return cells
-    values = [read(raw) if raw else default for raw in cells]
-    if test is not None and not test(values):
-        raise ValueError(cells)
-    return values
-
-
 PARSEABLE_FIELDS = tuple(_PARSERS)
 
 MANDATORY_FIELDS = ("uuid", "survey_kind")
@@ -248,8 +277,8 @@ def _runs() -> list[tuple]:
 
 
 _RUNS = _runs()
-# FieldRecord's arguments, picked from columns in PARSEABLE_FIELDS order
-_RECORD_ORDER = itemgetter(*map(PARSEABLE_FIELDS.index, _DEFAULTS))
+# parse_records' columns, in the order it reads them
+_PARSED_FIELDS = (*PARSEABLE_FIELDS, "unit_tags")
 
 
 def _parse_cells(cells: list[str], first: int, n: int, bad: list) -> list:
@@ -270,6 +299,27 @@ def _parse_cells(cells: list[str], first: int, n: int, bad: list) -> list:
     return values
 
 
+def _read_run(run: list[str], read, test, default, first: int, n: int, bad: list) -> list:
+    """The values of a run of stripped cells, n rows of each field from
+    PARSEABLE_FIELDS[first] on, default where a cell is empty. The run is
+    read in one pass of read, unless a cell does not read or the values fail
+    test; then it is read again a column at a time, and only a column that
+    fails again is parsed cell by cell, so a bad cell costs its own column."""
+    if read is None:
+        return run
+    try:
+        values = [read(raw) if raw else default for raw in run]
+        if test is None or test(values):
+            return values
+    except ValueError:
+        pass
+    # one column, or one row, is read cell by cell
+    if n == 1 or len(run) == n:
+        return _parse_cells(run, first, n, bad)
+    return [value for at in range(0, len(run), n)
+            for value in _read_run(run[at : at + n], read, test, default, first + at // n, n, bad)]
+
+
 _TIME_FIELDS = ("started_at", "ended_at")
 _STARTED, _ENDED = map(PARSEABLE_FIELDS.index, _TIME_FIELDS)
 
@@ -278,8 +328,11 @@ def _other_kind(times: list, aware: bool | None) -> tuple[bool | None, list[int]
     """Whether times (row order, started_at before ended_at) carry a UTC
     offset: aware, if known before them, else as their first time does; and
     the positions of the times of the other kind, not comparable with it."""
+    kinds = [moment.tzinfo is not None for moment in times if moment is not None]
     if aware is None:
-        aware = next((moment.tzinfo is not None for moment in times if moment is not None), None)
+        aware = kinds[0] if kinds else None
+    if (not aware) not in kinds:
+        return aware, []
     return aware, [at for at, moment in enumerate(times)
                    if moment is not None and (moment.tzinfo is not None) != aware]
 
@@ -325,7 +378,7 @@ _BLOCK_ROWS = 1024
 
 
 def parse_records(csv_bytes: bytes) -> ParseResult:
-    """Read a UTF-8 CSV with a header row into FieldRecords.
+    """Read a UTF-8 CSV with a header row into a RecordTable of its records.
 
     Header names are FieldRecord field names; other columns are ignored, and
     omitted fields stay at their defaults. A "<measurement>__unit" column
@@ -361,7 +414,8 @@ def parse_records(csv_bytes: bytes) -> ParseResult:
     pad = [""] * width
     pick = itemgetter(*positions)
     unit_names = [name for name, _ in units]
-    records: list[FieldRecord] = []
+    columns: list = []  # one per _PARSED_FIELDS name, joined over blocks
+    rows_read = 0
     warnings: list[str] = []
     aware = None
     while block := list(islice(reader, _BLOCK_ROWS)):
@@ -372,22 +426,25 @@ def parse_records(csv_bytes: bytes) -> ParseResult:
         cells = list(map(str.strip, chain.from_iterable(zip(*rows))))
         values = []
         for read, test, default, first, end in _RUNS:
-            run = cells[first * n : end * n]
-            try:
-                values += _read_column(read, test, run, default)
-            except ValueError:
-                values += _parse_cells(run, first, n, bad)
+            values += _read_run(cells[first * n : end * n], read, test, default, first, n, bad)
         aware = _one_offset_kind(values, cells, n, aware, bad)
         if bad:
-            warnings += [f"row {len(records) + row}: {what}" for row, _, what in sorted(bad)]
-        tags = repeat(())
+            warnings += [f"row {rows_read + row}: {what}" for row, _, what in sorted(bad)]
+        tags = ((),) * n
         if units:
             unit_columns = zip(*[iter(cells[len(values) :])] * n)
             tags = [tuple(compress(zip(unit_names, row), row)) for row in zip(*unit_columns)]
-        records += [
-            FieldRecord(*_RECORD_ORDER(values[row::n]), tag) for row, tag in zip(range(n), tags)
-        ]
-    return ParseResult(records=records, warnings=warnings)
+        part = [*zip(*[iter(values)] * n), tags]
+        if not columns:
+            columns = part  # a file of one block keeps its columns as they are
+        else:
+            if isinstance(columns[0], tuple):  # a second block: lists to extend
+                columns = [*map(list, columns)]
+            for column, block_column in zip(columns, part):
+                column += block_column
+        rows_read += n
+    return ParseResult(records=RecordTable(dict(zip(_PARSED_FIELDS, columns or _NO_ROWS))),
+                       warnings=warnings)
 
 
 def _tables(dictionary: Mapping, name: str, fields: tuple[str, ...], lookup) -> dict:
@@ -660,12 +717,22 @@ class Labels:
 
 
 # encode's physicochemical columns, first and in name order
-_PHYSICO_SPECS = [(name, name, None) for name in sorted(MEASUREMENT_FIELDS)]
-_PHYSICO_COLUMNS = [(name, KIND_PHYSICO) for name, _, _ in _PHYSICO_SPECS]
+_PHYSICO_FIELDS = sorted(MEASUREMENT_FIELDS)
+_PHYSICO_COLUMNS = [(name, KIND_PHYSICO) for name in _PHYSICO_FIELDS]
+# encode's contextual columns in name order, as (name, field, level): a
+# level makes the 0/1 indicators of field == level, no level the field's
+# values. "<field>=" with level ... stands for a categorical field's columns,
+# "<field>=<level>" for each of its levels: no field name holds "=", so they
+# sort together there, by level
+_CONTEXT_SLOTS = sorted(
+    [(name, name, None) for name in ("latitude", "longitude", "children_under_5")]
+    + [("dataset_origin=set2", "dataset_origin", "set2")]
+    + [(f"{f}=", f, ...) for f in CATEGORICAL_FIELDS]
+)
 
 
 def encode(
-    records: list[FieldRecord],
+    records: Sequence[FieldRecord],
     category_levels: Mapping[str, list[str]] | None = None,
     require_labels: bool = True,
 ) -> tuple[FeatureMatrix, Labels | None]:
@@ -677,50 +744,49 @@ def encode(
     sorted non-empty values in the records. Pass `category_levels` (e.g. from a
     fitted model's schema) to pin the one-hot vocabulary for new data; with
     `require_labels` off, rows may lack outcomes and Labels is returned only
-    if every record carries both.
+    if every record carries both. A RecordTable is read by its columns; any
+    other sequence of FieldRecords is turned into columns first.
     """
-    if not records:
+    if not isinstance(records, RecordTable):
+        records = RecordTable.from_records(records)
+    n = len(records)
+    if not n:
         raise EmptyInputError("no records to encode")
+    column = records.columns
     if category_levels is None:
-        levels = {
-            f: sorted(set(map(attrgetter(f), records)) - {""}) for f in CATEGORICAL_FIELDS
-        }
+        levels = {f: sorted(set(column[f]) - {""}) for f in CATEGORICAL_FIELDS}
     else:
         levels = {f: list(category_levels.get(f, [])) for f in CATEGORICAL_FIELDS}
-    if require_labels:
-        for i, r in enumerate(records):
-            if r.tc_present is None or r.ec_present is None:
-                raise ParameterError(
-                    f"record {i} ({r.uuid or 'no uuid'}) lacks an outcome label; clean first"
-                )
-    # (column name, record field, level): a level makes a 0/1 indicator of
-    # field == level, no level the field's value, with None as NaN
-    contextual = sorted(
-        [(name, name, None) for name in ("latitude", "longitude", "children_under_5")]
-        + [("dataset_origin=set2", "dataset_origin", "set2")]
-        + [(f"{f}={level}", f, level) for f in CATEGORICAL_FIELDS for level in levels[f]],
-        key=itemgetter(0),
-    )
-    specs = _PHYSICO_SPECS + contextual
-    # one numpy call over every cell, which on one row costs less than
-    # filling the matrix a column or a level at a time
-    values = np.fromiter(
-        (getattr(r, f) if level is None else getattr(r, f) == level
-         for r in records for _, f, level in specs),
-        dtype=float, count=len(records) * len(specs),
-    ).reshape(len(records), len(specs))
+    tc, ec = column["tc_present"], column["ec_present"]
+    labelled = None not in tc and None not in ec
+    if require_labels and not labelled:
+        i = next(i for i, pair in enumerate(zip(tc, ec)) if None in pair)
+        raise ParameterError(
+            f"record {i} ({column['uuid'][i] or 'no uuid'}) lacks an outcome label; clean first"
+        )
+    # the contextual columns and their cells, in name order
+    columns, cells = _PHYSICO_COLUMNS.copy(), []
+    for name, f, level in _CONTEXT_SLOTS:
+        if level is ...:
+            field_values = column[f]
+            for level in sorted(levels[f]):
+                columns.append((name + level, KIND_CONTEXT))
+                cells.append(map(level.__eq__, field_values))
+        else:
+            columns.append((name, KIND_CONTEXT))
+            cells.append(column[f] if level is None else map(level.__eq__, column[f]))
+    # one numpy call over every cell, row by row across the columns
+    rows = zip(*map(column.__getitem__, _PHYSICO_FIELDS), *cells)
+    values = np.fromiter(chain.from_iterable(rows), dtype=float, count=n * len(columns))
     matrix = FeatureMatrix(
-        values=values,
-        columns=_PHYSICO_COLUMNS + [(name, KIND_CONTEXT) for name, _, _ in contextual],
-        row_ids=[r.uuid for r in records],
+        values=values.reshape(n, len(columns)),
+        columns=columns,
+        row_ids=list(column["uuid"]),
         category_levels=levels,
     )
     labels: Labels | None = None
-    if all(r.tc_present is not None and r.ec_present is not None for r in records):
-        labels = Labels(
-            tc=np.array([r.tc_present for r in records], dtype=np.int8),
-            ec=np.array([r.ec_present for r in records], dtype=np.int8),
-        )
+    if labelled:
+        labels = Labels(tc=np.array(tc, dtype=np.int8), ec=np.array(ec, dtype=np.int8))
     return matrix, labels
 
 

@@ -699,6 +699,22 @@ def test_train_refits_with_the_configured_inner_fraction(workspace, tmp_path, mo
     assert splits == [(1.0 - 0.7, [3, 4]), (1.0 - 0.7, [3, 5])]
 
 
+def _no_row_objects(*args, **kwargs):
+    raise AssertionError("a FieldRecord was built")
+
+
+@pytest.mark.parametrize("subcommand", ["predict", "encode", "evaluate", "explain", "train", "ablate"])
+def test_batch_subcommands_build_no_row_objects(workspace, tmp_path, monkeypatch, subcommand):
+    # the records stay columns from the CSV to the feature matrix
+    monkeypatch.setattr(waterscreen.records, "FieldRecord", _no_row_objects)
+    inputs = [arg for arg in _subcommand_args(subcommand, workspace) if arg != "--assert"]
+    args = [subcommand, *inputs, "--out", str(tmp_path / "out")]
+    if subcommand in ("train", "ablate"):
+        args += ["--config", str(_write(tmp_path / "train.json", TRAIN_CONFIG))]
+    assert run(args) == 0
+    assert (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_module_runs_as_a_script(tmp_path):
     target = tmp_path / "x" / "fx.csv"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -29,6 +29,7 @@ from waterscreen.records import (
     FieldRecord,
     Labels,
     ParseResult,
+    RecordTable,
     clean,
     encode,
     harmonize,
@@ -770,6 +771,21 @@ def _matrix_parts(outcome):
     )
 
 
+def _check_table(table, n_rows, edges):
+    """A parsed table is a sequence of its rows: its length, and its slices,
+    which are tables, across each edge."""
+    rows = list(table)
+    assert len(table) == len(rows) == n_rows
+    for edge in edges:
+        for a, b in ((edge - 2, edge + 2), (0, edge), (edge, None), (-3, None)):
+            part = table[a:b]
+            assert isinstance(part, RecordTable)
+            assert list(part) == rows[a:b]
+            assert len(part) == len(rows[a:b])
+        if 0 <= edge < n_rows:
+            assert table[edge] == rows[edge]
+
+
 def test_parseable_fields_keep_their_order():
     assert PARSEABLE_FIELDS == _REF_FIELDS
 
@@ -781,14 +797,17 @@ def test_parse_and_encode_match_the_references(case):
     parsed = _outcome(parse_records, data)
     expected = _outcome(_parse_records_reference, data)
     if isinstance(parsed, ParseResult):
-        assert (parsed.records, parsed.warnings) == expected
+        assert (list(parsed.records), parsed.warnings) == expected
     else:
         assert parsed == expected
         return
+    _check_table(parsed.records, len(expected[0]), edges=[len(expected[0]) // 2])
     for require_labels in (False, True):
         got = _outcome(encode, parsed.records, levels, require_labels)
-        want = _outcome(_encode_reference, parsed.records, levels, require_labels)
+        want = _outcome(_encode_reference, expected[0], levels, require_labels)
         assert _matrix_parts(got) == _matrix_parts(want)
+        rows = _outcome(encode, list(parsed.records), levels, require_labels)
+        assert _matrix_parts(got) == _matrix_parts(rows)
 
 
 def test_parse_and_encode_match_the_references_across_blocks():
@@ -817,7 +836,8 @@ def test_parse_and_encode_match_the_references_across_blocks():
     data = buffer.getvalue().encode("utf-8")
     parsed = parse_records(data)
     expected = _parse_records_reference(data)
-    assert (parsed.records, parsed.warnings) == expected
+    assert (list(parsed.records), parsed.warnings) == expected
+    _check_table(parsed.records, 2 * _BLOCK_ROWS + 1, edges=[_BLOCK_ROWS, 2 * _BLOCK_ROWS])
     for edge in (_BLOCK_ROWS, 2 * _BLOCK_ROWS):
         assert f"row {edge - 1}: unparseable ph value 'n/a'" in parsed.warnings
         assert f"row {edge}: unparseable survey_kind value 'garden'" in parsed.warnings
@@ -827,8 +847,10 @@ def test_parse_and_encode_match_the_references_across_blocks():
     for levels in (None, pinned):
         for require_labels in (False, True):
             got = _outcome(encode, parsed.records, levels, require_labels)
-            want = _outcome(_encode_reference, parsed.records, levels, require_labels)
+            want = _outcome(_encode_reference, expected[0], levels, require_labels)
             assert _matrix_parts(got) == _matrix_parts(want)
+            rows = _outcome(encode, list(parsed.records), levels, require_labels)
+            assert _matrix_parts(got) == _matrix_parts(rows)
 
 
 def _implausible_reference(record, bounds):
