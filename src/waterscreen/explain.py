@@ -57,7 +57,7 @@ def _check(model, matrix: FeatureMatrix) -> list[Tree]:
     for tree in used:
         if not (tree.cover > 0).all():
             raise UnsupportedModelError("model lacks positive training cover weights")
-    _check_schema(model.feature_names, matrix)
+    _check_schema(model.feature_names, matrix.column_names)
     return used
 
 

@@ -42,7 +42,7 @@ from ..trees import (
     model_digest,
     predict_proba,
 )
-from ..trees.model import ENSEMBLE, TreeEnsembleModel
+from ..trees.model import ENSEMBLE, TreeEnsembleModel, _check_schema, _proba
 from .calibration import CALIBRATOR, Calibrator, fit_calibrator
 from .folds import FoldPlan
 from .scaling import fit_fold_scaler
@@ -422,12 +422,14 @@ def stage2_input(pipeline: PipelineModel, matrix: FeatureMatrix) -> FeatureMatri
     """New rows widened by the stage-1 probability, ready for stage 2; the
     last column holds that probability. The rows must have the pipeline's
     columns in its order."""
-    if matrix.column_names != pipeline.feature_names:
+    names = matrix.column_names
+    if names != pipeline.feature_names:
         raise SchemaError(
             "input columns do not match the pipeline schema "
-            f"(expected {len(pipeline.feature_names)}, got {len(matrix.column_names)})"
+            f"(expected {len(pipeline.feature_names)}, got {len(names)})"
         )
-    coliform = predict_proba(pipeline.stage1, matrix)
+    _check_schema(pipeline.stage1.feature_names, names)
+    coliform = _proba(pipeline.stage1, matrix)
     return matrix.with_column(AUX_COLUMN, KIND_AUX, coliform)
 
 
@@ -435,8 +437,10 @@ def predict(pipeline: PipelineModel, matrix: FeatureMatrix) -> list[Prediction]:
     """Score new rows: stage-1 probability, widen, stage-2 raw score,
     calibrate, then threshold."""
     widened = stage2_input(pipeline, matrix)
+    # stage2_input found the pipeline's columns, so these are widened's
+    _check_schema(pipeline.stage2.feature_names, [*pipeline.feature_names, AUX_COLUMN])
     coliform = widened.values[:, -1]
-    raw = predict_proba(pipeline.stage2, widened)
+    raw = _proba(pipeline.stage2, widened)
     probs = pipeline.calibrator.apply(raw)
     return [
         Prediction(

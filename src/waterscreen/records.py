@@ -7,9 +7,11 @@ fixed number of rows, transposes each block, and reads a run of columns of
 one kind in a single pass of a builtin (float over the number columns, say);
 a run holding a cell the builtin rejects is read again a column at a time,
 and only a column that fails again is parsed cell by cell, to word its
-warnings. A block bounds the raw cells held at once. The records stay
-columns: parse_records returns a RecordTable, one column of values per
-FieldRecord field, which builds a FieldRecord only when a row is read.
+warnings. The file is decoded whole only to be checked: the csv reader
+takes the file's lines as bytes and decodes one at a time, so beside the
+file's bytes a parse holds their lines and one block's cells. The records
+stay columns: parse_records returns a RecordTable, one column of values
+per FieldRecord field, which builds a FieldRecord only when a row is read.
 encode reads the columns and fills the feature matrix with one numpy call
 over them, a one-hot column being its field's column compared with a level.
 
@@ -20,7 +22,6 @@ their inputs.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -391,12 +392,14 @@ def parse_records(csv_bytes: bytes) -> ParseResult:
     Warnings come in row order, and within a row in PARSEABLE_FIELDS order.
     """
     try:
-        text = csv_bytes.decode("utf-8")
+        if not csv_bytes.decode("utf-8").strip():
+            raise EmptyInputError("no CSV content")
     except UnicodeDecodeError as e:
         raise SchemaError("input is not valid UTF-8") from e
-    if not text.strip():
-        raise EmptyInputError("no CSV content")
-    reader = csv.reader(io.StringIO(text, newline=""))
+    # the lines of a newline="" text stream: bytes.splitlines breaks at \n, \r
+    # and \r\n only (str.splitlines breaks at more), and no UTF-8 sequence of
+    # several bytes holds those two, so each line decodes alone
+    reader = csv.reader(map(bytes.decode, csv_bytes.splitlines(keepends=True)))
     try:
         header = next(reader)
     except StopIteration:

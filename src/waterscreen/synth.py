@@ -314,6 +314,7 @@ def write_fixture(records: list[FieldRecord], path) -> None:
     """Write records as a schema-conformant CSV that parse_records round-trips
     losslessly (floats via repr). Byte-identical for identical records.
     Refuses times of both offset kinds (check_offset_kinds)."""
+    records = list(records)  # read once: a RecordTable builds a row per read
     check_offset_kinds(records)
     if not records:
         raise ParameterError("cannot write an empty fixture")

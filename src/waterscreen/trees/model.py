@@ -277,11 +277,12 @@ MODEL = Choice("a model", "kind", {TreeEnsembleModel.kind: ENSEMBLE, LogisticMod
 Model = Union[TreeEnsembleModel, LogisticModel]
 
 
-def _check_schema(model_names: list[str], matrix: FeatureMatrix) -> None:
-    if matrix.column_names != list(model_names):
+def _check_schema(model_names: list[str], names: list[str]) -> None:
+    """Refuse rows whose column names are not the model's, in its order."""
+    if names != list(model_names):
         raise SchemaError(
             "feature columns do not match the fitted model "
-            f"(expected {len(model_names)}, got {len(matrix.column_names)})"
+            f"(expected {len(model_names)}, got {len(names)})"
         )
 
 
@@ -293,7 +294,6 @@ def _leaf_sum(model: TreeEnsembleModel, matrix: FeatureMatrix, start: float) -> 
     tree axis, which adds one column at a time as scoring the trees one by
     one does, so the sum is bit-equal to it.
     """
-    _check_schema(model.feature_names, matrix)
     leaves = _leaf_values(model.nodes, model.roots[: model.best_iteration], matrix.values,
                           matrix.missing_mask, "threshold")
     return np.cumsum(np.column_stack([np.full(matrix.n_rows, start), leaves]), axis=1)[:, -1]
@@ -303,6 +303,7 @@ def predict_margin(model: TreeEnsembleModel, matrix: FeatureMatrix) -> np.ndarra
     """Accumulated log-odds margin of a gbdt (base score plus tree payloads)."""
     if model.family != FAMILY_GBDT:
         raise UnsupportedModelError("margins are defined for boosted models only")
+    _check_schema(model.feature_names, matrix.column_names)
     return _leaf_sum(model, matrix, model.base_score)
 
 
@@ -312,14 +313,21 @@ def predict_proba(model: Model, matrix: FeatureMatrix) -> np.ndarray:
     Boosted and logistic models pass margins through the sigmoid; forests
     average per-tree leaf fractions directly.
     """
+    if isinstance(model, (LogisticModel, TreeEnsembleModel)):
+        _check_schema(model.feature_names, matrix.column_names)
+    return _proba(model, matrix)
+
+
+def _proba(model: Model, matrix: FeatureMatrix) -> np.ndarray:
+    """predict_proba without the schema check, for rows whose columns the
+    caller has checked to be the model's."""
     if isinstance(model, LogisticModel):
-        _check_schema(model.feature_names, matrix)
         if matrix.missing_mask.any():
             raise ParameterError("logistic prediction requires complete rows; impute first")
         return sigmoid(matrix.values @ model.weights + model.intercept)
     if isinstance(model, TreeEnsembleModel):
         if model.family == FAMILY_GBDT:
-            return sigmoid(predict_margin(model, matrix))
+            return sigmoid(_leaf_sum(model, matrix, model.base_score))
         if model.family == FAMILY_FOREST:
             used = model.roots[: model.best_iteration].size
             # a forest without trees scores every row at its base score

@@ -417,6 +417,29 @@ def test_predict_rejects_schema_drift(finalized):
         predict(pipe, narrowed)
 
 
+@pytest.mark.parametrize("stage", ["stage1", "stage2"])
+def test_predict_rejects_a_stage_fitted_on_other_columns(finalized, stage):
+    pipe, matrix, _ = finalized
+    model = getattr(pipe, stage)
+    renamed = dataclasses.replace(model, feature_names=[*model.feature_names[:-1], "other"])
+    with pytest.raises(SchemaError, match="feature columns do not match the fitted model"):
+        predict(dataclasses.replace(pipe, **{stage: renamed}), matrix)
+
+
+def test_predict_reads_the_column_names_once(finalized, monkeypatch):
+    pipe, matrix, _ = finalized
+    column_names = FeatureMatrix.column_names.fget
+    reads = []
+
+    def counted(self):
+        reads.append(1)
+        return column_names(self)
+
+    monkeypatch.setattr(FeatureMatrix, "column_names", property(counted))
+    predict(pipe, matrix)
+    assert len(reads) == 1
+
+
 @pytest.fixture(scope="module")
 def cv_run():
     """One stacked cross-validation, and a second one under another plan."""

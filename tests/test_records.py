@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from datetime import datetime
 
@@ -40,6 +41,7 @@ from waterscreen.records import (
     stratified_split,
 )
 from waterscreen.records import _BLOCK_ROWS
+from waterscreen.synth import SynthConfig, generate, write_fixture
 
 
 def make_record(uuid="u1", **overrides):
@@ -725,11 +727,34 @@ _CELLS = {
 }
 
 
+# text cells that need quoting or that str.splitlines, though not a CSV
+# reader, would break a line at; \x0c, \x85 and \u2028 are also whitespace
+_LINE_BREAKING_CELLS = ["two\rlines", "two\nlines", "two\r\nlines", "\r\n", "café",
+                        "a\x0cb", "\x0c", "a\x85b", "\x85", "a\u2028b", "\x0b\x1c\x1e"]
+_CELLS_ACROSS_LINE_ENDINGS = {
+    **_CELLS,
+    **{name: _TEXT_CELLS + _LINE_BREAKING_CELLS for name, cells in _CELLS.items()
+       if cells is _TEXT_CELLS},
+}
+
+
+def _csv_line(row) -> str:
+    r"""A row as one CSV line without its terminator; a cell holding \r or
+    \n is quoted."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow(row)
+    return buffer.getvalue()[:-2]
+
+
 @st.composite
-def survey_csvs(draw):
-    """A records CSV: shuffled, missing, repeated and unknown columns, short
-    and long rows, padded, unparseable and mixed-case cells, unit columns."""
-    names = draw(st.lists(st.sampled_from(sorted(_CELLS)), max_size=14))
+def survey_csvs(draw, line_endings=False):
+    r"""A records CSV: shuffled, missing, repeated and unknown columns, short
+    and long rows, padded, unparseable and mixed-case cells, unit columns.
+    With line_endings, text cells may hold line breaks and characters
+    str.splitlines breaks at, and each line ends in \n, \r\n or \r, one for
+    the whole file or each its own, the last line perhaps in none."""
+    cells = _CELLS_ACROSS_LINE_ENDINGS if line_endings else _CELLS
+    names = draw(st.lists(st.sampled_from(sorted(cells)), max_size=14))
     if draw(st.booleans()):
         names += list(_REF_FIELDS)
     if draw(st.integers(0, 9)):
@@ -739,18 +764,22 @@ def survey_csvs(draw):
     for _ in range(draw(st.integers(0, 6))):
         width = len(names) + draw(st.sampled_from([0, 0, 0, -1, -3, 1]))
         rows.append([
-            draw(st.sampled_from(_CELLS[names[j]] if j < len(names) else _TEXT_CELLS))
+            draw(st.sampled_from(cells[names[j]] if j < len(names) else cells["notes"]))
             for j in range(max(width, 0))
         ])
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(names)
-    writer.writerows(rows)
+    lines = list(map(_csv_line, [names, *rows]))
+    ends = ["\n"] * len(lines)
+    if line_endings:
+        one_end = st.sampled_from(["\n", "\r\n", "\r"])
+        end = draw(st.one_of(st.none(), one_end))
+        ends = [end or draw(one_end) for _ in lines]
+        if draw(st.booleans()):
+            ends[-1] = ""
     levels = draw(st.one_of(
         st.none(),
         st.dictionaries(st.sampled_from(CATEGORICAL_FIELDS), st.lists(st.sampled_from(_TEXT_CELLS))),
     ))
-    return buffer.getvalue().encode("utf-8"), levels
+    return "".join(map(str.__add__, lines, ends)).encode("utf-8"), levels
 
 
 def _outcome(call, *args, **kwargs):
@@ -793,6 +822,16 @@ def test_parseable_fields_keep_their_order():
 @settings(max_examples=300, deadline=None)
 @given(survey_csvs())
 def test_parse_and_encode_match_the_references(case):
+    _check_parse_and_encode(case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(survey_csvs(line_endings=True))
+def test_parse_and_encode_match_the_references_across_line_endings(case):
+    _check_parse_and_encode(case)
+
+
+def _check_parse_and_encode(case):
     data, levels = case
     parsed = _outcome(parse_records, data)
     expected = _outcome(_parse_records_reference, data)
@@ -851,6 +890,22 @@ def test_parse_and_encode_match_the_references_across_blocks():
             assert _matrix_parts(got) == _matrix_parts(want)
             rows = _outcome(encode, list(parsed.records), levels, require_labels)
             assert _matrix_parts(got) == _matrix_parts(rows)
+
+
+def test_a_parse_holds_less_than_four_times_its_file(tmp_path):
+    """Beside the table it returns, a parse holds the file's lines and one
+    block's cells, and no copy of the file's text at four bytes a character."""
+    records, _ = generate(SynthConfig(n_rows=4000, seed=3))
+    write_fixture(records, tmp_path / "fixture.csv")
+    data = (tmp_path / "fixture.csv").read_bytes()
+    tracemalloc.start()
+    try:
+        parsed = parse_records(data)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(parsed.records) == 4000
+    assert (peak - retained) / len(data) < 4
 
 
 def _implausible_reference(record, bounds):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import waterscreen.records
 from waterscreen.errors import ParameterError
 from waterscreen.records import (
     CATEGORICAL_FIELDS,
@@ -15,6 +16,7 @@ from waterscreen.records import (
     PARSEABLE_FIELDS,
     SURVEY_KINDS,
     FieldRecord,
+    RecordTable,
     parse_records,
 )
 from waterscreen.synth import (
@@ -202,6 +204,21 @@ def test_fixture_writes_are_byte_identical(tmp_path):
     write_fixture(records, a)
     write_fixture(records, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_fixture_write_of_a_table_builds_each_row_once(tmp_path, monkeypatch):
+    records, _ = generate(SynthConfig(n_rows=40, seed=8))
+    write_fixture(records, tmp_path / "list.csv")
+    built = []
+
+    def counted(*cells):
+        built.append(cells[0])
+        return FieldRecord(*cells)
+
+    monkeypatch.setattr(waterscreen.records, "FieldRecord", counted)
+    write_fixture(RecordTable.from_records(records), tmp_path / "table.csv")
+    assert built == [record.uuid for record in records]
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
 
 
 def test_write_rejects_empty_input(tmp_path):
