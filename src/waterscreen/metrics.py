@@ -99,25 +99,42 @@ def _sweep(s, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s_desc[last], tp, last + 1 - tp
 
 
-def _roc_auc(sweep) -> float:
-    """ROC-AUC from the cumulative counts of a _sweep."""
+def _roc_auc(sweep):
+    """ROC-AUC from the cumulative counts of a _sweep, as a float. Counts
+    stacked along a last axis of tie groups, one sweep per row, give one
+    value per row; a row's group that holds none of its rows repeats the
+    counts before it and adds nothing. Exact while 2 * n_pos * n_neg < 2**53."""
     _, tp, fp = sweep
-    n_pos, n_neg = (int(tp[-1]), int(fp[-1])) if tp.size else (0, 0)
-    if n_pos == 0 or n_neg == 0:
+    n_pos, n_neg = (tp[..., -1], fp[..., -1]) if tp.shape[-1] else (0, 0)
+    if not (np.all(n_pos) and np.all(n_neg)):
         raise UndefinedMetricError("roc_auc needs both classes present")
     # each group's negatives lose to the positives above it and tie with its
     # own, so twice the wins is an exact integer (the ROC trapezoid sum)
-    twice_wins = int(fp[0] * tp[0] + (fp[1:] - fp[:-1]) @ (tp[:-1] + tp[1:]))
-    return twice_wins / (2 * n_pos * n_neg)
+    above = tp - np.diff(tp, prepend=0)
+    twice_wins = (np.diff(fp, prepend=0) * (above + tp)).sum(axis=-1)
+    return _per_sweep(twice_wins / (2 * n_pos * n_neg))
 
 
-def _average_precision(sweep) -> float:
-    """Average precision from the cumulative counts of a _sweep."""
+def _average_precision(sweep):
+    """Average precision from the cumulative counts of a _sweep, stacked or
+    not as _roc_auc reads them. Each sweep sums the terms of the groups that
+    hold a row, in order, in one pairwise sum: padding it with the empty
+    groups' zeros would regroup the sum and move its last bits."""
     _, tp, fp = sweep
-    n_pos = int(tp[-1]) if tp.size else 0
-    if n_pos == 0:
+    n_pos = tp[..., -1] if tp.shape[-1] else 0
+    if not np.all(n_pos):
         raise UndefinedMetricError("average_precision needs at least one positive")
-    return float((tp / (tp + fp) * np.diff(tp, prepend=0)).sum() / n_pos)
+    seen = tp + fp
+    held = np.diff(seen, prepend=0) > 0
+    terms = tp[held] / seen[held] * np.diff(tp, prepend=0)[held]
+    bounds = np.r_[0, np.cumsum(held.sum(axis=-1))].tolist()
+    sums = [terms[start:end].sum() for start, end in zip(bounds, bounds[1:])]
+    return _per_sweep(np.reshape(sums, n_pos.shape) / n_pos)
+
+
+def _per_sweep(values):
+    """A 0-d result as a float; stacked sweeps' results as they are."""
+    return values if values.ndim else float(values)
 
 
 def roc_auc(scores, labels) -> float:

@@ -4,7 +4,12 @@ McNemar's test at a fixed operating point.
 
 Randomness is reproducible: every bootstrap replicate draws from its own
 sub-stream seeded by (seed, replicate index), so results do not depend on
-evaluation order.
+evaluation order. Replicates are scored in chunks of at most _CHUNK_CELLS
+drawn rows, each replicate one row of the chunk, with one bincount and one
+cumsum over the scores' tie groups per chunk and score vector. The chunks
+change no bit: ROC-AUC is exact integer arithmetic, and average precision
+sums each replicate's terms over the tie groups its resample holds only,
+in order, as on the sorted resample.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .artifacts import checked, integer_at_least
 from .errors import DegenerateTableError, PairingError, ParameterError
 from .metrics import (
     _average_precision,
@@ -33,7 +39,7 @@ def chi2_survival(x: float) -> float:
     erfc(sqrt(x / 2)), which the standard library provides in full double
     precision, so no third-party special-function code is needed.
     """
-    if x < 0:
+    if not x >= 0:  # NaN too
         raise ParameterError("chi-square statistic must be non-negative")
     return math.erfc(math.sqrt(x / 2.0))
 
@@ -133,20 +139,27 @@ class DeltaResult:
 
 
 # each ranking metric of scores and labels, by name; the traced benchmark
-# wraps these entries
+# wraps these entries, which score the point estimates
 _METRICS = {"roc_auc": roc_auc, "average_precision": average_precision}
-# the same metrics as formulas over a _sweep, which each replicate counts
-_FORMULAS = {"roc_auc": _roc_auc, "average_precision": _average_precision}
+
+# cells (replicates x rows) the bootstrap counts at a time, so that its peak
+# memory does not grow with n_boot
+_CHUNK_CELLS = 1 << 16
 
 
-def _counted_sweep(codes, groups: int):
-    """The _sweep of the rows whose tie codes are `codes` (2 * tie group +
-    label, groups numbered from the highest score): the cumulative positives
-    and negatives of each tie group that holds a row. Its score column is
-    None, as no formula reads it."""
-    counts = np.bincount(codes, minlength=2 * groups).reshape(groups, 2)
-    cum = np.cumsum(counts[counts.any(axis=1)], axis=0)
-    return None, cum[:, 1], cum[:, 0]
+def _counted_sweeps(codes, groups: int, drawn):
+    """The _sweeps of the resamples whose rows are the rows of `drawn`, as
+    cumulative positives and negatives over every tie group, one resample
+    per row. `codes` are the rows' tie codes (2 * tie group + label, groups
+    numbered from the highest score). The score column is None, as no
+    formula reads it."""
+    reps = len(drawn)
+    # each resample counts into its own block of 2 * groups bins
+    coded = codes[drawn]
+    coded += np.arange(0, reps * 2 * groups, 2 * groups)[:, None]
+    counts = np.bincount(coded.ravel(), minlength=reps * 2 * groups).reshape(reps, groups, 2)
+    np.cumsum(counts, axis=1, out=counts)
+    return None, counts[..., 1], counts[..., 0]
 
 
 def paired_bootstrap_delta(
@@ -167,18 +180,22 @@ def paired_bootstrap_delta(
     stratum, in one call. The two-sided p-value uses add-one smoothing:
     2 * min over tails of (count + 1) / (n_boot + 1), capped at 1.
 
-    Nothing is sorted per replicate. Before the loop each row of each score
+    Nothing is sorted per replicate. Before the draws each row of each score
     vector gets a code: 2 * its tie group's rank (highest score first) + its
-    label. A replicate counts the codes of the rows it drew; the tie groups
-    that hold a drawn row are exactly the distinct scores of the resample,
-    in order, so the cumulative counts are the resample's _sweep and each
-    metric's formula gives the value it gives on the sorted resample, to
-    the bit.
+    label. Replicates are counted in chunks of up to _CHUNK_CELLS drawn
+    rows: each replicate's draw fills one row of the chunk, and one
+    bincount and one cumsum give every replicate's cumulative counts over
+    all tie groups. The groups that hold a drawn row are exactly the
+    distinct scores of the resample, in order, so each metric's formula,
+    the one the point estimate uses, gives the value it gives on the sorted
+    resample, to the bit: ROC-AUC is exact integer arithmetic, to which a
+    group holding no drawn row adds 0, and average precision sums, per
+    replicate, only the terms of the groups its resample holds.
     """
     if metric not in _METRICS:
         raise ParameterError(f"unknown metric {metric!r}; expected one of {sorted(_METRICS)}")
-    if n_boot < 1:
-        raise ParameterError("n_boot must be at least 1")
+    checked("n_boot", n_boot, integer_at_least(1))
+    checked("seed", seed, integer_at_least(0))
     ref = np.asarray(ref_scores, dtype=float)
     cand = np.asarray(cand_scores, dtype=float)
     y = np.asarray(labels)
@@ -195,7 +212,7 @@ def paired_bootstrap_delta(
             strata.append(idx)
     # refuses NaN scores, which would otherwise form a tie group of their own
     point = _METRICS[metric](cand, y) - _METRICS[metric](ref, y)
-    formula = _FORMULAS[metric]
+    formula = {"roc_auc": _roc_auc, "average_precision": _average_precision}[metric]
     order = np.concatenate(strata)
     sizes = np.array([s.size for s in strata])
     # each position of `order`: its stratum's size and first position
@@ -206,12 +223,16 @@ def paired_bootstrap_delta(
         levels, group = np.unique(-s, return_inverse=True)
         coded.append(((2 * group + y)[order], levels.size))
     deltas = np.empty(n_boot, dtype=float)
-    for rep in range(n_boot):
-        rng = np.random.default_rng([seed, rep])
-        drawn = starts + rng.integers(0, highs)
-        cand_value, ref_value = (formula(_counted_sweep(codes[drawn], groups))
-                                 for codes, groups in coded)
-        deltas[rep] = cand_value - ref_value
+    chunk = max(1, _CHUNK_CELLS // y.size)
+    for lo in range(0, n_boot, chunk):
+        reps = range(lo, min(lo + chunk, n_boot))
+        drawn = np.empty((len(reps), y.size), dtype=np.intp)
+        for row, rep in enumerate(reps):
+            drawn[row] = np.random.default_rng([seed, rep]).integers(0, highs)
+        drawn += starts
+        cand_values, ref_values = (formula(_counted_sweeps(codes, groups, drawn))
+                                   for codes, groups in coded)
+        deltas[lo:reps.stop] = cand_values - ref_values
     ci_low, ci_high = np.percentile(deltas, [2.5, 97.5])
     le = int(np.count_nonzero(deltas <= 0.0))
     ge = int(np.count_nonzero(deltas >= 0.0))
@@ -237,7 +258,7 @@ def bh_fdr(p_values) -> list[float]:
         raise ParameterError("p_values must be one-dimensional")
     if p.size == 0:
         return []
-    if (p < 0).any() or (p > 1).any():
+    if not ((p >= 0) & (p <= 1)).all():  # NaN too
         raise ParameterError("p-values must lie in [0, 1]")
     m = p.size
     order = np.argsort(p, kind="mergesort")

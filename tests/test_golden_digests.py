@@ -14,14 +14,15 @@ that `tests/test_gbdt.py::_margins_reference` keeps, before raw and binned
 routing became one walk, and before a model's kept trees were packed into
 one node table and scored in one walk, and before that table was built
 once per fit or load instead of on every call; the ensemble walk
-reproduces them exactly. The comparison digest was computed with the bootstrap that sorted
-both resampled score vectors in every replicate, which
-`tests/test_stats.py::_bootstrap_reference` keeps, before replicates
-became counts over tie groups. The attribution digest was computed with
-the per-row path recursion, as `tests/test_explain.py::_shap_one_tree_reference`
-keeps it, before the recursion ran once per tree over the rows' leaf
-patterns. A change that moves a digest on purpose
-says so and shows that model quality held.
+reproduces them exactly. The comparison digest was computed with the
+bootstrap that sorted both resampled score vectors in every replicate,
+which `tests/test_stats.py::_bootstrap_reference` keeps, before replicates
+became counts over tie groups, and before replicates were counted in
+chunks. The attribution digest was computed with the per-row path
+recursion, as `tests/test_explain.py::_shap_one_tree_reference` keeps it,
+before the recursion ran once per tree over the rows' leaf patterns. A
+change that moves a digest on purpose says so and shows that model quality
+held.
 
 The same trained pipelines also score rows one at a time from CSV, the way
 a field request arrives, and must give each row the batch prediction.

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waterscreen import stats
 from waterscreen.errors import DegenerateTableError, PairingError, ParameterError, SchemaError
 from waterscreen.metrics import average_precision, roc_auc
 from waterscreen.pipeline.stacking import CvReport, FoldResult, pooled_fields
@@ -35,6 +37,10 @@ class TestChi2Survival:
     def test_negative_rejected(self):
         with pytest.raises(ParameterError):
             chi2_survival(-1.0)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ParameterError, match="^chi-square statistic must be non-negative$"):
+            chi2_survival(math.nan)
 
 
 class TestContingencyStats:
@@ -120,36 +126,69 @@ _TIED_LEVELS = [0.0, -0.0, 1e-300, 0.25, 0.5, 0.75, 1.0]
 
 @st.composite
 def _bootstrap_cases(draw):
-    """Paired scores, labels and fold ids: 1-7 folds, every (fold, class)
-    stratum holding 1-6 rows, rows shuffled; scores either drawn from a few
-    tied levels or all distinct."""
-    sizes = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=7))
+    """Paired scores, labels and fold ids, rows shuffled. Either 1-7 folds,
+    every (fold, class) stratum holding 1-6 rows, scored from a few tied
+    levels or all distinct; or 90-300 rows in 3-5 folds, all scores
+    distinct, so that most tie groups hold at most one drawn row, as Platt
+    calibration's scores do."""
+    many = draw(st.booleans())
+    stratum = st.integers(15, 30) if many else st.integers(1, 6)
+    sizes = draw(st.lists(st.tuples(stratum, stratum), min_size=3 if many else 1,
+                          max_size=5 if many else 7))
     folds = np.concatenate([np.full(neg + pos, f) for f, (neg, pos) in enumerate(sizes)])
     y = np.concatenate([np.r_[np.zeros(neg, int), np.ones(pos, int)] for neg, pos in sizes])
     n = y.size
-    if draw(st.booleans()):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if many:
+        ref, cand = rng.permutation(n) / n, rng.permutation(n) / n
+    elif draw(st.booleans()):
         level = st.sampled_from(_TIED_LEVELS)
         ref, cand = (draw(st.lists(level, min_size=n, max_size=n)) for _ in range(2))
     else:
         distinct = st.floats(-1e6, 1e6, allow_nan=False)
         ref, cand = (draw(st.lists(distinct, min_size=n, max_size=n, unique=True))
                      for _ in range(2))
-    perm = np.random.default_rng(draw(st.integers(0, 2**32))).permutation(n)
+    perm = rng.permutation(n)
     return np.array(ref)[perm], np.array(cand)[perm], y[perm], folds[perm]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
     case=_bootstrap_cases(),
     metric=st.sampled_from(["roc_auc", "average_precision"]),
     seed=st.integers(0, 2**64 - 1),
+    chunking=st.sampled_from(["one_replicate", "three_replicates", "default"]),
 )
-def test_counted_bootstrap_is_bit_equal_to_the_sorting_reference(case, metric, seed):
+def test_counted_bootstrap_is_bit_equal_to_the_sorting_reference(case, metric, seed, chunking):
     ref, cand, y, folds = case
-    r = paired_bootstrap_delta(ref, cand, y, folds, metric, n_boot=40, seed=seed)
+    # 40 replicates: 40 chunks of one, 13 of three and a last of one, or
+    # one chunk that the default cap leaves partial
+    cells = {"one_replicate": 1, "three_replicates": 3 * y.size + 1,
+             "default": stats._CHUNK_CELLS}[chunking]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_CHUNK_CELLS", cells)
+        r = paired_bootstrap_delta(ref, cand, y, folds, metric, n_boot=40, seed=seed)
     got = (r.delta, r.ci_low, r.ci_high, r.p_value)
     want = _bootstrap_reference(ref, cand, y, folds, metric, 40, seed)
     assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
+
+
+def test_bootstrap_memory_does_not_grow_with_n_boot():
+    # 2,207 rows with all-distinct scores, the most tie groups a chunk holds
+    rng = np.random.default_rng(13)
+    y = (rng.random(2207) < 0.3).astype(int)
+    folds = rng.integers(0, 5, 2207)
+    ref, cand = rng.random(2207), rng.random(2207)
+
+    def peak(n_boot):
+        tracemalloc.start()
+        try:
+            paired_bootstrap_delta(ref, cand, y, folds, "average_precision", n_boot=n_boot)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4000) - peak(40) < 1 << 20
 
 
 @settings(max_examples=200, deadline=None)
@@ -230,6 +269,26 @@ class TestPairedBootstrapDelta:
         with pytest.raises(ParameterError):
             paired_bootstrap_delta([0.5], [0.5], [1], [0], "accuracy", n_boot=10)
 
+    @pytest.mark.parametrize(("setting", "value", "wording"), [
+        ("n_boot", True, "an integer >= 1"),
+        ("n_boot", 2.0, "an integer >= 1"),
+        ("n_boot", 0, "an integer >= 1"),
+        ("n_boot", np.int64(5), "an integer >= 1"),
+        ("seed", True, "an integer >= 0"),
+        ("seed", -1, "an integer >= 0"),
+        ("seed", 1.0, "an integer >= 0"),
+    ])
+    def test_bad_n_boot_or_seed_refused_before_any_replicate(self, setting, value, wording,
+                                                             monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        kwargs = {"n_boot": 10, "seed": 0, setting: value}
+        with pytest.raises(ParameterError, match=rf"^{setting} must be {wording}, got "):
+            paired_bootstrap_delta([0.1, 0.4, 0.6, 0.9], [0.2, 0.3, 0.7, 0.8], [0, 1, 0, 1],
+                                   [0, 0, 1, 1], "roc_auc", **kwargs)
+
     @pytest.mark.parametrize("side", ["ref", "cand"])
     def test_nan_scores_refused_before_any_replicate(self, side, monkeypatch):
         def no_draws(*args, **kwargs):
@@ -276,6 +335,11 @@ class TestBhFdr:
     def test_out_of_range_rejected(self):
         with pytest.raises(ParameterError):
             bh_fdr([0.5, 1.2])
+
+    def test_nan_rejected(self):
+        # a NaN would otherwise turn every q-value of its family into NaN
+        with pytest.raises(ParameterError, match=r"^p-values must lie in \[0, 1\]$"):
+            bh_fdr([0.01, math.nan, 0.5])
 
 
 class TestMcnemar:
