@@ -57,10 +57,10 @@ from .qc import (
     evaluate_batch,
 )
 from .records import (
-    DEFAULT_BOUNDS,
     KIND_CONTEXT,
     KIND_PHYSICO,
     FeatureMatrix,
+    check_bounds,
     clean,
     encode,
     harmonize,
@@ -220,16 +220,8 @@ def _members(prefix: str, wording: str, kind_of) -> Kind:
     return Kind(wording, _OBJECT.test, read)
 
 
-_BOUND_NAME = Kind("keyed by " + ", ".join(sorted(DEFAULT_BOUNDS)), lambda v: v in DEFAULT_BOUNDS)
-_BOUND_PAIR = Kind("[low, high] with finite numbers low <= high",
-                   lambda v: type(v) is list and len(v) == 2 and all(map(NUMBER.test, v))
-                   and v[0] <= v[1],
-                   lambda v: (float(v[0]), float(v[1])))
 # measurement names mapped to [low, high] pairs, read as pairs of floats
-_BOUNDS = Kind(_OBJECT.wording, _OBJECT.test, lambda bounds: {
-    checked("bounds", name, _BOUND_NAME): checked(f"bounds.{name}", pair, _BOUND_PAIR)
-    for name, pair in bounds.items()
-})
+_BOUNDS = Kind(_OBJECT.wording, _OBJECT.test, check_bounds)
 
 EVERY = "every subcommand"
 _TRAINING = ("train", "ablate")
@@ -298,7 +290,7 @@ def _cmd_qc(args) -> int:
     run = _Run(args, "qc")
     parsed = _parse_input_records(run, args.records)
     config = BatchConfig(**{key: run.settings[key] for key in BATCH_CONFIG.fields})
-    verdicts, rule_counts = evaluate_batch(list(parsed.records), config)
+    verdicts, rule_counts = evaluate_batch(parsed.records, config)
     encode = json.JSONEncoder(separators=(",", ":")).encode
     lines = [
         encode({"uuid": v.uuid, "category": v.category, "triggered": v.triggered})
@@ -326,20 +318,16 @@ def _cmd_qc(args) -> int:
 
 def _cmd_clean(args) -> int:
     run = _Run(args, "clean")
-    bounds, dictionary = run.settings["bounds"], run.settings["dictionary"]
-    tables = read_dictionary(dictionary)  # a malformed table is refused before any input
+    # a malformed table is refused before any input
+    tables = read_dictionary(run.settings["dictionary"])
     parsed = _parse_input_records(run, args.records)
-    records = list(parsed.records)
-    if dictionary:
-        records = harmonize(records, tables)
-    kept, clean_log = clean(records, bounds or None)
+    # an empty dictionary converts nothing and keeps every label and tag
+    kept, clean_log = clean(harmonize(parsed.records, tables), run.settings["bounds"])
     kept, outlier_log = screen_outliers(kept, run.settings["z_threshold"])
     removals = [
-        {"stage": "clean", "row": r.row, "uuid": r.uuid, "reason": r.reason}
-        for r in clean_log.removed
-    ] + [
-        {"stage": "outlier_screen", "row": r.row, "uuid": r.uuid, "reason": r.reason}
-        for r in outlier_log.removed
+        {"stage": stage, "row": r.row, "uuid": r.uuid, "reason": r.reason}
+        for stage, log in (("clean", clean_log), ("outlier_screen", outlier_log))
+        for r in log.removed
     ]
     run.out_dir.mkdir(parents=True, exist_ok=True)
     write_fixture(kept, run.out_dir / "cleaned.csv")

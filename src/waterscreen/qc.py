@@ -9,17 +9,24 @@ REVIEW, an empty set is OK. Severities encode one judgment: faults that make
 the record untrustworthy as a data point (identity, impossible values,
 impossible timelines) alert; protocol deviations a field team can follow up
 on review.
+
+Each per-record rule is one mask over a RecordTable's columns, and
+evaluate_record is the one-row case of evaluate_batch's rules.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, compress
 
 import numpy as np
 
 from .artifacts import Table, check_fields, integer_at_least, number_where
-from .records import DEFAULT_BOUNDS, FieldRecord, check_offset_kinds, implausible
+from .records import (DEFAULT_BOUNDS, FieldRecord, RecordTable, as_table, check_offset_kinds,
+                      implausible)
 
 CATEGORY_OK = "OK"
 CATEGORY_REVIEW = "REVIEW"
@@ -115,58 +122,63 @@ def categorize(triggered: list[str]) -> str:
     return CATEGORY_OK
 
 
-def on_globe(latitude: float, longitude: float) -> bool:
-    """Latitude in [-90, 90] and longitude in [-180, 180] (NaN is neither)."""
-    return -90.0 <= latitude <= 90.0 and -180.0 <= longitude <= 180.0
+def on_globe(latitude, longitude):
+    """Latitude in [-90, 90] and longitude in [-180, 180], of floats or arrays (NaN is neither)."""
+    return (-90.0 <= latitude) & (latitude <= 90.0) & (-180.0 <= longitude) & (longitude <= 180.0)
 
 
-def evaluate_record(record: FieldRecord, seen: set[str]) -> QcVerdict:
-    """Screen one record against every per-record rule; seen holds the
-    uuids of the records screened before it, and a new non-empty uuid joins
-    it.
+def _screen(records: RecordTable, seen: set[str]) -> list[list[str]]:
+    """Each row's codes of the per-record rules, in the order below, each
+    row against the uuids in seen and in the rows before it; a new
+    non-empty uuid joins seen. Refuses times of both offset kinds.
 
     Duration rules are skipped when timestamps are absent or reversed (the
     reversal itself alerts); plausibility, at DEFAULT_BOUNDS, fires once no
     matter how many measurements are out of range.
     """
-    triggered: list[str] = []
+    check_offset_kinds(records)
+    column = records.columns
+    repeated = []
+    for uuid in column["uuid"]:
+        repeated.append(uuid != "" and uuid in seen)
+        if uuid != "":
+            seen.add(uuid)
+    latitudes, longitudes = column["latitude"], column["longitude"]
+    durations = np.array([
+        None if start is None or end is None else (end - start).total_seconds()
+        for start, end in zip(column["started_at"], column["ended_at"])
+    ], dtype=float)
+    limits = np.where([kind == "household" for kind in column["survey_kind"]],
+                      HOUSEHOLD_MIN_DURATION_S, WATER_BODY_MIN_DURATION_S)
+    masks = {
+        "MISSING_UUID": [uuid == "" for uuid in column["uuid"]],
+        "DUPLICATE_UUID": repeated,
+        "MISSING_SAMPLE_ID": [sample_id == "" for sample_id in column["sample_id"]],
+        "GPS_MISSING": [lat is None or lon is None for lat, lon in zip(latitudes, longitudes)],
+        # an absent coordinate is GPS_MISSING, not off the globe
+        "GPS_OUT_OF_RANGE": ~on_globe(np.array([lat or 0.0 for lat in latitudes], dtype=float),
+                                      np.array([lon or 0.0 for lon in longitudes], dtype=float)),
+        # None reads as NaN, which is never above the limit
+        "GPS_LOW_ACCURACY": np.array(column["gps_accuracy_m"], dtype=float) > GPS_ACCURACY_LIMIT_M,
+        # NaN, a duration that is absent, is neither
+        "TIME_REVERSED": durations < 0,
+        "DURATION_SHORT": (durations >= 0) & (durations < limits),
+        "PHOTOS_INCOMPLETE": [
+            photos < expected
+            for photos, expected in zip(column["photo_count"], column["expected_photo_count"])
+        ],
+        "VALUE_OUT_OF_RANGE": implausible(records, DEFAULT_BOUNDS),
+    }
+    codes = list(masks)
+    rows = np.column_stack([np.asarray(mask, dtype=bool) for mask in masks.values()])
+    return [list(compress(codes, flags)) for flags in rows.tolist()]
 
-    if record.uuid == "":
-        triggered.append("MISSING_UUID")
-    elif record.uuid in seen:
-        triggered.append("DUPLICATE_UUID")
-    else:
-        seen.add(record.uuid)
 
-    if record.sample_id == "":
-        triggered.append("MISSING_SAMPLE_ID")
-
-    if record.latitude is None or record.longitude is None:
-        triggered.append("GPS_MISSING")
-    # an absent coordinate is GPS_MISSING, not off the globe
-    if not on_globe(record.latitude or 0.0, record.longitude or 0.0):
-        triggered.append("GPS_OUT_OF_RANGE")
-    if record.gps_accuracy_m is not None and record.gps_accuracy_m > GPS_ACCURACY_LIMIT_M:
-        triggered.append("GPS_LOW_ACCURACY")
-
-    duration = record.duration_s
-    if duration is not None and duration < 0:
-        triggered.append("TIME_REVERSED")
-    elif duration is not None:
-        limit = (
-            HOUSEHOLD_MIN_DURATION_S
-            if record.survey_kind == "household"
-            else WATER_BODY_MIN_DURATION_S
-        )
-        if duration < limit:
-            triggered.append("DURATION_SHORT")
-
-    if record.photo_count < record.expected_photo_count:
-        triggered.append("PHOTOS_INCOMPLETE")
-
-    if implausible(record, DEFAULT_BOUNDS):
-        triggered.append("VALUE_OUT_OF_RANGE")
-
+def evaluate_record(record: FieldRecord, seen: set[str]) -> QcVerdict:
+    """Screen one record against every per-record rule: the one-row case of
+    evaluate_batch's per-record screening (seen holds the uuids of the
+    records screened before it, and a new non-empty uuid joins it)."""
+    [triggered] = _screen(as_table([record]), seen)
     return QcVerdict(uuid=record.uuid, category=categorize(triggered), triggered=triggered)
 
 
@@ -179,20 +191,21 @@ def _haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2 * EARTH_RADIUS_M * math.asin(math.sqrt(a))
 
 
-def _batch_filling_rows(records: list[FieldRecord], config: BatchConfig) -> set[int]:
+def _batch_filling_rows(records: RecordTable, config: BatchConfig) -> set[int]:
     """Indices in runs of >= batch_min same-collector submissions with every
     inter-submission gap under batch_gap_s. Records without a start time or
     collector are invisible to this rule."""
+    started = records.columns["started_at"]
     by_collector: dict[str, list[int]] = {}
-    for i, record in enumerate(records):
-        if record.collector_id and record.started_at is not None:
-            by_collector.setdefault(record.collector_id, []).append(i)
+    for i, (collector, start) in enumerate(zip(records.columns["collector_id"], started)):
+        if collector and start is not None:
+            by_collector.setdefault(collector, []).append(i)
     flagged: set[int] = set()
     for indices in by_collector.values():
-        indices.sort(key=lambda i: records[i].started_at)
+        indices.sort(key=started.__getitem__)
         run = [indices[0]] if indices else []
         for i in indices[1:]:
-            gap = (records[i].started_at - records[run[-1]].started_at).total_seconds()
+            gap = (started[i] - started[run[-1]]).total_seconds()
             if gap < config.batch_gap_s:
                 run.append(i)
             else:
@@ -224,7 +237,7 @@ def _sweep_pairs(lats: np.ndarray, reach: float):
         yield first, first + 1 + np.arange(lo, lo + len(first)) - starts[first]
 
 
-def _cluster_rows(records: list[FieldRecord], config: BatchConfig) -> set[int]:
+def _cluster_rows(records: RecordTable, config: BatchConfig) -> set[int]:
     """Indices of household records in single-linkage groups of >= cluster_min
     within cluster_radius_m; only those with both coordinates on_globe count.
 
@@ -251,14 +264,12 @@ def _cluster_rows(records: list[FieldRecord], config: BatchConfig) -> set[int]:
     groups do not depend on the order of unions, so the groups are the
     all-pairs groups.
     """
-    placed = [
-        i
-        for i, record in enumerate(records)
-        if record.survey_kind == "household"
-        and record.latitude is not None
-        and record.longitude is not None
-        and on_globe(record.latitude, record.longitude)
-    ]
+    latitudes, longitudes = records.columns["latitude"], records.columns["longitude"]
+    # None reads as NaN, which is not on the globe
+    all_lat, all_lon = np.array(latitudes, dtype=float), np.array(longitudes, dtype=float)
+    households = np.array([kind == "household" for kind in records.columns["survey_kind"]],
+                          dtype=bool)
+    placed = np.flatnonzero(households & on_globe(all_lat, all_lon)).tolist()
     # union-find over positions in placed, which keep the records' order
     parent = list(range(len(placed)))
 
@@ -268,8 +279,7 @@ def _cluster_rows(records: list[FieldRecord], config: BatchConfig) -> set[int]:
             k = parent[k]
         return k
 
-    lat = np.array([records[i].latitude for i in placed], dtype=float)
-    lon = np.array([records[i].longitude for i in placed], dtype=float)
+    lat, lon = all_lat[placed], all_lon[placed]
     swept = np.argsort(lat, kind="stable")
     phi, lons = np.radians(lat[swept]), lon[swept]
     cos_phi = np.cos(phi)
@@ -287,10 +297,7 @@ def _cluster_rows(records: list[FieldRecord], config: BatchConfig) -> set[int]:
             parent[find(k)] = find(l)
         for k, l in zip(swept[first[near]].tolist(), swept[second[near]].tolist()):
             i, j = placed[min(k, l)], placed[max(k, l)]
-            d = _haversine_m(
-                records[i].latitude, records[i].longitude,
-                records[j].latitude, records[j].longitude,
-            )
+            d = _haversine_m(latitudes[i], longitudes[i], latitudes[j], longitudes[j])
             if d <= config.cluster_radius_m:
                 parent[find(k)] = find(l)
     groups: dict[int, list[int]] = {}
@@ -303,30 +310,24 @@ def _cluster_rows(records: list[FieldRecord], config: BatchConfig) -> set[int]:
     return flagged
 
 
-def evaluate_batch(records: list[FieldRecord],
+def evaluate_batch(records: Sequence[FieldRecord],
                    config: BatchConfig | None = None) -> tuple[list[QcVerdict], dict[str, int]]:
-    """Per-record screening in order, each record against the uuids before
+    """Per-record screening of every record, each against the uuids before
     it, then the batch anomaly rules (BATCH_FILLING and SPATIAL_CLUSTER),
-    which append their codes to the verdicts they flag and re-categorize
-    those verdicts. Also returns how many verdicts carry each rule code
-    (codes that never fired are absent). Refuses times of both offset kinds.
+    which append their codes to the rows they flag. Also returns how many
+    verdicts carry each rule code (codes that never fired are absent).
+    Refuses times of both offset kinds.
     """
-    check_offset_kinds(records)
+    table = as_table(records)
     if config is None:
         config = BatchConfig()
-    seen: set[str] = set()
-    verdicts = [evaluate_record(record, seen) for record in records]
-    batch_filling = _batch_filling_rows(records, config)
-    clustered = _cluster_rows(records, config)
-    for i in batch_filling:
-        verdicts[i].triggered.append("BATCH_FILLING")
-    for i in clustered:
-        verdicts[i].triggered.append("SPATIAL_CLUSTER")
-    for i in batch_filling | clustered:
-        verdicts[i].category = categorize(verdicts[i].triggered)
-
-    counts: dict[str, int] = {}
-    for verdict in verdicts:
-        for code in verdict.triggered:
-            counts[code] = counts.get(code, 0) + 1
-    return verdicts, counts
+    triggered = _screen(table, set())
+    for code, rows in (("BATCH_FILLING", _batch_filling_rows(table, config)),
+                       ("SPATIAL_CLUSTER", _cluster_rows(table, config))):
+        for row in rows:
+            triggered[row].append(code)
+    verdicts = [
+        QcVerdict(uuid=uuid, category=categorize(codes), triggered=codes)
+        for uuid, codes in zip(table.columns["uuid"], triggered)
+    ]
+    return verdicts, dict(Counter(chain.from_iterable(triggered)))

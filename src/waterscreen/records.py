@@ -12,10 +12,13 @@ takes the file's lines as bytes and decodes one at a time, so beside the
 file's bytes a parse holds their lines and one block's cells. The records
 stay columns: parse_records returns a RecordTable, one column of values
 per FieldRecord field, which builds a FieldRecord only when a row is read.
-encode reads the columns and fills the feature matrix with one numpy call
-over them, a one-hot column being its field's column compared with a level.
+Every batch stage reads a RecordTable's columns (as_table turns any other
+sequence of FieldRecords into one): harmonize rewrites the columns it
+converts, clean and screen_outliers return the table of the rows they keep,
+and encode fills the feature matrix with one numpy call over the columns, a
+one-hot column being its field's column compared with a level.
 
-All operations are pure: they return new records or arrays and never mutate
+All operations are pure: they return new tables or arrays and never mutate
 their inputs.
 """
 
@@ -33,6 +36,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .artifacts import NUMBER, Kind, checked
 from .errors import (
     DictionaryError,
     EmptyInputError,
@@ -78,6 +82,22 @@ DEFAULT_BOUNDS: dict[str, tuple[float, float]] = {
     "hardness_mg_l": (0.0, 10000.0),
     "alkalinity_mg_l": (0.0, 10000.0),
 }
+
+_BOUND_NAME = Kind("keyed by " + ", ".join(sorted(DEFAULT_BOUNDS)), DEFAULT_BOUNDS.__contains__)
+_BOUND_PAIR = Kind("[low, high] with finite numbers low <= high",
+                   lambda v: type(v) in (list, tuple) and len(v) == 2
+                   and all(map(NUMBER.test, v)) and v[0] <= v[1],
+                   lambda v: (float(v[0]), float(v[1])))
+
+
+def check_bounds(bounds: Mapping) -> dict[str, tuple[float, float]]:
+    """bounds, measurement names mapped to [low, high] pairs, as pairs of
+    floats; ParameterError for a name without DEFAULT_BOUNDS or a pair that
+    is not two finite numbers low <= high."""
+    return {
+        checked("bounds", name, _BOUND_NAME): checked(f"bounds.{name}", pair, _BOUND_PAIR)
+        for name, pair in bounds.items()
+    }
 
 RO_TREATMENT_LABEL = "RO treatment"
 OTHER_CATEGORY = "other"
@@ -131,12 +151,6 @@ class FieldRecord:
     # raw unit labels seen at parse time, consumed by harmonize
     unit_tags: tuple[tuple[str, str], ...] = ()
 
-    @property
-    def duration_s(self) -> float | None:
-        if self.started_at is None or self.ended_at is None:
-            return None
-        return (self.ended_at - self.started_at).total_seconds()
-
 
 # FieldRecord's fields, in order, the getter of all of them from a record,
 # and the columns of no records
@@ -155,12 +169,6 @@ class RecordTable(Sequence):
     def __init__(self, columns: dict[str, Sequence]):
         self.columns = columns
 
-    @classmethod
-    def from_records(cls, records) -> RecordTable:
-        """The columns of a sequence of FieldRecords."""
-        rows = list(map(_RECORD_CELLS, records))
-        return cls(dict(zip(_RECORD_FIELDS, zip(*rows) if rows else _NO_ROWS)))
-
     def __len__(self) -> int:
         return len(self.columns["uuid"])
 
@@ -171,6 +179,20 @@ class RecordTable(Sequence):
         if isinstance(index, slice):
             return RecordTable({name: column[index] for name, column in self.columns.items()})
         return FieldRecord(*[self.columns[name][index] for name in _RECORD_FIELDS])
+
+    def take(self, rows: list[int]) -> RecordTable:
+        """The table of the rows at the given positions, in their order."""
+        return RecordTable({name: list(map(column.__getitem__, rows))
+                            for name, column in self.columns.items()})
+
+
+def as_table(records: Sequence[FieldRecord]) -> RecordTable:
+    """records as a RecordTable: a table as it is, any other sequence of
+    FieldRecords as its columns."""
+    if isinstance(records, RecordTable):
+        return records
+    rows = list(map(_RECORD_CELLS, records))
+    return RecordTable(dict(zip(_RECORD_FIELDS, zip(*rows) if rows else _NO_ROWS)))
 
 
 @dataclass
@@ -355,11 +377,12 @@ def _one_offset_kind(values: list, cells: list[str], n: int, aware: bool | None,
     return aware
 
 
-def check_offset_kinds(records: list[FieldRecord]) -> None:
+def check_offset_kinds(records: Sequence[FieldRecord]) -> None:
     """Refuse, with ParameterError, records whose times mix values with and
     without a UTC offset, which cannot be compared. As in parse_records, the
     first time (record order, started_at before ended_at) sets the kind."""
-    times = list(chain.from_iterable(map(attrgetter(*_TIME_FIELDS), records)))
+    columns = as_table(records).columns
+    times = list(chain.from_iterable(zip(*map(columns.__getitem__, _TIME_FIELDS))))
     aware, others = _other_kind(times, None)
     if others:
         at = others[0]
@@ -514,47 +537,40 @@ def read_dictionary(dictionary: Mapping) -> Dictionary:
     )
 
 
-def harmonize(records: list[FieldRecord], dictionary: Dictionary) -> list[FieldRecord]:
+def harmonize(records: Sequence[FieldRecord], dictionary: Dictionary) -> RecordTable:
     """Canonicalize category spellings and convert tagged units.
 
     Fields without a table pass through. Unrecognized non-empty spellings
     become "other"; unanswered values stay empty. Unit tags with a known
     factor are applied and cleared; unknown tags are left in place so the
     non-conversion stays visible. Idempotent: canonical labels map to
-    themselves.
+    themselves. Only the columns it changes are written anew.
     """
-    category_tables, unit_tables = dictionary.categories, dictionary.units
-    canonical_sets = {
-        field_name: set(table.values()) for field_name, table in category_tables.items()
-    }
-    out = []
-    for record in records:
-        changes: dict[str, object] = {}
-        for field_name, table in category_tables.items():
-            value = getattr(record, field_name)
-            if value == "":
-                continue
-            folded = value.strip().casefold()
-            if folded in table:
-                canonical = table[folded]
-            elif value in canonical_sets[field_name]:
-                canonical = value
+    given = as_table(records).columns
+    columns = dict(given)
+    for field_name, table in dictionary.categories.items():
+        canonical = set(table.values())
+        # each spelling in the column, and its label
+        label = {value: table.get(value.strip().casefold(),
+                                  value if value in canonical else OTHER_CATEGORY)
+                 for value in set(given[field_name]) - {""}}
+        label[""] = ""
+        columns[field_name] = list(map(label.__getitem__, given[field_name]))
+    # the measurement columns a unit tag names, to convert in place
+    for field_name in {name for tags in given["unit_tags"] for name, _ in tags}:
+        columns[field_name] = list(given[field_name])
+    columns["unit_tags"] = []
+    for row, tags in enumerate(given["unit_tags"]):
+        remaining = []
+        for field_name, tag in tags:
+            factor = dictionary.units.get(field_name, {}).get(tag.strip().casefold())
+            value = given[field_name][row]
+            if factor is None or value is None:
+                remaining.append((field_name, tag))
             else:
-                canonical = OTHER_CATEGORY
-            if canonical != value:
-                changes[field_name] = canonical
-        if record.unit_tags:
-            remaining = []
-            for field_name, tag in record.unit_tags:
-                factor = unit_tables.get(field_name, {}).get(tag.strip().casefold())
-                value = getattr(record, field_name)
-                if factor is None or value is None:
-                    remaining.append((field_name, tag))
-                else:
-                    changes[field_name] = value * factor
-            changes["unit_tags"] = tuple(remaining)
-        out.append(replace(record, **changes) if changes else record)
-    return out
+                columns[field_name][row] = value * factor
+        columns["unit_tags"].append(tuple(remaining))
+    return RecordTable(columns)
 
 
 @dataclass(frozen=True)
@@ -570,70 +586,67 @@ class CleanLog:
     kept_count: int
 
 
-def implausible(record: FieldRecord, bounds: Mapping[str, tuple[float, float]]) -> bool:
-    """Whether any value named in bounds lies outside its [low, high]
-    interval; a missing value is never implausible."""
+def implausible(records: Sequence[FieldRecord],
+                bounds: Mapping[str, tuple[float, float]]) -> np.ndarray:
+    """Per row, whether any value named in bounds lies outside its [low,
+    high] interval; NaN lies outside every interval, and a missing value
+    (None) is never implausible."""
+    columns = as_table(records).columns
+    outside = np.zeros(len(columns["uuid"]), dtype=bool)
     for field_name, (low, high) in bounds.items():
-        value = getattr(record, field_name, None)
-        if value is not None and not low <= value <= high:
-            return True
-    return False
+        outside |= np.array([v is not None and not low <= v <= high for v in columns[field_name]],
+                            dtype=bool)
+    return outside
 
 
 # the fields whose values, all equal, make two submissions duplicates
-_BODY = attrgetter(
-    *(f.name for f in dataclass_fields(FieldRecord) if f.name not in ("uuid", "unit_tags"))
-)
+_BODY_FIELDS = tuple(name for name in _RECORD_FIELDS if name not in ("uuid", "unit_tags"))
 
 
 def clean(
-    records: list[FieldRecord],
+    records: Sequence[FieldRecord],
     bounds: Mapping[str, tuple[float, float]] | None = None,
-) -> tuple[list[FieldRecord], CleanLog]:
+) -> tuple[RecordTable, CleanLog]:
     """Remove duplicates, implausible measurements, RO-treated samples, and
     records with incomplete outcome labels.
 
     Duplicate means a previously seen uuid (empty uuids never match) or a
     previously seen full field tuple ignoring uuid, which catches platform
     re-submissions under fresh uuids. Each record is judged against all
-    earlier submissions whether or not those were kept. Cleaning never fails;
-    every removal is logged with the first matching reason in the order
-    duplicate, implausible_value, ro_treated, missing_outcome.
+    earlier submissions whether or not those were kept. bounds, checked by
+    check_bounds, are laid over DEFAULT_BOUNDS. Cleaning never fails on a
+    record; every removal is logged with the first matching reason in the
+    order duplicate, implausible_value, ro_treated, missing_outcome.
     """
-    effective = dict(DEFAULT_BOUNDS)
-    if bounds:
-        effective.update(bounds)
+    effective = {**DEFAULT_BOUNDS, **check_bounds(bounds or {})}
+    table = as_table(records)
+    columns = table.columns
+    uuids = columns["uuid"]
     seen_uuids: set[str] = set()
-    seen_tuples: set[tuple] = set()
-    kept: list[FieldRecord] = []
-    removed: list[Removal] = []
-    for idx, record in enumerate(records):
-        body = _BODY(record)
-        reason = None
-        if (record.uuid and record.uuid in seen_uuids) or body in seen_tuples:
-            reason = REASON_DUPLICATE
-        elif implausible(record, effective):
-            reason = REASON_IMPLAUSIBLE
-        elif record.treatment == RO_TREATMENT_LABEL:
-            reason = REASON_RO_TREATED
-        elif record.tc_present is None or record.ec_present is None:
-            reason = REASON_MISSING_OUTCOME
-        if record.uuid:
-            seen_uuids.add(record.uuid)
-        seen_tuples.add(body)
-        if reason is None:
-            kept.append(record)
-        else:
-            removed.append(Removal(row=idx, uuid=record.uuid, reason=reason))
+    seen_bodies: set[tuple] = set()
+    duplicate = []
+    for uuid, body in zip(uuids, zip(*map(columns.__getitem__, _BODY_FIELDS))):
+        duplicate.append(uuid in seen_uuids or body in seen_bodies)
+        if uuid:
+            seen_uuids.add(uuid)
+        seen_bodies.add(body)
+    reasons = (REASON_DUPLICATE, REASON_IMPLAUSIBLE, REASON_RO_TREATED, REASON_MISSING_OUTCOME)
+    masks = (
+        duplicate,
+        implausible(table, effective).tolist(),
+        [treatment == RO_TREATMENT_LABEL for treatment in columns["treatment"]],
+        [tc is None or ec is None for tc, ec in zip(columns["tc_present"], columns["ec_present"])],
+    )
+    row_reasons = [next(compress(reasons, flags), None) for flags in zip(*masks)]
+    removed = [Removal(row=row, uuid=uuids[row], reason=reason)
+               for row, reason in enumerate(row_reasons) if reason is not None]
+    kept = table.take([row for row, reason in enumerate(row_reasons) if reason is None])
     return kept, CleanLog(removed=removed, kept_count=len(kept))
 
 
-_MEASUREMENTS = attrgetter(*MEASUREMENT_FIELDS)
-
-
 def screen_outliers(
-    records: list[FieldRecord], z_threshold: float = 4.0
-) -> tuple[list[FieldRecord], CleanLog]:
+    records: Sequence[FieldRecord], z_threshold: float = 4.0
+) -> tuple[RecordTable, CleanLog]:
     """Drop records with any measurement more than z_threshold SDs from its
     column mean; means and SDs are computed once over the input set.
 
@@ -642,10 +655,11 @@ def screen_outliers(
     """
     if not z_threshold > 0:
         raise ParameterError("z_threshold must be positive")
-    # a row per record, a column per measurement, None as NaN
-    table = np.array(list(map(_MEASUREMENTS, records)), dtype=float)
-    far = np.zeros(len(records), dtype=bool)
-    for column in table.reshape(len(records), len(MEASUREMENT_FIELDS)).T:
+    table = as_table(records)
+    uuids = table.columns["uuid"]
+    far = np.zeros(len(uuids), dtype=bool)
+    # a row per measurement, None as NaN
+    for column in np.array([table.columns[name] for name in MEASUREMENT_FIELDS], dtype=float):
         values = column[~np.isnan(column)]
         if values.size < 2:
             continue
@@ -654,9 +668,9 @@ def screen_outliers(
             continue
         # a missing cell is never far: NaN compares false
         far |= np.abs(column - float(values.mean())) > z_threshold * sd
-    removed = [Removal(row=idx, uuid=records[idx].uuid, reason=REASON_OUTLIER)
-               for idx in np.flatnonzero(far).tolist()]
-    kept = list(compress(records, (~far).tolist()))
+    removed = [Removal(row=row, uuid=uuids[row], reason=REASON_OUTLIER)
+               for row in np.flatnonzero(far).tolist()]
+    kept = table.take(np.flatnonzero(~far).tolist())
     return kept, CleanLog(removed=removed, kept_count=len(kept))
 
 
@@ -750,8 +764,7 @@ def encode(
     if every record carries both. A RecordTable is read by its columns; any
     other sequence of FieldRecords is turned into columns first.
     """
-    if not isinstance(records, RecordTable):
-        records = RecordTable.from_records(records)
+    records = as_table(records)
     n = len(records)
     if not n:
         raise EmptyInputError("no records to encode")

@@ -24,16 +24,16 @@ boundary would stop requiring a genuine interaction.
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from operator import attrgetter
 
 import numpy as np
 
 from .artifacts import NUMBER, Kind, Table, check_fields, integer_at_least, where
 from .errors import ParameterError
 from .records import (CATEGORICAL_FIELDS, MEASUREMENT_FIELDS, PARSEABLE_FIELDS, FieldRecord,
-                      check_offset_kinds)
+                      as_table, check_offset_kinds)
 
 # per measurement: (baseline, noise sd, log-scale flag); log-scale columns
 # are exponentiated, giving the right-skewed shapes seen in field data
@@ -300,25 +300,20 @@ def _format_cell(value) -> str:
 # cells the csv writer already writes as _format_cell would: a float as its
 # repr, an int in decimal, None as empty
 _WRITTEN_AS_IS = frozenset({str, float, int, type(None)})
-_FIXTURE_CELLS = attrgetter(*PARSEABLE_FIELDS)
 
 
-def _fixture_row(record: FieldRecord) -> list:
-    return [
-        cell if type(cell) in _WRITTEN_AS_IS else _format_cell(cell)
-        for cell in _FIXTURE_CELLS(record)
-    ]
-
-
-def write_fixture(records: list[FieldRecord], path) -> None:
+def write_fixture(records: Sequence[FieldRecord], path) -> None:
     """Write records as a schema-conformant CSV that parse_records round-trips
     losslessly (floats via repr). Byte-identical for identical records.
     Refuses times of both offset kinds (check_offset_kinds)."""
-    records = list(records)  # read once: a RecordTable builds a row per read
-    check_offset_kinds(records)
-    if not records:
+    table = as_table(records)
+    check_offset_kinds(table)
+    if not table:
         raise ParameterError("cannot write an empty fixture")
+    # each column's cells, formatted once
+    columns = [[cell if type(cell) in _WRITTEN_AS_IS else _format_cell(cell) for cell in column]
+               for column in map(table.columns.__getitem__, PARSEABLE_FIELDS)]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(PARSEABLE_FIELDS)
-        writer.writerows(map(_fixture_row, records))
+        writer.writerows(zip(*columns))

@@ -749,6 +749,26 @@ def test_clean_removes_and_logs(tmp_path):
     assert reasons["c"] == "implausible_value"
 
 
+def test_qc_and_clean_build_no_record(workspace, tmp_path, monkeypatch):
+    # the parsed columns go through qc, harmonize, clean, the outlier screen
+    # and the fixture writer as they are
+    fixture = str(workspace / "data" / "fixture.csv")
+    config = _write(tmp_path / "dictionary.json",
+                    {"dictionary": {"categories": {"treatment": [["boiled", "boiling"]]}}})
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return FieldRecord(*args, **kwargs)
+
+    monkeypatch.setattr(waterscreen.records, "FieldRecord", counted)
+    assert run(["qc", "--records", fixture, "--out", str(tmp_path / "qc")]) in (0, 2)
+    assert run(["clean", "--records", fixture, "--config", str(config),
+                "--out", str(tmp_path / "clean")]) == 0
+    assert built == []
+    assert (tmp_path / "clean" / "cleaned.csv").stat().st_size > 0
+
+
 def test_clean_converts_tagged_units(tmp_path):
     raw = tmp_path / "raw.csv"
     write_fixture([record("a", tds_ppm=0.25), record("b", 1, tds_ppm=180.0)], raw)

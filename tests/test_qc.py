@@ -7,12 +7,15 @@ import random
 import tracemalloc
 from bisect import bisect_right
 from datetime import datetime, timedelta, timezone
+from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import waterscreen.records
 from waterscreen import qc
 from waterscreen.errors import ParameterError
 from waterscreen.qc import (
@@ -20,14 +23,22 @@ from waterscreen.qc import (
     DOMAINS,
     RULES,
     RULES_BY_CODE,
+    QcVerdict,
     _cluster_rows,
     _haversine_m,
     categorize,
     evaluate_batch,
     evaluate_record,
 )
-from waterscreen.records import DEFAULT_BOUNDS, FieldRecord
-from waterscreen.synth import SynthConfig, generate
+from waterscreen.records import (
+    DEFAULT_BOUNDS,
+    MEASUREMENT_FIELDS,
+    FieldRecord,
+    RecordTable,
+    as_table,
+    parse_records,
+)
+from waterscreen.synth import SynthConfig, generate, write_fixture
 
 T0 = datetime(2024, 3, 1, 10, 0, 0)
 
@@ -176,6 +187,129 @@ def test_category_is_pure_function_of_triggered_subset():
                 else ("REVIEW" if codes else "OK")
             )
             assert categorize(codes) == expected
+
+
+def test_a_record_with_times_of_both_offset_kinds_is_refused():
+    # as in a batch; subtracting the two would raise a bare TypeError
+    record = compliant(started_at=T0.replace(tzinfo=timezone.utc), ended_at=T0)
+    seen = set()
+    with pytest.raises(ParameterError, match="^record 0: ended_at value .* has no UTC offset"):
+        evaluate_record(record, seen)
+    assert seen == set()
+
+
+def _evaluate_record_reference(record, seen):
+    """The per-record rules, one record at a time, as evaluate_record ran them
+    before they became masks over a table's columns."""
+    triggered = []
+    if record.uuid == "":
+        triggered.append("MISSING_UUID")
+    elif record.uuid in seen:
+        triggered.append("DUPLICATE_UUID")
+    else:
+        seen.add(record.uuid)
+    if record.sample_id == "":
+        triggered.append("MISSING_SAMPLE_ID")
+    if record.latitude is None or record.longitude is None:
+        triggered.append("GPS_MISSING")
+    latitude, longitude = record.latitude or 0.0, record.longitude or 0.0
+    if not (-90.0 <= latitude <= 90.0 and -180.0 <= longitude <= 180.0):
+        triggered.append("GPS_OUT_OF_RANGE")
+    if record.gps_accuracy_m is not None and record.gps_accuracy_m > qc.GPS_ACCURACY_LIMIT_M:
+        triggered.append("GPS_LOW_ACCURACY")
+    duration = None
+    if record.started_at is not None and record.ended_at is not None:
+        duration = (record.ended_at - record.started_at).total_seconds()
+    if duration is not None and duration < 0:
+        triggered.append("TIME_REVERSED")
+    elif duration is not None:
+        limit = (
+            qc.HOUSEHOLD_MIN_DURATION_S
+            if record.survey_kind == "household"
+            else qc.WATER_BODY_MIN_DURATION_S
+        )
+        if duration < limit:
+            triggered.append("DURATION_SHORT")
+    if record.photo_count < record.expected_photo_count:
+        triggered.append("PHOTOS_INCOMPLETE")
+    for name, (low, high) in DEFAULT_BOUNDS.items():
+        value = getattr(record, name)
+        if value is not None and not low <= value <= high:
+            triggered.append("VALUE_OUT_OF_RANGE")
+            break
+    return QcVerdict(uuid=record.uuid, category=categorize(triggered), triggered=triggered)
+
+
+def _edges(low, high):
+    # each bound, a float either side of it, and a missing value of each kind
+    return [None, math.nan, low, high, math.nextafter(low, -math.inf),
+            math.nextafter(high, math.inf), math.inf, -math.inf]
+
+
+@st.composite
+def screened_records(draw, t0):
+    measurements = draw(st.sets(st.sampled_from(MEASUREMENT_FIELDS), max_size=2))
+    started = draw(st.sampled_from([None, t0]))
+    ended_after_s = draw(st.sampled_from([None, -1, 0, 59, 60, 179, 180, 500]))
+    return FieldRecord(
+        uuid=draw(st.sampled_from(["", "a", "b", "c"])),
+        sample_id=draw(st.sampled_from(["", "s"])),
+        latitude=draw(st.sampled_from(_edges(-90.0, 90.0) + [0.0, 23.7, 135.0])),
+        longitude=draw(st.sampled_from(_edges(-180.0, 180.0) + [0.0, 90.4, -400.0])),
+        gps_accuracy_m=draw(st.sampled_from(_edges(0.0, qc.GPS_ACCURACY_LIMIT_M))),
+        started_at=started,
+        ended_at=None if ended_after_s is None else t0 + timedelta(seconds=ended_after_s),
+        survey_kind=draw(st.sampled_from(["household", "water_body"])),
+        photo_count=draw(st.integers(0, 3)),
+        expected_photo_count=draw(st.integers(0, 3)),
+        **{name: draw(st.sampled_from(_edges(*DEFAULT_BOUNDS[name]))) for name in measurements},
+    )
+
+
+@st.composite
+def screened_tables(draw):
+    """A table of one to twelve drawn records, or of 1,100 rows that repeat
+    them, as a parse of more than one block gives: columns that are lists."""
+    t0 = T0.replace(tzinfo=timezone.utc) if draw(st.booleans()) else T0
+    records = draw(st.lists(screened_records(t0), min_size=1, max_size=12))
+    if not draw(st.booleans()):
+        return as_table(records)
+    k = len(records)
+    rows = [replace(records[i % k], uuid=records[i % k].uuid and f"{records[i % k].uuid}{i // k % 3}")
+            for i in range(1100)]
+    return RecordTable({name: list(column) for name, column in as_table(rows).columns.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=screened_tables())
+def test_batch_screening_matches_the_per_record_reference(table):
+    seen = set()
+    expected = [_evaluate_record_reference(record, seen) for record in table]
+    # thresholds no batch can reach, so that only the per-record rules fire
+    unreachable = BatchConfig(batch_min=len(table) + 1, cluster_min=len(table) + 1)
+    verdicts, counts = evaluate_batch(table, unreachable)
+    assert verdicts == expected
+    assert counts == Counter(code for verdict in expected for code in verdict.triggered)
+    # evaluate_record is the one-row case of the same rules
+    seen = set()
+    assert [evaluate_record(record, seen) for record in table[:12]] == expected[:12]
+
+
+def test_batch_of_a_table_builds_no_row(tmp_path, monkeypatch):
+    records, _ = generate(SynthConfig(n_rows=300, seed=2))
+    records += [replace(records[0], uuid=""), replace(records[1], ph=15.0, latitude=None)]
+    write_fixture(records, tmp_path / "batch.csv")
+    table = parse_records((tmp_path / "batch.csv").read_bytes()).records
+    expected = evaluate_batch(records)
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return FieldRecord(*args, **kwargs)
+
+    monkeypatch.setattr(waterscreen.records, "FieldRecord", counted)
+    assert evaluate_batch(table) == expected
+    assert built == []
 
 
 def test_batch_flags_repeated_and_missing_uuids():
@@ -422,14 +556,14 @@ def clouds(draw):
 @given(cloud=clouds())
 def test_sweep_matches_the_all_pairs_reference(cloud):
     records, config = cloud
-    assert _cluster_rows(records, config) == _cluster_rows_reference(records, config)
+    assert _cluster_rows(as_table(records), config) == _cluster_rows_reference(records, config)
 
 
 @settings(max_examples=400, deadline=None)
 @given(cloud=clouds())
 def test_a_household_off_the_globe_is_never_clustered(cloud):
     records, config = cloud
-    for i in _cluster_rows(records, config):
+    for i in _cluster_rows(as_table(records), config):
         assert "GPS_OUT_OF_RANGE" not in evaluate_record(records[i], set()).triggered
 
 
@@ -440,7 +574,7 @@ def test_a_household_off_the_globe_is_never_clustered(cloud):
 def test_sweep_in_small_chunks_matches_the_all_pairs_reference(chunk, cloud):
     records, config = cloud
     with mock.patch.object(qc, "_PAIR_CHUNK", chunk):
-        flagged = _cluster_rows(records, config)
+        flagged = _cluster_rows(as_table(records), config)
     assert flagged == _cluster_rows_reference(records, config)
 
 
@@ -474,12 +608,12 @@ def test_sweep_tests_a_small_multiple_of_n_pairs(monkeypatch):
             yield first, second
 
     monkeypatch.setattr(qc, "_sweep_pairs", counted)
-    flagged = _cluster_rows(records, BatchConfig())
+    flagged = _cluster_rows(as_table(records), BatchConfig())
     # the all-pairs scan tests n(n-1)/2, about 39M, pairs here
     assert 0 < pairs <= 20 * len(records)
     assert len(flagged) > len(records) // 2
     subset = records[:500]
-    flagged_subset = _cluster_rows(subset, BatchConfig())
+    flagged_subset = _cluster_rows(as_table(subset), BatchConfig())
     assert flagged_subset
     assert flagged_subset == _cluster_rows_reference(subset, BatchConfig())
 
@@ -490,7 +624,7 @@ def test_sweep_tests_a_small_multiple_of_n_pairs(monkeypatch):
 ])
 def test_numpy_sweep_matches_the_python_sweep(make):
     records = make()
-    flagged = _cluster_rows(records, BatchConfig())
+    flagged = _cluster_rows(as_table(records), BatchConfig())
     assert flagged
     assert flagged == _cluster_rows_sweep_reference(records, BatchConfig())
 
@@ -510,7 +644,7 @@ def test_a_pair_at_the_radius_is_decided_by_the_haversine(monkeypatch, step):
 
     monkeypatch.setattr(qc, "_haversine_m", counted)
     config = BatchConfig(cluster_min=2, cluster_radius_m=radius)
-    flagged = _cluster_rows([a, far, b], config)
+    flagged = _cluster_rows(as_table([a, far, b]), config)
     # the pair at the radius takes the exact call, lower index first; both
     # pairs with c, kilometres beyond it, are decided without one
     assert calls == [(a.latitude, a.longitude, b.latitude, b.longitude)]
@@ -520,8 +654,8 @@ def test_a_pair_at_the_radius_is_decided_by_the_haversine(monkeypatch, step):
 def test_sweep_memory_is_bounded_by_the_chunk():
     # every pair of 2000 rows on one parallel, about 2M pairs, is a candidate
     rng = random.Random(5)
-    records = [FieldRecord(uuid=f"h{k}", latitude=23.7, longitude=rng.uniform(-180.0, 180.0))
-               for k in range(2000)]
+    records = as_table([FieldRecord(uuid=f"h{k}", latitude=23.7, longitude=rng.uniform(-180.0, 180.0))
+                        for k in range(2000)])
     tracemalloc.start()
     try:
         flagged = _cluster_rows(records, BatchConfig())

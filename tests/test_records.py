@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import random
+import sys
 import tracemalloc
 from dataclasses import replace
 from datetime import datetime
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import waterscreen.records
 from waterscreen.errors import (
     DictionaryError,
     EmptyInputError,
@@ -31,6 +33,7 @@ from waterscreen.records import (
     Labels,
     ParseResult,
     RecordTable,
+    as_table,
     clean,
     encode,
     harmonize,
@@ -114,7 +117,7 @@ class TestParse:
         )
         r = parse_records(data).records[0]
         assert r.started_at == datetime(2024, 3, 1, 10, 0, 0)
-        assert r.duration_s == pytest.approx(330.0)
+        assert (r.ended_at - r.started_at).total_seconds() == 330.0
 
     def test_unit_tag_column(self):
         data = csv_bytes(
@@ -198,7 +201,7 @@ class TestHarmonize:
         ]
         once = harmonize(records, TABLES)
         twice = harmonize(once, TABLES)
-        assert once == twice
+        assert list(once) == list(twice)
 
     def test_unit_conversion_applied_and_tag_cleared(self):
         r = make_record(tds_ppm=0.2, unit_tags=(("tds_ppm", "g/L"),))
@@ -268,12 +271,12 @@ class TestClean:
 
     def test_custom_bounds_override(self):
         kept, log = clean([make_record(ph=9.5)], bounds={"ph": (6.0, 9.0)})
-        assert kept == []
+        assert list(kept) == []
         assert log.removed[0].reason == "implausible_value"
 
     def test_ro_treated_removed(self):
         kept, log = clean([make_record(treatment="RO treatment")])
-        assert kept == []
+        assert list(kept) == []
         assert log.removed[0].reason == "ro_treated"
 
     def test_missing_either_outcome_removed(self):
@@ -300,12 +303,23 @@ class TestClean:
         assert len(kept) + len(log.removed) == len(records)
         assert log.kept_count == len(kept)
         again, log2 = clean(kept)
-        assert again == kept
+        assert list(again) == list(kept)
         assert log2.removed == []
 
     def test_missing_measurement_is_not_implausible(self):
         kept, _ = clean([make_record(ph=None)])
         assert len(kept) == 1
+
+    @pytest.mark.parametrize("bounds, message", [
+        # a misspelled name used to be ignored, the default applying instead
+        ({"pH": (0.0, 14.0)}, "bounds must be keyed by alkalinity_mg_l, .*, got 'pH'"),
+        # low > high used to make every row implausible
+        ({"ph": (10.0, 1.0)}, r"bounds.ph must be \[low, high\] with finite numbers low <= high"),
+        ({"ph": (6.0, math.inf)}, r"bounds.ph must be \[low, high\] with finite numbers"),
+    ])
+    def test_bad_bounds_are_refused(self, bounds, message):
+        with pytest.raises(ParameterError, match=message):
+            clean([make_record()], bounds)
 
 
 class TestScreenOutliers:
@@ -336,6 +350,37 @@ class TestScreenOutliers:
     def test_threshold_must_be_positive(self):
         with pytest.raises(ParameterError):
             screen_outliers([make_record()], z_threshold=0.0)
+
+
+def test_prepare_of_a_table_builds_no_row(monkeypatch):
+    records, _ = generate(SynthConfig(n_rows=200, seed=4))
+    records += [replace(records[0], uuid="dup"), replace(records[0], uuid="dup", ph=20.0),
+                replace(records[1], treatment=" BOILED ", tds_ppm=0.3, unit_tags=(("tds_ppm", "g/L"),)),
+                replace(records[2], conductivity_us_cm=1e6)]
+    table = RecordTable({name: list(column) for name, column in as_table(records).columns.items()})
+    prepare = [
+        lambda rows: harmonize(rows, TABLES),
+        clean,
+        lambda rows: clean(rows, {"ph": (6.0, 8.5)}),
+        screen_outliers,
+    ]
+    expected = [step(records) for step in prepare]
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return FieldRecord(*args, **kwargs)
+
+    monkeypatch.setattr(waterscreen.records, "FieldRecord", counted)
+    outcomes = [step(table) for step in prepare]
+    assert built == []
+    monkeypatch.undo()
+    # each step reads and returns columns, and keeps what the list gives
+    assert isinstance(outcomes[0], RecordTable)
+    assert list(outcomes[0]) == list(expected[0])
+    for (kept, log), (expected_kept, expected_log) in zip(outcomes[1:], expected[1:]):
+        assert isinstance(kept, RecordTable)
+        assert (list(kept), log) == (list(expected_kept), expected_log)
 
 
 def _screen_outliers_reference(records, z_threshold):
@@ -375,7 +420,7 @@ def test_screen_outliers_matches_the_per_record_reference(rows, z_threshold):
     records = [make_record(f"u{i}", **row) for i, row in enumerate(rows)]
     far = _screen_outliers_reference(records, z_threshold)
     kept, log = screen_outliers(records, z_threshold)
-    assert kept == [r for r, f in zip(records, far) if not f]
+    assert list(kept) == [r for r, f in zip(records, far) if not f]
     assert [(r.row, r.uuid) for r in log.removed] == [
         (i, r.uuid) for i, (r, f) in enumerate(zip(records, far)) if f
     ]
@@ -935,14 +980,16 @@ def _implausible_reference(record, bounds):
 def test_one_plausibility_rule_for_qc_and_clean(values, bounds):
     record = make_record(**values)
     expected = _implausible_reference(record, bounds)
-    assert implausible(record, bounds) == expected
+    assert implausible([record], bounds).tolist() == [expected]
     # qc screens at the default bounds
     verdict = evaluate_record(record, set())
     assert ("VALUE_OUT_OF_RANGE" in verdict.triggered) == _implausible_reference(
         record, DEFAULT_BOUNDS
     )
-    # clean lays the bounds it is given over the defaults
-    widened = {**{name: (-math.inf, math.inf) for name in DEFAULT_BOUNDS}, **bounds}
+    # clean lays the bounds it is given over the defaults; check_bounds
+    # takes finite bounds only
+    widest = (-sys.float_info.max, sys.float_info.max)
+    widened = {**{name: widest for name in DEFAULT_BOUNDS}, **bounds}
     _, log = clean([record], widened)
     removed = [r.reason for r in log.removed] == ["implausible_value"]
     assert removed == _implausible_reference(record, widened)
