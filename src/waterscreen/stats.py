@@ -4,12 +4,14 @@ McNemar's test at a fixed operating point.
 
 Randomness is reproducible: every bootstrap replicate draws from its own
 sub-stream seeded by (seed, replicate index), so results do not depend on
-evaluation order. Replicates are scored in chunks of at most _CHUNK_CELLS
-drawn rows, each replicate one row of the chunk, with one bincount and one
-cumsum over the scores' tie groups per chunk and score vector. The chunks
-change no bit: ROC-AUC is exact integer arithmetic, and average precision
-sums each replicate's terms over the tie groups its resample holds only,
-in order, as on the sorted resample.
+evaluation order. Each replicate is drawn once and serves every challenger
+and both ranking metrics. Replicates are scored in chunks of at most
+_CHUNK_CELLS drawn rows, each replicate one row of the chunk, with one
+bincount and one cumsum over the scores' tie groups per chunk and score
+vector, which ROC-AUC and average precision both read. The chunks change no
+bit: ROC-AUC is exact integer arithmetic, and average precision sums each
+replicate's terms over the tie groups its resample holds only, in order, as
+on the sorted resample.
 """
 
 from __future__ import annotations
@@ -141,6 +143,8 @@ class DeltaResult:
 # each ranking metric of scores and labels, by name; the traced benchmark
 # wraps these entries, which score the point estimates
 _METRICS = {"roc_auc": roc_auc, "average_precision": average_precision}
+# the same metrics' formulas over cumulative counts, which the bootstrap reads
+_COUNTED = {"roc_auc": _roc_auc, "average_precision": _average_precision}
 
 # cells (replicates x rows) the bootstrap counts at a time, so that its peak
 # memory does not grow with n_boot
@@ -162,45 +166,53 @@ def _counted_sweeps(codes, groups: int, drawn):
     return None, counts[..., 1], counts[..., 0]
 
 
-def paired_bootstrap_delta(
+def paired_bootstrap_deltas(
     ref_scores,
     cand_scores,
     labels,
     fold_ids,
-    metric: str,
+    metrics=tuple(sorted(_METRICS)),
     n_boot: int = 10000,
     seed: int = 0,
-) -> DeltaResult:
-    """Stratified paired bootstrap test of H0: metric(cand) - metric(ref) = 0.
+) -> dict[str, list[DeltaResult]]:
+    """Stratified paired bootstrap tests of H0: metric(cand) - metric(ref) = 0
+    for every score vector in `cand_scores` and every metric named in
+    `metrics`, all read on one set of replicates. Returns, per metric, one
+    DeltaResult per candidate, in the candidates' order.
 
     Each replicate resamples row indices with replacement within every
-    (fold, class) stratum and applies the same indices to both score vectors,
-    preserving the pairing and per-fold class balance. Replicate `rep` draws
-    every stratum's indices from `default_rng([seed, rep])`, stratum by
-    stratum, in one call. The two-sided p-value uses add-one smoothing:
-    2 * min over tails of (count + 1) / (n_boot + 1), capped at 1.
+    (fold, class) stratum and applies the same indices to every score
+    vector, preserving the pairing and per-fold class balance. Replicate
+    `rep` draws every stratum's indices from `default_rng([seed, rep])`,
+    stratum by stratum, in one call. The strata depend only on the labels
+    and fold ids, so one draw serves every candidate and every metric, and a
+    candidate's results do not depend on the others. The two-sided p-value
+    uses add-one smoothing: 2 * min over tails of (count + 1) / (n_boot + 1),
+    capped at 1.
 
     Nothing is sorted per replicate. Before the draws each row of each score
     vector gets a code: 2 * its tie group's rank (highest score first) + its
     label. Replicates are counted in chunks of up to _CHUNK_CELLS drawn
     rows: each replicate's draw fills one row of the chunk, and one
-    bincount and one cumsum give every replicate's cumulative counts over
-    all tie groups. The groups that hold a drawn row are exactly the
-    distinct scores of the resample, in order, so each metric's formula,
-    the one the point estimate uses, gives the value it gives on the sorted
-    resample, to the bit: ROC-AUC is exact integer arithmetic, to which a
-    group holding no drawn row adds 0, and average precision sums, per
-    replicate, only the terms of the groups its resample holds.
+    bincount and one cumsum per score vector give every replicate's
+    cumulative counts over all tie groups, which both metrics read. The
+    groups that hold a drawn row are exactly the distinct scores of the
+    resample, in order, so each metric's formula, the one the point estimate
+    uses, gives the value it gives on the sorted resample, to the bit:
+    ROC-AUC is exact integer arithmetic, to which a group holding no drawn
+    row adds 0, and average precision sums, per replicate, only the terms of
+    the groups its resample holds.
     """
-    if metric not in _METRICS:
-        raise ParameterError(f"unknown metric {metric!r}; expected one of {sorted(_METRICS)}")
+    for metric in metrics:
+        if metric not in _METRICS:
+            raise ParameterError(f"unknown metric {metric!r}; expected one of {sorted(_METRICS)}")
     checked("n_boot", n_boot, integer_at_least(1))
     checked("seed", seed, integer_at_least(0))
     ref = np.asarray(ref_scores, dtype=float)
-    cand = np.asarray(cand_scores, dtype=float)
+    cands = [np.asarray(c, dtype=float) for c in cand_scores]
     y = np.asarray(labels)
     folds = np.asarray(fold_ids)
-    if not (ref.shape == cand.shape == y.shape == folds.shape):
+    if not all(ref.shape == c.shape == y.shape == folds.shape for c in cands):
         raise ParameterError("ref_scores, cand_scores, labels, fold_ids must share length")
     ref, y = _check_binary(ref, y, "ref_scores")
     strata = []
@@ -211,18 +223,20 @@ def paired_bootstrap_delta(
                 raise ParameterError(f"fold {f} is missing class {cls}")
             strata.append(idx)
     # refuses NaN scores, which would otherwise form a tie group of their own
-    point = _METRICS[metric](cand, y) - _METRICS[metric](ref, y)
-    formula = {"roc_auc": _roc_auc, "average_precision": _average_precision}[metric]
+    ref_points = [_METRICS[m](ref, y) for m in metrics]
+    points = [[_METRICS[m](c, y) - r for m, r in zip(metrics, ref_points)] for c in cands]
+    formulas = [_COUNTED[m] for m in metrics]
     order = np.concatenate(strata)
     sizes = np.array([s.size for s in strata])
     # each position of `order`: its stratum's size and first position
     highs = np.repeat(sizes, sizes)
     starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
     coded = []
-    for s in (cand, ref):
+    for s in (ref, *cands):
         levels, group = np.unique(-s, return_inverse=True)
         coded.append(((2 * group + y)[order], levels.size))
-    deltas = np.empty(n_boot, dtype=float)
+    # (candidate, metric, replicate)
+    deltas = np.empty((len(cands), len(metrics), n_boot), dtype=float)
     chunk = max(1, _CHUNK_CELLS // y.size)
     for lo in range(0, n_boot, chunk):
         reps = range(lo, min(lo + chunk, n_boot))
@@ -230,9 +244,26 @@ def paired_bootstrap_delta(
         for row, rep in enumerate(reps):
             drawn[row] = np.random.default_rng([seed, rep]).integers(0, highs)
         drawn += starts
-        cand_values, ref_values = (formula(_counted_sweeps(codes, groups, drawn))
-                                   for codes, groups in coded)
-        deltas[lo:reps.stop] = cand_values - ref_values
+        # (score vector, metric, replicate); each vector's counts are
+        # dropped before the next vector's are made
+        values = np.array([_read(formulas, _counted_sweeps(codes, groups, drawn))
+                           for codes, groups in coded])
+        deltas[:, :, lo:reps.stop] = values[1:] - values[0]
+    return {
+        metric: [_delta_result(metric, points[c][m], deltas[c, m], seed)
+                 for c in range(len(cands))]
+        for m, metric in enumerate(metrics)
+    }
+
+
+def _read(formulas, sweep) -> list:
+    """Every formula's values on one sweep."""
+    return [formula(sweep) for formula in formulas]
+
+
+def _delta_result(metric: str, point: float, deltas, seed: int) -> DeltaResult:
+    """The DeltaResult of a point estimate and its bootstrap replicates."""
+    n_boot = deltas.size
     ci_low, ci_high = np.percentile(deltas, [2.5, 97.5])
     le = int(np.count_nonzero(deltas <= 0.0))
     ge = int(np.count_nonzero(deltas >= 0.0))
@@ -246,6 +277,21 @@ def paired_bootstrap_delta(
         n_boot=n_boot,
         seed=seed,
     )
+
+
+def paired_bootstrap_delta(
+    ref_scores,
+    cand_scores,
+    labels,
+    fold_ids,
+    metric: str,
+    n_boot: int = 10000,
+    seed: int = 0,
+) -> DeltaResult:
+    """paired_bootstrap_deltas of one candidate on one metric."""
+    return paired_bootstrap_deltas(
+        ref_scores, [cand_scores], labels, fold_ids, (metric,), n_boot, seed
+    )[metric][0]
 
 
 def bh_fdr(p_values) -> list[float]:
@@ -315,8 +361,10 @@ class ComparisonReport:
 def _sub_seed(seed: int, *parts: str) -> int:
     """Deterministic sub-seed from a base seed and string tags.
 
-    Hash-derived so results are invariant to the order in which comparisons
-    are evaluated.
+    compare_models draws its replicates from _sub_seed(seed, "bootstrap"):
+    one stream for every challenger and ranking metric, whose tag names
+    neither, so a challenger's results depend on neither the order nor the
+    set of the other challengers.
     """
     digest = hashlib.sha256(("/".join([str(seed), *parts])).encode()).digest()
     return int.from_bytes(digest[:8], "big")
@@ -335,12 +383,19 @@ def compare_models(
     Ranking metrics (ROC-AUC and average precision) each form their own FDR
     family across challengers; operating-point McNemar tests form a third,
     separate family. All reports must share their labels and identical
-    held-out index lists per fold so the pairing is strict. Decisions for
+    held-out index lists per fold so the pairing is strict, and each
+    challenger needs its own name, or one test would count twice in its
+    family. One set of bootstrap replicates serves every challenger and both
+    ranking metrics (paired_bootstrap_deltas). Decisions for
     McNemar are taken at one fixed threshold applied to both models:
     `threshold` if given, otherwise the reference report's threshold_mean.
     """
     if not challengers:
         raise ParameterError("at least one challenger report is required")
+    names = [ch.name for ch in challengers]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ParameterError(f"challenger names must be distinct; repeated: {', '.join(repeated)}")
     ref_probs, fold_ids = reference.by_row("calibrated"), reference.by_row("fold_id")
     for ch in challengers:
         if len(ch.folds) != len(reference.folds):
@@ -356,21 +411,12 @@ def compare_models(
     if threshold is None:
         threshold = reference.threshold_mean
     challenger_probs = [ch.by_row("calibrated") for ch in challengers]
+    families = paired_bootstrap_deltas(
+        ref_probs, challenger_probs, labels, fold_ids,
+        n_boot=n_boot, seed=_sub_seed(seed, "bootstrap"),
+    )
     deltas: list[DeltaResult] = []
-    for metric in sorted(_METRICS):
-        family: list[DeltaResult] = []
-        for ch, ch_probs in zip(challengers, challenger_probs):
-            family.append(
-                paired_bootstrap_delta(
-                    ref_probs,
-                    ch_probs,
-                    labels,
-                    fold_ids,
-                    metric,
-                    n_boot=n_boot,
-                    seed=_sub_seed(seed, ch.name, metric),
-                )
-            )
+    for family in families.values():
         qs = bh_fdr([d.p_value for d in family])
         for ch, d, q in zip(challengers, family, qs):
             deltas.append(replace(d, challenger=ch.name, q_value=q))

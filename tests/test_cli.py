@@ -1039,6 +1039,17 @@ def test_compare_refuses_a_challenger_on_other_labels(workspace, tmp_path, capsy
     assert not out_dir.exists()
 
 
+def test_compare_refuses_a_repeated_challenger_name(workspace, tmp_path, capsys):
+    # one report given twice would count one test twice in its FDR family
+    challenger = str(workspace / "model" / "cv_report_no_aux.json")
+    out_dir = tmp_path / "cmp"
+    assert run(["compare", "--reference", str(workspace / "model" / "cv_report.json"),
+                "--challengers", challenger, challenger, "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: challenger names must be distinct; repeated: single_stage\n"
+    assert not out_dir.exists()
+
+
 def test_explain_exports_attributions(workspace, tmp_path):
     out_dir = tmp_path / "shap"
     config = tmp_path / "c.json"

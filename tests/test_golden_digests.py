@@ -14,11 +14,16 @@ that `tests/test_gbdt.py::_margins_reference` keeps, before raw and binned
 routing became one walk, and before a model's kept trees were packed into
 one node table and scored in one walk, and before that table was built
 once per fit or load instead of on every call; the ensemble walk
-reproduces them exactly. The comparison digest was computed with the
-bootstrap that sorted both resampled score vectors in every replicate,
+reproduces them exactly. The comparison digest was first computed with
+the bootstrap that sorted both resampled score vectors in every replicate,
 which `tests/test_stats.py::_bootstrap_reference` keeps, before replicates
 became counts over tie groups, and before replicates were counted in
-chunks. The attribution digest was computed with the per-row path
+chunks. It moved once, on purpose: each challenger and metric had drawn
+its own replicates, seeded by its name and the metric, until one set of
+replicates, seeded by the comparison alone, served every challenger and
+both ranking metrics. The deltas kept their bits; the intervals, p-values
+and q-values moved with the seed, and each still equals the reference
+bootstrap's at the new seed. The attribution digest was computed with the per-row path
 recursion, as `tests/test_explain.py::_shap_one_tree_reference` keeps it,
 before the recursion ran once per tree over the rows' leaf patterns. A
 change that moves a digest on purpose says so and shows that model quality
@@ -90,7 +95,7 @@ GOLDEN = {
         "attributions": "1553a952e534740a48869a60c27ba26880aaff2854820ca572f0c573d8f19515",
     },
 }
-COMPARISON = "71174666a02feb159440334262f7e22f0d02f0d7563ef544398c7a32a7964b02"
+COMPARISON = "b9ba0bbca1e130dcbf0684ebd4dcd90e8a7aefede735cdf9e97896284aee8e9a"
 # the cases above bin at 64; this one keeps the default max_bins of 256, so
 # each continuous column offers 254 split candidates
 DEFAULT_BINS = gbdt_leafwise_preset(iteration_cap=8, early_stopping_rounds=0, seed=SEED)

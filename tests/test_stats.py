@@ -191,6 +191,25 @@ def test_bootstrap_memory_does_not_grow_with_n_boot():
     assert peak(4000) - peak(40) < 1 << 20
 
 
+def test_comparison_memory_does_not_grow_with_n_boot():
+    # three challengers on one set of replicates: the chunk cap bounds one
+    # draw for all of them and both metrics
+    rng = np.random.default_rng(13)
+    y = (rng.random(2207) < 0.3).astype(int)
+    folds = rng.integers(0, 5, 2207)
+    ref, *cands = rng.random((4, 2207))
+
+    def peak(n_boot):
+        tracemalloc.start()
+        try:
+            stats.paired_bootstrap_deltas(ref, cands, y, folds, n_boot=n_boot)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4000) - peak(40) < 1 << 20
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     sizes=st.lists(st.integers(1, 60), min_size=1, max_size=12),
@@ -474,3 +493,126 @@ class TestCompareModels:
                 if d.q_value < 0.05:
                     rejections += 1
         assert rejections / cells <= 0.20
+
+    def test_repeated_challenger_names_are_refused_before_any_replicate(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        rng = np.random.default_rng(14)
+        y = _balanced_labels(rng, 40)
+        ref, a, b, again = (make_report(name, y, rng.random(40)) for name in ("ref", "a", "b", "a"))
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ParameterError, match="^challenger names must be distinct; repeated: a$"):
+            compare_models(ref, [a, b, again], n_boot=10)
+
+
+def _report_on_folds(name, y, folds, scores):
+    """A CvReport whose fold f holds the rows whose fold id is f."""
+    fold_results = [
+        FoldResult(fold_id=f, held_out=np.flatnonzero(folds == f), raw=scores[folds == f],
+                   calibrated=scores[folds == f], threshold=0.5, best_iteration=0,
+                   calibration_method="isotonic", digest="stub")
+        for f in range(int(folds.max()) + 1)
+    ]
+    return CvReport(name=name, labels=y, folds=fold_results, **pooled_fields(y, fold_results),
+                    beta=2.0, aux_used=False, stage1_auc=None)
+
+
+@st.composite
+def _comparison_cases(draw):
+    """A reference and 1-3 challengers' scores in [0, 1], with labels and fold
+    ids, as _bootstrap_cases draws them: a few tied levels, all distinct, or
+    90-300 rows in 3-5 folds with all scores distinct."""
+    many = draw(st.booleans())
+    stratum = st.integers(15, 30) if many else st.integers(1, 6)
+    sizes = draw(st.lists(st.tuples(stratum, stratum), min_size=3 if many else 1,
+                          max_size=5 if many else 7))
+    folds = np.concatenate([np.full(neg + pos, f) for f, (neg, pos) in enumerate(sizes)])
+    y = np.concatenate([np.r_[np.zeros(neg, int), np.ones(pos, int)] for neg, pos in sizes])
+    n = y.size
+    vectors = 1 + draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if many:
+        scores = [rng.permutation(n) / n for _ in range(vectors)]
+    elif draw(st.booleans()):
+        level = st.sampled_from(_TIED_LEVELS)
+        scores = [draw(st.lists(level, min_size=n, max_size=n)) for _ in range(vectors)]
+    else:
+        distinct = st.floats(0.0, 1.0)
+        scores = [draw(st.lists(distinct, min_size=n, max_size=n, unique=True))
+                  for _ in range(vectors)]
+    perm = rng.permutation(n)
+    return [np.array(s, dtype=float)[perm] for s in scores], y[perm], folds[perm]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=_comparison_cases(),
+    seed=st.integers(0, 2**63 - 1),
+    chunking=st.sampled_from(["one_replicate", "three_replicates"]),
+)
+def test_comparison_is_bit_equal_to_the_reference_per_challenger_and_metric(case, seed, chunking):
+    (ref, *cands), y, folds = case
+    reference = _report_on_folds("ref", y, folds, ref)
+    challengers = [_report_on_folds(f"c{k}", y, folds, c) for k, c in enumerate(cands)]
+    cells = {"one_replicate": 1, "three_replicates": 3 * y.size + 1}[chunking]
+
+    def kept(d):
+        return [float.hex(v) for v in (d.delta, d.ci_low, d.ci_high, d.p_value)]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_CHUNK_CELLS", cells)
+        report = compare_models(reference, challengers, n_boot=40, seed=seed)
+        # each challenger alone: the others' presence moves none of its bits
+        alone = {(d.challenger, d.metric): kept(d)
+                 for ch in challengers
+                 for d in compare_models(reference, [ch], n_boot=40, seed=seed).deltas}
+    assert len(report.deltas) == 2 * len(cands)
+    by_name = dict(zip((ch.name for ch in challengers), cands))
+    for d in report.deltas:
+        assert d.seed == stats._sub_seed(seed, "bootstrap")
+        want = _bootstrap_reference(ref, by_name[d.challenger], y, folds, d.metric, 40, d.seed)
+        assert kept(d) == [float.hex(v) for v in want]
+        assert kept(d) == alone[d.challenger, d.metric]
+
+
+def _delong_delta_variance(ref, cand, y):
+    """DeLong, DeLong & Clarke-Pearson (1988): the variance of the paired
+    difference of two ROC-AUCs on the same rows, from each positive's and
+    each negative's structural components."""
+    pos, neg = y == 1, y == 0
+
+    def components(s):
+        # psi(x, z) = 1 if x > z, 1/2 on a tie, 0 otherwise
+        psi = (s[pos][:, None] > s[neg][None, :]) + 0.5 * (s[pos][:, None] == s[neg][None, :])
+        return psi.mean(axis=1), psi.mean(axis=0)
+
+    (v10_ref, v01_ref), (v10_cand, v01_cand) = components(ref), components(cand)
+    # var(a - b) = var(a) + var(b) - 2 cov(a, b), each over its class's rows
+    return (np.var(v10_cand - v10_ref, ddof=1) / pos.sum()
+            + np.var(v01_cand - v01_ref, ddof=1) / neg.sum())
+
+
+def test_bootstrap_standard_error_agrees_with_delong():
+    # 2,000 rows in 5 folds; both scores share a per-row latent term, so the
+    # paired AUCs correlate and the paired variance is well below the sum
+    rng = np.random.default_rng(21)
+    n = 2000
+    y = (rng.random(n) < 0.35).astype(int)
+    folds = rng.integers(0, 5, n)
+    shared = rng.normal(size=n)
+    ref = 0.8 * y + shared + 0.6 * rng.normal(size=n)
+    cand = 1.0 * y + shared + 0.6 * rng.normal(size=n)
+    delong_se = math.sqrt(_delong_delta_variance(ref, cand, y))
+    r = paired_bootstrap_delta(ref, cand, y, folds, "roc_auc", n_boot=4000, seed=5)
+    # the percentile interval of a near-normal delta spans 2 * 1.96 standard
+    # errors. On this design (data seeds 21-24, bootstrap seeds 5 and 6) the
+    # ratio of the two errors lay in 0.97-1.03, so 10% leaves room for the
+    # Monte Carlo error of 4,000 replicates and still refuses a bootstrap
+    # that breaks the pairing, which the next assertion shows costs over 50%
+    bootstrap_se = (r.ci_high - r.ci_low) / (2 * 1.959964)
+    assert bootstrap_se == pytest.approx(delong_se, rel=0.10)
+    # the shared term matters: unpaired variances would overstate the error
+    unpaired = math.sqrt(_delong_delta_variance(ref, np.zeros(n), y)
+                         + _delong_delta_variance(np.zeros(n), cand, y))
+    assert unpaired > 1.5 * delong_se
