@@ -3,6 +3,11 @@ confusion-derived bundles with explicit zero-denominator conventions.
 
 All functions are pure and operate on one-dimensional numpy arrays (or
 anything `np.asarray` accepts). Labels must be exactly 0 or 1.
+
+The ranking metrics, the threshold curve, threshold selection and the
+paired bootstrap (`stats`) read one tie-group sweep: each row's tie code,
+2 * its score's tie-group rank + its label, and one bincount and one cumsum
+over the codes of each resample, here the one that holds every row once.
 """
 
 from __future__ import annotations
@@ -83,58 +88,71 @@ def _check_binary(scores, labels, name: str) -> tuple[np.ndarray, np.ndarray]:
     return s, y.astype(np.int64)
 
 
-def _sweep(s, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tie groups of the scores, highest first: each group's score and the
-    cumulative positives and negatives scored at or above it. `s` and `y`
-    are scores and 0/1 labels as _check_binary accepts them; NaN scores have
-    no rank and are refused."""
-    s, y = np.asarray(s, dtype=float), np.asarray(y)
+def _tie_codes(s, y) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's tie code, 2 * its tie group + its label, with the groups
+    numbered from the highest score, and the groups' scores, highest first.
+    `s` and `y` are scores and 0/1 labels as _check_binary returns them; NaN
+    scores have no rank and are refused."""
     if np.isnan(s).any():
         raise ParameterError("scores must not be NaN")
-    order = np.argsort(-s, kind="mergesort")
-    s_desc = s[order]
-    # the last row of each tie group (none for an empty vector)
-    last = np.flatnonzero(np.concatenate((s_desc[1:] != s_desc[:-1], [s.size > 0])))
-    tp = np.cumsum(y[order])[last]
-    return s_desc[last], tp, last + 1 - tp
+    levels, group = np.unique(-s, return_inverse=True)
+    scores = -levels
+    # 0.0 and -0.0 tie; their group takes its last row's sign, whatever
+    # order the sort left them in
+    last_zero = np.flatnonzero(s == 0)[-1:]
+    scores[group[last_zero]] = s[last_zero]
+    return 2 * group + y, scores
 
 
-def _roc_auc(sweep):
-    """ROC-AUC from the cumulative counts of a _sweep, as a float. Counts
-    stacked along a last axis of tie groups, one sweep per row, give one
-    value per row; a row's group that holds none of its rows repeats the
-    counts before it and adds nothing. Exact while 2 * n_pos * n_neg < 2**53."""
-    _, tp, fp = sweep
-    n_pos, n_neg = (tp[..., -1], fp[..., -1]) if tp.shape[-1] else (0, 0)
+def _counted_sweeps(codes, groups: int, drawn) -> tuple[np.ndarray, np.ndarray]:
+    """The cumulative positives and negatives over every tie group of the
+    resamples whose rows are the rows of `drawn`, one resample per row of
+    each. `codes` are _tie_codes over `groups` tie groups. A group that
+    holds none of a resample's rows repeats the counts before it."""
+    reps = len(drawn)
+    # each resample counts into its own block of 2 * groups bins
+    coded = codes[drawn]
+    coded += 2 * groups * np.arange(reps)[:, None]
+    counts = np.bincount(coded.ravel(), minlength=reps * 2 * groups).reshape(reps, groups, 2)
+    np.cumsum(counts, axis=1, out=counts)
+    return counts[..., 1], counts[..., 0]
+
+
+def _sweep(s, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tie groups of the scores, highest first: each group's score, and the
+    cumulative positives and negatives scored at or above it as one row of
+    counts each, that of the one resample that holds every row once."""
+    codes, scores = _tie_codes(s, y)
+    tp, fp = _counted_sweeps(codes, scores.size, np.arange(codes.size)[None])
+    return scores, tp, fp
+
+
+def _roc_auc(tp, fp) -> np.ndarray:
+    """ROC-AUC of each row of _counted_sweeps' cumulative counts. Exact
+    while 2 * n_pos * n_neg < 2**53."""
+    n_pos, n_neg = (tp[:, -1], fp[:, -1]) if tp.shape[1] else (0, 0)
     if not (np.all(n_pos) and np.all(n_neg)):
         raise UndefinedMetricError("roc_auc needs both classes present")
     # each group's negatives lose to the positives above it and tie with its
     # own, so twice the wins is an exact integer (the ROC trapezoid sum)
     above = tp - np.diff(tp, prepend=0)
-    twice_wins = (np.diff(fp, prepend=0) * (above + tp)).sum(axis=-1)
-    return _per_sweep(twice_wins / (2 * n_pos * n_neg))
+    twice_wins = (np.diff(fp, prepend=0) * (above + tp)).sum(axis=1)
+    return twice_wins / (2 * n_pos * n_neg)
 
 
-def _average_precision(sweep):
-    """Average precision from the cumulative counts of a _sweep, stacked or
-    not as _roc_auc reads them. Each sweep sums the terms of the groups that
-    hold a row, in order, in one pairwise sum: padding it with the empty
-    groups' zeros would regroup the sum and move its last bits."""
-    _, tp, fp = sweep
-    n_pos = tp[..., -1] if tp.shape[-1] else 0
+def _average_precision(tp, fp) -> np.ndarray:
+    """Average precision of each row of _counted_sweeps' cumulative counts.
+    Each row sums the terms of the groups that hold one of its rows, in
+    order, in one pairwise sum: padding it with the empty groups' zeros
+    would regroup the sum and move its last bits."""
+    n_pos = tp[:, -1] if tp.shape[1] else 0
     if not np.all(n_pos):
         raise UndefinedMetricError("average_precision needs at least one positive")
     seen = tp + fp
     held = np.diff(seen, prepend=0) > 0
     terms = tp[held] / seen[held] * np.diff(tp, prepend=0)[held]
-    bounds = np.r_[0, np.cumsum(held.sum(axis=-1))].tolist()
-    sums = [terms[start:end].sum() for start, end in zip(bounds, bounds[1:])]
-    return _per_sweep(np.reshape(sums, n_pos.shape) / n_pos)
-
-
-def _per_sweep(values):
-    """A 0-d result as a float; stacked sweeps' results as they are."""
-    return values if values.ndim else float(values)
+    bounds = np.r_[0, np.cumsum(held.sum(axis=1))].tolist()
+    return np.array([terms[start:end].sum() for start, end in zip(bounds, bounds[1:])]) / n_pos
 
 
 def roc_auc(scores, labels) -> float:
@@ -143,13 +161,15 @@ def roc_auc(scores, labels) -> float:
     Equals P(score_pos > score_neg) + 0.5 * P(tie), so tied scores
     contribute half credit.
     """
-    return _roc_auc(_sweep(*_check_binary(scores, labels, "scores")))
+    _, tp, fp = _sweep(*_check_binary(scores, labels, "scores"))
+    return _roc_auc(tp, fp).item()
 
 
 def average_precision(scores, labels) -> float:
     """Average precision: sum of precision-at-cut times recall increment,
     with tied scores entering the cut together."""
-    return _average_precision(_sweep(*_check_binary(scores, labels, "scores")))
+    _, tp, fp = _sweep(*_check_binary(scores, labels, "scores"))
+    return _average_precision(tp, fp).item()
 
 
 def brier(probs, labels) -> float:
@@ -250,7 +270,7 @@ def threshold_curve(probs, labels, grid, beta: float = 2.0) -> list[tuple[float,
     p, y = _check_binary(probs, labels, "probs")
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
-    scores, tp, fp = _sweep(p, y)
+    scores, (tp,), (fp,) = _sweep(p, y)
     # the number of groups scored at or above each t indexes counts led by zero
     at_or_above = np.searchsorted(-scores, -g, side="right")
     rows = []
@@ -271,7 +291,7 @@ def select_threshold(calibrated_probs, labels, beta: float = 2.0) -> float:
     n_pos = int(y.sum())
     if n_pos == 0:
         raise ThresholdError("threshold selection needs at least one positive label")
-    candidates, tp, fp = _sweep(p, y)
+    candidates, (tp,), (fp,) = _sweep(p, y)
     fn = n_pos - tp
     b2 = beta * beta
     fbeta = (1.0 + b2) * tp / ((1.0 + b2) * tp + b2 * fn + fp)  # n_pos >= 1: no NaN
@@ -285,10 +305,10 @@ def full_bundle(probs, labels, threshold) -> MetricBundle:
     each taken at its fold's threshold)."""
     p, y = _check_binary(probs, labels, "probs")
     m = classification_bundle(_confusion_at(p, y, threshold), beta=2.0)
-    sweep = _sweep(p, y)
+    _, tp, fp = _sweep(p, y)
     return MetricBundle(
-        roc_auc=_roc_auc(sweep),
-        pr_auc=_average_precision(sweep),
+        roc_auc=_roc_auc(tp, fp).item(),
+        pr_auc=_average_precision(tp, fp).item(),
         brier=_brier(p, y),
         accuracy=m.accuracy,
         precision=m.precision,

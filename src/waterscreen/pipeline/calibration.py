@@ -92,17 +92,14 @@ def isotonic_fit(scores, labels, sample_weight=None) -> tuple[np.ndarray, np.nda
     order = np.argsort(s, kind="mergesort")
     s, y, weights = s[order], y[order], weights[order]
     # ties must be pooled completely before any violator merge, otherwise a
-    # merge can strand equal scores in different blocks
-    points: list[list[float]] = []
-    for x, target, weight in zip(s, y, weights):
-        if points and points[-1][0] == x:
-            points[-1][1] += target * weight
-            points[-1][2] += weight
-        else:
-            points.append([x, target * weight, weight])
+    # merge can strand equal scores in different blocks; each pool keeps its
+    # first row's score (0.0 and -0.0 tie) and adds its terms in row order
+    _, first, pool = np.unique(s, return_index=True, return_inverse=True)
+    y_sums = np.bincount(pool, weights=y * weights, minlength=first.size)
+    weight_sums = np.bincount(pool, weights=weights, minlength=first.size)
     # blocks of [x_min, weighted y sum, weight]
     blocks: list[list[float]] = []
-    for point in points:
+    for point in zip(s[first].tolist(), y_sums.tolist(), weight_sums.tolist()):
         blocks.append(list(point))
         while len(blocks) > 1 and blocks[-2][1] / blocks[-2][2] > blocks[-1][1] / blocks[-1][2]:
             _, y_sum, weight_sum = blocks.pop()

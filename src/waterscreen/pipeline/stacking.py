@@ -42,7 +42,7 @@ from ..trees import (
     model_digest,
     predict_proba,
 )
-from ..trees.model import ENSEMBLE, TreeEnsembleModel, _check_schema, _proba
+from ..trees.model import ENSEMBLE, TreeEnsembleModel, _proba
 from .calibration import CALIBRATOR, Calibrator, fit_calibrator
 from .folds import FoldPlan
 from .scaling import fit_fold_scaler
@@ -168,7 +168,8 @@ CV_REPORT = Table(CvReport, "a cv report", {
 @dataclass
 class PipelineModel:
     """The deployable artifact: both stages, calibrator, threshold, and the
-    input schema they expect. Split thresholds are in measurement units."""
+    input schema they expect. Split thresholds are in measurement units.
+    Building one refuses a stage fitted on other columns than it is given."""
 
     stage1: TreeEnsembleModel
     stage2: TreeEnsembleModel
@@ -178,6 +179,15 @@ class PipelineModel:
     feature_names: list[str]
     category_levels: dict[str, list[str]]
     kind = "two_stage_pipeline"  # its tag in PIPELINE: a class attribute, not a field
+
+    def __post_init__(self) -> None:
+        for stage, names in (("stage1", self.feature_names),
+                             ("stage2", [*self.feature_names, AUX_COLUMN])):
+            if getattr(self, stage).feature_names != names:
+                raise SchemaError(
+                    f"the pipeline's {stage} was fitted on other feature columns "
+                    "than the pipeline gives it"
+                )
 
 
 # finalize fits tree ensembles only, so a stage of another kind is refused
@@ -428,7 +438,6 @@ def stage2_input(pipeline: PipelineModel, matrix: FeatureMatrix) -> FeatureMatri
             "input columns do not match the pipeline schema "
             f"(expected {len(pipeline.feature_names)}, got {len(names)})"
         )
-    _check_schema(pipeline.stage1.feature_names, names)
     coliform = _proba(pipeline.stage1, matrix)
     return matrix.with_column(AUX_COLUMN, KIND_AUX, coliform)
 
@@ -437,8 +446,6 @@ def predict(pipeline: PipelineModel, matrix: FeatureMatrix) -> list[Prediction]:
     """Score new rows: stage-1 probability, widen, stage-2 raw score,
     calibrate, then threshold."""
     widened = stage2_input(pipeline, matrix)
-    # stage2_input found the pipeline's columns, so these are widened's
-    _check_schema(pipeline.stage2.feature_names, [*pipeline.feature_names, AUX_COLUMN])
     coliform = widened.values[:, -1]
     raw = _proba(pipeline.stage2, widened)
     probs = pipeline.calibrator.apply(raw)

@@ -5,13 +5,9 @@ McNemar's test at a fixed operating point.
 Randomness is reproducible: every bootstrap replicate draws from its own
 sub-stream seeded by (seed, replicate index), so results do not depend on
 evaluation order. Each replicate is drawn once and serves every challenger
-and both ranking metrics. Replicates are scored in chunks of at most
-_CHUNK_CELLS drawn rows, each replicate one row of the chunk, with one
-bincount and one cumsum over the scores' tie groups per chunk and score
-vector, which ROC-AUC and average precision both read. The chunks change no
-bit: ROC-AUC is exact integer arithmetic, and average precision sums each
-replicate's terms over the tie groups its resample holds only, in order, as
-on the sorted resample.
+and both ranking metrics. Replicates are counted in chunks of at most
+_CHUNK_CELLS drawn rows, one replicate per row of the chunk, by the tie-group
+sweep of `metrics`, whose formulas give every replicate's value to the bit.
 """
 
 from __future__ import annotations
@@ -27,7 +23,9 @@ from .errors import DegenerateTableError, PairingError, ParameterError
 from .metrics import (
     _average_precision,
     _check_binary,
+    _counted_sweeps,
     _roc_auc,
+    _tie_codes,
     average_precision,
     binary_labels,
     roc_auc,
@@ -151,21 +149,6 @@ _COUNTED = {"roc_auc": _roc_auc, "average_precision": _average_precision}
 _CHUNK_CELLS = 1 << 16
 
 
-def _counted_sweeps(codes, groups: int, drawn):
-    """The _sweeps of the resamples whose rows are the rows of `drawn`, as
-    cumulative positives and negatives over every tie group, one resample
-    per row. `codes` are the rows' tie codes (2 * tie group + label, groups
-    numbered from the highest score). The score column is None, as no
-    formula reads it."""
-    reps = len(drawn)
-    # each resample counts into its own block of 2 * groups bins
-    coded = codes[drawn]
-    coded += np.arange(0, reps * 2 * groups, 2 * groups)[:, None]
-    counts = np.bincount(coded.ravel(), minlength=reps * 2 * groups).reshape(reps, groups, 2)
-    np.cumsum(counts, axis=1, out=counts)
-    return None, counts[..., 1], counts[..., 0]
-
-
 def paired_bootstrap_deltas(
     ref_scores,
     cand_scores,
@@ -190,18 +173,13 @@ def paired_bootstrap_deltas(
     uses add-one smoothing: 2 * min over tails of (count + 1) / (n_boot + 1),
     capped at 1.
 
-    Nothing is sorted per replicate. Before the draws each row of each score
-    vector gets a code: 2 * its tie group's rank (highest score first) + its
-    label. Replicates are counted in chunks of up to _CHUNK_CELLS drawn
-    rows: each replicate's draw fills one row of the chunk, and one
-    bincount and one cumsum per score vector give every replicate's
-    cumulative counts over all tie groups, which both metrics read. The
-    groups that hold a drawn row are exactly the distinct scores of the
-    resample, in order, so each metric's formula, the one the point estimate
-    uses, gives the value it gives on the sorted resample, to the bit:
-    ROC-AUC is exact integer arithmetic, to which a group holding no drawn
-    row adds 0, and average precision sums, per replicate, only the terms of
-    the groups its resample holds.
+    Nothing is sorted per replicate. Each score vector's rows get their tie
+    codes once (metrics._tie_codes), and each chunk of up to _CHUNK_CELLS
+    drawn rows, one replicate per row, is counted by metrics._counted_sweeps,
+    as a point estimate counts the one resample that holds every row once.
+    The groups that hold a drawn row are exactly the distinct scores of the
+    resample, in order, so each metric's formula gives the value it gives on
+    the sorted resample, to the bit.
     """
     for metric in metrics:
         if metric not in _METRICS:
@@ -222,7 +200,6 @@ def paired_bootstrap_deltas(
             if idx.size == 0:
                 raise ParameterError(f"fold {f} is missing class {cls}")
             strata.append(idx)
-    # refuses NaN scores, which would otherwise form a tie group of their own
     ref_points = [_METRICS[m](ref, y) for m in metrics]
     points = [[_METRICS[m](c, y) - r for m, r in zip(metrics, ref_points)] for c in cands]
     formulas = [_COUNTED[m] for m in metrics]
@@ -233,8 +210,8 @@ def paired_bootstrap_deltas(
     starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
     coded = []
     for s in (ref, *cands):
-        levels, group = np.unique(-s, return_inverse=True)
-        coded.append(((2 * group + y)[order], levels.size))
+        codes, levels = _tie_codes(s, y)
+        coded.append((codes[order], levels.size))
     # (candidate, metric, replicate)
     deltas = np.empty((len(cands), len(metrics), n_boot), dtype=float)
     chunk = max(1, _CHUNK_CELLS // y.size)
@@ -256,9 +233,9 @@ def paired_bootstrap_deltas(
     }
 
 
-def _read(formulas, sweep) -> list:
-    """Every formula's values on one sweep."""
-    return [formula(sweep) for formula in formulas]
+def _read(formulas, counts) -> list:
+    """Every formula's values on one pair of cumulative counts."""
+    return [formula(*counts) for formula in formulas]
 
 
 def _delta_result(metric: str, point: float, deltas, seed: int) -> DeltaResult:

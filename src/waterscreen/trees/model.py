@@ -299,14 +299,6 @@ def _leaf_sum(model: TreeEnsembleModel, matrix: FeatureMatrix, start: float) -> 
     return np.cumsum(np.column_stack([np.full(matrix.n_rows, start), leaves]), axis=1)[:, -1]
 
 
-def predict_margin(model: TreeEnsembleModel, matrix: FeatureMatrix) -> np.ndarray:
-    """Accumulated log-odds margin of a gbdt (base score plus tree payloads)."""
-    if model.family != FAMILY_GBDT:
-        raise UnsupportedModelError("margins are defined for boosted models only")
-    _check_schema(model.feature_names, matrix.column_names)
-    return _leaf_sum(model, matrix, model.base_score)
-
-
 def predict_proba(model: Model, matrix: FeatureMatrix) -> np.ndarray:
     """Probability of the positive class for each row.
 

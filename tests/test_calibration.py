@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waterscreen.errors import ParameterError, ThresholdError
 from waterscreen.metrics import confusion_at, fbeta_from_pr
@@ -53,6 +55,41 @@ def test_isotonic_matches_minimax_oracle():
         kx, ky = isotonic_fit(s, y)
         cal = Calibrator(method="isotonic", knots_x=kx, knots_y=ky)
         np.testing.assert_allclose(cal.apply(xs), expected, atol=1e-9)
+
+
+def _isotonic_fit_reference(scores, labels, sample_weight):
+    """isotonic_fit with its tie pooling as a loop over the sorted rows."""
+    order = np.argsort(scores, kind="mergesort")
+    s, y, weights = scores[order], labels[order], sample_weight[order]
+    points = []
+    for x, target, weight in zip(s, y, weights):
+        if points and points[-1][0] == x:
+            points[-1][1] += target * weight
+            points[-1][2] += weight
+        else:
+            points.append([x, target * weight, weight])
+    blocks = []
+    for point in points:
+        blocks.append(list(point))
+        while len(blocks) > 1 and blocks[-2][1] / blocks[-2][2] > blocks[-1][1] / blocks[-1][2]:
+            _, y_sum, weight_sum = blocks.pop()
+            blocks[-1][1] += y_sum
+            blocks[-1][2] += weight_sum
+    return np.array([b[0] for b in blocks]), np.array([b[1] / b[2] for b in blocks])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 300), distinct=st.integers(1, 300), weighted=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_isotonic_pooling_is_bit_equal_to_the_loop(n, distinct, weighted, seed):
+    rng = np.random.default_rng(seed)
+    # -0.0 joins the pool of 0.0
+    scores = rng.choice(np.r_[0.0, -0.0, rng.random(distinct)], n)
+    labels = rng.integers(0, 2, n).astype(float)
+    weights = rng.random(n) * 3 if weighted else np.ones(n)
+    knots = isotonic_fit(scores, labels, sample_weight=weights if weighted else None)
+    for got, want in zip(knots, _isotonic_fit_reference(scores, labels, weights)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_isotonic_three_point_example():

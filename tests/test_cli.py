@@ -481,6 +481,9 @@ def _damage(data, defect):
                        "l2_regularization": 1.0, "feature_names": names}
     elif defect == "fold_id_repeated":
         data["folds"][1]["fold_id"] = 0
+    elif defect in ("stage1_columns_reordered", "stage2_columns_reordered"):
+        names = data[defect.removesuffix("_columns_reordered")]["feature_names"]
+        names[0], names[1] = names[1], names[0]
     return data
 
 
@@ -544,6 +547,10 @@ DAMAGED_ARTIFACTS = [
      "a pipeline's 'stage2' has unknown kind 'logistic'"),
     ("compare", "cv_report.json", "fold_id_repeated",
      "cv report 'two_stage': its fold ids are not 0 to"),
+    ("predict", "model.json", "stage1_columns_reordered",
+     "the pipeline's stage1 was fitted on other feature columns"),
+    ("predict", "model.json", "stage2_columns_reordered",
+     "the pipeline's stage2 was fitted on other feature columns"),
 ]
 
 
@@ -1080,7 +1087,10 @@ def test_explain_rejects_records_that_do_not_match_the_model_schema(
     workspace, tmp_path, capsys
 ):
     data = json.loads((workspace / "model" / "model.json").read_text())
-    data["feature_names"][0] = "not_a_column"
+    # the pipeline and both its stages, which must agree on their columns
+    for names in (data["feature_names"], data["stage1"]["feature_names"],
+                  data["stage2"]["feature_names"]):
+        names[0] = "not_a_column"
     model = tmp_path / "renamed.json"
     model.write_text(json.dumps(data))
     code = run(

@@ -35,7 +35,7 @@ from waterscreen.trees import (
     gbdt_leafwise_preset,
     predict_proba,
 )
-from waterscreen.trees.model import Tree, predict_margin
+from waterscreen.trees.model import Tree, _leaf_sum
 
 
 def make_matrix(values):
@@ -95,7 +95,7 @@ def test_tree_shap_matches_brute_force_on_random_models():
 def test_local_accuracy_against_model_margin():
     rng = np.random.default_rng(607)
     model, matrix = random_model(rng, n_features=5)
-    margins = predict_margin(model, matrix)
+    margins = _leaf_sum(model, matrix, model.base_score)
     attribution = attribute_rows(model, matrix)
     assert attribution.row_ids == matrix.row_ids
     for i, values in enumerate(attribution.values):
@@ -136,7 +136,7 @@ def test_constant_model_attributes_nothing():
     attribution = tree_shap(model, matrix.take([0]))
     np.testing.assert_array_equal(attribution.values, np.zeros((1, 3)))
     assert attribution.base_value == pytest.approx(
-        predict_margin(model, matrix.take([0]))[0], abs=1e-12
+        _leaf_sum(model, matrix.take([0]), model.base_score)[0], abs=1e-12
     )
 
 
@@ -159,7 +159,7 @@ def test_single_split_puts_everything_on_that_feature():
         max_bins=16,
     )
     model = fit_gbdt(bin_features(matrix, 16), y, config)
-    margins = predict_margin(model, matrix)
+    margins = _leaf_sum(model, matrix, model.base_score)
     row = matrix.take([1])
     attribution = tree_shap(model, row)
     assert attribution.values[0, 1] == 0.0

@@ -25,7 +25,11 @@ both ranking metrics. The deltas kept their bits; the intervals, p-values
 and q-values moved with the seed, and each still equals the reference
 bootstrap's at the new seed. The attribution digest was computed with the per-row path
 recursion, as `tests/test_explain.py::_shap_one_tree_reference` keeps it,
-before the recursion ran once per tree over the rows' leaf patterns. A
+before the recursion ran once per tree over the rows' leaf patterns. The
+evaluation digest, of the threshold curve and metric bundle `evaluate`
+computes, was computed with the sort-based sweep that
+`tests/test_metrics.py::_sweep_reference` keeps, before the metrics and
+the paired bootstrap shared one counted tie-group sweep. A
 change that moves a digest on purpose says so and shows that model quality
 held.
 
@@ -37,10 +41,12 @@ import hashlib
 import json
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from waterscreen.artifacts import dump
 from waterscreen.explain import attribute_rows
+from waterscreen.metrics import full_bundle, threshold_curve
 from waterscreen.pipeline import (
     cv_report_to_dict,
     finalize,
@@ -87,12 +93,14 @@ GOLDEN = {
         "model": "1809c907beaf254c2746d34f4ea744e7543f21ade72937f40cee0ccb019d14c5",
         "predictions": "8a74859ba8647cf1805b7db3d30b1ef500440b679afd0bf63b6934af799f1abc",
         "attributions": "fd23b318a6c5ef6401ee07ec762be34ccf1b6d3e697523f1b8fd078fdb2fdba8",
+        "evaluation": "05f1acf0660d326a240715be8d4b939ab05067be5c7caeb46772d6ad2a07629d",
     },
     "forest": {
         "cv_report": "ecc9c945a624a8370669485b0e4e773c4b4ebf2b39a7b79c7308d66b1c342ab4",
         "model": "10d016d6b265beb8eda5d6485d9a812f1c82a933ba8b5899e873393b9a0ee515",
         "predictions": "cb53f99a02c9338d8880e06855af7b89fab979bf3ac00a488e9ef9b5a8fd4bcb",
         "attributions": "1553a952e534740a48869a60c27ba26880aaff2854820ca572f0c573d8f19515",
+        "evaluation": "82ac5e9a5aac0d94cf00f32bcfaea3d8b5685551d573994a9e3eed49c9ace3ac",
     },
 }
 COMPARISON = "b9ba0bbca1e130dcbf0684ebd4dcd90e8a7aefede735cdf9e97896284aee8e9a"
@@ -167,6 +175,21 @@ def test_scores_and_attributions_match_their_pinned_digests(fixture, trained):
     }
     golden = GOLDEN[stage2]
     assert digests == {key: golden[key] for key in digests}
+
+
+def test_evaluation_matches_its_pinned_digest(fixture, trained):
+    # what `waterscreen evaluate` computes on the pipeline's predictions for
+    # its fixture: the threshold curve over its grid and the metric bundle
+    # at the model's threshold
+    matrix, labels = fixture[:2]
+    stage2, _, model = trained
+    probs = np.array([p.probability for p in predict(model, matrix)])
+    grid = np.round(np.linspace(0.0, 1.0, 101), 2)
+    evaluation = {
+        "threshold_curve": threshold_curve(probs, labels.ec, grid, beta=model.beta),
+        "metrics": asdict(full_bundle(probs, labels.ec, model.threshold)),
+    }
+    assert _sha256(json.dumps(evaluation)) == GOLDEN[stage2]["evaluation"]
 
 
 def test_comparison_matches_its_pinned_digest(cv_reports):

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from waterscreen.errors import ParameterError, ThresholdError, UndefinedMetricError
 from waterscreen.metrics import (
     ConfusionCounts,
+    _sweep,
     average_precision,
     brier,
     classification_bundle,
@@ -20,6 +21,7 @@ from waterscreen.metrics import (
     select_threshold,
     threshold_curve,
 )
+from waterscreen.stats import paired_bootstrap_deltas
 
 
 def pairwise_auc(scores, labels):
@@ -39,7 +41,7 @@ def pairwise_auc(scores, labels):
 
 
 # The four ranking and threshold metrics as written before they shared one
-# sorted sweep: midranks after an ascending sort, cut points after a
+# sweep: midranks after an ascending sort, cut points after a
 # descending sort, np.unique plus searchsorted, and one rescan per grid point.
 # They are the bit-level oracles for the sweep.
 
@@ -106,6 +108,17 @@ def rescan_threshold_curve(probs, labels, grid, beta):
     return rows
 
 
+def _sweep_reference(s, y):
+    """The sweep as one stable descending sort: each tie group's score (that
+    of its last row) and the cumulative positives and negatives at or above
+    it, from a cumsum read at the ends of the groups."""
+    order = np.argsort(-s, kind="mergesort")
+    s_desc = s[order]
+    last = np.flatnonzero(np.concatenate((s_desc[1:] != s_desc[:-1], [s.size > 0])))
+    tp = np.cumsum(y[order])[last]
+    return s_desc[last], tp, last + 1 - tp
+
+
 def _outcome(fn, *args):
     """fn's result with every float as its hex spelling, or its error class."""
     try:
@@ -152,6 +165,63 @@ def test_one_sweep_is_bit_equal_to_the_per_metric_oracles(data, beta):
     assert _outcome(threshold_curve, s, y, grid, beta) == _outcome(
         rescan_threshold_curve, s, y, grid, beta
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 3000),
+    scores=st.sampled_from(["tied", "signed_zeros", "few", "distinct"]),
+    labels=st.sampled_from(["mixed", "negative", "positive"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=0, scores="distinct", labels="mixed", seed=0)
+@example(n=3000, scores="signed_zeros", labels="mixed", seed=0)
+def test_the_counted_sweep_is_bit_equal_to_the_sorted_one(n, scores, labels, seed):
+    rng = np.random.default_rng(seed)
+    pool = {
+        "tied": [rng.choice(SPECIAL_SCORES)],
+        "signed_zeros": [0.0, -0.0, 0.5, -1.0],
+        "few": [*SPECIAL_SCORES, -0.0],
+        "distinct": None,
+    }[scores]
+    s = rng.random(n) if pool is None else rng.choice(np.array(pool), n)
+    y = {"mixed": rng.integers(0, 2, n), "negative": np.zeros(n, np.int64),
+         "positive": np.ones(n, np.int64)}[labels]
+    got_scores, (got_tp,), (got_fp,) = _sweep(s, y)
+    for got, want in zip((got_scores, got_tp, got_fp), _sweep_reference(s, y)):
+        # bytes tell 0.0 from -0.0
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+NAN_ROWS = ([0.2, math.nan, 0.7, 0.1], [0, 1, 1, 0])
+
+
+@pytest.mark.parametrize("fn, args, error, message", [
+    (roc_auc, ([], []), UndefinedMetricError, "roc_auc needs both classes present"),
+    (average_precision, ([], []), UndefinedMetricError,
+     "average_precision needs at least one positive"),
+    (full_bundle, ([], [], 0.5), ParameterError, "confusion counts are all zero"),
+    (select_threshold, ([], []), ThresholdError,
+     "threshold selection needs at least one positive label"),
+    (threshold_curve, ([], [], [0.5]), ParameterError, "confusion counts are all zero"),
+    (paired_bootstrap_deltas, ([], [[]], [], []), UndefinedMetricError,
+     "average_precision needs at least one positive"),
+    (paired_bootstrap_deltas, ([], [[]], [], [], ("roc_auc",)), UndefinedMetricError,
+     "roc_auc needs both classes present"),
+    (roc_auc, NAN_ROWS, ParameterError, "scores must not be NaN"),
+    (average_precision, NAN_ROWS, ParameterError, "scores must not be NaN"),
+    (full_bundle, (*NAN_ROWS, 0.5), ParameterError, "scores must not be NaN"),
+    (select_threshold, NAN_ROWS, ParameterError, "scores must not be NaN"),
+    (threshold_curve, (*NAN_ROWS, [0.5]), ParameterError, "scores must not be NaN"),
+    (paired_bootstrap_deltas, (NAN_ROWS[0], [[0.2, 0.3, 0.7, 0.1]], NAN_ROWS[1], [0] * 4),
+     ParameterError, "scores must not be NaN"),
+    (paired_bootstrap_deltas, ([0.2, 0.3, 0.7, 0.1], [NAN_ROWS[0]], NAN_ROWS[1], [0] * 4),
+     ParameterError, "scores must not be NaN"),
+])
+def test_empty_and_nan_inputs_raise_a_named_error(fn, args, error, message):
+    with pytest.raises(error) as info:
+        fn(*args)
+    assert type(info.value) is error and str(info.value) == message
 
 
 @pytest.mark.parametrize("metric", [roc_auc, average_precision, select_threshold])
